@@ -1,82 +1,25 @@
 """Black-box domain adaptation by distillation and mutual-information
 fine-tuning, with synthetic covariate-shift scenarios and a predictor
-service for exercising the black-box boundary."""
+service for exercising the black-box boundary.
+
+The `bbadapt` command (`bbadapt.cli`) is the main entry point; the names
+below are the pieces needed to drive a predictor backing by hand.
+"""
 
 __version__ = "0.1.0"
 
-from .distill import AdaptConfig, MemoryBank, distill_loss, mi_loss, mixup_loss, run_distillation, total_loss
-from .errors import ContractError, DimensionError, StartupError, TransportError
-from .finetune import FinetuneConfig, run_finetune
-from .nets import SGD, SourceNet, TargetNet, load_checkpoint, save_checkpoint, train_source_net
-from .predictors import (
-    CachedPredictor,
-    InProcessPredictor,
-    PredictorHandle,
-    SmoothedPrediction,
-    TopK,
-    ada_ls,
-    hard_to_prob,
-    init_teacher,
-    read_cache,
-    write_cache,
-)
-from .scenarios import (
-    PRESET_NAMES,
-    DomainData,
-    ScenarioSpec,
-    Shift,
-    evaluate,
-    generate,
-    no_adapt_baseline,
-    preset,
-)
-from .service import PredictionServer, RemotePredictor
-from .tensor import GradTape, Tensor, entropy, grad_check, kl_div, softmax
+from .nets import load_checkpoint
+from .predictors import InProcessPredictor, init_teacher, read_cache, write_cache
+from .scenarios import generate, preset
+from .service import RemotePredictor
 
 __all__ = [
-    "AdaptConfig",
-    "CachedPredictor",
-    "ContractError",
-    "DimensionError",
-    "DomainData",
-    "FinetuneConfig",
-    "GradTape",
     "InProcessPredictor",
-    "MemoryBank",
-    "PRESET_NAMES",
-    "PredictionServer",
-    "PredictorHandle",
     "RemotePredictor",
-    "SGD",
-    "ScenarioSpec",
-    "Shift",
-    "SmoothedPrediction",
-    "SourceNet",
-    "StartupError",
-    "TargetNet",
-    "Tensor",
-    "TopK",
-    "TransportError",
-    "ada_ls",
-    "distill_loss",
-    "entropy",
-    "evaluate",
     "generate",
-    "grad_check",
-    "hard_to_prob",
     "init_teacher",
-    "kl_div",
     "load_checkpoint",
-    "mi_loss",
-    "mixup_loss",
-    "no_adapt_baseline",
     "preset",
     "read_cache",
-    "run_distillation",
-    "run_finetune",
-    "save_checkpoint",
-    "softmax",
-    "total_loss",
-    "train_source_net",
     "write_cache",
 ]

@@ -17,7 +17,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,10 +34,11 @@ from .nets import (
     save_checkpoint,
     train_source_net,
 )
-from .predictors import InProcessPredictor, init_teacher, read_cache, write_cache
+from .predictors import DISCLOSURES, InProcessPredictor, init_teacher, read_cache, resolve_r, write_cache
 from .scenarios import (
     PRESET_NAMES,
     DomainData,
+    Record,
     ScenarioSpec,
     bank_accuracy,
     evaluate,
@@ -56,28 +58,34 @@ _FINETUNE = 43
 TEACHERS = ("adals", "hard", "ls")
 
 
+def _flag(default, spelling: str | None = None, **argparse_kwargs):
+    """A field the config-taking subcommands also accept as an override
+    flag, spelled `spelling` or else after the field name."""
+    return field(default=default, metadata={"flag": spelling, **argparse_kwargs})
+
+
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Everything one adaptation run depends on."""
 
     scenario: ScenarioSpec
-    seeds: tuple = (2019, 2020, 2021)
-    source_epochs: int = 30
+    seeds: tuple[int, ...] = _flag((2019, 2020, 2021), help="comma-separated training seeds")
+    source_epochs: int = _flag(30)
     ls_alpha: float = 0.1
-    teacher: str = "adals"
-    disclosure: str = "auto"  # auto resolves from teacher and r
-    r: int = 1
-    beta: float = 1.0
-    gamma: float = 0.6
-    mixup_alpha: float = 0.3
-    drop_mix: bool = False
-    drop_mi: bool = False
-    adapt_epochs: int = 30
-    finetune_epochs: int = 30
-    batch_size: int = 64
-    lr_backbone: float = 1e-3
-    freeze_bn_stats: bool = False
-    hidden: tuple = (64, 64)
+    teacher: str = _flag("adals", choices=TEACHERS)
+    disclosure: str = _flag("auto", choices=("auto", *DISCLOSURES))  # auto resolves from teacher and r
+    r: int = _flag(1)
+    beta: float = _flag(1.0)
+    gamma: float = _flag(0.6)
+    mixup_alpha: float = _flag(0.3)
+    drop_mix: bool = _flag(False)
+    drop_mi: bool = _flag(False)
+    adapt_epochs: int = _flag(30)
+    finetune_epochs: int = _flag(30)
+    batch_size: int = _flag(64)
+    lr_backbone: float = _flag(1e-3, "--lr")
+    freeze_bn_stats: bool = _flag(False)
+    hidden: tuple[int, ...] = (64, 64)
     bottleneck_dim: int = 32
 
     def validate(self):
@@ -90,8 +98,9 @@ class ExperimentConfig:
             raise ContractError(f"teacher {self.teacher!r} requires hard disclosure")
         if self.teacher == "adals" and self.disclosure == "hard":
             raise ContractError("an adaptive-smoothing teacher needs probabilities, not hard labels")
-        if not self.seeds:
-            raise ContractError("at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ContractError(f"at least one seed is required, all nonnegative, got {self.seeds}")
+        resolve_r(self.resolved_disclosure(), self.r, k)  # rejects an unknown disclosure name
 
     def resolved_disclosure(self) -> str:
         if self.teacher in ("hard", "ls"):
@@ -100,38 +109,11 @@ class ExperimentConfig:
             return "full-soft" if self.r >= self.scenario.num_classes else "top-r"
         return self.disclosure
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "seeds": list(self.seeds),
-            "source_epochs": self.source_epochs,
-            "ls_alpha": self.ls_alpha,
-            "teacher": self.teacher,
-            "disclosure": self.disclosure,
-            "r": self.r,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "mixup_alpha": self.mixup_alpha,
-            "drop_mix": self.drop_mix,
-            "drop_mi": self.drop_mi,
-            "adapt_epochs": self.adapt_epochs,
-            "finetune_epochs": self.finetune_epochs,
-            "batch_size": self.batch_size,
-            "lr_backbone": self.lr_backbone,
-            "freeze_bn_stats": self.freeze_bn_stats,
-            "hidden": list(self.hidden),
-            "bottleneck_dim": self.bottleneck_dim,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "ExperimentConfig":
-        if "config" in obj and "scenario" not in obj:
+    @classmethod
+    def from_dict(cls, obj) -> "ExperimentConfig":
+        if isinstance(obj, dict) and "config" in obj and "scenario" not in obj:
             obj = obj["config"]  # accept a whole manifest
-        kwargs = dict(obj)
-        kwargs["scenario"] = ScenarioSpec.from_dict(obj["scenario"])
-        kwargs["seeds"] = tuple(int(s) for s in obj.get("seeds", (2019, 2020, 2021)))
-        kwargs["hidden"] = tuple(int(h) for h in obj.get("hidden", (64, 64)))
-        return ExperimentConfig(**kwargs)
+        return super().from_dict(obj)
 
 
 # pipeline building blocks ----------------------------------------------
@@ -163,22 +145,30 @@ def train_source_models(cfg: ExperimentConfig, sources, seed: int) -> list:
 
 
 def handles_from_nets(cfg: ExperimentConfig, nets) -> list:
-    disclosure = cfg.resolved_disclosure()
-    r = cfg.r if disclosure == "top-r" else None
     return [
-        InProcessPredictor(net, disclosure=disclosure, r=r, predictor_id=f"source{m}")
+        InProcessPredictor(net, disclosure=cfg.resolved_disclosure(), r=cfg.r, predictor_id=f"source{m}")
         for m, net in enumerate(nets)
     ]
 
 
 def _check_handle_disclosures(cfg: ExperimentConfig, handles):
-    want = cfg.resolved_disclosure()
+    mode = cfg.resolved_disclosure()
+    want = resolve_r(mode, cfg.r, cfg.scenario.num_classes)
     for h in handles:
-        if h.disclosure != want or (want == "top-r" and h.r != cfg.r):
+        if h.r != want:
             raise ContractError(
-                f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), "
-                f"config expects {want} (r={cfg.r})"
+                f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), config expects {mode} (r={want})"
             )
+
+
+def _finetune_config(cfg: ExperimentConfig, seed: int) -> FinetuneConfig:
+    return FinetuneConfig(
+        epochs=cfg.finetune_epochs,
+        batch_size=cfg.batch_size,
+        seed=[seed, _FINETUNE],
+        freeze_bn_stats=cfg.freeze_bn_stats,
+        lr_backbone=cfg.lr_backbone,
+    )
 
 
 def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> dict:
@@ -216,14 +206,7 @@ def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> d
     metrics = run_distillation(adapt_cfg, bank, net, target.features, eval_fn=eval_fn)
     distilled = evaluate(net, target)
     distilled_state = net_state(net, seed=seed)
-    ft_cfg = FinetuneConfig(
-        epochs=cfg.finetune_epochs,
-        batch_size=cfg.batch_size,
-        seed=[seed, _FINETUNE],
-        freeze_bn_stats=cfg.freeze_bn_stats,
-        lr_backbone=cfg.lr_backbone,
-    )
-    metrics = metrics + run_finetune(ft_cfg, net, target.features, eval_fn=eval_fn)
+    metrics = metrics + run_finetune(_finetune_config(cfg, seed), net, target.features, eval_fn=eval_fn)
     final = evaluate(net, target)
     summary = {
         "seed": seed,
@@ -315,45 +298,49 @@ def _print_report(report: dict):
 # subcommands ------------------------------------------------------------
 
 
-def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
-    elif getattr(args, "preset", None):
-        scenario_seed = getattr(args, "scenario_seed", None)
-        cfg = ExperimentConfig(scenario=preset(args.preset, seed=scenario_seed if scenario_seed is not None else 2020))
-    else:
-        raise ContractError("pass --config FILE or --preset NAME")
-    overrides = {}
-    for name in (
-        "teacher",
-        "disclosure",
-        "r",
-        "beta",
-        "gamma",
-        "mixup_alpha",
-        "drop_mix",
-        "drop_mi",
-        "source_epochs",
-        "adapt_epochs",
-        "finetune_epochs",
-        "batch_size",
-        "lr_backbone",
-        "freeze_bn_stats",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+def _override_fields():
+    return [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
+
+
+def _parse_ints(text: str) -> tuple:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ContractError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_endpoint(text: str) -> tuple:
+    """HOST:PORT as (host, port), or a ContractError."""
+    host, _, port = text.rpartition(":")
+    try:
+        number = int(port)
+    except ValueError:
+        number = 0
+    if not host or not 0 < number < 65536:
+        raise ContractError(f"expected HOST:PORT, got {text!r}")
+    return host, number
 
 
 def _split_paths(value):
     return [p for p in value.split(",") if p] if value else None
+
+
+def _load_config(args) -> ExperimentConfig:
+    if args.config:
+        with open(args.config) as fh:
+            cfg = ExperimentConfig.from_dict(json.load(fh))
+    elif args.preset:
+        seed = 2020 if args.scenario_seed is None else args.scenario_seed
+        cfg = ExperimentConfig(scenario=preset(args.preset, seed=seed))
+    else:
+        raise ContractError("pass --config FILE or --preset NAME")
+    overrides = {f.name: getattr(args, f.name) for f in _override_fields() if getattr(args, f.name) is not None}
+    if "seeds" in overrides:
+        overrides["seeds"] = _parse_ints(overrides["seeds"])
+    if overrides:
+        cfg = replace(cfg, **overrides)
+    cfg.validate()
+    return cfg
 
 
 def cmd_train_source(args) -> int:
@@ -376,8 +363,7 @@ def cmd_train_source(args) -> int:
 
 def cmd_serve(args) -> int:
     net = load_checkpoint(args.checkpoint)
-    r = args.r if args.disclosure == "top-r" else None
-    handle = InProcessPredictor(net, disclosure=args.disclosure, r=r, predictor_id=args.predictor_id)
+    handle = InProcessPredictor(net, disclosure=args.disclosure, r=args.r, predictor_id=args.predictor_id)
     server = PredictionServer(handle, host=args.host, port=args.port)
     host, port = server.endpoint
     print(f"serving {args.disclosure} predictions on {host}:{port}", flush=True)
@@ -395,12 +381,10 @@ def cmd_cache_predictions(args) -> int:
     _, target = generate(cfg.scenario)
     k = cfg.scenario.num_classes
     disclosure = cfg.resolved_disclosure()
-    r = cfg.r if disclosure == "top-r" else None
     if args.endpoint:
-        host, port = args.endpoint.rsplit(":", 1)
-        handle = RemotePredictor(host, int(port), k, disclosure=disclosure, r=r)
+        handle = RemotePredictor(*_parse_endpoint(args.endpoint), k, disclosure=disclosure, r=cfg.r)
     elif args.checkpoint:
-        handle = InProcessPredictor(load_checkpoint(args.checkpoint), disclosure=disclosure, r=r)
+        handle = InProcessPredictor(load_checkpoint(args.checkpoint), disclosure=disclosure, r=cfg.r)
     else:
         raise ContractError("pass --checkpoint FILE or --endpoint HOST:PORT")
     count = write_cache(args.out, handle, target.features)
@@ -412,7 +396,6 @@ def cmd_adapt(args) -> int:
     cfg = _load_config(args)
     k = cfg.scenario.num_classes
     disclosure = cfg.resolved_disclosure()
-    r = cfg.r if disclosure == "top-r" else None
     fixed_handles = None
     caches = _split_paths(args.caches)
     endpoints = _split_paths(args.endpoints)
@@ -420,15 +403,13 @@ def cmd_adapt(args) -> int:
     if caches:
         fixed_handles = [read_cache(path, k) for path in caches]
     elif endpoints:
-        fixed_handles = []
-        for i, ep in enumerate(endpoints):
-            host, port = ep.rsplit(":", 1)
-            fixed_handles.append(
-                RemotePredictor(host, int(port), k, disclosure=disclosure, r=r, predictor_id=f"remote{i}")
-            )
+        fixed_handles = [
+            RemotePredictor(*_parse_endpoint(ep), k, disclosure=disclosure, r=cfg.r, predictor_id=f"remote{i}")
+            for i, ep in enumerate(endpoints)
+        ]
     elif checkpoints:
         fixed_handles = [
-            InProcessPredictor(load_checkpoint(path), disclosure=disclosure, r=r, predictor_id=f"source{i}")
+            InProcessPredictor(load_checkpoint(path), disclosure=disclosure, r=cfg.r, predictor_id=f"source{i}")
             for i, path in enumerate(checkpoints)
         ]
     report = run_experiment(cfg, args.outdir, fixed_handles=fixed_handles)
@@ -445,14 +426,7 @@ def cmd_finetune_only(args) -> int:
         return evaluate(n, target)["accuracy"]
 
     before = evaluate(net, target)["accuracy"]
-    ft_cfg = FinetuneConfig(
-        epochs=cfg.finetune_epochs,
-        batch_size=cfg.batch_size,
-        seed=[args.seed, _FINETUNE],
-        freeze_bn_stats=cfg.freeze_bn_stats,
-        lr_backbone=cfg.lr_backbone,
-    )
-    metrics = run_finetune(ft_cfg, net, target.features, eval_fn=eval_fn)
+    metrics = run_finetune(_finetune_config(cfg, args.seed), net, target.features, eval_fn=eval_fn)
     after = evaluate(net, target)["accuracy"]
     os.makedirs(args.outdir, exist_ok=True)
     _write_metrics(os.path.join(args.outdir, f"metrics_seed{args.seed}.ndjson"), args.seed, metrics)
@@ -508,28 +482,19 @@ def cmd_report(args) -> int:
 # parser -----------------------------------------------------------------
 
 
-def _add_config_args(sub, with_overrides: bool = False):
+def _add_config_args(sub):
     sub.add_argument("--config", help="experiment config or manifest JSON")
     sub.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario preset")
     sub.add_argument("--scenario-seed", type=int, default=None, help="data seed for --preset")
-    if with_overrides:
-        sub.add_argument("--seeds", help="comma-separated training seeds")
-        sub.add_argument("--teacher", choices=TEACHERS, default=None)
-        sub.add_argument("--disclosure", choices=("auto", "full-soft", "top-r", "hard"), default=None)
-        sub.add_argument("--r", type=int, default=None)
-        sub.add_argument("--beta", type=float, default=None)
-        sub.add_argument("--gamma", type=float, default=None)
-        sub.add_argument("--mixup-alpha", dest="mixup_alpha", type=float, default=None)
-        sub.add_argument("--drop-mi", dest="drop_mi", action=argparse.BooleanOptionalAction, default=None)
-        sub.add_argument("--drop-mix", dest="drop_mix", action=argparse.BooleanOptionalAction, default=None)
-        sub.add_argument("--source-epochs", dest="source_epochs", type=int, default=None)
-        sub.add_argument("--adapt-epochs", dest="adapt_epochs", type=int, default=None)
-        sub.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None)
-        sub.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        sub.add_argument("--lr", dest="lr_backbone", type=float, default=None)
-        sub.add_argument(
-            "--freeze-bn-stats", dest="freeze_bn_stats", action=argparse.BooleanOptionalAction, default=None
-        )
+    hints = get_type_hints(ExperimentConfig)
+    for f in _override_fields():
+        kwargs = dict(f.metadata)
+        spelling = kwargs.pop("flag") or "--" + f.name.replace("_", "-")
+        if hints[f.name] is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif hints[f.name] in (int, float):
+            kwargs["type"] = hints[f.name]
+        sub.add_argument(spelling, dest=f.name, default=None, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("train-source", help="train source models on their own domains")
-    _add_config_args(sub, with_overrides=True)
+    _add_config_args(sub)
     sub.add_argument("--seed", type=int, default=2020)
     sub.add_argument("--outdir", required=True)
     sub.set_defaults(func=cmd_train_source)
@@ -552,14 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_serve)
 
     sub = subs.add_parser("cache-predictions", help="query a predictor over the target set, write a cache")
-    _add_config_args(sub, with_overrides=True)
+    _add_config_args(sub)
     sub.add_argument("--checkpoint", help="source checkpoint for an in-process predictor")
     sub.add_argument("--endpoint", help="HOST:PORT of a served predictor")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_cache_predictions)
 
     sub = subs.add_parser("adapt", help="run the full two-phase adaptation")
-    _add_config_args(sub, with_overrides=True)
+    _add_config_args(sub)
     sub.add_argument("--outdir", required=True)
     sub.add_argument("--caches", help="comma-separated prediction cache files, one per source")
     sub.add_argument("--endpoints", help="comma-separated HOST:PORT endpoints, one per source")
@@ -567,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_adapt)
 
     sub = subs.add_parser("finetune-only", help="fine-tune a distilled checkpoint")
-    _add_config_args(sub, with_overrides=True)
+    _add_config_args(sub)
     sub.add_argument("--checkpoint", required=True)
     sub.add_argument("--seed", type=int, default=2020)
     sub.add_argument("--outdir", required=True)
@@ -585,7 +550,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, TransportError, StartupError, FileNotFoundError) as exc:
+    except (ContractError, TransportError, StartupError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

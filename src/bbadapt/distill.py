@@ -19,18 +19,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nets import make_sgd, minibatch_indices
-from .tensor import GradTape, Tensor, as_tensor, log_clamped, softmax, stop_recording
-
-
-def _check_rows(rows: np.ndarray, name: str, tol: float = 1e-6):
-    if rows.ndim != 2:
-        raise ContractError(f"{name} must be a 2-D array of probability rows, got shape {rows.shape}")
-    if rows.min() < -1e-12:
-        raise ContractError(f"{name} has negative entries (min={rows.min()})")
-    sums = rows.sum(axis=1)
-    worst = np.abs(sums - 1.0).max() if len(sums) else 0.0
-    if worst > tol:
-        raise ContractError(f"{name} rows must sum to 1 within {tol}, worst deviation {worst}")
+from .tensor import GradTape, Tensor, as_tensor, check_probabilities, log_clamped, softmax, stop_recording
 
 
 class MemoryBank:
@@ -42,7 +31,7 @@ class MemoryBank:
 
     def __init__(self, rows):
         rows = np.asarray(rows, dtype=np.float64)
-        _check_rows(rows, "bank rows")
+        check_probabilities(rows, "bank rows", ndim=2)
         self.rows = rows.copy()
         self.epoch = 0
 
@@ -65,9 +54,9 @@ class MemoryBank:
             raise ContractError(
                 f"fresh predictions must cover every bank row: expected {self.rows.shape}, got {fresh.shape}"
             )
-        _check_rows(fresh, "fresh predictions")
+        check_probabilities(fresh, "fresh predictions", ndim=2)
         self.rows = gamma * self.rows + (1.0 - gamma) * fresh
-        _check_rows(self.rows, "bank rows")
+        check_probabilities(self.rows, "bank rows", ndim=2)
         self.epoch += 1
 
 
@@ -121,8 +110,8 @@ def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
     t = as_tensor(bank_rows)
     if t.shape != student_probs.shape:
         raise DimensionError(f"bank rows {t.shape} vs student {student_probs.shape}")
-    _check_rows(t.data, "bank rows")
-    _check_rows(student_probs.data, "student rows")
+    check_probabilities(t.data, "bank rows", ndim=2)
+    check_probabilities(student_probs.data, "student rows", ndim=2)
     per_sample = (t * (log_clamped(t) - log_clamped(student_probs))).sum(axis=-1)
     return per_sample.mean()
 
@@ -164,7 +153,7 @@ def mi_loss(student_probs) -> Tensor:
     p = as_tensor(student_probs)
     if p.ndim != 2 or p.shape[0] < 1:
         raise ContractError(f"expected a nonempty batch of probability rows, got shape {p.shape}")
-    _check_rows(p.data, "student rows")
+    check_probabilities(p.data, "student rows", ndim=2)
     mean_p = p.mean(axis=0)
     marginal = -((mean_p * log_clamped(mean_p)).sum())
     conditional = -((p * log_clamped(p)).sum(axis=-1).mean())

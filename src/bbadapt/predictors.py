@@ -9,6 +9,9 @@ in `service`, and an on-disk cache), and three disclosure modes:
 * ``top-r`` — the r most probable (class, probability) pairs,
 * ``hard`` — the argmax class label alone.
 
+A mode resolves to one number, the truncation level r in [0, K]: 0 is a
+hard label, K the full vector, and top-r with r = K is full disclosure.
+
 Every disclosed probability is quantized to 9 significant digits, the same
 precision the wire protocol and the cache file use, so the three backings
 are interchangeable bit for bit. Adaptive label smoothing and the teacher
@@ -24,8 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .distill import MemoryBank
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .nets import clone_net
+from .tensor import check_probabilities
 
 DISCLOSURES = ("full-soft", "top-r", "hard")
 
@@ -63,19 +67,31 @@ def _descending_order(row: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(row.shape[0]), -row))
 
 
-def disclose_row(row, disclosure: str, r: int) -> TopK:
-    """Apply a disclosure mode to one full probability row."""
+def resolve_r(disclosure: str, r, k: int) -> int:
+    """The truncation level a disclosure mode stands for over k classes.
+
+    r is read for top-r only and must then lie in [1, k].
+    """
     if disclosure not in DISCLOSURES:
         raise ContractError(f"unknown disclosure {disclosure!r}, expected one of {DISCLOSURES}")
+    if disclosure == "hard":
+        return 0
+    if disclosure == "full-soft":
+        return k
+    if r is None or not 1 <= r <= k:
+        raise ContractError(f"top-r disclosure needs r in [1, {k}], got {r}")
+    return int(r)
+
+
+def disclose_row(row, r: int) -> TopK:
+    """Disclose one full probability row at truncation level r (see `resolve_r`)."""
     q = quantize_probs(row)
     k = q.shape[0]
+    if not 0 <= r <= k:
+        raise ContractError(f"r must lie in [0, {k}], got {r}")
     order = _descending_order(q)
-    if disclosure == "hard":
+    if r == 0:
         return TopK((int(order[0]),), (1.0,), 0, k)
-    if disclosure == "full-soft":
-        r = k
-    if not 1 <= r <= k:
-        raise ContractError(f"r must lie in [1, {k}], got {r}")
     kept = order[:r]
     return TopK(tuple(int(c) for c in kept), tuple(float(q[c]) for c in kept), r, k)
 
@@ -101,14 +117,10 @@ def ada_ls(p, r: int) -> SmoothedPrediction:
         probs = np.asarray(p.probs[:r], dtype=np.float64)
     else:
         probs_full = np.asarray(p, dtype=np.float64)
-        if probs_full.ndim != 1:
-            raise ContractError(f"expected a probability vector, got shape {probs_full.shape}")
+        check_probabilities(probs_full, "input", ndim=1)
         k = probs_full.shape[0]
         if not 1 <= r <= k:
             raise ContractError(f"r must lie in [1, {k}], got {r}")
-        total = probs_full.sum()
-        if probs_full.min() < -1e-12 or abs(total - 1.0) > 1e-6:
-            raise ContractError(f"input must be a probability vector (sum {total})")
         classes = _descending_order(probs_full)[:r]
         probs = probs_full[classes]
     if r == k:
@@ -178,14 +190,20 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
 class PredictorHandle:
     """Base for all predictor backings.
 
-    Subclasses implement `query`; `predict` is the single-sample view
-    whose return shape depends on the disclosure mode.
+    Subclasses set `r` and `num_classes` and implement `query`; `predict`
+    is the single-sample view whose return shape depends on the
+    disclosure mode.
     """
 
-    disclosure: str = "full-soft"
     r: int = 0
     num_classes: int = 0
     predictor_id: str = "source"
+
+    @property
+    def disclosure(self) -> str:
+        if self.r == 0:
+            return "hard"
+        return "full-soft" if self.r == self.num_classes else "top-r"
 
     def query(self, features) -> list[TopK]:
         raise NotImplementedError
@@ -218,25 +236,15 @@ class InProcessPredictor(PredictorHandle):
     """
 
     def __init__(self, net, disclosure: str = "full-soft", r: int | None = None, predictor_id: str = "source"):
-        if disclosure not in DISCLOSURES:
-            raise ContractError(f"unknown disclosure {disclosure!r}, expected one of {DISCLOSURES}")
+        self.r = resolve_r(disclosure, r, net.num_classes)
         self._net = clone_net(net)
         self.num_classes = net.num_classes
-        self.disclosure = disclosure
-        if disclosure == "hard":
-            self.r = 0
-        elif disclosure == "full-soft":
-            self.r = self.num_classes
-        else:
-            if r is None or not 1 <= r <= self.num_classes:
-                raise ContractError(f"top-r disclosure needs r in [1, {self.num_classes}], got {r}")
-            self.r = int(r)
         self.predictor_id = predictor_id
 
     def query(self, features) -> list[TopK]:
         x = np.asarray(features, dtype=np.float64)
         probs = self._net.predict_proba(x)
-        return [disclose_row(row, self.disclosure, self.r) for row in probs]
+        return [disclose_row(row, self.r) for row in probs]
 
 
 class CachedPredictor(PredictorHandle):
@@ -257,7 +265,6 @@ class CachedPredictor(PredictorHandle):
         self._records = records
         self.num_classes = num_classes
         self.r = rs.pop()
-        self.disclosure = "hard" if self.r == 0 else ("full-soft" if self.r == num_classes else "top-r")
         self.predictor_id = predictor_id
 
     def __len__(self):

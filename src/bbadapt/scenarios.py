@@ -14,13 +14,12 @@ read a target label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ContractError
-from .predictors import init_teacher
 
 # rng stream indices reserved per domain kind; sources use their index m
 TARGET_STREAM = 7919
@@ -30,13 +29,71 @@ FAMILIES = ("moons", "gaussians")
 REGIMES = ("closed", "partial")
 
 
+class Record:
+    """Dataclass mixin: `to_dict`/`from_dict` derived from the fields.
+
+    Nested records become dicts and tuples become lists. `from_dict`
+    rejects unknown keys, missing required keys and values of the wrong
+    type with a ContractError; absent optional keys take their defaults.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, obj):
+        name = cls.__name__
+        if not isinstance(obj, dict):
+            raise ContractError(f"{name} must be a JSON object, got {type(obj).__name__}")
+        declared = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(obj) - set(declared))
+        if unknown:
+            raise ContractError(f"unknown {name} keys {unknown}")
+        hints = get_type_hints(cls)
+        kwargs = {}
+        for key, f in declared.items():
+            if key in obj:
+                kwargs[key] = _typed(hints[key], obj[key], f"{name}.{key}")
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ContractError(f"{name} is missing the required key {key!r}")
+        return cls(**kwargs)
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _typed(kind, value, where: str):
+    """`value` as an instance of the annotated type `kind`, or a ContractError."""
+    if get_origin(kind) is tuple:  # always tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ContractError(f"{where} must be a list, got {value!r}")
+        return tuple(_typed(get_args(kind)[0], v, where) for v in value)
+    if isinstance(kind, type) and issubclass(kind, Record):
+        return kind.from_dict(value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        ok = number and (isinstance(value, int) or value.is_integer())
+    elif kind is float:
+        ok = number
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ContractError(f"{where} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
-class Shift:
+class Shift(Record):
     """Affine domain transform: rotate about the origin, translate, and
     rescale the generator's noise level."""
 
     rotation_deg: float = 0.0
-    translation: tuple = (0.0, 0.0)
+    translation: tuple[float, ...] = (0.0, 0.0)
     noise_scale: float = 1.0
 
     def matrix(self) -> np.ndarray:
@@ -47,31 +104,17 @@ class Shift:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.matrix().T + np.asarray(self.translation, dtype=np.float64)
 
-    def to_dict(self) -> dict:
-        return {
-            "rotation_deg": self.rotation_deg,
-            "translation": list(self.translation),
-            "noise_scale": self.noise_scale,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "Shift":
-        return Shift(
-            rotation_deg=float(obj.get("rotation_deg", 0.0)),
-            translation=tuple(float(v) for v in obj.get("translation", (0.0, 0.0))),
-            noise_scale=float(obj.get("noise_scale", 1.0)),
-        )
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Declarative description of one domain-shift experiment."""
 
     family: str
     num_classes: int
     n_source: int = 1000
     n_target: int = 1000
-    source_shifts: tuple = (Shift(),)
+    source_shifts: tuple[Shift, ...] = (Shift(),)
     target_shift: Shift = field(default_factory=Shift)
     regime: str = "closed"
     k_target: int = 0  # partial regime only; 0 means "all classes"
@@ -108,37 +151,6 @@ class ScenarioSpec:
     def target_classes(self) -> tuple:
         k = self.k_target if self.regime == "partial" else self.num_classes
         return tuple(range(k))
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "num_classes": self.num_classes,
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "source_shifts": [s.to_dict() for s in self.source_shifts],
-            "target_shift": self.target_shift.to_dict(),
-            "regime": self.regime,
-            "k_target": self.k_target,
-            "seed": self.seed,
-            "noise": self.noise,
-            "radius": self.radius,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "ScenarioSpec":
-        return ScenarioSpec(
-            family=obj["family"],
-            num_classes=int(obj["num_classes"]),
-            n_source=int(obj.get("n_source", 1000)),
-            n_target=int(obj.get("n_target", 1000)),
-            source_shifts=tuple(Shift.from_dict(s) for s in obj.get("source_shifts", [{}])),
-            target_shift=Shift.from_dict(obj.get("target_shift", {})),
-            regime=obj.get("regime", "closed"),
-            k_target=int(obj.get("k_target", 0)),
-            seed=int(obj.get("seed", 2020)),
-            noise=float(obj.get("noise", 0.12)),
-            radius=float(obj.get("radius", 2.0)),
-        )
 
 
 @dataclass
@@ -252,12 +264,6 @@ def bank_accuracy(rows: np.ndarray, labels: np.ndarray) -> float:
     """Accuracy (percent) of argmax over teacher rows."""
     pred = np.asarray(rows).argmax(axis=1)
     return 100.0 * float(np.mean(pred == np.asarray(labels)))
-
-
-def no_adapt_baseline(handles, data: DomainData, r: int, hard_mode: str = "ls") -> float:
-    """Accuracy of the averaged smoothed source predictions, no training."""
-    bank = init_teacher(handles, data.features, r=r, hard_mode=hard_mode)
-    return bank_accuracy(bank.rows, data.labels)
 
 
 # fixed reference scenarios ---------------------------------------------

@@ -22,7 +22,7 @@ import threading
 import numpy as np
 
 from .errors import ContractError, StartupError, TransportError
-from .predictors import DISCLOSURES, InProcessPredictor, PredictorHandle, TopK
+from .predictors import PredictorHandle, TopK, resolve_r
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
@@ -81,12 +81,6 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         return thread
 
 
-def serve_checkpoint_net(net, disclosure: str, r: int | None, host: str = "127.0.0.1", port: int = 0,
-                         predictor_id: str = "service") -> PredictionServer:
-    handle = InProcessPredictor(net, disclosure=disclosure, r=r, predictor_id=predictor_id)
-    return PredictionServer(handle, host=host, port=port)
-
-
 class RemotePredictor(PredictorHandle):
     """Client-side handle over a served predictor.
 
@@ -99,20 +93,10 @@ class RemotePredictor(PredictorHandle):
     def __init__(self, host: str, port: int, num_classes: int, disclosure: str = "top-r",
                  r: int | None = None, predictor_id: str = "remote", timeout: float = 10.0,
                  retries: int = 2):
-        if disclosure not in DISCLOSURES:
-            raise ContractError(f"unknown disclosure {disclosure!r}, expected one of {DISCLOSURES}")
         self.host = host
         self.port = int(port)
         self.num_classes = int(num_classes)
-        self.disclosure = disclosure
-        if disclosure == "hard":
-            self.r = 0
-        elif disclosure == "full-soft":
-            self.r = self.num_classes
-        else:
-            if r is None or not 1 <= r <= self.num_classes:
-                raise ContractError(f"top-r disclosure needs r in [1, {self.num_classes}], got {r}")
-            self.r = int(r)
+        self.r = resolve_r(disclosure, r, self.num_classes)
         self.predictor_id = predictor_id
         self.timeout = timeout
         self.retries = max(1, int(retries))
@@ -130,7 +114,7 @@ class RemotePredictor(PredictorHandle):
         raise TransportError(f"predictor at {self.host}:{self.port} unreachable: {last}") from last
 
     def _query_once(self, x: np.ndarray) -> list[TopK]:
-        expected = 1 if self.disclosure == "hard" else self.r
+        expected = max(self.r, 1)  # a hard label travels as one [class, 1.0] pair
         records = []
         with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
             stream = sock.makefile("rwb")

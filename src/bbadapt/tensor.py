@@ -380,14 +380,21 @@ def softmax(logits: Tensor | np.ndarray) -> Tensor:
     return div(e, reduce_sum(e, axis=-1, keepdims=True))
 
 
-def _check_probability(p: np.ndarray, name: str = "p"):
-    if p.ndim != 1:
-        raise ContractError(f"{name} must be a 1-D probability vector, got shape {p.shape}")
-    if p.min() < -1e-12:
-        raise ContractError(f"{name} has negative entries (min={p.min()})")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ContractError(f"{name} must sum to 1 within 1e-6, got {total}")
+def check_probabilities(p: np.ndarray, name: str, ndim: int, tol: float = 1e-6):
+    """Require a probability vector (ndim=1) or a batch of rows (ndim=2):
+    no entry below -1e-12 and every row summing to 1 within `tol`.
+
+    The comparisons are written so that NaN fails them; `initial=0.0`
+    lets an empty batch through.
+    """
+    if p.ndim != ndim:
+        raise ContractError(f"{name} must be a {ndim}-D array of probabilities, got shape {p.shape}")
+    lowest = p.min(initial=0.0)
+    if not lowest >= -1e-12:
+        raise ContractError(f"{name} has negative or NaN entries (min={lowest})")
+    worst = np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0)
+    if not worst <= tol:
+        raise ContractError(f"{name} must sum to 1 within {tol}, worst deviation {worst}")
 
 
 def entropy(p: Tensor | np.ndarray) -> Tensor:
@@ -397,7 +404,7 @@ def entropy(p: Tensor | np.ndarray) -> Tensor:
     in [0, log K].
     """
     t = as_tensor(p)
-    _check_probability(t.data)
+    check_probabilities(t.data, "p", ndim=1)
     return neg(reduce_sum(mul(t, log_clamped(t))))
 
 
@@ -412,8 +419,8 @@ def kl_div(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
     tq = as_tensor(q)
     if tp.data.shape != tq.data.shape:
         raise DimensionError(f"kl_div shapes disagree: {tp.data.shape} vs {tq.data.shape}")
-    _check_probability(tp.data, "p")
-    _check_probability(tq.data, "q")
+    check_probabilities(tp.data, "p", ndim=1)
+    check_probabilities(tq.data, "q", ndim=1)
     return reduce_sum(mul(tp, sub(log_clamped(tp), log_clamped(tq))))
 
 

@@ -28,7 +28,7 @@ from bbadapt.distill import (
 from bbadapt.nets import SourceNet, TargetNet, ls_cross_entropy
 from bbadapt.predictors import InProcessPredictor, TopK, ada_ls, init_teacher, write_cache
 from bbadapt.scenarios import ScenarioSpec, Shift, generate, preset
-from bbadapt.service import serve_checkpoint_net
+from bbadapt.service import PredictionServer
 from bbadapt.tensor import GradTape, Tensor, grad_check, kl_div, softmax
 
 
@@ -414,7 +414,7 @@ def test_c10_service_matches_cache(tmp_path):
     cache_path = tmp_path / "preds.ndjson"
     write_cache(str(cache_path), InProcessPredictor(net, disclosure="top-r", r=1), target.features)
 
-    server = serve_checkpoint_net(net, "top-r", 1)
+    server = PredictionServer(InProcessPredictor(net, disclosure="top-r", r=1))
     server.start_background()
     host, port = server.endpoint
     run_svc, run_cache = tmp_path / "svc", tmp_path / "cache"

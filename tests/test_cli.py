@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -63,6 +65,37 @@ def test_config_accepts_manifest_wrapper():
     cfg = small_config()
     manifest = {"version": "0.0-test", "config": cfg.to_dict()}
     assert ExperimentConfig.from_dict(manifest) == cfg
+
+
+def test_config_from_dict_rejects_bad_input():
+    good = small_config().to_dict()
+    bad_values = {
+        "seeds": "2019",
+        "hidden": "64",
+        "drop_mi": "false",
+        "freeze_bn_stats": 0,
+        "r": 1.5,
+        "batch_size": "32",
+        "beta": "1.0",
+        "teacher": 1,
+    }
+    for key, value in bad_values.items():
+        with pytest.raises(ContractError, match=key):
+            ExperimentConfig.from_dict({**good, key: value})
+    with pytest.raises(ContractError, match="bogus"):
+        ExperimentConfig.from_dict({**good, "bogus": 1})
+    scenario = dict(good["scenario"])
+    del scenario["family"]
+    with pytest.raises(ContractError, match="family"):
+        ExperimentConfig.from_dict({**good, "scenario": scenario})
+    with pytest.raises(ContractError, match="translation"):
+        ExperimentConfig.from_dict({**good, "scenario": {**good["scenario"], "target_shift": {"translation": "0"}}})
+    with pytest.raises(ContractError):
+        ExperimentConfig.from_dict([good])
+    # integral floats are integers; absent optional keys take their defaults
+    assert ExperimentConfig.from_dict({**good, "r": 2.0}).r == 2
+    minimal = ExperimentConfig.from_dict({"scenario": {"family": "moons", "num_classes": 2}})
+    assert minimal == ExperimentConfig(scenario=ScenarioSpec(family="moons", num_classes=2))
 
 
 def test_config_validation():
@@ -130,19 +163,36 @@ def test_checkpoint_cache_and_adapt_paths_agree(cfg_file, tmp_path):
     summary = json.loads((srcdir / "sources_seed2020.json").read_text())
     assert summary["sources"][0]["train_accuracy"] > 80.0
 
-    cache = tmp_path / "preds.ndjson"
-    assert main(["cache-predictions", "--config", str(cfg_file),
-                 "--checkpoint", str(ckpt), "--out", str(cache)]) == 0
-    assert len(cache.read_text().splitlines()) == 90
+    # the second case, top-r at r = K, is full disclosure on both backings
+    for tag, flags in (("auto", []), ("top3", ["--disclosure", "top-r", "--r", "3"])):
+        cache = tmp_path / f"preds_{tag}.ndjson"
+        assert main(["cache-predictions", "--config", str(cfg_file), *flags,
+                     "--checkpoint", str(ckpt), "--out", str(cache)]) == 0
+        assert len(cache.read_text().splitlines()) == 90
 
-    run_ckpt = tmp_path / "run_ckpt"
-    run_cache = tmp_path / "run_cache"
-    assert main(["adapt", "--config", str(cfg_file), "--outdir", str(run_ckpt),
-                 "--source-checkpoints", str(ckpt)]) == 0
-    assert main(["adapt", "--config", str(cfg_file), "--outdir", str(run_cache),
-                 "--caches", str(cache)]) == 0
-    for name in ("report.json", "metrics_seed2019.ndjson"):
-        assert (run_ckpt / name).read_bytes() == (run_cache / name).read_bytes()
+        run_ckpt = tmp_path / f"run_ckpt_{tag}"
+        run_cache = tmp_path / f"run_cache_{tag}"
+        assert main(["adapt", "--config", str(cfg_file), *flags, "--outdir", str(run_ckpt),
+                     "--source-checkpoints", str(ckpt)]) == 0
+        assert main(["adapt", "--config", str(cfg_file), *flags, "--outdir", str(run_cache),
+                     "--caches", str(cache)]) == 0
+        for name in ("report.json", "metrics_seed2019.ndjson"):
+            assert (run_ckpt / name).read_bytes() == (run_cache / name).read_bytes()
+
+
+def test_cli_surface_is_pinned(run_a, capsys):
+    # the override flags are derived from the config fields; neither may drift
+    with pytest.raises(SystemExit):
+        main(["adapt", "--help"])
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert options == {
+        "--adapt-epochs", "--batch-size", "--beta", "--caches", "--config", "--disclosure", "--drop-mi",
+        "--drop-mix", "--endpoints", "--finetune-epochs", "--freeze-bn-stats", "--gamma", "--lr",
+        "--mixup-alpha", "--no-drop-mi", "--no-drop-mix", "--no-freeze-bn-stats", "--outdir", "--preset",
+        "--r", "--scenario-seed", "--seeds", "--source-checkpoints", "--source-epochs", "--teacher",
+    }
+    manifest = json.loads((run_a / "manifest.json").read_text())
+    assert set(manifest["config"]) == {f.name for f in fields(ExperimentConfig)}
 
 
 def test_report_command(run_a, tmp_path, capsys):
@@ -211,6 +261,32 @@ def test_main_error_exits(tmp_path, capsys):
     assert main(["cache-predictions", "--preset", "moons-rot30", "--out", str(tmp_path / "c.ndjson")]) == 2
     assert main(["finetune-only", "--checkpoint", str(tmp_path / "nope.json"),
                  "--outdir", str(tmp_path / "x")]) == 2
+
+    good = small_config().to_dict()
+    no_family = {**good, "scenario": {k: v for k, v in good["scenario"].items() if k != "family"}}
+    configs = {
+        "unknown_key.json": json.dumps({**good, "bogus": 1}),
+        "no_family.json": json.dumps(no_family),
+        "string_seeds.json": json.dumps({**good, "seeds": "2019"}),
+        "string_bool.json": json.dumps({**good, "drop_mi": "false"}),
+        "malformed.json": '{"config": ',
+    }
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    adapt = ["adapt", "--outdir", str(tmp_path / "x")]
+    cache = ["cache-predictions", "--out", str(tmp_path / "c.ndjson"), "--preset", "moons-rot30"]
+    for argv in (
+        *([*adapt, "--config", str(tmp_path / name)] for name in configs),
+        [*adapt, "--preset", "moons-rot30", "--seeds", "a,b"],
+        [*adapt, "--preset", "moons-rot30", "--seeds=-1"],
+        [*adapt, "--preset", "moons-rot30", "--endpoints", "host:abc"],
+        [*adapt, "--preset", "moons-rot30", "--endpoints", "localhost"],
+        [*cache, "--endpoint", "host:abc"],
+        [*cache, "--endpoint", "localhost"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_finetune_only_command(run_a, tmp_path, capsys):

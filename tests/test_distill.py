@@ -56,6 +56,9 @@ def test_bank_validates_rows(rng):
         MemoryBank(np.array([[0.7, 0.7]]))
     with pytest.raises(ContractError):
         MemoryBank(np.array([[-0.1, 1.1]]))
+    for rows in ([[np.nan, np.nan], [0.5, 0.5]], [[np.nan, 1.0]], [[0.5, 0.5], [1.0, np.nan]]):
+        with pytest.raises(ContractError):
+            MemoryBank(np.array(rows))
     bank = MemoryBank(rng.dirichlet(np.ones(3), size=5))
     assert len(bank) == 5
     assert bank.num_classes == 3
@@ -99,6 +102,8 @@ def test_ema_update_validation(rng):
         bank.ema_update(fresh[:4], 0.5)
     with pytest.raises(ContractError):
         bank.ema_update(np.abs(fresh) + 1.0, 0.5)
+    with pytest.raises(ContractError):
+        bank.ema_update(np.full((5, 3), np.nan), 0.5)
 
 
 # losses ------------------------------------------------------------------
@@ -133,6 +138,8 @@ def test_distill_loss_validates_rows(rng):
         distill_loss(good * 2.0, Tensor(good))
     with pytest.raises(DimensionError):
         distill_loss(good[:, :2], Tensor(good))
+    with pytest.raises(ContractError):
+        distill_loss(good, Tensor(np.full((4, 3), np.nan)))
 
 
 def test_mi_loss_matches_naive(rng):

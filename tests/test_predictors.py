@@ -18,6 +18,7 @@ from bbadapt.predictors import (
     init_teacher,
     quantize_probs,
     read_cache,
+    resolve_r,
     teacher_row,
     write_cache,
 )
@@ -57,31 +58,41 @@ def test_quantize_preserves_shape(rng):
 
 
 def test_disclose_row_full_soft_sorted_desc():
-    rec = disclose_row([0.2, 0.5, 0.3], "full-soft", 0)
+    rec = disclose_row([0.2, 0.5, 0.3], 3)
     assert rec.classes == (1, 2, 0)
     assert rec.probs == (0.5, 0.3, 0.2)
     assert rec.r == 3 and rec.k == 3
 
 
 def test_disclose_row_tie_prefers_lower_index():
-    rec = disclose_row([0.4, 0.2, 0.4], "top-r", 1)
+    rec = disclose_row([0.4, 0.2, 0.4], 1)
     assert rec.classes == (0,)
-    rec = disclose_row([0.25, 0.25, 0.25, 0.25], "full-soft", 0)
+    rec = disclose_row([0.25, 0.25, 0.25, 0.25], 4)
     assert rec.classes == (0, 1, 2, 3)
 
 
 def test_disclose_row_hard_sentinel():
-    rec = disclose_row([0.1, 0.7, 0.2], "hard", 0)
+    rec = disclose_row([0.1, 0.7, 0.2], 0)
     assert rec == TopK((1,), (1.0,), 0, 3)
 
 
 def test_disclose_row_validation():
     with pytest.raises(ContractError):
-        disclose_row([0.5, 0.5], "soft", 1)
+        disclose_row([0.5, 0.5], -1)
     with pytest.raises(ContractError):
-        disclose_row([0.5, 0.5], "top-r", 0)
-    with pytest.raises(ContractError):
-        disclose_row([0.5, 0.5], "top-r", 3)
+        disclose_row([0.5, 0.5], 3)
+
+
+def test_resolve_r():
+    assert resolve_r("hard", None, 3) == 0
+    assert resolve_r("hard", 2, 3) == 0
+    assert resolve_r("full-soft", None, 3) == 3
+    assert resolve_r("full-soft", 1, 3) == 3
+    assert resolve_r("top-r", 2, 3) == 2
+    assert resolve_r("top-r", 3, 3) == 3  # top-r at r = K is full disclosure
+    for disclosure, r in (("soft", 1), ("top-r", None), ("top-r", 0), ("top-r", 4)):
+        with pytest.raises(ContractError):
+            resolve_r(disclosure, r, 3)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -119,7 +130,7 @@ def test_ada_ls_from_topk_matches_vector_path(rng):
     p = p / p.sum()
     p = quantize_probs(p)
     for r in (1, 2, 3):
-        rec = disclose_row(p, "top-r", r)
+        rec = disclose_row(p, r)
         via_rec = ada_ls(rec, r).probs
         via_vec = ada_ls(p, r).probs
         assert np.max(np.abs(via_rec - via_vec)) < 1e-9
@@ -138,10 +149,13 @@ def test_ada_ls_rejects_bad_inputs():
     truncated = TopK((2, 0), (0.6, 0.3), 2, 4)
     with pytest.raises(ContractError):
         ada_ls(truncated, 1)
+    for p in ([np.nan, np.nan], [0.5, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ContractError):
+            ada_ls(np.array(p), 1)
 
 
 def test_ada_ls_full_disclosure_any_r():
-    rec = disclose_row([0.1, 0.6, 0.3], "full-soft", 0)
+    rec = disclose_row([0.1, 0.6, 0.3], 3)
     out = ada_ls(rec, 1).probs
     assert np.allclose(out, [0.2, 0.6, 0.2], atol=1e-12)
 
@@ -162,7 +176,7 @@ def test_teacher_row_dispatch():
     hard = TopK((2,), (1.0,), 0, 4)
     assert np.array_equal(teacher_row(hard, 1, "onehot"), [0.0, 0.0, 1.0, 0.0])
     assert np.allclose(teacher_row(hard, 1, "ls"), hard_to_prob(2, 4, "ls"))
-    soft = disclose_row([0.1, 0.6, 0.2, 0.1], "top-r", 1)
+    soft = disclose_row([0.1, 0.6, 0.2, 0.1], 1)
     assert np.allclose(teacher_row(soft, 1), ada_ls(soft, 1).probs)
 
 
@@ -171,14 +185,13 @@ class StubHandle:
         self.rows = rows
         self.r = r
         self.num_classes = num_classes
-        self.disclosure = "top-r"
         self.predictor_id = "stub"
         self.fail_at = fail_at
 
     def query(self, features):
         if self.fail_at is not None:
             raise ContractError("stub failure")
-        return [disclose_row(row, "top-r", self.r) for row in self.rows]
+        return [disclose_row(row, self.r) for row in self.rows]
 
 
 def test_init_teacher_matches_naive_mean(rng):
@@ -240,6 +253,8 @@ def test_in_process_predictor_r_resolution(rng):
     assert InProcessPredictor(net, disclosure="full-soft").r == 3
     assert InProcessPredictor(net, disclosure="hard").r == 0
     assert InProcessPredictor(net, disclosure="top-r", r=2).r == 2
+    full = InProcessPredictor(net, disclosure="top-r", r=3)
+    assert full.r == 3 and full.disclosure == "full-soft"
     with pytest.raises(ContractError):
         InProcessPredictor(net, disclosure="top-r")
     with pytest.raises(ContractError):

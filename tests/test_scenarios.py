@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from bbadapt.errors import ContractError
-from bbadapt.predictors import InProcessPredictor, init_teacher
-from bbadapt.nets import SourceNet, train_source_net
 from bbadapt.scenarios import (
     PRESET_NAMES,
     DomainData,
@@ -13,7 +11,6 @@ from bbadapt.scenarios import (
     evaluate,
     generate,
     holdout,
-    no_adapt_baseline,
     preset,
 )
 
@@ -175,17 +172,6 @@ def test_evaluate_accuracy_and_per_class():
 def test_bank_accuracy():
     rows = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
     assert bank_accuracy(rows, np.array([0, 1, 1])) == pytest.approx(100.0 * 2 / 3)
-
-
-def test_no_adapt_baseline_equals_bank_accuracy(rng):
-    spec = ScenarioSpec(family="gaussians", num_classes=3, n_source=150, n_target=90, seed=5)
-    sources, target = generate(spec)
-    net = SourceNet(2, 3, hidden=(16,), rng=np.random.default_rng(0))
-    train_source_net(net, sources[0].features, sources[0].labels, epochs=5, batch_size=32, seed=1)
-    handles = [InProcessPredictor(net, disclosure="top-r", r=1)]
-    baseline = no_adapt_baseline(handles, target, r=1)
-    bank = init_teacher(handles, target.features, r=1)
-    assert baseline == bank_accuracy(bank.rows, target.labels)
 
 
 def test_presets_registry():

@@ -7,7 +7,7 @@ import pytest
 from bbadapt.errors import ContractError, StartupError, TransportError
 from bbadapt.nets import SourceNet, train_source_net
 from bbadapt.predictors import InProcessPredictor
-from bbadapt.service import PredictionServer, RemotePredictor, serve_checkpoint_net
+from bbadapt.service import PredictionServer, RemotePredictor
 
 from conftest import make_blobs
 
@@ -157,16 +157,3 @@ def test_remote_predictor_validation():
     with pytest.raises(ContractError):
         remote.query(np.zeros(2))
 
-
-def test_serve_checkpoint_net(trained_net):
-    server = serve_checkpoint_net(trained_net, disclosure="top-r", r=1)
-    server.start_background()
-    host, port = server.endpoint
-    try:
-        remote = RemotePredictor(host, port, num_classes=3, disclosure="top-r", r=1)
-        local = InProcessPredictor(trained_net, disclosure="top-r", r=1)
-        x = np.random.default_rng(9).normal(0.0, 2.0, (5, 2))
-        assert remote.query(x) == local.query(x)
-    finally:
-        server.shutdown()
-        server.server_close()

@@ -106,6 +106,11 @@ def test_probability_validation():
         entropy(np.array([[0.5, 0.5]]))
     with pytest.raises(DimensionError):
         kl_div(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
+    for p in ([np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]):
+        for call in (lambda: entropy(np.array(p)), lambda: kl_div(np.array(p), np.array([0.5, 0.5])),
+                     lambda: kl_div(np.array([0.5, 0.5]), np.array(p))):
+            with pytest.raises(ContractError):
+                call()
 
 
 def test_log_clamped_value_and_gradient():
