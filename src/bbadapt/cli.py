@@ -196,7 +196,6 @@ def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> d
         beta=0.0 if cfg.drop_mix else cfg.beta,
         gamma=cfg.gamma,
         mixup_alpha=cfg.mixup_alpha,
-        r=cfg.r,
         epochs=cfg.adapt_epochs,
         batch_size=cfg.batch_size,
         seed=[seed, _DISTILL],

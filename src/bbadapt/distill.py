@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nets import make_sgd, minibatch_indices
-from .tensor import GradTape, Tensor, as_tensor, check_probabilities, log_clamped, softmax, stop_recording
+from .nets import soft_cross_entropy, train_epochs
+from .tensor import Tensor, as_tensor, check_probabilities, log_clamped, softmax, stop_recording
 
 
 class MemoryBank:
@@ -72,34 +72,19 @@ class AdaptConfig:
     beta: float = 1.0
     gamma: float = 0.6
     mixup_alpha: float = 0.3
-    r: int = 1
     epochs: int = 30
     batch_size: int = 64
     seed: object = 2020
     drop_mi: bool = False
     lr_backbone: float = 1e-3
 
-    def validate(self, num_classes: int):
+    def validate(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ContractError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.beta < 0.0:
             raise ContractError(f"beta must be nonnegative, got {self.beta}")
         if self.mixup_alpha <= 0.0:
             raise ContractError(f"mixup_alpha must be positive, got {self.mixup_alpha}")
-        if not 1 <= self.r <= num_classes:
-            raise ContractError(f"r must lie in [1, {num_classes}], got {self.r}")
-        if self.epochs < 0:
-            raise ContractError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ContractError(f"batch_size must be at least 2, got {self.batch_size}")
-
-
-def soft_cross_entropy(targets, probs: Tensor) -> Tensor:
-    """-mean_i sum_k t_ik log p_ik with constant soft targets."""
-    t = as_tensor(targets)
-    if t.shape != probs.shape:
-        raise DimensionError(f"targets {t.shape} vs predictions {probs.shape}")
-    return -((t * log_clamped(probs)).sum(axis=-1).mean())
 
 
 def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
@@ -179,53 +164,33 @@ def total_loss(cfg: AdaptConfig, bank_rows, net, batch, rng):
     return loss, {"kd": l_kd.item(), "mix": l_mix.item(), "mi": l_im.item()}
 
 
-def _batches_per_epoch(n: int, batch_size: int) -> int:
-    # trailing batches of a single sample are dropped (batch norm needs >= 2)
-    full, rem = divmod(n, batch_size)
-    return full + (1 if rem >= 2 else 0)
-
-
 def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=None) -> list[dict]:
     """Run the distillation phase in place; returns per-epoch metrics.
 
-    Per epoch: shuffled mini-batches, each minimizing `total_loss` with one
-    SGD step (scheduler progress = global step fraction); then an eval-mode
-    forward over the whole set, in sample order, feeds the bank's EMA
-    update. `eval_fn`, when given, is called with the net after the bank
-    update and its value is recorded as that epoch's accuracy; training
-    itself never sees labels.
+    Per epoch: `nets.train_epochs` steps on `total_loss` over shuffled
+    mini-batches (batch order and mixup draws share one generator); then
+    an eval-mode forward over the whole set, in sample order, feeds the
+    bank's EMA update. `eval_fn`, when given, is called with the net after
+    the bank update and its value is recorded as that epoch's accuracy;
+    training itself never sees labels.
     """
     x = np.asarray(features, dtype=np.float64)
-    cfg.validate(net.num_classes)
+    cfg.validate()
     n = x.shape[0]
     if len(bank) != n or bank.num_classes != net.num_classes:
         raise ContractError(
             f"bank shape {bank.rows.shape} does not match {n} samples x {net.num_classes} classes"
         )
     rng = np.random.default_rng(cfg.seed)
-    opt = make_sgd(net, lr_backbone=cfg.lr_backbone)
-    total_steps = max(1, cfg.epochs * _batches_per_epoch(n, cfg.batch_size))
-    step = 0
+
+    def batch_loss(idx):
+        return total_loss(cfg, bank.rows[idx], net, x[idx], rng)
+
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        sums = {"loss": 0.0, "kd": 0.0, "mix": 0.0, "mi": 0.0}
-        nbatches = 0
-        for idx in minibatch_indices(n, cfg.batch_size, rng, min_size=2):
-            with GradTape() as tape:
-                loss, parts = total_loss(cfg, bank.rows[idx], net, x[idx], rng)
-            grads = tape.gradient(loss, opt.params)
-            opt.step(grads, progress=step / total_steps)
-            net.post_update()
-            step += 1
-            nbatches += 1
-            sums["loss"] += loss.item()
-            for key in ("kd", "mix", "mi"):
-                sums[key] += parts[key]
-        fresh = net.predict_proba(x)
-        bank.ema_update(fresh, cfg.gamma)
-        record = {"phase": "distill", "epoch": epoch}
-        for key, total in sums.items():
-            record[key] = total / max(1, nbatches)
+    epochs_run = train_epochs(net, n, batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "distill")
+    for epoch, means in enumerate(epochs_run, 1):
+        bank.ema_update(net.predict_proba(x), cfg.gamma)
+        record = {"phase": "distill", "epoch": epoch, **means}
         if eval_fn is not None:
             record["accuracy"] = float(eval_fn(net))
         history.append(record)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import _batches_per_epoch, mi_loss
-from .errors import ContractError
-from .nets import make_sgd, minibatch_indices
-from .tensor import GradTape, softmax
+from .distill import mi_loss
+from .nets import train_epochs
+from .tensor import softmax
 
 
 @dataclass
@@ -26,12 +25,6 @@ class FinetuneConfig:
     freeze_bn_stats: bool = False
     lr_backbone: float = 1e-3
 
-    def validate(self):
-        if self.epochs < 0:
-            raise ContractError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ContractError(f"batch_size must be at least 2, got {self.batch_size}")
-
 
 def run_finetune(cfg: FinetuneConfig, net, features, eval_fn=None) -> list[dict]:
     """Fine-tune the net in place; returns per-epoch metrics.
@@ -40,38 +33,20 @@ def run_finetune(cfg: FinetuneConfig, net, features, eval_fn=None) -> list[dict]
     negative). Metrics track the objective and the mean per-sample
     entropy, which is expected to fall as predictions sharpen.
     """
-    cfg.validate()
     x = np.asarray(features, dtype=np.float64)
-    n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    opt = make_sgd(net, lr_backbone=cfg.lr_backbone)
-    total_steps = max(1, cfg.epochs * _batches_per_epoch(n, cfg.batch_size))
-    step = 0
+
+    def batch_loss(idx):
+        probs = softmax(net.forward(x[idx], mode="train", update_stats=not cfg.freeze_bn_stats))
+        mi = mi_loss(probs)
+        p = probs.data
+        entropy = float(-(p * np.log(np.maximum(p, 1e-8))).sum(axis=1).mean())
+        return -mi, {"mi": mi.item(), "cond_entropy": entropy}
+
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        mi_sum = 0.0
-        ent_sum = 0.0
-        nbatches = 0
-        for idx in minibatch_indices(n, cfg.batch_size, rng, min_size=2):
-            with GradTape() as tape:
-                probs = softmax(net.forward(x[idx], mode="train", update_stats=not cfg.freeze_bn_stats))
-                mi = mi_loss(probs)
-                loss = -mi
-            grads = tape.gradient(loss, opt.params)
-            opt.step(grads, progress=step / total_steps)
-            net.post_update()
-            step += 1
-            nbatches += 1
-            mi_sum += mi.item()
-            p = probs.data
-            ent_sum += float(-(p * np.log(np.maximum(p, 1e-8))).sum(axis=1).mean())
-        record = {
-            "phase": "finetune",
-            "epoch": epoch,
-            "loss": -mi_sum / max(1, nbatches),
-            "mi": mi_sum / max(1, nbatches),
-            "cond_entropy": ent_sum / max(1, nbatches),
-        }
+    epochs_run = train_epochs(net, x.shape[0], batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "finetune")
+    for epoch, means in enumerate(epochs_run, 1):
+        record = {"phase": "finetune", "epoch": epoch, **means}
         if eval_fn is not None:
             record["accuracy"] = float(eval_fn(net))
         history.append(record)

@@ -10,6 +10,7 @@ layers train at the base learning rate; bottleneck/classifier layers are
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -112,15 +113,12 @@ class WeightNormLinear:
         return [self.direction, self.scale, self.bias]
 
 
-def _check_mode(mode: str):
-    if mode not in ("train", "eval"):
-        raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
+class _Net:
+    """Skeleton shared by both networks: the ReLU MLP trunk, the forward
+    contract, and the parameter/architecture bookkeeping. Subclasses add
+    their head layers (`_build_head`, `_head`, `_head_params`)."""
 
-
-class SourceNet:
-    """Feature trunk plus one linear classifier head (K_s outputs)."""
-
-    kind = "source"
+    min_batch = 1  # smallest mini-batch a training step accepts
 
     def __init__(self, in_dim: int, num_classes: int, hidden=(64, 64), rng=None):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -129,32 +127,33 @@ class SourceNet:
         self.hidden = tuple(hidden)
         dims = [in_dim, *self.hidden]
         self.trunk = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-        self.head = Linear(dims[-1], num_classes, rng)
+        self._build_head(dims[-1], rng)
 
     def forward(self, x, mode: str = "train", update_stats: bool | None = None) -> Tensor:
-        _check_mode(mode)
+        """Logits. Train mode records on the active tape and, unless
+        `update_stats` is False, refreshes batch-norm running statistics;
+        eval mode never records and never touches them."""
+        if mode not in ("train", "eval"):
+            raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = as_tensor(x)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(f"expected (n, {self.in_dim}) features, got {x.shape}")
         if mode == "eval":
             with stop_recording():
-                return self._forward(x)
-        return self._forward(x)
+                return self._forward(x, train=False, update_stats=False)
+        return self._forward(x, train=True, update_stats=True if update_stats is None else update_stats)
 
-    def _forward(self, x: Tensor) -> Tensor:
+    def _forward(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
         h = x
         for layer in self.trunk:
             h = relu(layer(h))
-        return self.head(h)
-
-    def predict_proba(self, x) -> np.ndarray:
-        return softmax(self.forward(x, mode="eval")).data
+        return self._head(h, train, update_stats)
 
     def backbone_params(self):
         return [p for layer in self.trunk for p in layer.params]
 
     def new_params(self):
-        return self.head.params
+        return list(self._head_params().values())
 
     def post_update(self):
         pass
@@ -164,8 +163,7 @@ class SourceNet:
         for i, layer in enumerate(self.trunk):
             named[f"trunk.{i}.weight"] = layer.weight
             named[f"trunk.{i}.bias"] = layer.bias
-        named["head.weight"] = self.head.weight
-        named["head.bias"] = self.head.bias
+        named.update(self._head_params())
         return named
 
     def running_stats(self) -> dict[str, np.ndarray]:
@@ -180,68 +178,60 @@ class SourceNet:
         }
 
 
-class TargetNet:
+class SourceNet(_Net):
+    """Feature trunk plus one linear classifier head (K_s outputs)."""
+
+    kind = "source"
+
+    def _build_head(self, width: int, rng: np.random.Generator):
+        self.head = Linear(width, self.num_classes, rng)
+
+    def _head(self, h: Tensor, train: bool, update_stats: bool) -> Tensor:
+        return self.head(h)
+
+    def _head_params(self) -> dict[str, Tensor]:
+        return {"head.weight": self.head.weight, "head.bias": self.head.bias}
+
+    # defined per class, so each class's method can be wrapped on its own
+    def predict_proba(self, x) -> np.ndarray:
+        return softmax(self.forward(x, mode="eval")).data
+
+
+class TargetNet(_Net):
     """Trunk, bottleneck (batch norm + affine), weight-normalized classifier."""
 
     kind = "target"
+    min_batch = 2  # batch norm needs two rows
 
     def __init__(self, in_dim: int, num_classes: int, hidden=(64, 64), bottleneck_dim: int = 32, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_dim = in_dim
-        self.num_classes = num_classes
-        self.hidden = tuple(hidden)
         self.bottleneck_dim = bottleneck_dim
-        dims = [in_dim, *self.hidden]
-        self.trunk = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-        self.bn = BatchNorm(dims[-1])
-        self.bottleneck = Linear(dims[-1], bottleneck_dim, rng)
-        self.classifier = WeightNormLinear(bottleneck_dim, num_classes, rng)
+        super().__init__(in_dim, num_classes, hidden=hidden, rng=rng)
 
-    def forward(self, x, mode: str = "train", update_stats: bool | None = None) -> Tensor:
-        _check_mode(mode)
-        x = as_tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise DimensionError(f"expected (n, {self.in_dim}) features, got {x.shape}")
-        if update_stats is None:
-            update_stats = mode == "train"
-        if mode == "eval":
-            with stop_recording():
-                return self._forward(x, train=False, update_stats=False)
-        return self._forward(x, train=True, update_stats=update_stats)
+    def _build_head(self, width: int, rng: np.random.Generator):
+        self.bn = BatchNorm(width)
+        self.bottleneck = Linear(width, self.bottleneck_dim, rng)
+        self.classifier = WeightNormLinear(self.bottleneck_dim, self.num_classes, rng)
 
-    def _forward(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
-        h = x
-        for layer in self.trunk:
-            h = relu(layer(h))
+    def _head(self, h: Tensor, train: bool, update_stats: bool) -> Tensor:
         h = self.bn(h, train=train, update_stats=update_stats)
-        h = self.bottleneck(h)
-        return self.classifier(h)
+        return self.classifier(self.bottleneck(h))
+
+    def _head_params(self) -> dict[str, Tensor]:
+        return {
+            "bn.gamma": self.bn.gamma,
+            "bn.beta": self.bn.beta,
+            "bottleneck.weight": self.bottleneck.weight,
+            "bottleneck.bias": self.bottleneck.bias,
+            "classifier.direction": self.classifier.direction,
+            "classifier.scale": self.classifier.scale,
+            "classifier.bias": self.classifier.bias,
+        }
 
     def predict_proba(self, x) -> np.ndarray:
         return softmax(self.forward(x, mode="eval")).data
 
-    def backbone_params(self):
-        return [p for layer in self.trunk for p in layer.params]
-
-    def new_params(self):
-        return [*self.bn.params, *self.bottleneck.params, *self.classifier.params]
-
     def post_update(self):
         self.classifier.renorm()
-
-    def named_params(self) -> dict[str, Tensor]:
-        named = {}
-        for i, layer in enumerate(self.trunk):
-            named[f"trunk.{i}.weight"] = layer.weight
-            named[f"trunk.{i}.bias"] = layer.bias
-        named["bn.gamma"] = self.bn.gamma
-        named["bn.beta"] = self.bn.beta
-        named["bottleneck.weight"] = self.bottleneck.weight
-        named["bottleneck.bias"] = self.bottleneck.bias
-        named["classifier.direction"] = self.classifier.direction
-        named["classifier.scale"] = self.classifier.scale
-        named["classifier.bias"] = self.classifier.bias
-        return named
 
     def running_stats(self) -> dict[str, np.ndarray]:
         return {"bn.running_mean": self.bn.running_mean, "bn.running_var": self.bn.running_var}
@@ -251,13 +241,7 @@ class TargetNet:
         self.bn.running_var = np.asarray(stats["bn.running_var"], dtype=np.float64)
 
     def arch(self) -> dict:
-        return {
-            "kind": self.kind,
-            "in_dim": self.in_dim,
-            "num_classes": self.num_classes,
-            "hidden": list(self.hidden),
-            "bottleneck_dim": self.bottleneck_dim,
-        }
+        return {**super().arch(), "bottleneck_dim": self.bottleneck_dim}
 
 
 # optimizer ------------------------------------------------------------
@@ -305,7 +289,15 @@ def make_sgd(net, lr_backbone: float = 1e-3, momentum: float = 0.9, weight_decay
     return SGD(groups, momentum=momentum, weight_decay=weight_decay)
 
 
-# source training ------------------------------------------------------
+# training ---------------------------------------------------------------
+
+
+def soft_cross_entropy(targets, probs: Tensor) -> Tensor:
+    """-mean_i sum_k t_ik log p_ik with constant soft targets."""
+    t = as_tensor(targets)
+    if t.shape != probs.shape:
+        raise DimensionError(f"targets {t.shape} vs predictions {probs.shape}")
+    return -((t * log_clamped(probs)).sum(axis=-1).mean())
 
 
 def ls_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float = 0.1) -> Tensor:
@@ -317,8 +309,7 @@ def ls_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float = 0.1) -> 
     n, k = logits.shape
     q = np.full((n, k), alpha / k)
     q[np.arange(n), labels] += 1.0 - alpha
-    probs = softmax(logits)
-    return -((Tensor(q) * log_clamped(probs)).sum(axis=-1).mean())
+    return soft_cross_entropy(q, softmax(logits))
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 1):
@@ -331,6 +322,54 @@ def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, min_siz
         batch = order[start : start + batch_size]
         if batch.size >= min_size:
             yield batch
+
+
+def _batches_per_epoch(n: int, batch_size: int, min_size: int) -> int:
+    """How many batches `minibatch_indices` yields for these arguments."""
+    full, rem = divmod(n, batch_size)
+    return full + (1 if rem >= min_size else 0)
+
+
+def train_epochs(net, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_backbone: float, phase: str):
+    """The mini-batch training loop every phase shares.
+
+    Each epoch shuffles the n sample indices with `rng` into batches of
+    `batch_size` (a trailing batch smaller than `net.min_batch` is
+    dropped) and takes one SGD step per batch on the loss of
+    `batch_loss(idx) -> (loss, {name: float})`, recorded on one tape; the
+    schedule's progress is the fraction of all steps taken. After each
+    epoch it yields the per-batch means of "loss" and of the named terms.
+    Bad arguments and a non-finite loss raise ContractError.
+    """
+    if epochs < 0:
+        raise ContractError(f"{phase}: epochs must be nonnegative, got {epochs}")
+    if batch_size < net.min_batch:
+        raise ContractError(f"{phase}: batch_size must be at least {net.min_batch}, got {batch_size}")
+    if not 0.0 < lr_backbone < float("inf"):
+        raise ContractError(f"{phase}: learning rate must be finite and positive, got {lr_backbone}")
+    if n < net.min_batch:
+        raise ContractError(f"{phase}: got {n} samples, fewer than the smallest batch ({net.min_batch})")
+    opt = make_sgd(net, lr_backbone=lr_backbone)
+    total_steps = max(1, epochs * _batches_per_epoch(n, batch_size, net.min_batch))
+    step = 0
+    for epoch in range(1, epochs + 1):
+        sums = {"loss": 0.0}
+        nbatches = 0
+        for idx in minibatch_indices(n, batch_size, rng, min_size=net.min_batch):
+            with GradTape() as tape:
+                loss, terms = batch_loss(idx)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise ContractError(f"{phase}: loss is {value} at epoch {epoch}, step {step + 1} of {total_steps}")
+            grads = tape.gradient(loss, opt.params)
+            opt.step(grads, progress=step / total_steps)
+            net.post_update()
+            step += 1
+            nbatches += 1
+            sums["loss"] += value
+            for key, term in terms.items():
+                sums[key] = sums.get(key, 0.0) + term
+        yield {key: total / nbatches for key, total in sums.items()}
 
 
 def train_source_net(
@@ -347,26 +386,14 @@ def train_source_net(
 
     Returns the per-epoch mean training loss.
     """
+
+    def batch_loss(idx):
+        logits = net.forward(features[idx], mode="train")
+        return ls_cross_entropy(logits, labels[idx], alpha=ls_alpha), {}
+
     rng = np.random.default_rng(seed)
-    opt = make_sgd(net, lr_backbone=lr_backbone)
-    n = features.shape[0]
-    batches_per_epoch = max(1, int(np.ceil(n / batch_size)))
-    total_steps = max(1, epochs * batches_per_epoch)
-    step = 0
-    history = []
-    for _ in range(epochs):
-        losses = []
-        for idx in minibatch_indices(n, batch_size, rng):
-            with GradTape() as tape:
-                logits = net.forward(features[idx], mode="train")
-                loss = ls_cross_entropy(logits, labels[idx], alpha=ls_alpha)
-            grads = tape.gradient(loss, opt.params)
-            opt.step(grads, progress=step / total_steps)
-            net.post_update()
-            step += 1
-            losses.append(loss.item())
-        history.append(float(np.mean(losses)))
-    return history
+    epochs_run = train_epochs(net, features.shape[0], batch_loss, epochs, batch_size, rng, lr_backbone, "source")
+    return [means["loss"] for means in epochs_run]
 
 
 # checkpoints ----------------------------------------------------------

@@ -133,6 +133,8 @@ class ScenarioSpec(Record):
             raise ContractError(f"need at least 2 classes, got {self.num_classes}")
         if self.n_source < 1 or self.n_target < 1:
             raise ContractError("sample counts must be positive")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative, got {self.seed}")
         if not self.source_shifts:
             raise ContractError("at least one source domain is required")
         if self.regime == "partial":

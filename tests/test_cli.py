@@ -284,6 +284,12 @@ def test_main_error_exits(tmp_path, capsys):
         [*adapt, "--preset", "moons-rot30", "--endpoints", "localhost"],
         [*cache, "--endpoint", "host:abc"],
         [*cache, "--endpoint", "localhost"],
+        [*adapt, "--preset", "moons-rot30", "--batch-size", "0"],
+        [*adapt, "--preset", "moons-rot30", "--source-epochs", "-1"],
+        [*adapt, "--preset", "moons-rot30", "--lr", "0"],
+        [*adapt, "--preset", "moons-rot30", "--lr", "nan"],
+        [*adapt, "--preset", "moons-rot30", "--lr", "1e8"],
+        [*adapt, "--preset", "moons-rot30", "--scenario-seed", "-1"],
     ):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv

@@ -6,7 +6,6 @@ import pytest
 from bbadapt.distill import (
     AdaptConfig,
     MemoryBank,
-    _batches_per_epoch,
     distill_loss,
     mi_loss,
     mixup_loss,
@@ -272,26 +271,18 @@ def test_total_loss_gradient_reaches_all_params(rng):
 
 
 def test_adapt_config_validation():
-    AdaptConfig().validate(4)
+    AdaptConfig().validate()
     with pytest.raises(ContractError):
-        AdaptConfig(gamma=1.2).validate(4)
+        AdaptConfig(gamma=1.2).validate()
     with pytest.raises(ContractError):
-        AdaptConfig(beta=-0.5).validate(4)
+        AdaptConfig(beta=-0.5).validate()
     with pytest.raises(ContractError):
-        AdaptConfig(mixup_alpha=0.0).validate(4)
-    with pytest.raises(ContractError):
-        AdaptConfig(r=5).validate(4)
-    with pytest.raises(ContractError):
-        AdaptConfig(batch_size=1).validate(4)
-    with pytest.raises(ContractError):
-        AdaptConfig(epochs=-1).validate(4)
-
-
-def test_batches_per_epoch_accounting():
-    assert _batches_per_epoch(128, 64) == 2
-    assert _batches_per_epoch(130, 64) == 3  # trailing pair is kept
-    assert _batches_per_epoch(129, 64) == 2  # single leftover is dropped
-    assert _batches_per_epoch(3, 64) == 1
+        AdaptConfig(mixup_alpha=0.0).validate()
+    x, bank, net = _distill_setup()
+    with pytest.raises(ContractError, match="batch_size"):
+        run_distillation(AdaptConfig(batch_size=1), bank, net, x)
+    with pytest.raises(ContractError, match="epochs"):
+        run_distillation(AdaptConfig(epochs=-1), bank, net, x)
 
 
 def _distill_setup(n=40, k=3, seed=0):

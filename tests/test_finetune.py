@@ -17,11 +17,11 @@ def _setup(seed=0):
 
 
 def test_config_validation():
-    FinetuneConfig().validate()
-    with pytest.raises(ContractError):
-        FinetuneConfig(epochs=-1).validate()
-    with pytest.raises(ContractError):
-        FinetuneConfig(batch_size=1).validate()
+    x, _, net = _setup()
+    with pytest.raises(ContractError, match="epochs"):
+        run_finetune(FinetuneConfig(epochs=-1), net, x)
+    with pytest.raises(ContractError, match="batch_size"):
+        run_finetune(FinetuneConfig(batch_size=1), net, x)
 
 
 def test_metrics_shape():

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from bbadapt.distill import AdaptConfig, MemoryBank, run_distillation
 from bbadapt.errors import ContractError, DimensionError
+from bbadapt.finetune import FinetuneConfig, run_finetune
 from bbadapt.nets import (
     BatchNorm,
     Linear,
@@ -12,6 +14,7 @@ from bbadapt.nets import (
     SourceNet,
     TargetNet,
     WeightNormLinear,
+    _batches_per_epoch,
     clone_net,
     load_checkpoint,
     lr_factor,
@@ -23,6 +26,7 @@ from bbadapt.nets import (
     save_checkpoint,
     train_source_net,
 )
+from bbadapt.scenarios import generate, preset
 from bbadapt.tensor import GradTape, Tensor, softmax
 
 from conftest import make_blobs
@@ -228,6 +232,62 @@ def test_minibatch_indices_deterministic():
     a = list(minibatch_indices(20, 6, np.random.default_rng(5)))
     b = list(minibatch_indices(20, 6, np.random.default_rng(5)))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_batches_per_epoch_accounting():
+    assert _batches_per_epoch(128, 64, 2) == 2
+    assert _batches_per_epoch(130, 64, 2) == 3  # trailing pair is kept
+    assert _batches_per_epoch(129, 64, 2) == 2  # single leftover is dropped
+    assert _batches_per_epoch(3, 64, 2) == 1
+    assert _batches_per_epoch(129, 64, 1) == 3  # min batch 1 keeps every leftover
+    assert _batches_per_epoch(0, 64, 1) == 0
+    for n in range(0, 140, 7):
+        for batch_size in (1, 2, 5, 64):
+            for min_size in range(1, min(batch_size, 2) + 1):
+                batches = minibatch_indices(n, batch_size, np.random.default_rng(0), min_size=min_size)
+                assert len(list(batches)) == _batches_per_epoch(n, batch_size, min_size)
+
+
+def _train(phase, n=40, **overrides):
+    """One short run of the source, distillation or fine-tuning phase."""
+    x, y = make_blobs(20, [(-2.0, 0.0), (2.0, 0.0)], 0.3, np.random.default_rng(0))
+    x, y = x[:n], y[:n]
+    kwargs = {"epochs": 1, "batch_size": 16, "lr_backbone": 1e-3, **overrides}
+    if phase == "source":
+        net = SourceNet(2, 2, hidden=(8,), rng=np.random.default_rng(1))
+        return train_source_net(net, x, y, seed=0, **kwargs)
+    net = TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(1))
+    if phase == "distill":
+        bank = MemoryBank(np.full((len(x), 2), 0.5))
+        return run_distillation(AdaptConfig(seed=0, **kwargs), bank, net, x)
+    return run_finetune(FinetuneConfig(seed=0, **kwargs), net, x)
+
+
+PHASE_MIN_BATCH = {"source": SourceNet.min_batch, "distill": TargetNet.min_batch, "finetune": TargetNet.min_batch}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASE_MIN_BATCH))
+def test_training_rejects_bad_input(phase):
+    min_batch = PHASE_MIN_BATCH[phase]
+    assert len(_train(phase, batch_size=min_batch)) == 1
+    assert len(_train(phase, n=min_batch)) == 1
+    bad = [
+        ("batch_size must be", dict(batch_size=min_batch - 1)),
+        ("epochs must be", dict(epochs=-1)),
+        (f"got {min_batch - 1} samples", dict(n=min_batch - 1)),
+        *(("learning rate must be", dict(lr_backbone=lr)) for lr in (0.0, -1e-3, float("nan"), float("inf"))),
+    ]
+    for message, overrides in bad:
+        with pytest.raises(ContractError, match=f"^{phase}: {message}"):
+            _train(phase, **overrides)
+
+
+def test_train_source_net_rejects_non_finite_loss():
+    (domain,), _ = generate(preset("moons-rot30"))
+    net = SourceNet(2, 2, rng=np.random.default_rng(0))
+    with pytest.raises(ContractError, match=r"source: loss is nan at epoch 2, step \d+ of 32"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_source_net(net, domain.features, domain.labels, epochs=2, lr_backbone=1e8)
 
 
 def test_train_source_net_learns_blobs(rng):
