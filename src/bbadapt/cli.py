@@ -29,6 +29,7 @@ from .finetune import FinetuneConfig, run_finetune
 from .nets import (
     SourceNet,
     TargetNet,
+    check_training_args,
     load_checkpoint,
     net_state,
     save_checkpoint,
@@ -230,6 +231,11 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None, save_
     seeds; otherwise fresh source models are trained per seed.
     """
     cfg.validate()
+    phases = [("distill", TargetNet, cfg.adapt_epochs), ("finetune", TargetNet, cfg.finetune_epochs)]
+    if fixed_handles is None:
+        phases.insert(0, ("source", SourceNet, cfg.source_epochs))
+    for phase, net_cls, epochs in phases:  # checked here, before the first file is written
+        check_training_args(phase, epochs, cfg.batch_size, cfg.lr_backbone, net_cls.min_batch)
     os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, "manifest.json"), {"version": __version__, "config": cfg.to_dict()})
     sources, target = generate(cfg.scenario)

@@ -330,6 +330,17 @@ def _batches_per_epoch(n: int, batch_size: int, min_size: int) -> int:
     return full + (1 if rem >= min_size else 0)
 
 
+def check_training_args(phase: str, epochs: int, batch_size: int, lr_backbone: float, min_batch: int):
+    """Raise ContractError, naming the phase, unless epochs is nonnegative,
+    batch_size at least `min_batch` and the learning rate finite and positive."""
+    if epochs < 0:
+        raise ContractError(f"{phase}: epochs must be nonnegative, got {epochs}")
+    if batch_size < min_batch:
+        raise ContractError(f"{phase}: batch_size must be at least {min_batch}, got {batch_size}")
+    if not 0.0 < lr_backbone < float("inf"):
+        raise ContractError(f"{phase}: learning rate must be finite and positive, got {lr_backbone}")
+
+
 def train_epochs(net, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_backbone: float, phase: str):
     """The mini-batch training loop every phase shares.
 
@@ -339,14 +350,11 @@ def train_epochs(net, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_
     `batch_loss(idx) -> (loss, {name: float})`, recorded on one tape; the
     schedule's progress is the fraction of all steps taken. After each
     epoch it yields the per-batch means of "loss" and of the named terms.
-    Bad arguments and a non-finite loss raise ContractError.
+    Bad arguments (see `check_training_args`) and a non-finite loss raise
+    ContractError. The steps run with numpy's floating-point warnings off:
+    a diverging run is reported once, by the non-finite loss.
     """
-    if epochs < 0:
-        raise ContractError(f"{phase}: epochs must be nonnegative, got {epochs}")
-    if batch_size < net.min_batch:
-        raise ContractError(f"{phase}: batch_size must be at least {net.min_batch}, got {batch_size}")
-    if not 0.0 < lr_backbone < float("inf"):
-        raise ContractError(f"{phase}: learning rate must be finite and positive, got {lr_backbone}")
+    check_training_args(phase, epochs, batch_size, lr_backbone, net.min_batch)
     if n < net.min_batch:
         raise ContractError(f"{phase}: got {n} samples, fewer than the smallest batch ({net.min_batch})")
     opt = make_sgd(net, lr_backbone=lr_backbone)
@@ -356,14 +364,15 @@ def train_epochs(net, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_
         sums = {"loss": 0.0}
         nbatches = 0
         for idx in minibatch_indices(n, batch_size, rng, min_size=net.min_batch):
-            with GradTape() as tape:
-                loss, terms = batch_loss(idx)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise ContractError(f"{phase}: loss is {value} at epoch {epoch}, step {step + 1} of {total_steps}")
-            grads = tape.gradient(loss, opt.params)
-            opt.step(grads, progress=step / total_steps)
-            net.post_update()
+            with np.errstate(all="ignore"):
+                with GradTape() as tape:
+                    loss, terms = batch_loss(idx)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise ContractError(f"{phase}: loss is {value} at epoch {epoch}, step {step + 1} of {total_steps}")
+                grads = tape.gradient(loss, opt.params)
+                opt.step(grads, progress=step / total_steps)
+                net.post_update()
             step += 1
             nbatches += 1
             sums["loss"] += value

@@ -96,6 +96,42 @@ def disclose_row(row, r: int) -> TopK:
     return TopK(tuple(int(c) for c in kept), tuple(float(q[c]) for c in kept), r, k)
 
 
+def checked_topks(classes, probs, r, k: int) -> list[TopK]:
+    """TopK records built from untrusted values: the rows of a wire
+    response or the lines of a cache file.
+
+    `classes` and `probs` hold one row per record. r must be an integer in
+    [0, k], and every row must hold max(r, 1) distinct integer classes in
+    [0, k) and as many probabilities in [0, 1], most probable first.
+    Anything else raises ContractError naming the first bad record.
+    """
+    if type(r) is not int or not 0 <= r <= k:
+        raise ContractError(f"r must be an integer in [0, {k}], got {r!r}")
+    n = max(r, 1)  # a hard label travels as one [class, 1.0] pair
+    try:
+        c, p = np.asarray(classes), np.asarray(probs)
+    except ValueError:  # rows of unequal length
+        c = p = np.empty(0)
+    if c.ndim != 2 or c.shape != p.shape or c.shape[1] != n:
+        raise ContractError(f"expected {n} classes and {n} probabilities per record at r={r}")
+    if c.dtype.kind not in "iuf" or p.dtype.kind not in "iuf":
+        raise ContractError("classes and probabilities must be numbers")
+
+    def first_bad(ok: np.ndarray, what: str):
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0])
+            raise ContractError(f"record {i}: {what}, got classes {c[i].tolist()} and probabilities {p[i].tolist()}")
+
+    # every comparison is written so that NaN fails it
+    first_bad(((c >= 0) & (c < k) & (c == np.floor(c))).all(axis=1), f"classes must be integers in [0, {k})")
+    c = c.astype(np.intp)
+    first_bad((np.diff(np.sort(c, axis=1), axis=1) != 0).all(axis=1), "classes must be distinct")
+    first_bad(((p >= 0.0) & (p <= 1.0)).all(axis=1), "probabilities must lie in [0, 1]")
+    first_bad((p[:, 1:] <= p[:, :-1]).all(axis=1), "probabilities must be in descending order")
+    p = p.astype(np.float64)
+    return [TopK(tuple(cs), tuple(ps), r, k) for cs, ps in zip(c.tolist(), p.tolist())]
+
+
 def ada_ls(p, r: int) -> SmoothedPrediction:
     """Adaptive label smoothing: keep the top-r entries, spread the rest.
 
@@ -313,8 +349,11 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
 
 
 def read_cache(path: str, num_classes: int) -> CachedPredictor:
-    """Load a prediction cache; sample ids must cover 0..n-1 exactly."""
-    by_id: dict[int, TopK] = {}
+    """Load a prediction cache; sample ids must cover 0..n-1 exactly once,
+    every line must carry the same r, and every record must pass
+    `checked_topks`."""
+    ids, classes, probs = [], [], []
+    r = None
     predictor_id = "cache"
     with open(path) as fh:
         for line in fh:
@@ -322,16 +361,23 @@ def read_cache(path: str, num_classes: int) -> CachedPredictor:
             if not line:
                 continue
             obj = json.loads(line)
-            rec = TopK(
-                tuple(int(c) for c in obj["classes"]),
-                tuple(float(v) for v in obj["probs"]),
-                int(obj["r"]),
-                num_classes,
-            )
-            by_id[int(obj["sample_id"])] = rec
+            if not (isinstance(obj, dict) and type(obj.get("sample_id")) is int and "classes" in obj and "probs" in obj):
+                raise ContractError(f"cache {path} record {len(ids)}: expected an integer sample_id, classes and probs")
+            if ids and obj.get("r") != r:
+                raise ContractError(f"cache {path} mixes truncation levels: {r!r} and {obj.get('r')!r}")
+            r = obj.get("r")
+            ids.append(obj["sample_id"])
+            classes.append(obj["classes"])
+            probs.append(obj["probs"])
             predictor_id = obj.get("predictor_id", predictor_id)
-    n = len(by_id)
-    if sorted(by_id) != list(range(n)):
-        raise ContractError(f"cache {path} does not cover sample ids 0..{n - 1}")
-    records = [by_id[i] for i in range(n)]
-    return CachedPredictor(records, num_classes, predictor_id)
+    n = len(ids)
+    if not n:
+        raise ContractError(f"cache {path} is empty")
+    if sorted(ids) != list(range(n)):
+        raise ContractError(f"cache {path} does not cover sample ids 0..{n - 1} exactly once")
+    try:
+        records = checked_topks(classes, probs, r, num_classes)
+    except ContractError as exc:
+        raise ContractError(f"cache {path}: {exc}") from None
+    by_id = dict(zip(ids, records))
+    return CachedPredictor([by_id[i] for i in range(n)], num_classes, predictor_id)

@@ -1,15 +1,26 @@
-"""Serve a predictor over TCP, one JSON record per line.
+"""Serve a predictor over TCP, one JSON request or response per line.
 
-Request:  {"id": <any>, "features": [x1, x2, ...]}
-Response: {"id": <same>, "topk": [[class, prob], ...]}
+Request:  {"id": <any>, "features": [[x1, x2, ...], ...]}
+Response: {"id": <same>, "topk": [[[class, prob], ...], ...]}
 
-The topk list carries the full vector (probability-descending) for
-full-soft disclosure, exactly r pairs for top-r, and a single
-[class, 1.0] pair for hard disclosure. Probabilities are quantized to 9
-significant digits before serialization, the same precision as the
-in-process and cache backings, so every backing discloses identical
-numbers. Malformed or mismatched requests get {"id", "error"} responses
-and the connection stays open.
+A request carries a batch of feature rows, and its response carries one
+list of pairs per row, in row order. That list holds the full vector
+(probability-descending) for full-soft disclosure, exactly r pairs for
+top-r, and a single [class, 1.0] pair for hard disclosure. Probabilities
+are quantized to 9 significant digits before serialization, the same
+precision as the in-process and cache backings, so every backing
+discloses identical numbers.
+
+A `RemotePredictor.query` is one connection and one round trip: all its
+rows go in one request, unless that line would be longer than
+MAX_LINE_BYTES, in which case the rows are split over several requests on
+the same connection. Both ends disable Nagle's algorithm and every line
+goes out in a single write, so no response waits on a delayed ACK.
+
+Malformed or mismatched requests get {"id", "error"} responses and the
+connection stays open. A request line longer than MAX_LINE_BYTES gets
+{"id": null, "error"} and the connection is closed, as is a connection
+that sends nothing for IDLE_TIMEOUT_S seconds.
 """
 
 from __future__ import annotations
@@ -22,18 +33,35 @@ import threading
 import numpy as np
 
 from .errors import ContractError, StartupError, TransportError
-from .predictors import PredictorHandle, TopK, resolve_r
+from .predictors import PredictorHandle, TopK, checked_topks, resolve_r
+
+MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
+IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
+
+
+def _no_delay(sock):
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
+    timeout = IDLE_TIMEOUT_S  # applied to the connection by StreamRequestHandler.setup
+
+    def setup(self):
+        super().setup()
+        _no_delay(self.connection)
+
     def handle(self):
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            self.wfile.write(self.server.answer(line))
-            self.wfile.write(b"\n")
-            self.wfile.flush()
+        try:
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES:
+                    error = {"id": None, "error": f"request line longer than {MAX_LINE_BYTES} bytes"}
+                    self.wfile.write(json.dumps(error, sort_keys=True).encode("utf-8") + b"\n")
+                    return
+                line = raw.strip()
+                if line:
+                    self.wfile.write(self.server.answer(line) + b"\n")
+        except OSError:  # idle timeout, or the client reset or went away
+            return
 
 
 class PredictionServer(socketserver.ThreadingTCPServer):
@@ -64,13 +92,14 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             request_id = obj.get("id")
             features = obj.get("features")
             if not isinstance(features, list) or not features:
-                raise ContractError("request must carry a nonempty 'features' array")
-            x = np.asarray([features], dtype=np.float64)
+                raise ContractError("request must carry a nonempty 'features' list of rows")
+            x = np.asarray(features, dtype=np.float64)
+            if x.ndim != 2 or not x.shape[1]:
+                raise ContractError(f"'features' must be equal-length nonempty rows, got shape {x.shape}")
             if not np.isfinite(x).all():
                 raise ContractError("features must be finite numbers")
-            rec = self._handle.query(x)[0]
-            pairs = [[int(c), float(p)] for c, p in zip(rec.classes, rec.probs)]
-            payload = {"id": request_id, "topk": pairs}
+            topk = [[[int(c), float(p)] for c, p in zip(rec.classes, rec.probs)] for rec in self._handle.query(x)]
+            payload = {"id": request_id, "topk": topk}
         except Exception as exc:  # noqa: BLE001 - every failure becomes a structured response
             payload = {"id": request_id, "error": str(exc)}
         return json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -81,13 +110,34 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         return thread
 
 
+def _row_batches(x: np.ndarray):
+    """The rows of x as JSON texts, grouped so that each group's request
+    line fits in MAX_LINE_BYTES."""
+    # the text json.dumps(row) gives for finite floats, at half its cost
+    rows = ["[" + ", ".join(map(repr, row)) + "]" for row in x.tolist()]
+    # room left for rows once the keys and the longest id are written
+    budget = MAX_LINE_BYTES - len('{"features": [], "id": }\n') - len(str(len(rows)))
+    batch, size = [], -2
+    for i, row in enumerate(rows):
+        if len(row) > budget:
+            raise ContractError(f"feature row {i} alone exceeds the {MAX_LINE_BYTES}-byte request line")
+        if size + 2 + len(row) > budget:
+            yield batch
+            batch, size = [], -2
+        batch.append(row)
+        size += 2 + len(row)  # ", " before every row but the first
+    if batch:
+        yield batch
+
+
 class RemotePredictor(PredictorHandle):
     """Client-side handle over a served predictor.
 
     The client must know what it is talking to (class count, disclosure
     mode, truncation level); the wire carries only ids and topk pairs.
     Connection failures are retried once and then surface as a transport
-    error; structured error responses surface as contract errors.
+    error; structured error responses and malformed records surface as
+    contract errors.
     """
 
     def __init__(self, host: str, port: int, num_classes: int, disclosure: str = "top-r",
@@ -105,6 +155,8 @@ class RemotePredictor(PredictorHandle):
         x = np.asarray(features, dtype=np.float64)
         if x.ndim != 2:
             raise ContractError(f"expected a 2-D feature batch, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ContractError("features must be finite numbers")
         last = None
         for _ in range(self.retries):
             try:
@@ -114,27 +166,37 @@ class RemotePredictor(PredictorHandle):
         raise TransportError(f"predictor at {self.host}:{self.port} unreachable: {last}") from last
 
     def _query_once(self, x: np.ndarray) -> list[TopK]:
-        expected = max(self.r, 1)  # a hard label travels as one [class, 1.0] pair
         records = []
         with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
-            stream = sock.makefile("rwb")
-            for i, row in enumerate(x):
-                request = {"id": i, "features": [float(v) for v in row]}
-                stream.write(json.dumps(request, sort_keys=True).encode("utf-8"))
-                stream.write(b"\n")
-                stream.flush()
-                line = stream.readline()
-                if not line:
-                    raise TransportError("connection closed mid-query")
-                obj = json.loads(line.decode("utf-8"))
-                if obj.get("error"):
-                    raise ContractError(f"service rejected request {i}: {obj['error']}")
-                if obj.get("id") != i:
-                    raise TransportError(f"response id {obj.get('id')!r} does not match request {i}")
-                pairs = obj.get("topk")
-                if not isinstance(pairs, list) or len(pairs) != expected:
-                    raise ContractError(f"expected {expected} disclosed pairs, got {pairs!r}")
-                classes = tuple(int(c) for c, _ in pairs)
-                probs = tuple(float(p) for _, p in pairs)
-                records.append(TopK(classes, probs, self.r, self.num_classes))
+            _no_delay(sock)
+            with sock.makefile("rb") as responses:
+                for request_id, rows in enumerate(_row_batches(x)):
+                    # {"features": [<rows>], "id": <request_id>}, keys sorted as the server writes them
+                    sock.sendall(b'{"features": [%s], "id": %d}\n' % (", ".join(rows).encode("ascii"), request_id))
+                    records += self._records(responses.readline(), request_id, len(rows))
         return records
+
+    def _records(self, line: bytes, request_id: int, rows: int) -> list[TopK]:
+        """The records of one response line, checked against its request."""
+        if not line:
+            raise TransportError("connection closed mid-query")
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            raise TransportError(f"response to request {request_id} is not JSON: {line[:80]!r}") from None
+        if not isinstance(obj, dict):
+            raise TransportError(f"response to request {request_id} is not a JSON object: {line[:80]!r}")
+        if obj.get("error"):
+            raise ContractError(f"service rejected request {request_id}: {obj['error']}")
+        if obj.get("id") != request_id:
+            raise TransportError(f"response id {obj.get('id')!r} does not match request {request_id}")
+        topk = obj.get("topk")
+        if not isinstance(topk, list) or len(topk) != rows:
+            raise ContractError(f"expected a 'topk' list of {rows} rows, got {str(topk)[:80]}")
+        try:
+            pairs = np.asarray(topk)
+        except ValueError:  # rows of unequal length
+            pairs = np.empty(0)
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ContractError(f"expected a list of [class, probability] pairs per row, got {str(topk)[:80]}")
+        return checked_topks(pairs[..., 0], pairs[..., 1], self.r, self.num_classes)

@@ -295,6 +295,32 @@ def test_main_error_exits(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, argv
 
 
+def test_bad_phase_arguments_write_nothing(cfg_file, tmp_path, capsys):
+    # every phase's arguments are checked before the first file is written
+    for flags in (["--adapt-epochs", "-1"], ["--finetune-epochs", "-1"], ["--batch-size", "1"]):
+        outdir = tmp_path / "out"
+        assert main(["adapt", "--config", str(cfg_file), *flags, "--outdir", str(outdir)]) == 2, flags
+        assert "error:" in capsys.readouterr().err
+        assert not outdir.exists(), flags
+
+
+def test_diverging_run_prints_only_the_error(tmp_path, capsys, recwarn):
+    assert main(["adapt", "--preset", "moons-rot30", "--lr", "1e8", "--outdir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: source: loss is nan at epoch ") and err.count("\n") == 1, err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_adapt_rejects_out_of_range_cache_class(cfg_file, tmp_path, capsys):
+    # a cache covering the 90 target samples, one of whose records names class 9 of 3
+    lines = [{"sample_id": i, "classes": [9 if i == 5 else 0], "probs": [0.9], "r": 1, "predictor_id": "c"}
+             for i in range(90)]
+    cache = tmp_path / "bad.ndjson"
+    cache.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    assert main(["adapt", "--config", str(cfg_file), "--outdir", str(tmp_path / "x"), "--caches", str(cache)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_finetune_only_command(run_a, tmp_path, capsys):
     outdir = tmp_path / "ft"
     code = main([

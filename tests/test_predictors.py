@@ -13,6 +13,7 @@ from bbadapt.predictors import (
     InProcessPredictor,
     TopK,
     ada_ls,
+    checked_topks,
     disclose_row,
     hard_to_prob,
     init_teacher,
@@ -335,3 +336,71 @@ def test_read_cache_requires_full_coverage(tmp_path):
     path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
     with pytest.raises(ContractError):
         read_cache(str(path), 3)
+
+
+@pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("top-r", 2), ("hard", None)])
+def test_checked_topks_accepts_disclosed_records(rng, disclosure, r):
+    net, x = _trained_net(rng)
+    records = InProcessPredictor(net, disclosure=disclosure, r=r).query(x[:12])
+    classes = [list(rec.classes) for rec in records]
+    probs = [list(rec.probs) for rec in records]
+    assert checked_topks(classes, probs, records[0].r, 3) == records
+
+
+@pytest.mark.parametrize("classes,probs,r", [
+    ([9, 1], [0.6, 0.3], 2),  # class out of range
+    ([-1, 1], [0.6, 0.3], 2),
+    ([1.5, 2], [0.6, 0.3], 2),  # class not an integer
+    ([float("nan"), 2], [0.6, 0.3], 2),
+    (["1", 2], [0.6, 0.3], 2),
+    ([1, 1], [0.6, 0.3], 2),  # repeated class
+    ([1], [0.6], 2),  # pair count other than max(r, 1)
+    ([1, 2, 3], [0.6, 0.3, 0.1], 2),
+    ([1, 2], [0.6], 2),
+    ([], [], 0),
+    ([1, 2], [float("nan"), 0.3], 2),  # probability not finite or outside [0, 1]
+    ([1, 2], [0.6, float("nan")], 2),
+    ([1, 2], [float("inf"), 0.3], 2),
+    ([1, 2], [1.5, 0.3], 2),
+    ([1, 2], [0.6, -0.1], 2),
+    ([1, 2], ["0.6", 0.3], 2),
+    ([1, 2], [0.3, 0.6], 2),  # not most probable first
+    ([1, 2], [0.6, 0.3], 9),  # r outside [0, K]
+    ([1, 2], [0.6, 0.3], -1),
+    ([1, 2], [0.6, 0.3], "2"),
+    ("12", [0.6, 0.3], 2),  # not lists
+    ([1, 2], None, 2),
+])
+def test_checked_topks_rejects_bad_records(classes, probs, r):
+    with pytest.raises(ContractError):
+        checked_topks([classes], [probs], r, 8)
+    with pytest.raises(ContractError):
+        checked_topks([[3, 1], classes, [3, 1]], [[0.6, 0.3], probs, [0.6, 0.3]], r, 8)
+
+
+def test_checked_topks_names_the_bad_record():
+    with pytest.raises(ContractError, match=r"record 2: classes must be integers in \[0, 8\)"):
+        checked_topks([[3, 1], [2, 1], [9, 1]], [[0.6, 0.3]] * 3, 2, 8)
+
+
+def test_read_cache_rejects_bad_records(tmp_path):
+    good = {"sample_id": 0, "classes": [3, 1], "probs": [0.6, 0.3], "r": 2, "predictor_id": "c"}
+    bad_lines = [
+        {**good, "classes": [9, 1]},
+        {**good, "classes": [3]},
+        {**good, "probs": [float("nan"), 0.3]},
+        {**good, "probs": [0.3, 0.6]},
+        {**good, "r": 1},
+        {**good, "sample_id": "0"},
+        {k: v for k, v in good.items() if k != "classes"},
+        [good],
+    ]
+    for i, obj in enumerate(bad_lines):
+        path = tmp_path / f"bad{i}.ndjson"
+        path.write_text(json.dumps(good | {"sample_id": 1}) + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ContractError, match="cache"):
+            read_cache(str(path), 8)
+    repeated = tmp_path / "repeated.ndjson"
+    repeated.write_text("".join(json.dumps(good | {"sample_id": i}) + "\n" for i in (0, 1, 0)))
+    with pytest.raises(ContractError, match="exactly once"):
+        read_cache(str(repeated), 8)

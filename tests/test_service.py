@@ -1,5 +1,7 @@
 import json
+import queue
 import socket
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from bbadapt.errors import ContractError, StartupError, TransportError
 from bbadapt.nets import SourceNet, train_source_net
 from bbadapt.predictors import InProcessPredictor
+from bbadapt import service
 from bbadapt.service import PredictionServer, RemotePredictor
 
 from conftest import make_blobs
@@ -54,7 +57,9 @@ def test_answer_malformed_json(trained_net):
 def test_answer_rejects_bad_features(trained_net):
     server = PredictionServer(InProcessPredictor(trained_net, disclosure="hard"))
     try:
-        for req in ({"id": 4}, {"id": 4, "features": []}, {"id": 4, "features": [1.0, float("nan")]}):
+        for req in ({"id": 4}, {"id": 4, "features": []}, {"id": 4, "features": [1.0, float("nan")]},
+                    {"id": 4, "features": [[1.0, float("nan")]]}, {"id": 4, "features": [[1.0, 2.0], [1.0]]},
+                    {"id": 4, "features": [[]]}):
             payload = json.loads(server.answer(json.dumps(req).encode()))
             assert payload["id"] == 4
             assert payload["error"]
@@ -73,7 +78,7 @@ def test_connection_survives_bad_line(trained_net):
             stream.flush()
             first = json.loads(stream.readline())
             assert first["error"]
-            stream.write(json.dumps({"id": 0, "features": [0.0, 0.0]}).encode() + b"\n")
+            stream.write(json.dumps({"id": 0, "features": [[0.0, 0.0]]}).encode() + b"\n")
             stream.flush()
             second = json.loads(stream.readline())
             assert "topk" in second and second["id"] == 0
@@ -156,4 +161,152 @@ def test_remote_predictor_validation():
     assert remote.r == 3
     with pytest.raises(ContractError):
         remote.query(np.zeros(2))
+    for bad in (np.nan, np.inf):  # rejected before connecting: nothing listens on port 1
+        with pytest.raises(ContractError, match="finite"):
+            remote.query(np.array([[0.0, 0.0], [bad, 0.0]]))
 
+
+class _RecordingServer(PredictionServer):
+    """Records every connection it accepts, every request line it answers
+    and every connection it closes."""
+
+    def __init__(self, handle):
+        super().__init__(handle)
+        self.connections = []
+        self.lines = []
+        self.closed = queue.Queue()
+
+    def finish_request(self, request, client_address):
+        self.connections.append(client_address)
+        super().finish_request(request, client_address)
+
+    def answer(self, line):
+        self.lines.append(line)
+        return super().answer(line)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.put(request)
+
+
+def _recording(handle):
+    server = _RecordingServer(handle)
+    server.start_background()
+    return server
+
+
+def test_query_is_one_request_on_one_connection(trained_net):
+    local = InProcessPredictor(trained_net, disclosure="top-r", r=2)
+    server = _recording(local)
+    try:
+        remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure="top-r", r=2)
+        x = np.random.default_rng(6).normal(0.0, 2.0, (40, 2))
+        assert remote.query(x) == local.query(x)
+        assert len(server.connections) == 1
+        assert len(server.lines) == 1
+        assert json.loads(server.lines[0]) == {"id": 0, "features": x.tolist()}
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("hard", None)])
+def test_query_split_over_request_lines_matches_in_process(trained_net, monkeypatch, disclosure, r):
+    monkeypatch.setattr(service, "MAX_LINE_BYTES", 256)
+    local = InProcessPredictor(trained_net, disclosure=disclosure, r=r)
+    server = _recording(local)
+    try:
+        remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure=disclosure, r=r)
+        x = np.random.default_rng(7).normal(0.0, 2.0, (23, 2))
+        assert remote.query(x) == local.query(x)
+        assert len(server.connections) == 1  # every request went over the same connection
+        assert len(server.lines) > 1
+        assert all(len(line) + 1 <= 256 for line in server.lines)
+        rows = [row for line in server.lines for row in json.loads(line)["features"]]
+        assert rows == x.tolist()
+        monkeypatch.setattr(service, "MAX_LINE_BYTES", 40)
+        with pytest.raises(ContractError, match="row 0"):
+            remote.query(x)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_overlong_line_gets_error_and_close(trained_net, monkeypatch):
+    monkeypatch.setattr(service, "MAX_LINE_BYTES", 64)
+    server = _serve(InProcessPredictor(trained_net, disclosure="hard"))
+    try:
+        with socket.create_connection(server.endpoint, timeout=5.0) as sock:
+            request = json.dumps({"id": 0, "features": [[0.0, 0.0]] * 10}).encode() + b"\n"
+            assert len(request) > 64
+            sock.sendall(request)
+            stream = sock.makefile("rb")
+            reply = json.loads(stream.readline())
+            assert reply["id"] is None and "64 bytes" in reply["error"]
+            assert stream.readline() == b""  # closed
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_idle_or_reset_connection_ends_quietly(trained_net, monkeypatch, capfd):
+    monkeypatch.setattr(service._LineHandler, "timeout", 0.2)
+    local = InProcessPredictor(trained_net, disclosure="hard")
+    server = _recording(local)
+    try:
+        with socket.create_connection(server.endpoint, timeout=5.0) as sock:
+            assert sock.makefile("rb").readline() == b""  # the server gave up on the idle client
+        server.closed.get(timeout=5.0)
+        with socket.create_connection(server.endpoint, timeout=5.0) as sock:
+            sock.sendall(b'{"id": 0, "features": [[0.0')
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close with a reset
+        server.closed.get(timeout=5.0)
+        remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure="hard")
+        assert remote.query(np.zeros((2, 2))) == local.query(np.zeros((2, 2)))
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Exception" not in err, err
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class _CannedServer(PredictionServer):
+    reply = b""
+
+    def answer(self, line):
+        return self.reply
+
+
+@pytest.fixture(scope="module")
+def canned_server():
+    server = _CannedServer(_BoomHandle())
+    server.start_background()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.mark.parametrize("reply", [
+    b'{"id": 0, "topk": [[[5, 0.6], [1, 0.3]]]}',  # class out of range
+    b'{"id": 0, "topk": [[[-1, 0.6], [1, 0.3]]]}',
+    b'{"id": 0, "topk": [[[1, 0.6], [1, 0.3]]]}',  # repeated class
+    b'{"id": 0, "topk": []}',  # wrong row count
+    b'{"id": 0, "topk": [[[0, 0.6], [1, 0.3]], [[0, 0.6], [1, 0.3]]]}',
+    b'{"id": 0, "topk": [[[0, NaN], [1, 0.3]]]}',  # NaN probability
+    b'{"id": 0, "topk": [[[0, 0.6], [1, NaN]]]}',
+    b'{"id": 0, "topk": [[[0, 0.3], [1, 0.6]]]}',  # ascending
+    b'{"id": 0, "topk": [[[0, 1.5], [1, 0.3]]]}',
+    b'{"id": 0, "topk": [[[0, 0.6]]]}',  # fewer pairs than r
+    b'{"id": 0, "topk": [[[0, 0.6, 1], [1, 0.3]]]}',
+    b'{"id": 0, "topk": [[0, 1]]}',
+    b'{"id": 0, "topk": "0,1"}',  # topk not a list
+    b'{"id": 0, "topk": {"0": 0.6}}',
+    b'{"id": 0}',
+    b'[1, 2]',
+    b'not json',
+])
+def test_malformed_response_raises_typed_error(canned_server, reply):
+    canned_server.reply = reply
+    remote = RemotePredictor(*canned_server.endpoint, num_classes=3, disclosure="top-r", r=2)
+    with pytest.raises((ContractError, TransportError)):
+        remote.query(np.zeros((1, 2)))
