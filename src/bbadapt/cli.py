@@ -34,6 +34,7 @@ from .nets import (
     net_state,
     save_checkpoint,
     train_source_net,
+    write_atomically,
 )
 from .predictors import DISCLOSURES, InProcessPredictor, init_teacher, read_cache, resolve_r, write_cache
 from .scenarios import (
@@ -225,10 +226,12 @@ def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> d
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None, save_nets: bool = True) -> dict:
-    """Run every seed, persist manifest, metrics, checkpoints, report.
+    """Run every seed, persist metrics, checkpoints, report and manifest.
 
     `fixed_handles` (cache/remote/checkpoint backings) are shared across
-    seeds; otherwise fresh source models are trained per seed.
+    seeds; otherwise fresh source models are trained per seed. Each file
+    is written atomically, and `manifest.json` last, so a run that fails
+    leaves no manifest behind.
     """
     cfg.validate()
     phases = [("distill", TargetNet, cfg.adapt_epochs), ("finetune", TargetNet, cfg.finetune_epochs)]
@@ -237,7 +240,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None, save_
     for phase, net_cls, epochs in phases:  # checked here, before the first file is written
         check_training_args(phase, epochs, cfg.batch_size, cfg.lr_backbone, net_cls.min_batch)
     os.makedirs(outdir, exist_ok=True)
-    _write_json(os.path.join(outdir, "manifest.json"), {"version": __version__, "config": cfg.to_dict()})
     sources, target = generate(cfg.scenario)
     per_seed = []
     for seed in cfg.seeds:
@@ -265,6 +267,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None, save_
         "final_std": float(finals.std()),
     }
     _write_json(os.path.join(outdir, "report.json"), report)
+    _write_json(os.path.join(outdir, "manifest.json"), {"version": __version__, "config": cfg.to_dict()})
     return report
 
 
@@ -272,16 +275,12 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None, save_
 
 
 def _write_json(path: str, obj: dict):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_atomically(path, lambda fh: fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n"))
 
 
 def _write_metrics(path: str, seed: int, records: list):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({"seed": seed, **rec}, sort_keys=True))
-            fh.write("\n")
+    lines = "".join(json.dumps({"seed": seed, **rec}, sort_keys=True) + "\n" for rec in records)
+    write_atomically(path, lambda fh: fh.write(lines))
 
 
 def _print_report(report: dict):

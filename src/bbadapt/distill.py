@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nets import soft_cross_entropy, train_epochs
-from .tensor import Tensor, as_tensor, check_probabilities, log_clamped, softmax, stop_recording
+from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording
 
 
 class MemoryBank:
@@ -88,17 +88,25 @@ class AdaptConfig:
 
 
 def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
-    """Mean over the batch of KL(bank row || student row).
+    """Mean over the batch of KL(bank row || student row), both logs
+    clamped below at 1e-8, as one record.
 
     The bank rows are constants; the gradient reaches the student only.
     """
-    t = as_tensor(bank_rows)
+    t = as_tensor(bank_rows).data
     if t.shape != student_probs.shape:
         raise DimensionError(f"bank rows {t.shape} vs student {student_probs.shape}")
-    check_probabilities(t.data, "bank rows", ndim=2)
-    check_probabilities(student_probs.data, "student rows", ndim=2)
-    per_sample = (t * (log_clamped(t) - log_clamped(student_probs))).sum(axis=-1)
-    return per_sample.mean()
+    check_probabilities(t, "bank rows", ndim=2)
+    p = student_probs.data
+    check_probabilities(p, "student rows", ndim=2)
+    clamped = np.maximum(p, LOG_EPS)
+    per_sample = (t * (np.log(np.maximum(t, LOG_EPS)) - np.log(clamped))).sum(axis=-1)
+    n = per_sample.size
+
+    def vjp(g):
+        return (np.where(p > LOG_EPS, (-g / n) * t / clamped, 0.0),)
+
+    return record_op(per_sample.sum() * (1.0 / n), (student_probs,), vjp)
 
 
 def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None, mode: str = "train", lam=None) -> Tensor:
@@ -133,16 +141,31 @@ def mi_loss(student_probs) -> Tensor:
 
     Nonnegative, at most log K; larger values mean confident predictions
     spread across classes. This term is maximized, so it enters the step
-    objective with a minus sign.
+    objective with a minus sign. Logs are clamped below at 1e-8; the term
+    is one record.
     """
-    p = as_tensor(student_probs)
+    probs = as_tensor(student_probs)
+    p = probs.data
     if p.ndim != 2 or p.shape[0] < 1:
         raise ContractError(f"expected a nonempty batch of probability rows, got shape {p.shape}")
-    check_probabilities(p.data, "student rows", ndim=2)
-    mean_p = p.mean(axis=0)
-    marginal = -((mean_p * log_clamped(mean_p)).sum())
-    conditional = -((p * log_clamped(p)).sum(axis=-1).mean())
-    return marginal - conditional
+    check_probabilities(p, "student rows", ndim=2)
+    n = p.shape[0]
+    mean_p = p.sum(axis=0) * (1.0 / n)
+    clamped_mean = np.maximum(mean_p, LOG_EPS)
+    log_mean = np.log(clamped_mean)
+    marginal = -((mean_p * log_mean).sum())
+    clamped = np.maximum(p, LOG_EPS)
+    log_p = np.log(clamped)
+    conditional = -((p * log_p).sum(axis=-1).sum() * (1.0 / n))
+
+    def vjp(g):
+        # d/dq of -q log max(q, eps) is -(log max(q, eps) + q / max(q, eps)),
+        # without the second term where the clamp is flat (q <= eps)
+        g_mean = -(log_mean + np.where(mean_p > LOG_EPS, mean_p / clamped_mean, 0.0))
+        g_rows = log_p + np.where(p > LOG_EPS, p / clamped, 0.0)
+        return ((g / n) * (g_mean + g_rows),)
+
+    return record_op(marginal - conditional, (probs,), vjp)
 
 
 def total_loss(cfg: AdaptConfig, bank_rows, net, batch, rng):

@@ -10,7 +10,9 @@ class DimensionError(ContractError):
 
 
 class TransportError(ConnectionError):
-    """A remote predictor endpoint could not be reached. Retryable."""
+    """A remote predictor endpoint could not be reached, or answered
+    outside the wire protocol. Only the first kind is worth a retry, and
+    `RemotePredictor` retries it before raising this error."""
 
 
 class StartupError(OSError):

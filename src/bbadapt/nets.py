@@ -16,16 +16,7 @@ import os
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (
-    GradTape,
-    Tensor,
-    as_tensor,
-    log_clamped,
-    relu,
-    softmax,
-    sqrt,
-    stop_recording,
-)
+from .tensor import LOG_EPS, GradTape, Tensor, affine, as_tensor, record_op, softmax, stop_recording
 
 CHECKPOINT_VERSION = 1
 
@@ -36,8 +27,8 @@ class Linear:
         self.weight = Tensor(rng.normal(0.0, scale, (in_dim, out_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return affine(x, self.weight, self.bias, relu=relu)
 
     @property
     def params(self):
@@ -49,7 +40,8 @@ class BatchNorm:
 
     Train mode normalizes with batch statistics (and, unless frozen,
     folds them into the running averages); eval mode is a deterministic
-    affine map using the running statistics.
+    affine map using the running statistics. Either way the layer is one
+    tape record.
     """
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -61,21 +53,32 @@ class BatchNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
+        gamma, beta = self.gamma.data, self.beta.data
         if train:
-            mu = x.mean(axis=0)
-            centered = x - mu
-            var = (centered * centered).mean(axis=0)
-            out = centered / sqrt(var + self.eps)
+            n = x.shape[0]
+            mu = x.data.sum(axis=0) * (1.0 / n)
+            centered = x.data - mu
+            var = (centered * centered).sum(axis=0) * (1.0 / n)
+            std = np.sqrt(var + self.eps)
+            xhat = centered / std
             if update_stats:
-                n = x.shape[0]
                 bessel = n / (n - 1) if n > 1 else 1.0
                 m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
-                self.running_var = (1.0 - m) * self.running_var + m * var.data * bessel
+                self.running_mean = (1.0 - m) * self.running_mean + m * mu
+                self.running_var = (1.0 - m) * self.running_var + m * var * bessel
         else:
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            out = (x - Tensor(self.running_mean)) * Tensor(inv)
-        return out * self.gamma + self.beta
+            xhat = (x.data - self.running_mean) * inv
+
+        def vjp(g):
+            gxhat = g * gamma
+            if train:  # the batch statistics depend on x too
+                gx = (gxhat - gxhat.mean(axis=0) - xhat * (gxhat * xhat).mean(axis=0)) / std
+            else:
+                gx = gxhat * inv
+            return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+        return record_op(xhat * gamma + beta, (x, self.gamma, self.beta), vjp)
 
     @property
     def params(self):
@@ -83,7 +86,8 @@ class BatchNorm:
 
 
 class WeightNormLinear:
-    """Affine layer with direction/magnitude reparameterized weight rows."""
+    """Affine layer with direction/magnitude reparameterized weight rows,
+    one tape record per call."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         raw = rng.normal(0.0, 1.0 / np.sqrt(in_dim), (out_dim, in_dim))
@@ -94,10 +98,21 @@ class WeightNormLinear:
         self.out_dim = out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        norm = sqrt((self.direction * self.direction).sum(axis=1, keepdims=True))
-        unit = self.direction / norm
-        weight = self.scale.reshape(self.out_dim, 1) * unit
-        return x @ weight.T + self.bias
+        direction, scale = self.direction.data, self.scale.data
+        norm = np.sqrt((direction * direction).sum(axis=1, keepdims=True))
+        unit = direction / norm
+        weight = scale.reshape(self.out_dim, 1) * unit
+
+        def vjp(g):
+            g_weight = g.T @ x.data
+            g_unit = g_weight * scale.reshape(self.out_dim, 1)
+            # d(unit)/d(direction) projects out each row's own direction
+            g_direction = (g_unit - unit * (g_unit * unit).sum(axis=1, keepdims=True)) / norm
+            gx = g @ weight if x.requires_grad else None
+            return gx, g_direction, (g_weight * unit).sum(axis=1), g.sum(axis=0)
+
+        out = x.data @ weight.T + self.bias.data
+        return record_op(out, (x, self.direction, self.scale, self.bias), vjp)
 
     def renorm(self):
         """Rescale stored direction rows back to unit norm.
@@ -146,7 +161,7 @@ class _Net:
     def _forward(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
         h = x
         for layer in self.trunk:
-            h = relu(layer(h))
+            h = layer(h, relu=True)
         return self._head(h, train, update_stats)
 
     def backbone_params(self):
@@ -293,11 +308,18 @@ def make_sgd(net, lr_backbone: float = 1e-3, momentum: float = 0.9, weight_decay
 
 
 def soft_cross_entropy(targets, probs: Tensor) -> Tensor:
-    """-mean_i sum_k t_ik log p_ik with constant soft targets."""
-    t = as_tensor(targets)
+    """-mean_i sum_k t_ik log max(p_ik, 1e-8) with constant soft targets,
+    as one record; the gradient reaches `probs` only."""
+    t = as_tensor(targets).data
     if t.shape != probs.shape:
         raise DimensionError(f"targets {t.shape} vs predictions {probs.shape}")
-    return -((t * log_clamped(probs)).sum(axis=-1).mean())
+    clamped = np.maximum(probs.data, LOG_EPS)
+    rows = (t * np.log(clamped)).sum(axis=-1)
+
+    def vjp(g):
+        return (np.where(probs.data > LOG_EPS, (-g / rows.size) * t / clamped, 0.0),)
+
+    return record_op(-(rows.sum() * (1.0 / rows.size)), (probs,), vjp)
 
 
 def ls_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float = 0.1) -> Tensor:
@@ -418,41 +440,99 @@ def net_state(net, seed: int | None = None) -> dict:
     }
 
 
-def net_from_state(state: dict):
+def _positive_int(value) -> bool:
+    return type(value) is int and value > 0
+
+
+def _checked_arrays(given, expected: dict, what: str) -> dict[str, np.ndarray]:
+    """`given` as float64 arrays, provided it holds exactly the names of
+    `expected` (name -> array), each an array of finite numbers of the
+    expected shape; ContractError otherwise."""
+    if not isinstance(given, dict):
+        raise ContractError(f"checkpoint {what} must be a JSON object, got {type(given).__name__}")
+    if given.keys() != expected.keys():
+        missing, unknown = sorted(expected.keys() - given.keys()), sorted(given.keys() - expected.keys())
+        raise ContractError(f"checkpoint {what}: missing {missing}, unknown {unknown}")
+    arrays = {}
+    for name, want in expected.items():
+        try:
+            value = np.asarray(given[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ContractError(f"checkpoint {what} {name} is not an array of numbers") from None
+        if value.shape != want.shape:
+            raise DimensionError(f"checkpoint {what} {name} has shape {value.shape}, expected {want.shape}")
+        if not np.isfinite(value).all():
+            raise ContractError(f"checkpoint {what} {name} has non-finite entries")
+        arrays[name] = value
+    return arrays
+
+
+def net_from_state(state):
+    """The net a `net_state` dict describes. Anything else raises
+    ContractError: a non-object, another format version, an `arch` whose
+    kind is unknown or whose sizes are not positive integers, parameters
+    or running statistics that are missing, unknown, misshapen or not
+    finite, and a negative running variance."""
+    if not isinstance(state, dict):
+        raise ContractError(f"checkpoint must be a JSON object, got {type(state).__name__}")
     if state.get("format_version") != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {state.get('format_version')!r}")
-    arch = state["arch"]
-    if arch["kind"] == "source":
-        net = SourceNet(arch["in_dim"], arch["num_classes"], hidden=arch["hidden"])
-    elif arch["kind"] == "target":
-        net = TargetNet(
-            arch["in_dim"],
-            arch["num_classes"],
-            hidden=arch["hidden"],
-            bottleneck_dim=arch["bottleneck_dim"],
-        )
+    arch = state.get("arch")
+    kind = arch.get("kind") if isinstance(arch, dict) else None
+    if kind not in ("source", "target"):
+        raise ContractError(f"unknown net kind in checkpoint arch {str(arch)[:80]}")
+    hidden = arch.get("hidden")
+    sizes = [arch.get("in_dim"), arch.get("num_classes")] + ([arch.get("bottleneck_dim")] if kind == "target" else [])
+    if not (isinstance(hidden, list) and all(map(_positive_int, sizes + hidden))):
+        raise ContractError(f"checkpoint arch sizes must be positive integers, got {str(arch)[:80]}")
+    if kind == "source":
+        net = SourceNet(*sizes, hidden=hidden)
     else:
-        raise ContractError(f"unknown net kind {arch['kind']!r}")
+        net = TargetNet(*sizes[:2], hidden=hidden, bottleneck_dim=sizes[2])
+    if net.arch() != arch:
+        raise ContractError(f"checkpoint arch has unknown keys: {sorted(arch.keys() - net.arch().keys())}")
+    params = _checked_arrays(state.get("params"), {n: p.data for n, p in net.named_params().items()}, "param")
     for name, p in net.named_params().items():
-        value = np.asarray(state["params"][name], dtype=np.float64)
-        if value.shape != p.data.shape:
-            raise DimensionError(f"checkpoint param {name} has shape {value.shape}")
-        p.data = value
-    if state["running"]:
-        net.set_running_stats(state["running"])
+        p.data = params[name]
+    running = _checked_arrays(state.get("running"), net.running_stats(), "running stat")
+    if running:
+        if (running["bn.running_var"] < 0.0).any():
+            raise ContractError("checkpoint running stat bn.running_var has negative entries")
+        net.set_running_stats(running)
     return net
 
 
-def save_checkpoint(net, path: str, seed: int | None = None):
+def write_atomically(path: str, write):
+    """Create or replace the text file at `path` with what `write(fh)`
+    writes, so that `path` never holds a partial file: the text goes to a
+    temporary file in the same directory, which then replaces `path` in
+    one rename. If `write` raises, the temporary file is removed and
+    `path` is left as it was. Missing parent directories are created."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(net_state(net, seed=seed), fh)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def save_checkpoint(net, path: str, seed: int | None = None):
+    state = net_state(net, seed=seed)
+    write_atomically(path, lambda fh: fh.write(json.dumps(state) + "\n"))
 
 
 def load_checkpoint(path: str):
-    with open(path) as fh:
-        return net_from_state(json.load(fh))
+    """The net saved at `path`; ContractError unless it is a valid checkpoint."""
+    with open(path, "rb") as fh:
+        try:
+            state = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ContractError(f"checkpoint {path} is not JSON: {exc}") from None
+    return net_from_state(state)
 
 
 def clone_net(net):

@@ -21,14 +21,13 @@ initialization live here because they consume disclosed predictions.
 from __future__ import annotations
 
 import json
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .distill import MemoryBank
 from .errors import ContractError
-from .nets import clone_net
+from .nets import clone_net, write_atomically
 from .tensor import check_probabilities
 
 DISCLOSURES = ("full-soft", "top-r", "hard")
@@ -328,13 +327,13 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
 
     Records carry {sample_id, classes, probs, r, predictor_id}; the stored
     probabilities are already quantized, so a reload is bit-identical.
-    Returns the number of records written.
+    The file appears complete or not at all. Returns the number of records
+    written.
     """
     x = np.asarray(features, dtype=np.float64)
     records = handle.query(x)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
+
+    def write(fh):
         for i, rec in enumerate(records):
             obj = {
                 "sample_id": i,
@@ -345,6 +344,8 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
             }
             fh.write(json.dumps(obj, sort_keys=True))
             fh.write("\n")
+
+    write_atomically(path, write)
     return len(records)
 
 

@@ -135,9 +135,12 @@ class RemotePredictor(PredictorHandle):
 
     The client must know what it is talking to (class count, disclosure
     mode, truncation level); the wire carries only ids and topk pairs.
-    Connection failures are retried once and then surface as a transport
-    error; structured error responses and malformed records surface as
-    contract errors.
+    Connection failures (refused, timed out, reset) are retried once and
+    then surface as an "unreachable" transport error. A reachable server
+    that breaks the protocol (a mismatched id, a line that is not JSON, a
+    close mid-query) is not retried: it surfaces at once as a transport
+    error naming the fault. Structured error responses and malformed
+    records surface as contract errors.
     """
 
     def __init__(self, host: str, port: int, num_classes: int, disclosure: str = "top-r",
@@ -161,7 +164,9 @@ class RemotePredictor(PredictorHandle):
         for _ in range(self.retries):
             try:
                 return self._query_once(x)
-            except OSError as exc:
+            except TransportError as exc:  # a protocol fault: resending would not help
+                raise TransportError(f"predictor at {self.host}:{self.port}: {exc}") from exc
+            except OSError as exc:  # connect failure, timeout or reset
                 last = exc
         raise TransportError(f"predictor at {self.host}:{self.port} unreachable: {last}") from last
 

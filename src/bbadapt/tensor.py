@@ -1,11 +1,21 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Everything downstream (layers, losses, the optimizer) is built from the
-primitives in this module. Values are computed eagerly on numpy arrays;
-while a :class:`GradTape` is active, each primitive also appends a
-vector-Jacobian callback so that the gradient of a scalar loss can be
-pulled back to any parameter tensor. Tapes are rebuilt per mini-batch and
-are confined to the thread that created them.
+Values are computed eagerly on numpy arrays; while a :class:`GradTape` is
+active, each op also appends one record holding a vector-Jacobian
+callback, so that the gradient of a scalar loss can be pulled back to any
+parameter tensor. Tapes are rebuilt per mini-batch and are confined to the
+thread that created them.
+
+`record_op` is the one way to define an op: compute the output with
+numpy, then hand it over with the inputs and a hand-written VJP. The
+per-op primitives below (add, mul, matmul, log_clamped, ...) are built on
+it and serve composite expressions: `entropy`, `kl_div`, and the sums
+that combine loss terms into one objective. The layers and losses on the
+training path are fused instead: `affine` (x @ W + b, optionally through
+a ReLU) and `softmax` here, batch norm and the weight-normalized
+classifier in `nets`, and the loss terms in `nets` and `distill` are each
+one record whose forward performs the same float operations as the
+per-op expression it replaces.
 """
 
 from __future__ import annotations
@@ -186,11 +196,17 @@ class GradTape:
                     )
                 acc = grads.get(id(t))
                 grads[id(t)] = gi if acc is None else acc + gi
-        return [grads.get(id(s), np.zeros_like(s.data)) for s in sources]
+        return [grads[id(s)] if id(s) in grads else np.zeros_like(s.data) for s in sources]
 
 
-def _apply(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
-    """Wrap an eager result, recording the op if a tape is listening."""
+def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
+    """Wrap an eagerly computed value, recording it as one op if a tape is
+    listening and any input requires a gradient.
+
+    `vjp(g)` receives the gradient of the output and returns one gradient
+    per input, shaped like that input; None marks an input it skips (a
+    constant, or one whose `requires_grad` is False).
+    """
     stack = _tape_stack()
     needs = (
         bool(stack)
@@ -225,7 +241,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _apply(out, (a, b), vjp)
+    return record_op(out, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -234,11 +250,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _apply(out, (a, b), vjp)
+    return record_op(out, (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _apply(-a.data, (a,), lambda g: (-g,))
+    return record_op(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -250,7 +266,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    return _apply(out, (a, b), vjp)
+    return record_op(out, (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -262,7 +278,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
         )
 
-    return _apply(out, (a, b), vjp)
+    return record_op(out, (a, b), vjp)
 
 
 def pow_const(a: Tensor, exponent: float) -> Tensor:
@@ -271,7 +287,7 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
     def vjp(g):
         return (g * exponent * a.data ** (exponent - 1.0),)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -280,7 +296,7 @@ def sqrt(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * 0.5 / out,)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -289,7 +305,7 @@ def exp(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * out,)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -298,7 +314,7 @@ def log(a: Tensor) -> Tensor:
     def vjp(g):
         return (g / a.data,)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
 
 
 def log_clamped(a: Tensor, eps: float = LOG_EPS) -> Tensor:
@@ -309,7 +325,7 @@ def log_clamped(a: Tensor, eps: float = LOG_EPS) -> Tensor:
     def vjp(g):
         return (np.where(a.data > eps, g / clamped, 0.0),)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -318,28 +334,28 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * (a.data > 0.0),)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
+
+
+def _check_matmul(a: np.ndarray, b: np.ndarray):
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
-        )
+    _check_matmul(a.data, b.data)
     out = a.data @ b.data
 
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
 
-    return _apply(out, (a, b), vjp)
+    return record_op(out, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
-    return _apply(a.data.T, (a,), lambda g: (g.T,))
+    return record_op(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -348,7 +364,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     def vjp(g):
         return (g.reshape(a.data.shape),)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -361,7 +377,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _apply(out, (a,), vjp)
+    return record_op(out, (a,), vjp)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -369,15 +385,39 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(reduce_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
 
 
+# fused layer ops --------------------------------------------------------
+
+
+def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+    """x @ weight + bias for a batch of rows, optionally through a ReLU,
+    as one record (the forward of `relu(x @ weight + bias)`)."""
+    _check_matmul(x.data, weight.data)
+    pre = x.data @ weight.data + bias.data
+    out = np.maximum(pre, 0.0) if relu else pre
+
+    def vjp(g):
+        if relu:
+            g = g * (pre > 0.0)
+        gx = g @ weight.data.T if x.requires_grad else None
+        return gx, x.data.T @ g, g.sum(axis=0)
+
+    return record_op(out, (x, weight, bias), vjp)
+
+
 # probability ops ------------------------------------------------------
 
 
 def softmax(logits: Tensor | np.ndarray) -> Tensor:
-    """Row-wise softmax over the last axis, computed with max subtraction."""
+    """Row-wise softmax over the last axis, computed with max subtraction,
+    as one record."""
     t = as_tensor(logits)
-    shift = Tensor(t.data.max(axis=-1, keepdims=True))  # constant: softmax is shift-invariant
-    e = exp(sub(t, shift))
-    return div(e, reduce_sum(e, axis=-1, keepdims=True))
+    e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+    return record_op(p, (t,), vjp)
 
 
 def check_probabilities(p: np.ndarray, name: str, ndim: int, tol: float = 1e-6):

@@ -13,7 +13,7 @@ from bbadapt.cli import (
     train_source_models,
 )
 from bbadapt.errors import ContractError
-from bbadapt.nets import net_state
+from bbadapt.nets import SourceNet, net_state
 from bbadapt.predictors import init_teacher
 from bbadapt.scenarios import DomainData, ScenarioSpec, Shift, generate
 
@@ -309,6 +309,32 @@ def test_diverging_run_prints_only_the_error(tmp_path, capsys, recwarn):
     err = capsys.readouterr().err
     assert err.startswith("error: source: loss is nan at epoch ") and err.count("\n") == 1, err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_failed_run_leaves_no_manifest(tmp_path, capsys):
+    outdir = tmp_path / "x"
+    assert main(["adapt", "--preset", "moons-rot30", "--lr", "1e8", "--outdir", str(outdir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert outdir.is_dir() and list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["not an object", "empty params"])
+def test_malformed_checkpoint_exits_2(case, cfg_file, tmp_path, capsys):
+    state = [1, 2]
+    if case == "empty params":
+        state = {**net_state(SourceNet(2, 3, rng=np.random.default_rng(0))), "params": {}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(state))
+    config = ["--config", str(cfg_file)]
+    for argv in (
+        ["serve", "--checkpoint", str(bad)],
+        ["finetune-only", *config, "--checkpoint", str(bad), "--outdir", str(tmp_path / "ft")],
+        ["cache-predictions", *config, "--checkpoint", str(bad), "--out", str(tmp_path / "c.ndjson")],
+        ["adapt", *config, "--source-checkpoints", str(bad), "--outdir", str(tmp_path / "run")],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: checkpoint"), argv
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_adapt_rejects_out_of_range_cache_class(cfg_file, tmp_path, capsys):

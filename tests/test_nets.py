@@ -25,6 +25,7 @@ from bbadapt.nets import (
     net_state,
     save_checkpoint,
     train_source_net,
+    write_atomically,
 )
 from bbadapt.scenarios import generate, preset
 from bbadapt.tensor import GradTape, Tensor, softmax
@@ -343,6 +344,128 @@ def test_checkpoint_unknown_kind(tmp_path):
     path.write_text(json.dumps(state))
     with pytest.raises(ContractError):
         load_checkpoint(str(path))
+
+
+def _target_state():
+    net = TargetNet(2, 3, hidden=(4,), bottleneck_dim=2, rng=np.random.default_rng(0))
+    net.forward(np.random.default_rng(1).normal(size=(8, 2)), mode="train")
+    return json.loads(json.dumps(net_state(net)))
+
+
+def _edit(edit):
+    state = _target_state()
+    edit(state)
+    return state
+
+
+def _set(path, value):
+    def edit(state):
+        *parents, key = path
+        for name in parents:
+            state = state[name]
+        state[key] = value
+    return edit
+
+
+def _drop(path):
+    def edit(state):
+        *parents, key = path
+        for name in parents:
+            state = state[name]
+        del state[key]
+    return edit
+
+
+MALFORMED_CHECKPOINTS = {
+    "list": lambda: [1, 2],
+    "string": lambda: "checkpoint",
+    "no version": lambda: _edit(_drop(["format_version"])),
+    "version 2": lambda: _edit(_set(["format_version"], 2)),
+    "arch list": lambda: _edit(_set(["arch"], [1])),
+    "no arch": lambda: _edit(_drop(["arch"])),
+    "unknown kind": lambda: _edit(_set(["arch", "kind"], "mystery")),
+    "no in_dim": lambda: _edit(_drop(["arch", "in_dim"])),
+    "string in_dim": lambda: _edit(_set(["arch", "in_dim"], "2")),
+    "bool in_dim": lambda: _edit(_set(["arch", "in_dim"], True)),
+    "zero classes": lambda: _edit(_set(["arch", "num_classes"], 0)),
+    "float hidden": lambda: _edit(_set(["arch", "hidden"], [4.0])),
+    "string hidden": lambda: _edit(_set(["arch", "hidden"], "4")),
+    "no bottleneck_dim": lambda: _edit(_drop(["arch", "bottleneck_dim"])),
+    "unknown arch key": lambda: _edit(_set(["arch", "dropout"], 1)),
+    "arch disagrees with params": lambda: _edit(_set(["arch", "in_dim"], 3)),
+    "params empty": lambda: _edit(_set(["params"], {})),
+    "params list": lambda: _edit(_set(["params"], [])),
+    "param missing": lambda: _edit(_drop(["params", "classifier.scale"])),
+    "param unknown": lambda: _edit(_set(["params", "extra.weight"], [1.0])),
+    "param wrong shape": lambda: _edit(_set(["params", "bn.gamma"], [1.0, 1.0])),
+    "param ragged": lambda: _edit(_set(["params", "trunk.0.weight"], [[1.0, 2.0, 3.0, 4.0], [1.0]])),
+    "param not numbers": lambda: _edit(_set(["params", "bn.beta"], [{}, {}, {}, {}])),
+    "param nan": lambda: _edit(_set(["params", "classifier.bias"], [0.0, float("nan"), 0.0])),
+    "param inf": lambda: _edit(_set(["params", "trunk.0.bias"], [0.0, float("inf"), 0.0, 0.0])),
+    "no running stats": lambda: _edit(_set(["running"], {})),
+    "running missing": lambda: _edit(_drop(["running", "bn.running_var"])),
+    "running wrong shape": lambda: _edit(_set(["running", "bn.running_mean"], [0.0])),
+    "running nan": lambda: _edit(_set(["running", "bn.running_mean"], [0.0, 0.0, float("nan"), 0.0])),
+    "running negative var": lambda: _edit(_set(["running", "bn.running_var"], [1.0, -1.0, 1.0, 1.0])),
+    "source with running stats": lambda: {
+        **net_state(SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(0))),
+        "running": _target_state()["running"],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_is_a_contract_error(case, tmp_path):
+    state = MALFORMED_CHECKPOINTS[case]()
+    with pytest.raises(ContractError):
+        net_from_state(state)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(state))
+    with pytest.raises(ContractError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_that_is_not_json_is_a_contract_error(tmp_path):
+    for name, data in (("truncated.json", b'{"format_version": 1, "arch"'), ("binary.json", b"\xff\xfe\x00")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ContractError, match="is not JSON"):
+            load_checkpoint(str(path))
+
+
+def test_valid_checkpoint_states_load():
+    # the edits above start from a state that loads
+    net = net_from_state(_target_state())
+    assert type(net) is TargetNet and net.arch()["hidden"] == [4]
+    empty = net_from_state(net_state(SourceNet(2, 3, hidden=(), rng=np.random.default_rng(0))))
+    assert empty.trunk == []
+
+
+def test_write_atomically_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "sub" / "out.txt"
+
+    def failing(fh):
+        fh.write("half of a file")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError):
+        write_atomically(str(path), failing)
+    assert not path.exists()
+    assert list(path.parent.iterdir()) == []
+    write_atomically(str(path), lambda fh: fh.write("old\n"))
+    with pytest.raises(RuntimeError):
+        write_atomically(str(path), failing)
+    assert path.read_text() == "old\n"  # the previous file is untouched
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+def test_save_checkpoint_failure_leaves_no_file(tmp_path, monkeypatch):
+    net = SourceNet(2, 2, hidden=(4,), rng=np.random.default_rng(0))
+    path = tmp_path / "net.json"
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        save_checkpoint(net, str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_clone_net_is_independent(rng):

@@ -210,6 +210,42 @@ def test_query_is_one_request_on_one_connection(trained_net):
         server.server_close()
 
 
+class _FaultyServer(_RecordingServer):
+    """Answers every request line outside the protocol: with the wrong id,
+    with a line that is not JSON, or by closing the connection."""
+
+    fault = "id"
+
+    def answer(self, line):
+        reply = super().answer(line)
+        if self.fault == "close":
+            raise ConnectionResetError("closing without an answer")
+        if self.fault == "not-json":
+            return b"not json"
+        return json.dumps({**json.loads(reply), "id": 999}).encode()
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("id", "response id 999 does not match request 0"),
+    ("not-json", "is not JSON"),
+    ("close", "connection closed mid-query"),
+])
+def test_protocol_fault_is_raised_once_not_retried(trained_net, fault, message):
+    server = _FaultyServer(InProcessPredictor(trained_net, disclosure="hard"))
+    server.fault = fault
+    server.start_background()
+    try:
+        remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure="hard")
+        with pytest.raises(TransportError, match=message) as info:
+            remote.query(np.zeros((4, 2)))
+        assert "unreachable" not in str(info.value)
+        assert len(server.lines) == 1
+        assert len(server.connections) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("hard", None)])
 def test_query_split_over_request_lines_matches_in_process(trained_net, monkeypatch, disclosure, r):
     monkeypatch.setattr(service, "MAX_LINE_BYTES", 256)
