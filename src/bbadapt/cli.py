@@ -32,6 +32,7 @@ from .nets import (
     check_training_args,
     load_checkpoint,
     net_state,
+    read_json,
     save_checkpoint,
     train_source_net,
     write_atomically,
@@ -331,8 +332,7 @@ def _split_paths(value):
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
+        cfg = ExperimentConfig.from_dict(read_json(args.config, "config"))
     elif args.preset:
         seed = 2020 if args.scenario_seed is None else args.scenario_seed
         cfg = ExperimentConfig(scenario=preset(args.preset, seed=seed))
@@ -439,15 +439,26 @@ def cmd_finetune_only(args) -> int:
     return 0
 
 
+def _read_report(path: str) -> dict:
+    """The `report.json` at `path`; ContractError unless it holds the
+    numbers `report` prints and the integer seeds it follows."""
+    report = read_json(path, "report")
+    numbers = ("no_adapt_mean", "distilled_mean", "distilled_std", "final_mean", "final_std")
+    if not (
+        isinstance(report, dict)
+        and all(type(report.get(key)) in (int, float) for key in numbers)
+        and isinstance(report.get("seeds"), list)
+        and all(type(seed) is int for seed in report["seeds"])
+    ):
+        raise ContractError(f"report {path} lacks the numbers or the seeds of a run report")
+    return report
+
+
 def cmd_report(args) -> int:
     rows = []
     for rundir in args.rundirs:
         path = os.path.join(rundir, "report.json")
-        if not os.path.exists(path):
-            rows.append((rundir, None))
-            continue
-        with open(path) as fh:
-            rows.append((rundir, json.load(fh)))
+        rows.append((rundir, _read_report(path) if os.path.exists(path) else None))
     name_width = max(len(os.path.basename(os.path.normpath(r))) or 3 for r, _ in rows)
     name_width = max(name_width, 3)
     print(f"{'run':<{name_width}} {'no-adapt':>10} {'distilled':>16} {'final':>16}")

@@ -444,9 +444,24 @@ def _positive_int(value) -> bool:
     return type(value) is int and value > 0
 
 
+def _state_shapes(kind: str, in_dim: int, num_classes: int, hidden: list, bottleneck_dim=None):
+    """The parameter and running-stat shapes (name -> shape) of the net
+    an `arch` describes, worked out without building it."""
+    dims = [in_dim, *hidden]
+    params = {}
+    for i, (a, b) in enumerate(zip(dims, dims[1:])):
+        params.update({f"trunk.{i}.weight": (a, b), f"trunk.{i}.bias": (b,)})
+    w, k, d = dims[-1], num_classes, bottleneck_dim
+    if kind == "source":
+        return {**params, "head.weight": (w, k), "head.bias": (k,)}, {}
+    head = {"bn.gamma": (w,), "bn.beta": (w,), "bottleneck.weight": (w, d), "bottleneck.bias": (d,),
+            "classifier.direction": (k, d), "classifier.scale": (k,), "classifier.bias": (k,)}
+    return {**params, **head}, {"bn.running_mean": (w,), "bn.running_var": (w,)}
+
+
 def _checked_arrays(given, expected: dict, what: str) -> dict[str, np.ndarray]:
     """`given` as float64 arrays, provided it holds exactly the names of
-    `expected` (name -> array), each an array of finite numbers of the
+    `expected` (name -> shape), each an array of finite numbers of the
     expected shape; ContractError otherwise."""
     if not isinstance(given, dict):
         raise ContractError(f"checkpoint {what} must be a JSON object, got {type(given).__name__}")
@@ -454,13 +469,13 @@ def _checked_arrays(given, expected: dict, what: str) -> dict[str, np.ndarray]:
         missing, unknown = sorted(expected.keys() - given.keys()), sorted(given.keys() - expected.keys())
         raise ContractError(f"checkpoint {what}: missing {missing}, unknown {unknown}")
     arrays = {}
-    for name, want in expected.items():
+    for name, shape in expected.items():
         try:
             value = np.asarray(given[name], dtype=np.float64)
         except (TypeError, ValueError):
             raise ContractError(f"checkpoint {what} {name} is not an array of numbers") from None
-        if value.shape != want.shape:
-            raise DimensionError(f"checkpoint {what} {name} has shape {value.shape}, expected {want.shape}")
+        if value.shape != shape:
+            raise DimensionError(f"checkpoint {what} {name} has shape {value.shape}, expected {shape}")
         if not np.isfinite(value).all():
             raise ContractError(f"checkpoint {what} {name} has non-finite entries")
         arrays[name] = value
@@ -472,7 +487,8 @@ def net_from_state(state):
     ContractError: a non-object, another format version, an `arch` whose
     kind is unknown or whose sizes are not positive integers, parameters
     or running statistics that are missing, unknown, misshapen or not
-    finite, and a negative running variance."""
+    finite, and a negative running variance. The net is built only after
+    the stored arrays match the shapes its `arch` implies."""
     if not isinstance(state, dict):
         raise ContractError(f"checkpoint must be a JSON object, got {type(state).__name__}")
     if state.get("format_version") != CHECKPOINT_VERSION:
@@ -485,19 +501,21 @@ def net_from_state(state):
     sizes = [arch.get("in_dim"), arch.get("num_classes")] + ([arch.get("bottleneck_dim")] if kind == "target" else [])
     if not (isinstance(hidden, list) and all(map(_positive_int, sizes + hidden))):
         raise ContractError(f"checkpoint arch sizes must be positive integers, got {str(arch)[:80]}")
+    keys = {"kind", "in_dim", "num_classes", "hidden"} | ({"bottleneck_dim"} if kind == "target" else set())
+    if arch.keys() != keys:
+        raise ContractError(f"checkpoint arch has unknown keys: {sorted(arch.keys() - keys)}")
+    param_shapes, running_shapes = _state_shapes(**arch)
+    params = _checked_arrays(state.get("params"), param_shapes, "param")
+    running = _checked_arrays(state.get("running"), running_shapes, "running stat")
+    if running and (running["bn.running_var"] < 0.0).any():
+        raise ContractError("checkpoint running stat bn.running_var has negative entries")
     if kind == "source":
         net = SourceNet(*sizes, hidden=hidden)
     else:
         net = TargetNet(*sizes[:2], hidden=hidden, bottleneck_dim=sizes[2])
-    if net.arch() != arch:
-        raise ContractError(f"checkpoint arch has unknown keys: {sorted(arch.keys() - net.arch().keys())}")
-    params = _checked_arrays(state.get("params"), {n: p.data for n, p in net.named_params().items()}, "param")
     for name, p in net.named_params().items():
         p.data = params[name]
-    running = _checked_arrays(state.get("running"), net.running_stats(), "running stat")
     if running:
-        if (running["bn.running_var"] < 0.0).any():
-            raise ContractError("checkpoint running stat bn.running_var has negative entries")
         net.set_running_stats(running)
     return net
 
@@ -525,14 +543,19 @@ def save_checkpoint(net, path: str, seed: int | None = None):
     write_atomically(path, lambda fh: fh.write(json.dumps(state) + "\n"))
 
 
-def load_checkpoint(path: str):
-    """The net saved at `path`; ContractError unless it is a valid checkpoint."""
+def read_json(path: str, what: str):
+    """The JSON value in the file at `path`; ContractError, naming the
+    file as `what`, unless it holds UTF-8 JSON."""
     with open(path, "rb") as fh:
         try:
-            state = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON
-            raise ContractError(f"checkpoint {path} is not JSON: {exc}") from None
-    return net_from_state(state)
+            raise ContractError(f"{what} {path} is not JSON: {exc}") from None
+
+
+def load_checkpoint(path: str):
+    """The net saved at `path`; ContractError unless it is a valid checkpoint."""
+    return net_from_state(read_json(path, "checkpoint"))
 
 
 def clone_net(net):

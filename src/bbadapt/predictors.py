@@ -356,12 +356,15 @@ def read_cache(path: str, num_classes: int) -> CachedPredictor:
     ids, classes, probs = [], [], []
     r = None
     predictor_id = "cache"
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ContractError(f"cache {path} record {len(ids)} is not JSON: {exc}") from None
             if not (isinstance(obj, dict) and type(obj.get("sample_id")) is int and "classes" in obj and "probs" in obj):
                 raise ContractError(f"cache {path} record {len(ids)}: expected an integer sample_id, classes and probs")
             if ids and obj.get("r") != r:

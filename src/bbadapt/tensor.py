@@ -7,15 +7,14 @@ parameter tensor. Tapes are rebuilt per mini-batch and are confined to the
 thread that created them.
 
 `record_op` is the one way to define an op: compute the output with
-numpy, then hand it over with the inputs and a hand-written VJP. The
-per-op primitives below (add, mul, matmul, log_clamped, ...) are built on
-it and serve composite expressions: `entropy`, `kl_div`, and the sums
-that combine loss terms into one objective. The layers and losses on the
-training path are fused instead: `affine` (x @ W + b, optionally through
-a ReLU) and `softmax` here, batch norm and the weight-normalized
-classifier in `nets`, and the loss terms in `nets` and `distill` are each
-one record whose forward performs the same float operations as the
-per-op expression it replaces.
+numpy, then hand it over with the inputs and a hand-written VJP. Each
+layer and loss term on the training path is one such record: `affine`
+(x @ W + b, optionally through a ReLU), `softmax` and `kl_div` here,
+batch norm and the weight-normalized classifier in `nets`, and the loss
+terms in `nets` and `distill`. `Tensor`'s `+`, `-`, `*` and unary `-`
+combine scalar loss terms into one objective. The per-op expressions the
+fused records replaced live with the tests (`tests/per_op.py`), which
+check that each fused forward performs the same float operations.
 """
 
 from __future__ import annotations
@@ -79,72 +78,32 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A stop-gradient view sharing this tensor's values."""
-        return Tensor(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     # arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, as_tensor(other))
+        return _add(self, as_tensor(other))
 
     def __radd__(self, other):
-        return add(as_tensor(other), self)
+        return _add(as_tensor(other), self)
 
     def __sub__(self, other):
-        return sub(self, as_tensor(other))
+        return _sub(self, as_tensor(other))
 
     def __rsub__(self, other):
-        return sub(as_tensor(other), self)
+        return _sub(as_tensor(other), self)
 
     def __mul__(self, other):
-        return mul(self, as_tensor(other))
+        return _mul(self, as_tensor(other))
 
     def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
+        return _mul(as_tensor(other), self)
 
     def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
-    def __pow__(self, exponent):
-        return pow_const(self, float(exponent))
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor({self.data!r}{flag})"
+        return record_op(-self.data, (self,), lambda g: (-g,))
 
 
 def as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class GradTape:
@@ -191,9 +150,7 @@ class GradTape:
                 if gi is None or not isinstance(t, Tensor) or not t.requires_grad:
                     continue
                 if gi.shape != t.data.shape:
-                    raise DimensionError(
-                        f"gradient shape {gi.shape} does not match parameter shape {t.data.shape}"
-                    )
+                    raise DimensionError(f"gradient shape {gi.shape} does not match parameter shape {t.data.shape}")
                 acc = grads.get(id(t))
                 grads[id(t)] = gi if acc is None else acc + gi
         return [grads[id(s)] if id(s) in grads else np.zeros_like(s.data) for s in sources]
@@ -232,157 +189,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-# primitive ops --------------------------------------------------------
+# arithmetic ops: Tensor's + - and * ------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+def _elementwise(out: np.ndarray, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """`out`, computed from `a` and `b` with broadcasting, as one record;
+    `grad_a(g)` and `grad_b(g)` are the input gradients before each is
+    summed back down to its input's shape."""
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(grad_a(g), a.data.shape), _unbroadcast(grad_b(g), b.data.shape)
 
     return record_op(out, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return record_op(out, (a, b), vjp)
+def _add(a: Tensor, b: Tensor) -> Tensor:
+    return _elementwise(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
-def neg(a: Tensor) -> Tensor:
-    return record_op(-a.data, (a,), lambda g: (-g,))
+def _sub(a: Tensor, b: Tensor) -> Tensor:
+    return _elementwise(a.data - b.data, a, b, lambda g: g, lambda g: -g)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return record_op(out, (a, b), vjp)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return record_op(out, (a, b), vjp)
-
-
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    out = a.data**exponent
-
-    def vjp(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return record_op(out, (a,), vjp)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / out,)
-
-    return record_op(out, (a,), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return record_op(out, (a,), vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return record_op(out, (a,), vjp)
-
-
-def log_clamped(a: Tensor, eps: float = LOG_EPS) -> Tensor:
-    """log(max(a, eps)); the derivative is zero on the clamped region."""
-    clamped = np.maximum(a.data, eps)
-    out = np.log(clamped)
-
-    def vjp(g):
-        return (np.where(a.data > eps, g / clamped, 0.0),)
-
-    return record_op(out, (a,), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (a.data > 0.0),)
-
-    return record_op(out, (a,), vjp)
-
-
-def _check_matmul(a: np.ndarray, b: np.ndarray):
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_matmul(a.data, b.data)
-    out = a.data @ b.data
-
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return record_op(out, (a, b), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    return record_op(a.data.T, (a,), lambda g: (g.T,))
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return record_op(out, (a,), vjp)
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return record_op(out, (a,), vjp)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
+def _mul(a: Tensor, b: Tensor) -> Tensor:
+    return _elementwise(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 # fused layer ops --------------------------------------------------------
@@ -391,7 +221,8 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """x @ weight + bias for a batch of rows, optionally through a ReLU,
     as one record (the forward of `relu(x @ weight + bias)`)."""
-    _check_matmul(x.data, weight.data)
+    if x.ndim != 2 or x.shape[1] != weight.shape[0]:
+        raise DimensionError(f"affine expects rows of {weight.shape[0]} features, got shape {x.shape}")
     pre = x.data @ weight.data + bias.data
     out = np.maximum(pre, 0.0) if relu else pre
 
@@ -437,23 +268,14 @@ def check_probabilities(p: np.ndarray, name: str, ndim: int, tol: float = 1e-6):
         raise ContractError(f"{name} must sum to 1 within {tol}, worst deviation {worst}")
 
 
-def entropy(p: Tensor | np.ndarray) -> Tensor:
-    """Shannon entropy -sum p_i log p_i of a probability vector.
-
-    Uses the 0*log(0) = 0 convention (via the log clamp); the result lies
-    in [0, log K].
-    """
-    t = as_tensor(p)
-    check_probabilities(t.data, "p", ndim=1)
-    return neg(reduce_sum(mul(t, log_clamped(t))))
-
-
 def kl_div(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
-    """KL divergence sum p_i (log p_i - log q_i) between probability vectors.
+    """KL divergence sum p_i (log p_i - log q_i) between probability
+    vectors, as one record.
 
-    `q` is clamped below by 1e-8 before the log, so the value is finite for
-    any valid inputs and nonnegative by Gibbs' inequality. When `p` is a
-    constant teacher row, the gradient flows to `q` alone.
+    Both inputs are clamped below by 1e-8 before the log, so the value is
+    finite for any valid inputs and nonnegative by Gibbs' inequality; the
+    derivative through a clamped log is zero. When `p` is a constant
+    teacher row, the gradient flows to `q` alone.
     """
     tp = as_tensor(p)
     tq = as_tensor(q)
@@ -461,7 +283,16 @@ def kl_div(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
         raise DimensionError(f"kl_div shapes disagree: {tp.data.shape} vs {tq.data.shape}")
     check_probabilities(tp.data, "p", ndim=1)
     check_probabilities(tq.data, "q", ndim=1)
-    return reduce_sum(mul(tp, sub(log_clamped(tp), log_clamped(tq))))
+    clamped_p = np.maximum(tp.data, LOG_EPS)
+    clamped_q = np.maximum(tq.data, LOG_EPS)
+    diff = np.log(clamped_p) - np.log(clamped_q)
+
+    def vjp(g):
+        gp = g * diff + np.where(tp.data > LOG_EPS, g * tp.data / clamped_p, 0.0)
+        gq = np.where(tq.data > LOG_EPS, -g * tp.data / clamped_q, 0.0)
+        return gp, gq
+
+    return record_op((tp.data * diff).sum(), (tp, tq), vjp)
 
 
 # verification oracle --------------------------------------------------
@@ -470,8 +301,8 @@ def kl_div(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
 def grad_check(f, theta: Tensor, h: float = 1e-5) -> float:
     """Max relative error between tape gradient and central differences.
 
-    `f` must map `theta` to a scalar Tensor using primitives from this
-    module. The finite-difference sweep perturbs `theta.data` in place
+    `f` must map `theta` to a scalar Tensor built from taped ops (each a
+    `record_op` record). The finite-difference sweep perturbs `theta.data` in place
     (restoring it afterwards), so `f` may simply close over a model that
     holds `theta`. The relative error uses a unit floor:
     |g_tape - g_fd| / max(1, |g_tape|, |g_fd|).

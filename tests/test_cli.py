@@ -206,6 +206,26 @@ def test_report_command(run_a, tmp_path, capsys):
     assert len(rows) == 1 + 4
 
 
+def test_report_on_a_malformed_report_exits_2(run_a, tmp_path, capsys):
+    good = json.loads((run_a / "report.json").read_text())
+    reports = {
+        "empty_object": b"{}",
+        "list": b"[]",
+        "string_mean": json.dumps({**good, "final_mean": "90"}).encode(),
+        "string_seeds": json.dumps({**good, "seeds": ["2019"]}).encode(),
+        "truncated": b'{"seeds": [',
+        "not_utf8": b"\xff\xfe\x00garbage\n",
+    }
+    for name, data in reports.items():
+        rundir = tmp_path / name
+        rundir.mkdir()
+        (rundir / "report.json").write_bytes(data)
+        assert main(["report", str(run_a), str(rundir)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: report ") and str(rundir / "report.json") in captured.err, name
+        assert captured.err.count("\n") == 1 and captured.out == "", name
+
+
 def test_preset_with_overrides(tmp_path):
     outdir = tmp_path / "preset_run"
     code = main([
@@ -261,6 +281,7 @@ def test_main_error_exits(tmp_path, capsys):
     assert main(["cache-predictions", "--preset", "moons-rot30", "--out", str(tmp_path / "c.ndjson")]) == 2
     assert main(["finetune-only", "--checkpoint", str(tmp_path / "nope.json"),
                  "--outdir", str(tmp_path / "x")]) == 2
+    (tmp_path / "bad.bin").write_bytes(b"\xff\xfe\x00garbage\n")
 
     good = small_config().to_dict()
     no_family = {**good, "scenario": {k: v for k, v in good["scenario"].items() if k != "family"}}
@@ -290,6 +311,8 @@ def test_main_error_exits(tmp_path, capsys):
         [*adapt, "--preset", "moons-rot30", "--lr", "nan"],
         [*adapt, "--preset", "moons-rot30", "--lr", "1e8"],
         [*adapt, "--preset", "moons-rot30", "--scenario-seed", "-1"],
+        [*adapt, "--preset", "moons-rot30", "--caches", str(tmp_path / "bad.bin")],
+        [*adapt, "--config", str(tmp_path / "bad.bin")],
     ):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv

@@ -1,7 +1,7 @@
 """Fused layer and loss ops against the per-op expressions they replace.
 
 Each fused op is one tape record. Its forward must equal, bit for bit,
-the same expression built from the per-op primitives in `tensor`; its
+the same expression built from the per-op primitives in `per_op`; its
 hand-written VJP must agree with the per-op tape within 1e-10 and with
 central differences (`grad_check`) within 1e-6.
 """
@@ -9,25 +9,24 @@ central differences (`grad_check`) within 1e-6.
 import numpy as np
 import pytest
 
-from bbadapt import tensor
 from bbadapt.distill import AdaptConfig, MemoryBank, distill_loss, mi_loss, run_distillation
+from bbadapt.errors import DimensionError
 from bbadapt.finetune import FinetuneConfig, run_finetune
 from bbadapt.nets import BatchNorm, SourceNet, TargetNet, WeightNormLinear, soft_cross_entropy, train_source_net
-from bbadapt.tensor import (
-    GradTape,
-    Tensor,
-    affine,
+from bbadapt.tensor import GradTape, Tensor, affine, grad_check, kl_div, softmax, stop_recording
+
+from per_op import (
     div,
     exp,
-    grad_check,
     log_clamped,
     matmul,
+    pow_const,
+    reduce_mean,
     reduce_sum,
     relu,
-    softmax,
+    reshape,
     sqrt,
-    stop_recording,
-    sub,
+    transpose,
 )
 
 # per-op references: the expressions the fused ops replaced ---------------
@@ -40,16 +39,16 @@ def ref_affine(x, weight, bias, use_relu):
 
 def ref_softmax(t):
     shift = Tensor(t.data.max(axis=-1, keepdims=True))
-    e = exp(sub(t, shift))
+    e = exp(t - shift)
     return div(e, reduce_sum(e, axis=-1, keepdims=True))
 
 
 def ref_batchnorm(bn, x, train):
     if train:
-        mu = x.mean(axis=0)
+        mu = reduce_mean(x, axis=0)
         centered = x - mu
-        var = (centered * centered).mean(axis=0)
-        out = centered / sqrt(var + bn.eps)
+        var = reduce_mean(centered * centered, axis=0)
+        out = div(centered, sqrt(var + bn.eps))
     else:
         inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
         out = (x - Tensor(bn.running_mean)) * Tensor(inv)
@@ -57,26 +56,30 @@ def ref_batchnorm(bn, x, train):
 
 
 def ref_weightnorm(layer, x):
-    norm = sqrt((layer.direction * layer.direction).sum(axis=1, keepdims=True))
-    unit = layer.direction / norm
-    weight = layer.scale.reshape(layer.out_dim, 1) * unit
-    return x @ weight.T + layer.bias
+    norm = sqrt(reduce_sum(layer.direction * layer.direction, axis=1, keepdims=True))
+    unit = div(layer.direction, norm)
+    weight = reshape(layer.scale, (layer.out_dim, 1)) * unit
+    return matmul(x, transpose(weight)) + layer.bias
 
 
 def ref_soft_cross_entropy(targets, probs):
-    return -((Tensor(targets) * log_clamped(probs)).sum(axis=-1).mean())
+    return -reduce_mean(reduce_sum(Tensor(targets) * log_clamped(probs), axis=-1))
 
 
 def ref_distill_loss(rows, probs):
     t = Tensor(rows)
-    return (t * (log_clamped(t) - log_clamped(probs))).sum(axis=-1).mean()
+    return reduce_mean(reduce_sum(t * (log_clamped(t) - log_clamped(probs)), axis=-1))
 
 
 def ref_mi_loss(p):
-    mean_p = p.mean(axis=0)
-    marginal = -((mean_p * log_clamped(mean_p)).sum())
-    conditional = -((p * log_clamped(p)).sum(axis=-1).mean())
+    mean_p = reduce_mean(p, axis=0)
+    marginal = -reduce_sum(mean_p * log_clamped(mean_p))
+    conditional = -reduce_mean(reduce_sum(p * log_clamped(p), axis=-1))
     return marginal - conditional
+
+
+def ref_kl_div(p, q):
+    return reduce_sum(p * (log_clamped(p) - log_clamped(q)))
 
 
 # helpers -------------------------------------------------------------------
@@ -88,7 +91,7 @@ def taped(fn, params):
         out = fn()
     weights = Tensor(np.random.default_rng(99).normal(size=out.shape))
     with tape:  # a random cotangent for non-scalar outputs, recorded last
-        target = out if out.size == 1 else (out * weights).sum()
+        target = out if out.size == 1 else reduce_sum(out * weights)
     return out.data, tape.gradient(target, params), len(tape)
 
 
@@ -132,7 +135,7 @@ def test_affine_matches_per_op(seed, use_relu):
     b = Tensor(rng.normal(size=3), requires_grad=True)
     params = [x, w, b]
     assert_matches_reference(lambda: affine(x, w, b, relu=use_relu), lambda: ref_affine(x, w, b, use_relu), params)
-    assert grad_check_all(lambda: (affine(x, w, b, relu=use_relu) ** 2.0).sum(), params) < 1e-6
+    assert grad_check_all(lambda: reduce_sum(pow_const(affine(x, w, b, relu=use_relu), 2.0)), params) < 1e-6
 
 
 def test_affine_skips_input_gradient_of_constants():
@@ -141,10 +144,10 @@ def test_affine_skips_input_gradient_of_constants():
     b = Tensor(np.zeros(3), requires_grad=True)
     x = Tensor(rng.normal(size=(5, 4)))
     with GradTape() as tape:
-        loss = affine(x, w, b, relu=True).sum()
+        loss = reduce_sum(affine(x, w, b, relu=True))
     gw, gb = tape.gradient(loss, [w, b])
     assert gw.shape == (4, 3) and gb.shape == (3,)
-    with pytest.raises(tensor.DimensionError):
+    with pytest.raises(DimensionError):
         affine(Tensor(np.ones((2, 5))), w, b)
 
 
@@ -157,7 +160,7 @@ def test_softmax_matches_per_op(seed):
     logits = Tensor(rng.normal(0.0, 5.0, (6, 4)), requires_grad=True)
     assert_matches_reference(lambda: softmax(logits), lambda: ref_softmax(logits), [logits])
     weights = Tensor(rng.normal(size=(6, 4)))
-    assert grad_check_all(lambda: (softmax(logits) * weights).sum(), [logits]) < 1e-6
+    assert grad_check_all(lambda: reduce_sum(softmax(logits) * weights), [logits]) < 1e-6
 
 
 # batch norm --------------------------------------------------------------------
@@ -176,7 +179,7 @@ def test_batchnorm_matches_per_op(seed, train):
     params = [x, bn.gamma, bn.beta]
     assert_matches_reference(lambda: bn(x, train=train, update_stats=False), lambda: ref_batchnorm(bn, x, train), params)
     weights = Tensor(rng.normal(size=(8, 3)))
-    assert grad_check_all(lambda: (bn(x, train=train, update_stats=False) * weights).sum(), params) < 1e-6
+    assert grad_check_all(lambda: reduce_sum(bn(x, train=train, update_stats=False) * weights), params) < 1e-6
 
 
 def test_batchnorm_running_stats_match_per_op():
@@ -184,9 +187,9 @@ def test_batchnorm_running_stats_match_per_op():
     x = rng.normal(2.0, 3.0, (9, 3))
     bn = BatchNorm(3)
     bn(Tensor(x), train=True, update_stats=True)
-    mu = Tensor(x).mean(axis=0)
+    mu = reduce_mean(Tensor(x), axis=0)
     centered = Tensor(x) - mu
-    var = (centered * centered).mean(axis=0)
+    var = reduce_mean(centered * centered, axis=0)
     assert np.all(bn.running_mean == 0.9 * np.zeros(3) + 0.1 * mu.data)
     assert np.all(bn.running_var == 0.9 * np.ones(3) + 0.1 * var.data * (9 / 8))
 
@@ -204,7 +207,7 @@ def test_weightnorm_matches_per_op(seed):
     params = [x, layer.direction, layer.scale, layer.bias]
     assert_matches_reference(lambda: layer(x), lambda: ref_weightnorm(layer, x), params)
     weights = Tensor(rng.normal(size=(6, 3)))
-    assert grad_check_all(lambda: (layer(x) * weights).sum(), params) < 1e-6
+    assert grad_check_all(lambda: reduce_sum(layer(x) * weights), params) < 1e-6
 
 
 # loss ops ------------------------------------------------------------------------
@@ -241,6 +244,20 @@ def test_mi_loss_matches_per_op(seed):
     assert_matches_reference(lambda: mi_loss(p), lambda: ref_mi_loss(p), [p])
     z = Tensor(logits, requires_grad=True)
     assert grad_check_all(lambda: mi_loss(softmax(z)), [z]) < 1e-6
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kl_div_matches_per_op(seed):
+    rng = np.random.default_rng(seed)
+    probs, logits = clamped_probs(rng, 2, 5)
+    # both rows have entries inside the clamp; q's first one is where p is not
+    assert probs[1, -1] < 1e-8 and probs[0, 0] < 1e-8 < probs[1, 0]
+    p = Tensor(probs[1], requires_grad=True)
+    q = Tensor(probs[0], requires_grad=True)
+    assert_matches_reference(lambda: kl_div(p, q), lambda: ref_kl_div(p, q), [p, q])
+    zp = Tensor(logits[1], requires_grad=True)
+    zq = Tensor(logits[0], requires_grad=True)
+    assert grad_check_all(lambda: kl_div(softmax(zp), softmax(zq)), [zp, zq]) < 1e-6
 
 
 # whole nets --------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from bbadapt.distill import AdaptConfig, MemoryBank, run_distillation
 from bbadapt.errors import ContractError, DimensionError
 from bbadapt.finetune import FinetuneConfig, run_finetune
+from bbadapt import nets
 from bbadapt.nets import (
     BatchNorm,
     Linear,
@@ -31,6 +32,7 @@ from bbadapt.scenarios import generate, preset
 from bbadapt.tensor import GradTape, Tensor, softmax
 
 from conftest import make_blobs
+from per_op import pow_const, reduce_sum
 
 
 def test_linear_init_he_scale_zero_bias():
@@ -105,7 +107,7 @@ def test_weightnorm_gradient_flows_to_direction_and_scale(rng):
     layer = WeightNormLinear(3, 2, np.random.default_rng(1))
     x = rng.normal(size=(4, 3))
     with GradTape() as tape:
-        loss = (layer(Tensor(x)) ** 2.0).sum()
+        loss = reduce_sum(pow_const(layer(Tensor(x)), 2.0))
     grads = tape.gradient(loss, layer.params)
     assert all(np.any(g != 0.0) for g in grads)
 
@@ -439,6 +441,26 @@ def test_valid_checkpoint_states_load():
     assert type(net) is TargetNet and net.arch()["hidden"] == [4]
     empty = net_from_state(net_state(SourceNet(2, 3, hidden=(), rng=np.random.default_rng(0))))
     assert empty.trunk == []
+    empty = net_from_state(net_state(TargetNet(2, 3, hidden=(), rng=np.random.default_rng(0))))
+    assert empty.trunk == [] and empty.bn.running_mean.shape == (2,)
+
+
+def test_oversized_arch_is_rejected_before_building(monkeypatch):
+    # a small file whose arch claims wide layers must not get them allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("net built before its parameter shapes were checked")
+
+    states = []
+    for hidden in ([3000], [3000, 3000]):
+        state = net_state(SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(0)))
+        state["arch"]["hidden"] = hidden
+        states.append(state)
+    states.append(_edit(_set(["arch", "bottleneck_dim"], 3000)))
+    monkeypatch.setattr(nets, "SourceNet", refuse)
+    monkeypatch.setattr(nets, "TargetNet", refuse)
+    for state in states:
+        with pytest.raises(ContractError, match="param"):
+            net_from_state(state)
 
 
 def test_write_atomically_leaves_no_partial_file(tmp_path):
