@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .distill import AdaptConfig, run_distillation
-from .errors import ContractError, StartupError, TransportError
+from .errors import ContractError
 from .finetune import FinetuneConfig, run_finetune
 from .nets import (
     SourceNet,
@@ -104,6 +104,7 @@ class ExperimentConfig(Record):
         if not self.seeds or min(self.seeds) < 0:
             raise ContractError(f"at least one seed is required, all nonnegative, got {self.seeds}")
         resolve_r(self.resolved_disclosure(), self.r, k)  # rejects an unknown disclosure name
+        _adapt_config(self, self.seeds[0]).validate()  # before any source net trains
 
     def resolved_disclosure(self) -> str:
         if self.teacher in ("hard", "ls"):
@@ -164,6 +165,19 @@ def _check_handle_disclosures(cfg: ExperimentConfig, handles):
             )
 
 
+def _adapt_config(cfg: ExperimentConfig, seed: int) -> AdaptConfig:
+    return AdaptConfig(
+        beta=0.0 if cfg.drop_mix else cfg.beta,
+        gamma=cfg.gamma,
+        mixup_alpha=cfg.mixup_alpha,
+        epochs=cfg.adapt_epochs,
+        batch_size=cfg.batch_size,
+        seed=[seed, _DISTILL],
+        drop_mi=cfg.drop_mi,
+        lr_backbone=cfg.lr_backbone,
+    )
+
+
 def _finetune_config(cfg: ExperimentConfig, seed: int) -> FinetuneConfig:
     return FinetuneConfig(
         epochs=cfg.finetune_epochs,
@@ -195,17 +209,7 @@ def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> d
         bottleneck_dim=cfg.bottleneck_dim,
         rng=np.random.default_rng([seed, _TARGET_INIT]),
     )
-    adapt_cfg = AdaptConfig(
-        beta=0.0 if cfg.drop_mix else cfg.beta,
-        gamma=cfg.gamma,
-        mixup_alpha=cfg.mixup_alpha,
-        epochs=cfg.adapt_epochs,
-        batch_size=cfg.batch_size,
-        seed=[seed, _DISTILL],
-        drop_mi=cfg.drop_mi,
-        lr_backbone=cfg.lr_backbone,
-    )
-    metrics = run_distillation(adapt_cfg, bank, net, target.features, eval_fn=eval_fn)
+    metrics = run_distillation(_adapt_config(cfg, seed), bank, net, target.features, eval_fn=eval_fn)
     distilled = evaluate(net, target)
     distilled_state = net_state(net, seed=seed)
     metrics = metrics + run_finetune(_finetune_config(cfg, seed), net, target.features, eval_fn=eval_fn)
@@ -226,7 +230,7 @@ def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> d
     }
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None, save_nets: bool = True) -> dict:
+def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> dict:
     """Run every seed, persist metrics, checkpoints, report and manifest.
 
     `fixed_handles` (cache/remote/checkpoint backings) are shared across
@@ -250,9 +254,8 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None, save_
             handles = fixed_handles
         out = run_seed(cfg, target, handles, seed)
         _write_metrics(os.path.join(outdir, f"metrics_seed{seed}.ndjson"), seed, out["metrics"])
-        if save_nets:
-            _write_json(os.path.join(outdir, f"distilled_seed{seed}.json"), out["distilled_state"])
-            save_checkpoint(out["net"], os.path.join(outdir, f"target_seed{seed}.json"), seed=seed)
+        _write_json(os.path.join(outdir, f"distilled_seed{seed}.json"), out["distilled_state"])
+        save_checkpoint(out["net"], os.path.join(outdir, f"target_seed{seed}.json"), seed=seed)
         per_seed.append(out["summary"])
     finals = np.array([row["accuracy_final"] for row in per_seed])
     distilled = np.array([row["accuracy_distilled"] for row in per_seed])
@@ -367,7 +370,7 @@ def cmd_train_source(args) -> int:
 
 def cmd_serve(args) -> int:
     net = load_checkpoint(args.checkpoint)
-    handle = InProcessPredictor(net, disclosure=args.disclosure, r=args.r, predictor_id=args.predictor_id)
+    handle = InProcessPredictor(net, disclosure=args.disclosure, r=args.r)
     server = PredictionServer(handle, host=args.host, port=args.port)
     host, port = server.endpoint
     print(f"serving {args.disclosure} predictions on {host}:{port}", flush=True)
@@ -454,11 +457,38 @@ def _read_report(path: str) -> dict:
     return report
 
 
+def _curve_lines(name: str, seed: int, path: str) -> list[str]:
+    """The TSV lines of the metrics file at `path`; ContractError, naming
+    the file and the line, unless every line is a JSON object holding
+    `phase`, `epoch` and `loss`."""
+    lines = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+            except ValueError:  # not UTF-8, or not JSON
+                rec = None
+            if not (isinstance(rec, dict) and {"phase", "epoch", "loss"} <= rec.keys()):
+                raise ContractError(f"metrics {path} line {number} is not an object with phase, epoch and loss")
+            lines.append(
+                f"{name}\t{seed}\t{rec['phase']}\t{rec['epoch']}\t{rec['loss']!r}\t{rec.get('accuracy', '')!r}\n"
+            )
+    return lines
+
+
 def cmd_report(args) -> int:
     rows = []
     for rundir in args.rundirs:
         path = os.path.join(rundir, "report.json")
         rows.append((rundir, _read_report(path) if os.path.exists(path) else None))
+    curves = ["run\tseed\tphase\tepoch\tloss\taccuracy\n"]  # every line checked before any is written
+    for rundir, report in rows:
+        if args.curves and report is not None:
+            name = os.path.basename(os.path.normpath(rundir))
+            for seed in report["seeds"]:
+                mpath = os.path.join(rundir, f"metrics_seed{seed}.ndjson")
+                if os.path.exists(mpath):
+                    curves += _curve_lines(name, seed, mpath)
     name_width = max(len(os.path.basename(os.path.normpath(r))) or 3 for r, _ in rows)
     name_width = max(name_width, 3)
     print(f"{'run':<{name_width}} {'no-adapt':>10} {'distilled':>16} {'final':>16}")
@@ -473,23 +503,7 @@ def cmd_report(args) -> int:
             f"{report['final_mean']:>9.2f}+/-{report['final_std']:<4.2f}"
         )
     if args.curves:
-        with open(args.curves, "w") as fh:
-            fh.write("run\tseed\tphase\tepoch\tloss\taccuracy\n")
-            for rundir, report in rows:
-                if report is None:
-                    continue
-                name = os.path.basename(os.path.normpath(rundir))
-                for seed in report["seeds"]:
-                    mpath = os.path.join(rundir, f"metrics_seed{seed}.ndjson")
-                    if not os.path.exists(mpath):
-                        continue
-                    with open(mpath) as fh_in:
-                        for line in fh_in:
-                            rec = json.loads(line)
-                            fh.write(
-                                f"{name}\t{seed}\t{rec['phase']}\t{rec['epoch']}\t"
-                                f"{rec['loss']!r}\t{rec.get('accuracy', '')!r}\n"
-                            )
+        write_atomically(args.curves, lambda fh: fh.writelines(curves))
         print(f"curves written to {args.curves}")
     return 0
 
@@ -528,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--port", type=int, default=0)
     sub.add_argument("--disclosure", choices=("full-soft", "top-r", "hard"), default="top-r")
     sub.add_argument("--r", type=int, default=1)
-    sub.add_argument("--predictor-id", dest="predictor_id", default="service")
     sub.set_defaults(func=cmd_serve)
 
     sub = subs.add_parser("cache-predictions", help="query a predictor over the target set, write a cache")
@@ -565,7 +578,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, TransportError, StartupError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ContractError, OSError) as exc:  # TransportError and StartupError are OSErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

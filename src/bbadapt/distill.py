@@ -79,11 +79,14 @@ class AdaptConfig:
     lr_backbone: float = 1e-3
 
     def validate(self):
+        """ContractError unless gamma lies in [0, 1], beta is nonnegative
+        and mixup_alpha positive; the comparisons are written so that NaN
+        fails them."""
         if not 0.0 <= self.gamma <= 1.0:
             raise ContractError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ContractError(f"beta must be nonnegative, got {self.beta}")
-        if self.mixup_alpha <= 0.0:
+        if not self.mixup_alpha > 0.0:
             raise ContractError(f"mixup_alpha must be positive, got {self.mixup_alpha}")
 
 
@@ -109,30 +112,30 @@ def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
     return record_op(per_sample.sum() * (1.0 / n), (student_probs,), vjp)
 
 
-def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None, mode: str = "train", lam=None) -> Tensor:
+def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
     """Interpolation-consistency term.
 
-    One lambda ~ Beta(alpha, alpha) is drawn per batch, each sample is
-    paired with a random permutation partner, and the prediction at the
-    mixed input is pulled (soft cross entropy) toward the same mixture of
-    the stop-gradient endpoint predictions. Pass `probs` to reuse an
-    already-computed clean forward; pass `lam` to force the mixing weight
-    (the permutation is still drawn from `rng`).
+    One lambda = `rng.beta(alpha, alpha)` is drawn per batch, each sample
+    is paired with a partner from `rng.permutation`, and the prediction at
+    the mixed input is pulled (soft cross entropy) toward the same mixture
+    of the stop-gradient endpoint predictions. Both forwards run in train
+    mode without touching the batch-norm running statistics. Pass `probs`
+    to reuse an already-computed clean forward.
     """
     x = np.asarray(batch, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ContractError(f"mixup needs at least 2 samples, got {n}")
-    lam = float(rng.beta(alpha, alpha)) if lam is None else float(lam)
+    lam = float(rng.beta(alpha, alpha))
     perm = rng.permutation(n)
     if probs is None:
         with stop_recording():
-            endpoint = softmax(net.forward(x, mode=mode, update_stats=False)).data
+            endpoint = softmax(net.forward(x, mode="train", update_stats=False)).data
     else:
         endpoint = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
     targets = lam * endpoint + (1.0 - lam) * endpoint[perm]
     x_mix = lam * x + (1.0 - lam) * x[perm]
-    mixed_pred = softmax(net.forward(x_mix, mode=mode, update_stats=False))
+    mixed_pred = softmax(net.forward(x_mix, mode="train", update_stats=False))
     return soft_cross_entropy(targets, mixed_pred)
 
 

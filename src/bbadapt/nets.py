@@ -19,6 +19,10 @@ from .errors import ContractError, DimensionError
 from .tensor import LOG_EPS, GradTape, Tensor, affine, as_tensor, record_op, softmax, stop_recording
 
 CHECKPOINT_VERSION = 1
+MOMENTUM = 0.9  # SGD, in every training phase
+WEIGHT_DECAY = 1e-3  # SGD, in every training phase
+BN_MOMENTUM = 0.1  # the target's batch norm: weight of a batch in the running statistics
+BN_EPS = 1e-5  # the target's batch norm: added to the variance
 
 
 class Linear:
@@ -39,18 +43,16 @@ class BatchNorm:
     """1-D batch normalization with running statistics.
 
     Train mode normalizes with batch statistics (and, unless frozen,
-    folds them into the running averages); eval mode is a deterministic
-    affine map using the running statistics. Either way the layer is one
-    tape record.
+    folds them into the running averages with momentum BN_MOMENTUM);
+    eval mode is a deterministic affine map using the running statistics.
+    Both add BN_EPS to the variance; either way the layer is one record.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
         gamma, beta = self.gamma.data, self.beta.data
@@ -59,15 +61,14 @@ class BatchNorm:
             mu = x.data.sum(axis=0) * (1.0 / n)
             centered = x.data - mu
             var = (centered * centered).sum(axis=0) * (1.0 / n)
-            std = np.sqrt(var + self.eps)
+            std = np.sqrt(var + BN_EPS)
             xhat = centered / std
             if update_stats:
                 bessel = n / (n - 1) if n > 1 else 1.0
-                m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * mu
-                self.running_var = (1.0 - m) * self.running_var + m * var * bessel
+                self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
+                self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var * bessel
         else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
             xhat = (x.data - self.running_mean) * inv
 
         def vjp(g):
@@ -144,7 +145,7 @@ class _Net:
         self.trunk = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         self._build_head(dims[-1], rng)
 
-    def forward(self, x, mode: str = "train", update_stats: bool | None = None) -> Tensor:
+    def forward(self, x, mode: str = "train", update_stats: bool = True) -> Tensor:
         """Logits. Train mode records on the active tape and, unless
         `update_stats` is False, refreshes batch-norm running statistics;
         eval mode never records and never touches them."""
@@ -156,7 +157,7 @@ class _Net:
         if mode == "eval":
             with stop_recording():
                 return self._forward(x, train=False, update_stats=False)
-        return self._forward(x, train=True, update_stats=True if update_stats is None else update_stats)
+        return self._forward(x, train=True, update_stats=update_stats)
 
     def _forward(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
         h = x
@@ -270,20 +271,18 @@ def lr_factor(progress: float) -> float:
 class SGD:
     """Mini-batch SGD with momentum, weight decay, and a decaying schedule.
 
-    Update per parameter: v <- momentum*v + g + wd*theta, then
+    Update per parameter: v <- MOMENTUM*v + g + WEIGHT_DECAY*theta, then
     theta <- theta - lr0*lr_factor(progress)*v. Parameter groups carry
     their own base rate, so new layers can run at 10x the trunk rate.
     """
 
-    def __init__(self, param_groups, momentum: float = 0.9, weight_decay: float = 1e-3):
+    def __init__(self, param_groups):
         self.params = []
         self.base_lrs = []
         for params, lr in param_groups:
             for p in params:
                 self.params.append(p)
                 self.base_lrs.append(lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads, progress: float):
@@ -293,15 +292,14 @@ class SGD:
         for p, v, g, lr in zip(self.params, self.velocity, grads, self.base_lrs):
             if g.shape != p.data.shape:
                 raise DimensionError(f"gradient shape {g.shape} vs parameter {p.data.shape}")
-            v *= self.momentum
-            v += g + self.weight_decay * p.data
+            v *= MOMENTUM
+            v += g + WEIGHT_DECAY * p.data
             p.data -= lr * factor * v
 
 
-def make_sgd(net, lr_backbone: float = 1e-3, momentum: float = 0.9, weight_decay: float = 1e-3) -> SGD:
+def make_sgd(net, lr_backbone: float = 1e-3) -> SGD:
     """Standard two-group optimizer: trunk at lr_backbone, new layers at 10x."""
-    groups = [(net.backbone_params(), lr_backbone), (net.new_params(), 10.0 * lr_backbone)]
-    return SGD(groups, momentum=momentum, weight_decay=weight_decay)
+    return SGD([(net.backbone_params(), lr_backbone), (net.new_params(), 10.0 * lr_backbone)])
 
 
 # training ---------------------------------------------------------------

@@ -37,6 +37,7 @@ from .predictors import PredictorHandle, TopK, checked_topks, resolve_r
 
 MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
 IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
+CONNECT_TIMEOUT_S = 10.0  # the client's socket timeout, for connecting and for each read
 
 
 def _no_delay(sock):
@@ -135,8 +136,9 @@ class RemotePredictor(PredictorHandle):
 
     The client must know what it is talking to (class count, disclosure
     mode, truncation level); the wire carries only ids and topk pairs.
-    Connection failures (refused, timed out, reset) are retried once and
-    then surface as an "unreachable" transport error. A reachable server
+    Its socket times out after CONNECT_TIMEOUT_S seconds. Connection
+    failures (refused, timed out, reset) are retried once and then
+    surface as an "unreachable" transport error. A reachable server
     that breaks the protocol (a mismatched id, a line that is not JSON, a
     close mid-query) is not retried: it surfaces at once as a transport
     error naming the fault. Structured error responses and malformed
@@ -144,15 +146,12 @@ class RemotePredictor(PredictorHandle):
     """
 
     def __init__(self, host: str, port: int, num_classes: int, disclosure: str = "top-r",
-                 r: int | None = None, predictor_id: str = "remote", timeout: float = 10.0,
-                 retries: int = 2):
+                 r: int | None = None, predictor_id: str = "remote"):
         self.host = host
         self.port = int(port)
         self.num_classes = int(num_classes)
         self.r = resolve_r(disclosure, r, self.num_classes)
         self.predictor_id = predictor_id
-        self.timeout = timeout
-        self.retries = max(1, int(retries))
 
     def query(self, features) -> list[TopK]:
         x = np.asarray(features, dtype=np.float64)
@@ -161,7 +160,7 @@ class RemotePredictor(PredictorHandle):
         if not np.isfinite(x).all():
             raise ContractError("features must be finite numbers")
         last = None
-        for _ in range(self.retries):
+        for _ in range(2):  # the first attempt and one retry
             try:
                 return self._query_once(x)
             except TransportError as exc:  # a protocol fault: resending would not help
@@ -172,7 +171,7 @@ class RemotePredictor(PredictorHandle):
 
     def _query_once(self, x: np.ndarray) -> list[TopK]:
         records = []
-        with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
+        with socket.create_connection((self.host, self.port), timeout=CONNECT_TIMEOUT_S) as sock:
             _no_delay(sock)
             with sock.makefile("rb") as responses:
                 for request_id, rows in enumerate(_row_batches(x)):

@@ -251,9 +251,9 @@ def softmax(logits: Tensor | np.ndarray) -> Tensor:
     return record_op(p, (t,), vjp)
 
 
-def check_probabilities(p: np.ndarray, name: str, ndim: int, tol: float = 1e-6):
+def check_probabilities(p: np.ndarray, name: str, ndim: int):
     """Require a probability vector (ndim=1) or a batch of rows (ndim=2):
-    no entry below -1e-12 and every row summing to 1 within `tol`.
+    no entry below -1e-12 and every row summing to 1 within 1e-6.
 
     The comparisons are written so that NaN fails them; `initial=0.0`
     lets an empty batch through.
@@ -264,8 +264,8 @@ def check_probabilities(p: np.ndarray, name: str, ndim: int, tol: float = 1e-6):
     if not lowest >= -1e-12:
         raise ContractError(f"{name} has negative or NaN entries (min={lowest})")
     worst = np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0)
-    if not worst <= tol:
-        raise ContractError(f"{name} must sum to 1 within {tol}, worst deviation {worst}")
+    if not worst <= 1e-6:
+        raise ContractError(f"{name} must sum to 1 within 1e-06, worst deviation {worst}")
 
 
 def kl_div(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
@@ -298,19 +298,20 @@ def kl_div(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
 # verification oracle --------------------------------------------------
 
 
-def grad_check(f, theta: Tensor, h: float = 1e-5) -> float:
+def grad_check(f, theta: Tensor) -> float:
     """Max relative error between tape gradient and central differences.
 
     `f` must map `theta` to a scalar Tensor built from taped ops (each a
-    `record_op` record). The finite-difference sweep perturbs `theta.data` in place
-    (restoring it afterwards), so `f` may simply close over a model that
-    holds `theta`. The relative error uses a unit floor:
+    `record_op` record). The finite-difference sweep (step 1e-5) perturbs
+    `theta.data` in place, restoring it afterwards, so `f` may simply
+    close over a model that holds `theta`. The relative error uses a unit floor:
     |g_tape - g_fd| / max(1, |g_tape|, |g_fd|).
     """
     with GradTape() as tape:
         out = f(theta)
     (g_tape,) = tape.gradient(out, [theta])
 
+    h = 1e-5
     flat = theta.data.reshape(-1)
     fd = np.zeros_like(flat)
     for i in range(flat.size):

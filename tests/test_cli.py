@@ -1,10 +1,12 @@
 import json
 import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from bbadapt import cli
 from bbadapt.cli import (
     ExperimentConfig,
     handles_from_nets,
@@ -226,6 +228,27 @@ def test_report_on_a_malformed_report_exits_2(run_a, tmp_path, capsys):
         assert captured.err.count("\n") == 1 and captured.out == "", name
 
 
+def test_report_on_a_malformed_metrics_line_exits_2(run_a, tmp_path, capsys):
+    seed = json.loads((run_a / "report.json").read_text())["seeds"][0]
+    good = (run_a / f"metrics_seed{seed}.ndjson").read_bytes()
+    lines = {
+        "no_phase": b'{"seed": 2019}\n',
+        "not_json": good + b"{truncated\n",
+        "not_object": good + b"[1, 2]\n",
+        "not_utf8": b"\xff\xfe\x00garbage\n",
+    }
+    for name, data in lines.items():
+        rundir = tmp_path / name
+        shutil.copytree(run_a, rundir)
+        metrics = rundir / f"metrics_seed{seed}.ndjson"
+        metrics.write_bytes(data)
+        curves = tmp_path / f"{name}.tsv"
+        assert main(["report", str(rundir), "--curves", str(curves)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: metrics {metrics} line "), name
+        assert captured.out == "" and not curves.exists(), name
+
+
 def test_preset_with_overrides(tmp_path):
     outdir = tmp_path / "preset_run"
     code = main([
@@ -313,6 +336,8 @@ def test_main_error_exits(tmp_path, capsys):
         [*adapt, "--preset", "moons-rot30", "--scenario-seed", "-1"],
         [*adapt, "--preset", "moons-rot30", "--caches", str(tmp_path / "bad.bin")],
         [*adapt, "--config", str(tmp_path / "bad.bin")],
+        [*adapt, "--config", str(tmp_path)],  # a directory, not a file
+        ["serve", "--checkpoint", str(tmp_path)],
     ):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
@@ -325,6 +350,25 @@ def test_bad_phase_arguments_write_nothing(cfg_file, tmp_path, capsys):
         assert main(["adapt", "--config", str(cfg_file), *flags, "--outdir", str(outdir)]) == 2, flags
         assert "error:" in capsys.readouterr().err
         assert not outdir.exists(), flags
+
+
+def test_bad_distillation_settings_exit_before_source_training(tmp_path, capsys, monkeypatch):
+    def train_source_models(*args):
+        raise AssertionError("source nets trained before the settings were checked")
+
+    monkeypatch.setattr(cli, "train_source_models", train_source_models)
+    for flags in (["--gamma", "2"], ["--gamma", "nan"], ["--beta", "-1"], ["--beta", "nan"],
+                  ["--mixup-alpha", "0"], ["--mixup-alpha", "nan"]):
+        assert main(["adapt", "--preset", "moons-rot30", *flags, "--outdir", str(tmp_path / "x")]) == 2, flags
+        assert capsys.readouterr().err.startswith("error: "), flags
+        assert not (tmp_path / "x").exists(), flags
+
+
+def test_serve_surface_is_pinned(capsys):
+    with pytest.raises(SystemExit):
+        main(["serve", "--help"])
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert options == {"--checkpoint", "--disclosure", "--host", "--port", "--r"}
 
 
 def test_diverging_run_prints_only_the_error(tmp_path, capsys, recwarn):

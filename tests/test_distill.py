@@ -179,10 +179,25 @@ def test_mixup_deterministic_under_seed(rng):
     assert a == b
 
 
+class ForcedLambda:
+    """A generator whose `beta()` returns a fixed mixing weight and whose
+    permutations come from `default_rng(0)`."""
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.rng = np.random.default_rng(0)
+
+    def beta(self, a, b):
+        return self.lam
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+
 def test_mixup_lambda_one_reduces_to_self_consistency(rng):
     net = small_net()
     batch = rng.normal(size=(6, 2))
-    loss = mixup_loss(net, batch, np.random.default_rng(0), lam=1.0).item()
+    loss = mixup_loss(net, batch, ForcedLambda(1.0)).item()
     probs = softmax(net.forward(batch, mode="train", update_stats=False)).data
     want = -np.mean([sum(p * clamped_log(p) for p in row) for row in probs])
     assert abs(loss - want) < 1e-12
@@ -194,7 +209,7 @@ def test_mixup_lambda_zero_uses_partner(rng):
     # unpermuted one
     net = small_net()
     batch = rng.normal(size=(6, 2))
-    loss = mixup_loss(net, batch, np.random.default_rng(0), lam=0.0).item()
+    loss = mixup_loss(net, batch, ForcedLambda(0.0)).item()
     probs = softmax(net.forward(batch, mode="train", update_stats=False)).data
     want = -np.mean([sum(p * clamped_log(p) for p in row) for row in probs])
     assert abs(loss - want) < 1e-12

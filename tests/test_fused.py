@@ -9,6 +9,7 @@ central differences (`grad_check`) within 1e-6.
 import numpy as np
 import pytest
 
+from bbadapt import nets
 from bbadapt.distill import AdaptConfig, MemoryBank, distill_loss, mi_loss, run_distillation
 from bbadapt.errors import DimensionError
 from bbadapt.finetune import FinetuneConfig, run_finetune
@@ -48,9 +49,9 @@ def ref_batchnorm(bn, x, train):
         mu = reduce_mean(x, axis=0)
         centered = x - mu
         var = reduce_mean(centered * centered, axis=0)
-        out = div(centered, sqrt(var + bn.eps))
+        out = div(centered, sqrt(var + nets.BN_EPS))
     else:
-        inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        inv = 1.0 / np.sqrt(bn.running_var + nets.BN_EPS)
         out = (x - Tensor(bn.running_mean)) * Tensor(inv)
     return out * bn.gamma + bn.beta
 

@@ -60,7 +60,7 @@ def test_batchnorm_train_standardizes(rng):
 
 
 def test_batchnorm_running_stats_update_rule(rng):
-    bn = BatchNorm(2, momentum=0.1)
+    bn = BatchNorm(2)
     x = rng.normal(3.0, 1.5, (50, 2))
     mean0 = bn.running_mean.copy()
     var0 = bn.running_var.copy()
@@ -81,7 +81,7 @@ def test_batchnorm_update_stats_switch(rng):
 
 
 def test_batchnorm_eval_uses_running_stats(rng):
-    bn = BatchNorm(2, eps=1e-5)
+    bn = BatchNorm(2)
     x = rng.normal(0.0, 1.0, (10, 2))
     bn.running_mean = np.array([1.0, -1.0])
     bn.running_var = np.array([4.0, 9.0])
@@ -141,6 +141,17 @@ def test_target_train_forward_uses_batch_stats(rng):
     assert not np.allclose(train_out, eval_out)
 
 
+def test_target_train_forward_updates_running_stats_by_default(rng):
+    net = TargetNet(2, 3, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(0))
+    x = rng.normal(3.0, 2.0, (16, 2))
+    h = np.maximum(x @ net.trunk[0].weight.data + net.trunk[0].bias.data, 0.0)
+    mean0, var0 = net.bn.running_mean.copy(), net.bn.running_var.copy()
+    net.forward(x, mode="train")
+    m = nets.BN_MOMENTUM
+    assert np.allclose(net.bn.running_mean, (1.0 - m) * mean0 + m * h.mean(axis=0), atol=1e-12)
+    assert np.allclose(net.bn.running_var, (1.0 - m) * var0 + m * h.var(axis=0, ddof=1), atol=1e-12)
+
+
 def test_post_update_renorms_target_classifier(rng):
     net = TargetNet(2, 3, rng=np.random.default_rng(0))
     net.classifier.direction.data *= 3.0
@@ -159,7 +170,7 @@ def test_lr_factor_schedule():
 def test_sgd_matches_manual_update(rng):
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = Tensor(rng.normal(size=2), requires_grad=True)
-    opt = SGD([([w], 0.01), ([b], 0.1)], momentum=0.9, weight_decay=1e-3)
+    opt = SGD([([w], 0.01), ([b], 0.1)])
 
     ref_w, ref_b = w.data.copy(), b.data.copy()
     vel_w, vel_b = np.zeros_like(ref_w), np.zeros_like(ref_b)

@@ -129,14 +129,29 @@ def test_id_mismatch_raises_transport_error(trained_net):
         server.server_close()
 
 
-def test_unreachable_port_raises_transport_error():
+def test_unreachable_port_raises_transport_error(monkeypatch):
+    monkeypatch.setattr(service, "CONNECT_TIMEOUT_S", 0.5)
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
-    remote = RemotePredictor("127.0.0.1", port, num_classes=2, disclosure="hard", timeout=0.5)
+    remote = RemotePredictor("127.0.0.1", port, num_classes=2, disclosure="hard")
     with pytest.raises(TransportError, match="unreachable"):
         remote.query(np.zeros((1, 2)))
+
+
+def test_refused_connection_is_tried_twice_with_the_connect_timeout(monkeypatch):
+    attempts = []
+
+    def refuse(address, timeout):
+        attempts.append((address, timeout))
+        raise ConnectionRefusedError("refused")
+
+    monkeypatch.setattr(service.socket, "create_connection", refuse)
+    remote = RemotePredictor("127.0.0.1", 9, num_classes=2, disclosure="hard")
+    with pytest.raises(TransportError, match="unreachable"):
+        remote.query(np.zeros((1, 2)))
+    assert attempts == [(("127.0.0.1", 9), service.CONNECT_TIMEOUT_S)] * 2
 
 
 def test_double_bind_raises_startup_error(trained_net):
