@@ -13,6 +13,7 @@ one seeded generator, so a run is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +80,15 @@ class AdaptConfig:
     lr_backbone: float = 1e-3
 
     def validate(self):
-        """ContractError unless gamma lies in [0, 1], beta is nonnegative
-        and mixup_alpha positive; the comparisons are written so that NaN
-        fails them."""
+        """ContractError unless gamma lies in [0, 1], beta is finite and
+        nonnegative and mixup_alpha finite and positive; the comparisons are
+        written so that NaN fails them."""
         if not 0.0 <= self.gamma <= 1.0:
             raise ContractError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not self.beta >= 0.0:
-            raise ContractError(f"beta must be nonnegative, got {self.beta}")
-        if not self.mixup_alpha > 0.0:
-            raise ContractError(f"mixup_alpha must be positive, got {self.mixup_alpha}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ContractError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not 0.0 < self.mixup_alpha < math.inf:
+            raise ContractError(f"mixup_alpha must be finite and positive, got {self.mixup_alpha}")
 
 
 def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:

@@ -14,13 +14,15 @@ hard label, K the full vector, and top-r with r = K is full disclosure.
 
 Every disclosed probability is quantized to 9 significant digits, the same
 precision the wire protocol and the cache file use, so the three backings
-are interchangeable bit for bit. Adaptive label smoothing and the teacher
-initialization live here because they consume disclosed predictions.
+are interchangeable bit for bit. Disclosure, adaptive label smoothing and
+the cache file work on whole batches as arrays; `query` keeps answering
+one `TopK` record per row, the form every backing returns.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,14 +35,16 @@ from .tensor import check_probabilities
 DISCLOSURES = ("full-soft", "top-r", "hard")
 
 
-def quantize_probs(row) -> np.ndarray:
-    """Round each probability to 9 significant decimal digits."""
-    flat = np.asarray(row, dtype=np.float64)
-    return np.array([float("%.9g" % v) for v in flat.ravel()]).reshape(flat.shape)
+def quantize_probs(probs) -> np.ndarray:
+    """Round each probability to 9 significant decimal digits, the whole
+    array in one formatting call."""
+    a = np.asarray(probs, dtype=np.float64)
+    text = ("%.9g " * a.size) % tuple(a.ravel().tolist())
+    return np.array(list(map(float, text.split())), dtype=np.float64).reshape(a.shape)
 
 
 class TopK(NamedTuple):
-    """One disclosed prediction.
+    """One disclosed prediction: one row of what `disclose` returns.
 
     `classes` and `probs` are parallel, most probable first (ties broken
     toward the lower class index). `r` is the truncation level; r == k
@@ -61,11 +65,6 @@ class SmoothedPrediction(NamedTuple):
     r: int
 
 
-def _descending_order(row: np.ndarray) -> np.ndarray:
-    # primary key: probability descending; secondary: class index ascending
-    return np.lexsort((np.arange(row.shape[0]), -row))
-
-
 def resolve_r(disclosure: str, r, k: int) -> int:
     """The truncation level a disclosure mode stands for over k classes.
 
@@ -82,17 +81,37 @@ def resolve_r(disclosure: str, r, k: int) -> int:
     return int(r)
 
 
-def disclose_row(row, r: int) -> TopK:
-    """Disclose one full probability row at truncation level r (see `resolve_r`)."""
-    q = quantize_probs(row)
-    k = q.shape[0]
-    if not 0 <= r <= k:
-        raise ContractError(f"r must lie in [0, {k}], got {r}")
-    order = _descending_order(q)
-    if r == 0:
-        return TopK((int(order[0]),), (1.0,), 0, k)
-    kept = order[:r]
-    return TopK(tuple(int(c) for c in kept), tuple(float(q[c]) for c in kept), r, k)
+def disclose(probs, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Disclose a batch of full probability rows at truncation level r
+    (see `resolve_r`).
+
+    Returns `classes` (intp) and `probs` (float64), both of shape
+    (n, max(r, 1)): each row's quantized probabilities, most probable
+    first, ties broken toward the lower class index. A hard label (r == 0)
+    is the top class with a placeholder probability 1.0.
+    """
+    q = quantize_probs(probs)
+    if not 0 <= r <= q.shape[1]:
+        raise ContractError(f"r must lie in [0, {q.shape[1]}], got {r}")
+    # a stable sort keeps equal probabilities in class order
+    classes = np.argsort(-q, axis=1, kind="stable")[:, :max(r, 1)]
+    return classes, np.take_along_axis(q, classes, axis=1) if r else np.ones((q.shape[0], 1))
+
+
+def _records(classes: np.ndarray, probs: np.ndarray, r: int, k: int) -> list[TopK]:
+    return [TopK(tuple(cs), tuple(ps), r, k) for cs, ps in zip(classes.tolist(), probs.tolist())]
+
+
+def _columns(records, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The `classes` and `probs` arrays of a handle's records, and their one
+    truncation level."""
+    if not records:
+        return np.empty((0, 1), dtype=np.intp), np.empty((0, 1)), 0
+    classes, probs, rs, ks = zip(*records)
+    if set(rs) != {rs[0]} or set(ks) != {k}:
+        raise ContractError(f"records must share one r over {k} classes, got r {set(rs)} and k {set(ks)}")
+    return (np.fromiter(chain.from_iterable(classes), np.intp).reshape(len(classes), -1),
+            np.fromiter(chain.from_iterable(probs), np.float64).reshape(len(probs), -1), rs[0])
 
 
 def checked_topks(classes, probs, r, k: int) -> list[TopK]:
@@ -127,71 +146,61 @@ def checked_topks(classes, probs, r, k: int) -> list[TopK]:
     first_bad((np.diff(np.sort(c, axis=1), axis=1) != 0).all(axis=1), "classes must be distinct")
     first_bad(((p >= 0.0) & (p <= 1.0)).all(axis=1), "probabilities must lie in [0, 1]")
     first_bad((p[:, 1:] <= p[:, :-1]).all(axis=1), "probabilities must be in descending order")
-    p = p.astype(np.float64)
-    return [TopK(tuple(cs), tuple(ps), r, k) for cs, ps in zip(c.tolist(), p.tolist())]
+    return _records(c, p.astype(np.float64), r, k)
+
+
+def teacher_rows(classes, probs, disclosed_r: int, r: int, k: int, hard_mode: str = "ls") -> np.ndarray:
+    """Expand disclosed predictions into teacher probability rows, (n, k).
+
+    `classes` and `probs` are as `disclose` returns them at `disclosed_r`.
+    Hard labels become one-hot rows (`hard_mode` "onehot", smoothing 0) or
+    0.1-smoothed ones ("ls"). Soft ones get adaptive label smoothing at r:
+    the r most probable classes keep their probabilities, and every other
+    class receives the uniform remainder (1 - kept mass)/(k - r). A
+    disclosure truncated below k must carry that same r.
+    """
+    n = classes.shape[0]
+    if disclosed_r == 0:
+        top = classes[:, 0]
+        if not ((top >= 0) & (top < k)).all():
+            raise ContractError(f"class {top[(top < 0) | (top >= k)][0]} out of range for {k} classes")
+        alpha = {"onehot": 0.0, "ls": 0.1}.get(hard_mode)
+        if alpha is None:
+            raise ContractError(f"unknown hard-label mode {hard_mode!r}, expected 'onehot' or 'ls'")
+        out = np.full((n, k), alpha / k)
+        out[np.arange(n), top] += 1.0 - alpha
+        return out
+    if not 1 <= r <= k:
+        raise ContractError(f"r must lie in [1, {k}], got {r}")
+    if disclosed_r < k and disclosed_r != r:
+        raise ContractError(f"disclosure truncated at r={disclosed_r} cannot be smoothed with r={r}")
+    kept = probs[:, :r]
+    out = np.zeros((n, k))
+    if r < k:
+        # kept mass can exceed 1 by ~1e-9 after quantization; clamp the remainder at 0
+        out += np.maximum(0.0, 1.0 - kept.sum(axis=1))[:, None] / (k - r)
+    np.put_along_axis(out, classes[:, :r], kept, axis=1)
+    return out
 
 
 def ada_ls(p, r: int) -> SmoothedPrediction:
-    """Adaptive label smoothing: keep the top-r entries, spread the rest.
+    """Adaptive label smoothing of one prediction (see `teacher_rows`).
 
-    The indices of the r largest entries keep their probabilities; every
-    other class receives the uniform remainder (1 - kept mass)/(K - r).
     Accepts a full probability vector or a `TopK` disclosure; a truncated
     disclosure must carry the same r, and a hard disclosure carries no
     probabilities to smooth.
     """
     if isinstance(p, TopK):
         if p.r == 0:
-            raise ContractError("hard disclosures carry no probabilities; use hard_to_prob")
-        k = p.k
-        if not 1 <= r <= k:
-            raise ContractError(f"r must lie in [1, {k}], got {r}")
-        if p.r < k and p.r != r:
-            raise ContractError(f"disclosure truncated at r={p.r} cannot be smoothed with r={r}")
-        classes = np.asarray(p.classes[:r], dtype=np.intp)
-        probs = np.asarray(p.probs[:r], dtype=np.float64)
+            raise ContractError("hard disclosures carry no probabilities; use teacher_rows")
+        classes, probs, k, disclosed_r = np.array([p.classes]), np.array([p.probs], dtype=np.float64), p.k, p.r
     else:
         probs_full = np.asarray(p, dtype=np.float64)
         check_probabilities(probs_full, "input", ndim=1)
-        k = probs_full.shape[0]
-        if not 1 <= r <= k:
-            raise ContractError(f"r must lie in [1, {k}], got {r}")
-        classes = _descending_order(probs_full)[:r]
+        k = disclosed_r = probs_full.shape[0]
+        classes = np.argsort(-probs_full, kind="stable")[None, :]
         probs = probs_full[classes]
-    if r == k:
-        out = np.empty(k)
-        out[classes] = probs
-        return SmoothedPrediction(out, r)
-    kept = probs.sum()
-    # kept mass can exceed 1 by ~1e-9 after quantization; clamp the remainder at 0
-    remainder = max(0.0, 1.0 - kept) / (k - r)
-    out = np.full(k, remainder)
-    out[classes] = probs
-    return SmoothedPrediction(out, r)
-
-
-def hard_to_prob(class_idx: int, k: int, mode: str = "ls") -> np.ndarray:
-    """Expand a hard label into a probability row: exact one-hot or the
-    0.1-smoothed variant."""
-    if not 0 <= class_idx < k:
-        raise ContractError(f"class {class_idx} out of range for {k} classes")
-    if mode == "onehot":
-        out = np.zeros(k)
-        out[class_idx] = 1.0
-        return out
-    if mode == "ls":
-        alpha = 0.1
-        out = np.full(k, alpha / k)
-        out[class_idx] += 1.0 - alpha
-        return out
-    raise ContractError(f"unknown hard-label mode {mode!r}, expected 'onehot' or 'ls'")
-
-
-def teacher_row(rec: TopK, r: int, hard_mode: str = "ls") -> np.ndarray:
-    """Expand one disclosed prediction into a teacher probability row."""
-    if rec.r == 0:
-        return hard_to_prob(rec.classes[0], rec.k, hard_mode)
-    return ada_ls(rec, r).probs
+    return SmoothedPrediction(teacher_rows(classes, probs, disclosed_r, r, k)[0], r)
 
 
 def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank:
@@ -213,8 +222,7 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
         records = handle.query(x)
         if len(records) != x.shape[0]:
             raise ContractError(f"predictor returned {len(records)} records for {x.shape[0]} samples")
-        for i, rec in enumerate(records):
-            rows[i] += teacher_row(rec, r, hard_mode)
+        rows += teacher_rows(*_columns(records, k), r, k, hard_mode)
     rows /= len(handles)
     return MemoryBank(rows)
 
@@ -253,13 +261,9 @@ class PredictorHandle:
         if x.ndim != 1:
             raise ContractError(f"predict takes one feature vector, got shape {x.shape}")
         rec = self.query(x[None, :])[0]
-        if self.disclosure == "hard":
-            return rec.classes[0]
         if self.disclosure == "top-r":
             return list(zip(rec.classes, rec.probs))
-        out = np.zeros(rec.k)
-        out[list(rec.classes)] = rec.probs
-        return out
+        return rec.classes[0] if self.disclosure == "hard" else ada_ls(rec, rec.k).probs
 
 
 class InProcessPredictor(PredictorHandle):
@@ -277,9 +281,8 @@ class InProcessPredictor(PredictorHandle):
         self.predictor_id = predictor_id
 
     def query(self, features) -> list[TopK]:
-        x = np.asarray(features, dtype=np.float64)
-        probs = self._net.predict_proba(x)
-        return [disclose_row(row, self.r) for row in probs]
+        probs = self._net.predict_proba(np.asarray(features, dtype=np.float64))
+        return _records(*disclose(probs, self.r), self.r, self.num_classes)
 
 
 class CachedPredictor(PredictorHandle):
@@ -294,12 +297,9 @@ class CachedPredictor(PredictorHandle):
     def __init__(self, records: list[TopK], num_classes: int, predictor_id: str):
         if not records:
             raise ContractError("prediction cache is empty")
-        rs = {rec.r for rec in records}
-        if len(rs) != 1:
-            raise ContractError(f"cache mixes truncation levels: {sorted(rs)}")
         self._records = records
         self.num_classes = num_classes
-        self.r = rs.pop()
+        self.r = _columns(records, num_classes)[2]
         self.predictor_id = predictor_id
 
     def __len__(self):
@@ -325,55 +325,56 @@ class CachedPredictor(PredictorHandle):
 def write_cache(path: str, handle: PredictorHandle, features) -> int:
     """Query `handle` over the sample set and persist one record per line.
 
-    Records carry {sample_id, classes, probs, r, predictor_id}; the stored
-    probabilities are already quantized, so a reload is bit-identical.
-    The file appears complete or not at all. Returns the number of records
-    written.
+    Each line is `json.dumps(record, sort_keys=True)` of a record
+    {sample_id, classes, probs, r, predictor_id}; the stored probabilities
+    are already quantized, so a reload is bit-identical. The file appears
+    complete or not at all. Returns the number of records written.
     """
     x = np.asarray(features, dtype=np.float64)
-    records = handle.query(x)
+    classes, probs, r = _columns(handle.query(x), handle.num_classes)
+    n, m = classes.shape
+    # every line in one format operation: %d writes an int and %r a float as json.dumps does
+    line = '{"classes": [%s], "predictor_id": %s, "probs": [%s], "r": %d, "sample_id": %%d}\n' % (
+        ", ".join(["%d"] * m), json.dumps(handle.predictor_id).replace("%", "%%"), ", ".join(["%r"] * m), r)
+    cells = np.empty((n, 2 * m + 1), dtype=object)  # Python ints and floats, one row per line
+    cells[:, :m], cells[:, m:-1], cells[:, -1] = classes, probs, np.arange(n)
+    text = (line * n) % tuple(cells.ravel().tolist())
+    write_atomically(path, lambda fh: fh.write(text))
+    return n
 
-    def write(fh):
-        for i, rec in enumerate(records):
-            obj = {
-                "sample_id": i,
-                "classes": list(rec.classes),
-                "probs": list(rec.probs),
-                "r": rec.r,
-                "predictor_id": handle.predictor_id,
-            }
-            fh.write(json.dumps(obj, sort_keys=True))
-            fh.write("\n")
 
-    write_atomically(path, write)
-    return len(records)
+def _cache_line(path: str, i: int, line: bytes):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ContractError(f"cache {path} record {i} is not JSON: {exc}") from None
 
 
 def read_cache(path: str, num_classes: int) -> CachedPredictor:
     """Load a prediction cache; sample ids must cover 0..n-1 exactly once,
     every line must carry the same r, and every record must pass
     `checked_topks`."""
+    with open(path, "rb") as fh:
+        lines = [line for line in map(bytes.strip, fh.read().split(b"\n")) if line]
+    try:  # all lines in one parse; if that fails or miscounts, line by line to name the bad record
+        objs = json.loads(b"[%s]" % b",".join(lines))
+    except (ValueError, RecursionError):
+        objs = None
+    if objs is None or len(objs) != len(lines):
+        objs = (_cache_line(path, i, line) for i, line in enumerate(lines))
     ids, classes, probs = [], [], []
     r = None
     predictor_id = "cache"
-    with open(path, "rb") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise ContractError(f"cache {path} record {len(ids)} is not JSON: {exc}") from None
-            if not (isinstance(obj, dict) and type(obj.get("sample_id")) is int and "classes" in obj and "probs" in obj):
-                raise ContractError(f"cache {path} record {len(ids)}: expected an integer sample_id, classes and probs")
-            if ids and obj.get("r") != r:
-                raise ContractError(f"cache {path} mixes truncation levels: {r!r} and {obj.get('r')!r}")
-            r = obj.get("r")
-            ids.append(obj["sample_id"])
-            classes.append(obj["classes"])
-            probs.append(obj["probs"])
-            predictor_id = obj.get("predictor_id", predictor_id)
+    for obj in objs:
+        if not (isinstance(obj, dict) and type(obj.get("sample_id")) is int and "classes" in obj and "probs" in obj):
+            raise ContractError(f"cache {path} record {len(ids)}: expected an integer sample_id, classes and probs")
+        if ids and obj.get("r") != r:
+            raise ContractError(f"cache {path} mixes truncation levels: {r!r} and {obj.get('r')!r}")
+        r = obj.get("r")
+        ids.append(obj["sample_id"])
+        classes.append(obj["classes"])
+        probs.append(obj["probs"])
+        predictor_id = obj.get("predictor_id", predictor_id)
     n = len(ids)
     if not n:
         raise ContractError(f"cache {path} is empty")
@@ -383,5 +384,4 @@ def read_cache(path: str, num_classes: int) -> CachedPredictor:
         records = checked_topks(classes, probs, r, num_classes)
     except ContractError as exc:
         raise ContractError(f"cache {path}: {exc}") from None
-    by_id = dict(zip(ids, records))
-    return CachedPredictor([by_id[i] for i in range(n)], num_classes, predictor_id)
+    return CachedPredictor([rec for _, rec in sorted(zip(ids, records))], num_classes, predictor_id)

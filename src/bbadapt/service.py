@@ -186,7 +186,7 @@ class RemotePredictor(PredictorHandle):
             raise TransportError("connection closed mid-query")
         try:
             obj = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):  # not JSON, or nested too deep
             raise TransportError(f"response to request {request_id} is not JSON: {line[:80]!r}") from None
         if not isinstance(obj, dict):
             raise TransportError(f"response to request {request_id} is not a JSON object: {line[:80]!r}")

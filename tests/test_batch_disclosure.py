@@ -1,0 +1,135 @@
+"""The batch disclosure, smoothing and cache code against the one-row
+reference in `per_row`: every array must match it bit for bit."""
+
+import numpy as np
+import pytest
+
+from bbadapt.nets import SourceNet
+from bbadapt.predictors import (
+    InProcessPredictor,
+    TopK,
+    ada_ls,
+    disclose,
+    init_teacher,
+    quantize_probs,
+    read_cache,
+    teacher_rows,
+    write_cache,
+)
+
+from per_row import ada_ls_row, cache_line, descending_order, disclose_row, quantize_row, teacher_row
+
+
+def probability_rows(k: int, seed: int) -> np.ndarray:
+    """Random rows plus rows that tie exactly and rows whose entries tie
+    only after quantization, the larger raw value at the higher index."""
+    gen = np.random.default_rng(seed)
+    rows = [gen.dirichlet(np.full(k, c)) for c in (0.1, 0.5, 1.0, 5.0) for _ in range(10)]
+    rows += [np.full(k, 1.0 / k), np.eye(k)[k - 1], np.eye(k)[0]]
+    pair = np.zeros(k)
+    pair[[0, k - 1]] = 0.5  # an exact tie between the first and the last class
+    rows.append(pair)
+    for _ in range(10):
+        row = quantize_row(gen.dirichlet(np.ones(k)))
+        lo, hi = np.sort(gen.choice(k, 2, replace=False))
+        row[lo] = quantize_row((row[lo] + row[hi]) / 2.0)
+        row[hi] = row[lo] * (1.0 + 1e-12)  # larger, but "%.9g" reads the same
+        rows.append(row)
+    return np.array(rows)
+
+
+def per_row_columns(rows, r):
+    records = [disclose_row(row, r) for row in rows]
+    return np.array([rec.classes for rec in records]), np.array([rec.probs for rec in records])
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_disclose_matches_per_row(k):
+    rows = probability_rows(k, seed=k)
+    assert quantize_probs(rows).tobytes() == quantize_row(rows).tobytes()
+    for r in range(k + 1):
+        classes, probs = disclose(rows, r)
+        want_classes, want_probs = per_row_columns(rows, r)
+        assert classes.dtype == np.intp and probs.dtype == np.float64
+        assert classes.tobytes() == want_classes.astype(np.intp).tobytes(), r
+        assert probs.tobytes() == want_probs.astype(np.float64).tobytes(), r
+
+
+def test_quantization_ties_go_to_the_lower_class():
+    row = np.array([0.123456789, 0.123456789 * (1.0 + 1e-12), 0.2, 0.553086422])
+    assert row[1] > row[0] and quantize_probs(row)[1] == quantize_probs(row)[0]
+    classes, probs = disclose(row[None, :], 4)
+    assert classes.tolist() == [[3, 2, 0, 1]]
+    assert probs[0, 2] == probs[0, 3]
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("hard_mode", ["ls", "onehot"])
+def test_teacher_rows_match_per_row(k, hard_mode):
+    rows = probability_rows(k, seed=100 + k)
+    for disclosed_r in range(k + 1):
+        records = [disclose_row(row, disclosed_r) for row in rows]
+        classes, probs = disclose(rows, disclosed_r)
+        smoothing = [disclosed_r] if 0 < disclosed_r < k else range(1, k + 1)
+        for r in smoothing:
+            got = teacher_rows(classes, probs, disclosed_r, r, k, hard_mode)
+            want = np.stack([teacher_row(rec, r, hard_mode) for rec in records])
+            assert got.tobytes() == want.tobytes(), (disclosed_r, r)
+
+
+class RecordsHandle:
+    """A handle that answers with fixed records."""
+
+    predictor_id = "records"
+
+    def __init__(self, records, k):
+        self.records, self.num_classes = records, k
+
+    def query(self, features):
+        return list(self.records)
+
+
+@pytest.mark.parametrize("k", [2, 5, 10])
+@pytest.mark.parametrize("hard_mode", ["ls", "onehot"])
+def test_init_teacher_matches_per_row_mean(k, hard_mode):
+    rows_a, rows_b = probability_rows(k, seed=k), probability_rows(k, seed=50 + k)
+    x = np.zeros((rows_a.shape[0], 2))
+    for disclosed_r, r in ((0, 1), (1, 1), (k - 1, k - 1), (k, 1), (k, k)):
+        handles = [RecordsHandle([disclose_row(row, disclosed_r) for row in rows], k) for rows in (rows_a, rows_b)]
+        want = np.zeros((x.shape[0], k))
+        for handle in handles:
+            for i, rec in enumerate(handle.records):
+                want[i] += teacher_row(rec, r, hard_mode)
+        want /= len(handles)
+        assert init_teacher(handles, x, r=r, hard_mode=hard_mode).rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_ada_ls_on_a_vector_matches_per_row(k):
+    for row in probability_rows(k, seed=200 + k):
+        row = row / row.sum()
+        full = TopK(tuple(int(c) for c in descending_order(row)), tuple(row[descending_order(row)]), k, k)
+        for r in range(1, k + 1):
+            assert ada_ls(row, r).probs.tobytes() == ada_ls_row(full, r).tobytes()
+
+
+@pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("top-r", 2), ("top-r", 5),
+                                          ("hard", None)])
+def test_cache_lines_are_json_dumps_per_record(tmp_path, disclosure, r):
+    net = SourceNet(2, 5, hidden=(8,), rng=np.random.default_rng(3))
+    x = np.random.default_rng(4).normal(0.0, 2.0, (64, 2))
+    predictor_id = 'src "0" \\ é\t%d %s'  # needs JSON escaping, and holds format directives
+    handle = InProcessPredictor(net, disclosure=disclosure, r=r, predictor_id=predictor_id)
+    path = tmp_path / "cache.ndjson"
+    assert write_cache(str(path), handle, x) == 64
+    records = handle.query(x)
+    assert path.read_bytes() == "".join(cache_line(i, rec, predictor_id) for i, rec in enumerate(records)).encode()
+    cache = read_cache(str(path), 5)
+    assert cache.query(x) == records and cache.predictor_id == predictor_id
+
+
+def test_empty_query_writes_an_empty_cache(tmp_path):
+    handle = InProcessPredictor(SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(0)), disclosure="top-r", r=2)
+    path = tmp_path / "empty.ndjson"
+    assert write_cache(str(path), handle, np.zeros((0, 2))) == 0
+    assert path.read_bytes() == b""

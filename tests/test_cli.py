@@ -357,8 +357,8 @@ def test_bad_distillation_settings_exit_before_source_training(tmp_path, capsys,
         raise AssertionError("source nets trained before the settings were checked")
 
     monkeypatch.setattr(cli, "train_source_models", train_source_models)
-    for flags in (["--gamma", "2"], ["--gamma", "nan"], ["--beta", "-1"], ["--beta", "nan"],
-                  ["--mixup-alpha", "0"], ["--mixup-alpha", "nan"]):
+    for flags in (["--gamma", "2"], ["--gamma", "nan"], ["--beta", "-1"], ["--beta", "nan"], ["--beta", "inf"],
+                  ["--mixup-alpha", "0"], ["--mixup-alpha", "nan"], ["--mixup-alpha", "inf"]):
         assert main(["adapt", "--preset", "moons-rot30", *flags, "--outdir", str(tmp_path / "x")]) == 2, flags
         assert capsys.readouterr().err.startswith("error: "), flags
         assert not (tmp_path / "x").exists(), flags

@@ -293,6 +293,9 @@ def test_adapt_config_validation():
         AdaptConfig(beta=-0.5).validate()
     with pytest.raises(ContractError):
         AdaptConfig(mixup_alpha=0.0).validate()
+    for bad in ({"beta": float("inf")}, {"mixup_alpha": float("inf")}):
+        with pytest.raises(ContractError, match="finite"):
+            AdaptConfig(**bad).validate()
     x, bank, net = _distill_setup()
     with pytest.raises(ContractError, match="batch_size"):
         run_distillation(AdaptConfig(batch_size=1), bank, net, x)

@@ -14,17 +14,28 @@ from bbadapt.predictors import (
     TopK,
     ada_ls,
     checked_topks,
-    disclose_row,
-    hard_to_prob,
+    disclose,
     init_teacher,
     quantize_probs,
     read_cache,
     resolve_r,
-    teacher_row,
+    teacher_rows,
     write_cache,
 )
 
 from conftest import make_blobs
+from per_row import disclose_row, hard_to_prob, teacher_row
+
+
+def disclose_one(row, r):
+    """`disclose` on one row, as a TopK."""
+    classes, probs = disclose([row], r)
+    return TopK(tuple(classes[0].tolist()), tuple(probs[0].tolist()), r, len(row))
+
+
+def hard_rows(classes, k, mode):
+    """Teacher rows for hard labels of the given classes."""
+    return teacher_rows(np.array(classes)[:, None], np.ones((len(classes), 1)), 0, 0, k, mode)
 
 
 def naive_ada_ls(p, r):
@@ -59,29 +70,29 @@ def test_quantize_preserves_shape(rng):
 
 
 def test_disclose_row_full_soft_sorted_desc():
-    rec = disclose_row([0.2, 0.5, 0.3], 3)
+    rec = disclose_one([0.2, 0.5, 0.3], 3)
     assert rec.classes == (1, 2, 0)
     assert rec.probs == (0.5, 0.3, 0.2)
     assert rec.r == 3 and rec.k == 3
 
 
 def test_disclose_row_tie_prefers_lower_index():
-    rec = disclose_row([0.4, 0.2, 0.4], 1)
+    rec = disclose_one([0.4, 0.2, 0.4], 1)
     assert rec.classes == (0,)
-    rec = disclose_row([0.25, 0.25, 0.25, 0.25], 4)
+    rec = disclose_one([0.25, 0.25, 0.25, 0.25], 4)
     assert rec.classes == (0, 1, 2, 3)
 
 
 def test_disclose_row_hard_sentinel():
-    rec = disclose_row([0.1, 0.7, 0.2], 0)
+    rec = disclose_one([0.1, 0.7, 0.2], 0)
     assert rec == TopK((1,), (1.0,), 0, 3)
 
 
 def test_disclose_row_validation():
     with pytest.raises(ContractError):
-        disclose_row([0.5, 0.5], -1)
+        disclose([[0.5, 0.5]], -1)
     with pytest.raises(ContractError):
-        disclose_row([0.5, 0.5], 3)
+        disclose([[0.5, 0.5]], 3)
 
 
 def test_resolve_r():
@@ -131,7 +142,7 @@ def test_ada_ls_from_topk_matches_vector_path(rng):
     p = p / p.sum()
     p = quantize_probs(p)
     for r in (1, 2, 3):
-        rec = disclose_row(p, r)
+        rec = disclose_one(p, r)
         via_rec = ada_ls(rec, r).probs
         via_vec = ada_ls(p, r).probs
         assert np.max(np.abs(via_rec - via_vec)) < 1e-9
@@ -156,29 +167,31 @@ def test_ada_ls_rejects_bad_inputs():
 
 
 def test_ada_ls_full_disclosure_any_r():
-    rec = disclose_row([0.1, 0.6, 0.3], 3)
+    rec = disclose_one([0.1, 0.6, 0.3], 3)
     out = ada_ls(rec, 1).probs
     assert np.allclose(out, [0.2, 0.6, 0.2], atol=1e-12)
 
 
 def test_hard_to_prob_values():
-    assert np.array_equal(hard_to_prob(2, 4, "onehot"), [0.0, 0.0, 1.0, 0.0])
-    assert np.allclose(hard_to_prob(0, 2, "ls"), [0.95, 0.05], atol=1e-15)
-    out = hard_to_prob(1, 5, "ls")
-    assert abs(out[1] - (0.9 + 0.02)) < 1e-15
-    assert np.allclose(np.delete(out, 1), 0.02, atol=1e-15)
-    with pytest.raises(ContractError):
-        hard_to_prob(5, 4)
-    with pytest.raises(ContractError):
-        hard_to_prob(0, 4, "soft")
+    assert np.array_equal(hard_rows([2], 4, "onehot"), [[0.0, 0.0, 1.0, 0.0]])
+    assert np.allclose(hard_rows([0], 2, "ls"), [[0.95, 0.05]], atol=1e-15)
+    out = hard_rows([1, 3], 5, "ls")
+    assert abs(out[0, 1] - (0.9 + 0.02)) < 1e-15 and abs(out[1, 3] - (0.9 + 0.02)) < 1e-15
+    assert np.allclose(np.delete(out[0], 1), 0.02, atol=1e-15)
+    for classes, mode in (([5], "ls"), ([0, -1], "ls"), ([0], "soft")):
+        with pytest.raises(ContractError):
+            hard_rows(classes, 4, mode)
 
 
 def test_teacher_row_dispatch():
-    hard = TopK((2,), (1.0,), 0, 4)
-    assert np.array_equal(teacher_row(hard, 1, "onehot"), [0.0, 0.0, 1.0, 0.0])
-    assert np.allclose(teacher_row(hard, 1, "ls"), hard_to_prob(2, 4, "ls"))
-    soft = disclose_row([0.1, 0.6, 0.2, 0.1], 1)
-    assert np.allclose(teacher_row(soft, 1), ada_ls(soft, 1).probs)
+    hard = disclose([[0.1, 0.2, 0.6, 0.1]], 0)
+    assert np.array_equal(teacher_rows(*hard, 0, 1, 4, "onehot"), [[0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(teacher_rows(*hard, 0, 1, 4, "ls"), [hard_to_prob(2, 4, "ls")])
+    soft = disclose([[0.1, 0.6, 0.2, 0.1]], 1)
+    assert np.array_equal(teacher_rows(*soft, 1, 1, 4), [teacher_row(disclose_row([0.1, 0.6, 0.2, 0.1], 1), 1)])
+    for disclosed_r, r in ((1, 2), (1, 0), (4, 5)):
+        with pytest.raises(ContractError):
+            teacher_rows(*disclose([[0.1, 0.6, 0.2, 0.1]], disclosed_r), disclosed_r, r, 4)
 
 
 class StubHandle:
@@ -223,6 +236,13 @@ def test_init_teacher_validation(rng):
     short = StubHandle(rows[:2], 1, 3)
     with pytest.raises(ContractError):
         init_teacher([short], np.zeros((4, 2)), r=1)
+    mixed_r = StubHandle(rows, 1, 3)
+    mixed_r.query = lambda features: [disclose_row(rows[0], 1), disclose_row(rows[1], 2)] * 2
+    other_k = StubHandle(rows, 1, 3)
+    other_k.query = lambda features: [disclose_row(np.append(row, 0.0), 1) for row in rows]
+    for handle in (mixed_r, other_k):
+        with pytest.raises(ContractError, match="one r over 3 classes"):
+            init_teacher([handle], np.zeros((4, 2)), r=1)
 
 
 def test_init_teacher_aborts_on_failure(rng):
@@ -327,6 +347,17 @@ def test_cache_file_round_trip(tmp_path, rng):
     assert set(first) == {"sample_id", "classes", "probs", "r", "predictor_id"}
 
 
+def test_read_cache_parses_each_line_alone(tmp_path):
+    # each file parses as JSON once its lines are joined with commas, but holds a line that is not JSON
+    one = '{"sample_id": %d, "classes": [1, 2], "probs": [0.6, 0.3], "r": 2}'
+    split = '{"sample_id": 0, "classes": [1\n2], "probs": [0.6, 0.3], "r": 2}'
+    for text in (one % 0 + ", " + one % 1, split + "\n" + one % 1):
+        path = tmp_path / "lines.ndjson"
+        path.write_text(text + "\n")
+        with pytest.raises(ContractError, match="record 0 is not JSON"):
+            read_cache(str(path), 3)
+
+
 def test_read_cache_requires_full_coverage(tmp_path):
     lines = [
         {"sample_id": 0, "classes": [1], "probs": [0.8], "r": 1, "predictor_id": "c"},
@@ -404,3 +435,71 @@ def test_read_cache_rejects_bad_records(tmp_path):
     repeated.write_text("".join(json.dumps(good | {"sample_id": i}) + "\n" for i in (0, 1, 0)))
     with pytest.raises(ContractError, match="exactly once"):
         read_cache(str(repeated), 8)
+
+
+# fuzzing the two parsers of untrusted records ----------------------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+NUMBER = st.integers(-1, 5) | st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf"), True])
+ROW = st.lists(NUMBER, max_size=3)
+RECORD = st.fixed_dictionaries(
+    {"sample_id": st.integers(0, 3), "classes": ROW | JSON, "probs": ROW | JSON, "r": st.integers(-1, 5) | JSON},
+    optional={"predictor_id": JSON},
+)
+
+
+def assert_valid_records(records, r, k):
+    assert type(r) is int and 0 <= r <= k
+    for rec in records:
+        assert type(rec) is TopK and rec.r == r and rec.k == k
+        assert len(rec.classes) == len(rec.probs) == max(r, 1) == len(set(rec.classes))
+        assert all(type(c) is int and 0 <= c < k for c in rec.classes)
+        assert all(type(p) is float and 0.0 <= p <= 1.0 for p in rec.probs)
+        assert list(rec.probs) == sorted(rec.probs, reverse=True)
+
+
+def assert_cache_or_contract_error(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        cache = read_cache(str(path), 4)
+    except ContractError:
+        return
+    assert len(cache) == len([line for line in data.split(b"\n") if line.strip()])
+    assert_valid_records(cache.query(None), cache.r, 4)
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_read_cache_fuzz_bytes(tmp_path_factory, data):
+    assert_cache_or_contract_error(tmp_path_factory.mktemp("fuzz") / "cache.ndjson", data)
+
+
+@given(st.lists(RECORD | JSON, min_size=1, max_size=4),
+       st.lists(st.sampled_from([b"\n", b"\n\n", b" \r\n"]), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_read_cache_fuzz_json_lines(tmp_path_factory, objs, ends):
+    data = b"".join(json.dumps(obj).encode() + end for obj, end in zip(objs, ends))
+    assert_cache_or_contract_error(tmp_path_factory.mktemp("fuzz") / "cache.ndjson", data)
+
+
+def test_read_cache_rejects_deep_nesting(tmp_path):
+    good = b'{"sample_id": 0, "classes": [1], "probs": [0.5], "r": 1}\n'
+    path = tmp_path / "deep.ndjson"
+    for data, record in ((b"[" * 100_000, 0), (good + b"[" * 100_000 + b"]" * 100_000, 1)):
+        path.write_bytes(data)
+        with pytest.raises(ContractError, match=f"record {record} is not JSON"):
+            read_cache(str(path), 4)
+
+
+@given(st.lists(ROW | JSON, max_size=4) | JSON, st.lists(ROW | JSON, max_size=4) | JSON, st.integers(-1, 5) | JSON)
+@settings(max_examples=100, deadline=None)
+def test_checked_topks_fuzz(classes, probs, r):
+    try:
+        records = checked_topks(classes, probs, r, 4)
+    except ContractError:
+        return
+    assert_valid_records(records, r, 4)

@@ -8,7 +8,7 @@ import pytest
 
 from bbadapt.errors import ContractError, StartupError, TransportError
 from bbadapt.nets import SourceNet, train_source_net
-from bbadapt.predictors import InProcessPredictor
+from bbadapt.predictors import InProcessPredictor, TopK, read_cache, write_cache
 from bbadapt import service
 from bbadapt.service import PredictionServer, RemotePredictor
 
@@ -42,6 +42,31 @@ def test_remote_matches_in_process_exactly(trained_net, disclosure, r):
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("top-r", 2), ("hard", None)])
+def test_every_backing_answers_a_list_of_topk(trained_net, tmp_path, disclosure, r):
+    """Callers index the records of a query and compare them with ==, so
+    every backing returns a list of TopK of Python ints and floats, equal
+    row by row to the in-process records."""
+    x = np.random.default_rng(6).normal(0.0, 2.0, (23, 2))
+    rows = np.random.default_rng(7).choice(23, 9, replace=False)
+    local = InProcessPredictor(trained_net, disclosure=disclosure, r=r)
+    reference = local.query(x)
+    write_cache(str(tmp_path / "cache.ndjson"), local, x)
+    server = _serve(local)
+    try:
+        remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure=disclosure, r=r)
+        answers = [(local.query(x[rows]), rows), (remote.query(x[rows]), rows),
+                   (read_cache(str(tmp_path / "cache.ndjson"), 3).query(x), range(23))]
+    finally:
+        server.shutdown()
+        server.server_close()
+    for records, index in answers:
+        assert type(records) is list and records == [reference[j] for j in index]
+        for rec in records:
+            assert type(rec) is TopK and type(rec.classes) is tuple and type(rec.probs) is tuple
+            assert {type(c) for c in rec.classes} == {int} and {type(p) for p in rec.probs} == {float}
 
 
 def test_answer_malformed_json(trained_net):
@@ -355,6 +380,7 @@ def canned_server():
     b'{"id": 0}',
     b'[1, 2]',
     b'not json',
+    b'[' * 100_000,  # nested too deep to parse
 ])
 def test_malformed_response_raises_typed_error(canned_server, reply):
     canned_server.reply = reply
