@@ -103,15 +103,25 @@ class ExperimentConfig(Record):
             raise ContractError("an adaptive-smoothing teacher needs probabilities, not hard labels")
         if not self.seeds or min(self.seeds) < 0:
             raise ContractError(f"at least one seed is required, all nonnegative, got {self.seeds}")
-        resolve_r(self.resolved_disclosure(), self.r, k)  # rejects an unknown disclosure name
+        self.disclosed_r()  # rejects an unknown disclosure name
         _adapt_config(self, self.seeds[0]).validate()  # before any source net trains
 
-    def resolved_disclosure(self) -> str:
-        if self.teacher in ("hard", "ls"):
-            return "hard"
-        if self.disclosure == "auto":
-            return "full-soft" if self.r >= self.scenario.num_classes else "top-r"
-        return self.disclosure
+    def disclosed_r(self) -> int:
+        """The truncation level the sources disclose at (see `resolve_r`).
+
+        `auto` stands for hard labels under the hard and ls teachers and for
+        top-r at r under adals, which at r = K is full disclosure.
+        """
+        mode = self.disclosure
+        if mode == "auto":
+            mode = "top-r" if self.teacher == "adals" else "hard"
+        return resolve_r(mode, self.r, self.scenario.num_classes)
+
+    def disclosure_args(self) -> dict:
+        """The `disclosure` and `r` arguments of a handle that discloses at
+        `disclosed_r`."""
+        r = self.disclosed_r()
+        return {"disclosure": "top-r" if r else "hard", "r": r}
 
     @classmethod
     def from_dict(cls, obj) -> "ExperimentConfig":
@@ -150,19 +160,16 @@ def train_source_models(cfg: ExperimentConfig, sources, seed: int) -> list:
 
 def handles_from_nets(cfg: ExperimentConfig, nets) -> list:
     return [
-        InProcessPredictor(net, disclosure=cfg.resolved_disclosure(), r=cfg.r, predictor_id=f"source{m}")
+        InProcessPredictor(net, **cfg.disclosure_args(), predictor_id=f"source{m}")
         for m, net in enumerate(nets)
     ]
 
 
 def _check_handle_disclosures(cfg: ExperimentConfig, handles):
-    mode = cfg.resolved_disclosure()
-    want = resolve_r(mode, cfg.r, cfg.scenario.num_classes)
+    want = cfg.disclosed_r()
     for h in handles:
         if h.r != want:
-            raise ContractError(
-                f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), config expects {mode} (r={want})"
-            )
+            raise ContractError(f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), config expects r={want}")
 
 
 def _adapt_config(cfg: ExperimentConfig, seed: int) -> AdaptConfig:
@@ -333,7 +340,9 @@ def _split_paths(value):
     return [p for p in value.split(",") if p] if value else None
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args, check=ExperimentConfig.validate) -> ExperimentConfig:
+    """The config the arguments name, with their overrides applied and
+    passed through `check`."""
     if args.config:
         cfg = ExperimentConfig.from_dict(read_json(args.config, "config"))
     elif args.preset:
@@ -346,7 +355,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["seeds"] = _parse_ints(overrides["seeds"])
     if overrides:
         cfg = replace(cfg, **overrides)
-    cfg.validate()
+    check(cfg)
     return cfg
 
 
@@ -384,25 +393,23 @@ def cmd_serve(args) -> int:
 
 
 def cmd_cache_predictions(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, check=ExperimentConfig.disclosed_r)  # no teacher is built here
     _, target = generate(cfg.scenario)
     k = cfg.scenario.num_classes
-    disclosure = cfg.resolved_disclosure()
     if args.endpoint:
-        handle = RemotePredictor(*_parse_endpoint(args.endpoint), k, disclosure=disclosure, r=cfg.r)
+        handle = RemotePredictor(*_parse_endpoint(args.endpoint), k, **cfg.disclosure_args())
     elif args.checkpoint:
-        handle = InProcessPredictor(load_checkpoint(args.checkpoint), disclosure=disclosure, r=cfg.r)
+        handle = InProcessPredictor(load_checkpoint(args.checkpoint), **cfg.disclosure_args())
     else:
         raise ContractError("pass --checkpoint FILE or --endpoint HOST:PORT")
     count = write_cache(args.out, handle, target.features)
-    print(f"cached {count} predictions ({disclosure}) at {args.out}")
+    print(f"cached {count} predictions ({handle.disclosure}) at {args.out}")
     return 0
 
 
 def cmd_adapt(args) -> int:
     cfg = _load_config(args)
     k = cfg.scenario.num_classes
-    disclosure = cfg.resolved_disclosure()
     fixed_handles = None
     caches = _split_paths(args.caches)
     endpoints = _split_paths(args.endpoints)
@@ -411,12 +418,12 @@ def cmd_adapt(args) -> int:
         fixed_handles = [read_cache(path, k) for path in caches]
     elif endpoints:
         fixed_handles = [
-            RemotePredictor(*_parse_endpoint(ep), k, disclosure=disclosure, r=cfg.r, predictor_id=f"remote{i}")
+            RemotePredictor(*_parse_endpoint(ep), k, **cfg.disclosure_args(), predictor_id=f"remote{i}")
             for i, ep in enumerate(endpoints)
         ]
     elif checkpoints:
         fixed_handles = [
-            InProcessPredictor(load_checkpoint(path), disclosure=disclosure, r=cfg.r, predictor_id=f"source{i}")
+            InProcessPredictor(load_checkpoint(path), **cfg.disclosure_args(), predictor_id=f"source{i}")
             for i, path in enumerate(checkpoints)
         ]
     report = run_experiment(cfg, args.outdir, fixed_handles=fixed_handles)

@@ -22,7 +22,7 @@ one `TopK` record per row, the form every backing returns.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -33,14 +33,35 @@ from .nets import clone_net, write_atomically
 from .tensor import check_probabilities
 
 DISCLOSURES = ("full-soft", "top-r", "hard")
+_POW10 = np.array([float(10**j) for j in range(23)])  # every power of ten a float64 holds exactly
 
 
 def quantize_probs(probs) -> np.ndarray:
-    """Round each probability to 9 significant decimal digits, the whole
-    array in one formatting call."""
-    a = np.asarray(probs, dtype=np.float64)
-    text = ("%.9g " * a.size) % tuple(a.ravel().tolist())
-    return np.array(list(map(float, text.split())), dtype=np.float64).reshape(a.shape)
+    """Round each probability to 9 significant digits: bit for bit
+    `float("%.9g" % p)`, with array arithmetic wherever that is exact.
+
+    For a guess j in [0, 22], 10**j is exact and y = p * 10**j is rounded
+    once. Rounding is monotone and keeps every half-integer below 2**53, so
+    if y lies in [1e8, 1e9] and is no half-integer, rint(y) holds the digits
+    "%.9g" writes (at either end of the range, a guess of j off by one
+    writes the same number) and rint(y) / 10**j, a quotient of exact floats,
+    is the correctly rounded value `float` reads back. Every other element
+    (0, NaN, infinities, negatives, values below about 1e-14 or above 1e9,
+    exact halves) goes through the text, in one formatting call.
+    """
+    a = np.asarray(probs, dtype=np.float64).reshape(-1)
+    with np.errstate(all="ignore"):  # log10 and the cast meet 0, NaN and negatives
+        # trunc(9 - log10 p) = 8 - floor(log10 p) for p in (0, 1e9) off a power of ten
+        scale = _POW10.take((9.0 - np.log10(a)).astype(np.intp), mode="clip")
+        y = a * scale
+        digits = np.rint(y)
+        exact = (np.abs(y - digits) < 0.5) & (y >= 1e8) & (y <= 1e9)
+        q = digits / scale
+    if not exact.all():
+        rest = a[~exact]
+        text = ("%.9g " * rest.size) % tuple(rest.tolist())
+        q[~exact] = list(map(float, text.split()))
+    return q.reshape(np.shape(probs))
 
 
 class TopK(NamedTuple):
@@ -99,7 +120,9 @@ def disclose(probs, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _records(classes: np.ndarray, probs: np.ndarray, r: int, k: int) -> list[TopK]:
-    return [TopK(tuple(cs), tuple(ps), r, k) for cs, ps in zip(classes.tolist(), probs.tolist())]
+    # tuple.__new__ builds each record without a per-row call of TopK.__new__
+    fields = zip(map(tuple, classes.tolist()), map(tuple, probs.tolist()), repeat(r), repeat(k))
+    return list(map(tuple.__new__, repeat(TopK), fields))
 
 
 def _columns(records, k: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -74,6 +74,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
 
     daemon_threads = True
     allow_reuse_address = False
+    request_queue_size = socket.SOMAXCONN  # socketserver's 5 stalls a burst of clients in SYN retransmits
 
     def __init__(self, handle: PredictorHandle, host: str = "127.0.0.1", port: int = 0):
         self._handle = handle

@@ -3,6 +3,8 @@ reference in `per_row`: every array must match it bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbadapt.nets import SourceNet
 from bbadapt.predictors import (
@@ -53,6 +55,53 @@ def test_disclose_matches_per_row(k):
         assert classes.dtype == np.intp and probs.dtype == np.float64
         assert classes.tobytes() == want_classes.astype(np.intp).tobytes(), r
         assert probs.tobytes() == want_probs.astype(np.float64).tobytes(), r
+
+
+# the exact quantizer against the text it replaced: each family must match
+# `float("%.9g" % p)` bit for bit, and no numpy warning may escape
+
+def assert_quantized_like_text(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert quantize_probs(values).tobytes() == quantize_row(values).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_quantize_probs_matches_text_on_probabilities(values):
+    assert_quantized_like_text(values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quantize_probs_matches_text_at_the_ninth_digit_halfway():
+    gen = np.random.default_rng(0)
+    m = gen.integers(10**8, 10**9, 2000)
+    for j in range(24):  # (m + 0.5) / 10**j sits halfway between two 9-digit decimals
+        assert_quantized_like_text((m + 0.5) / 10**j)
+        assert_quantized_like_text(np.nextafter((m + 0.5) / 10**j, [[0.0], [2.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_quantize_probs_matches_text_beside_powers_of_ten():
+    powers = np.array([10.0**-e for e in range(16)] + [float(f"1e-{e}") for e in range(16)])
+    below, above = powers.copy(), powers.copy()
+    values = [powers]
+    for _ in range(4):  # the four floats on either side of each power
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 2.0)
+        values += [below, above]
+    assert_quantized_like_text(np.concatenate(values))
+
+
+@pytest.mark.filterwarnings("error")
+def test_quantize_probs_matches_text_outside_the_fast_path():
+    tiny = np.finfo(np.float64).tiny
+    special = [5e-324, tiny / 3.0, tiny, 1e-300, 1e-15, 9.99999999e-15, 1e-14, 0.0, -0.0, 1.0, np.nan, -np.nan,
+               np.inf, -np.inf, -1e-9, -0.5, -1.0, 1.5, 7.25, 123.456789012, 999999999.6, 1e9, 1e12, 1e300,
+               0.9999999995, 0.99999999949999, 0.99999999950001]
+    assert_quantized_like_text(special)
+    assert_quantized_like_text(np.reshape(special[:24], (2, 3, 4)))
+    assert_quantized_like_text(np.random.default_rng(1).integers(0, 2**63, 20000, dtype=np.uint64).view(np.float64))
+    assert quantize_probs(0.1234567891).shape == () and quantize_probs([]).shape == (0,)
 
 
 def test_quantization_ties_go_to_the_lower_class():

@@ -15,8 +15,8 @@ from bbadapt.cli import (
     train_source_models,
 )
 from bbadapt.errors import ContractError
-from bbadapt.nets import SourceNet, net_state
-from bbadapt.predictors import init_teacher
+from bbadapt.nets import SourceNet, net_state, save_checkpoint
+from bbadapt.predictors import InProcessPredictor, init_teacher, read_cache
 from bbadapt.scenarios import DomainData, ScenarioSpec, Shift, generate
 
 
@@ -115,12 +115,17 @@ def test_config_validation():
         small_config(seeds=()).validate()
 
 
-def test_resolved_disclosure():
-    assert small_config(r=1).resolved_disclosure() == "top-r"
-    assert small_config(r=3).resolved_disclosure() == "full-soft"
-    assert small_config(teacher="hard").resolved_disclosure() == "hard"
-    assert small_config(teacher="ls").resolved_disclosure() == "hard"
-    assert small_config(disclosure="full-soft", r=1).resolved_disclosure() == "full-soft"
+def test_disclosed_r():
+    assert small_config(r=1).disclosed_r() == 1
+    assert small_config(r=3).disclosed_r() == 3  # auto at r = K is full disclosure
+    assert small_config(teacher="hard").disclosed_r() == 0
+    assert small_config(teacher="ls").disclosed_r() == 0
+    assert small_config(disclosure="full-soft", r=1).disclosed_r() == 3
+    assert small_config(disclosure="hard").disclosed_r() == 0
+    assert small_config(disclosure="hard").disclosure_args() == {"disclosure": "hard", "r": 0}
+    assert small_config(r=2).disclosure_args() == {"disclosure": "top-r", "r": 2}
+    with pytest.raises(ContractError):
+        small_config(disclosure="soft").disclosed_r()
 
 
 def test_adapt_writes_run_artifacts(run_a, cfg_file):
@@ -402,6 +407,21 @@ def test_malformed_checkpoint_exits_2(case, cfg_file, tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: checkpoint"), argv
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_cache_predictions_checks_only_the_disclosure(cfg_file, tmp_path, capsys):
+    # cache-predictions builds no teacher, so the default adals teacher does
+    # not stop a hard cache, nor the hard teacher a full-soft one
+    net = SourceNet(2, 3, hidden=(16,), rng=np.random.default_rng(0))
+    ckpt = tmp_path / "source.json"
+    save_checkpoint(net, str(ckpt), seed=0)
+    x = generate(small_config().scenario)[1].features
+    for flags, r in ((["--disclosure", "hard"], 0), (["--teacher", "hard", "--disclosure", "full-soft"], 3)):
+        cache = tmp_path / f"r{r}.ndjson"
+        assert main(["cache-predictions", "--config", str(cfg_file), *flags,
+                     "--checkpoint", str(ckpt), "--out", str(cache)]) == 0, flags
+        assert read_cache(str(cache), 3).query(x) == InProcessPredictor(net, "top-r" if r else "hard", r).query(x)
+    assert "(hard)" in capsys.readouterr().out
 
 
 def test_adapt_rejects_out_of_range_cache_class(cfg_file, tmp_path, capsys):

@@ -23,7 +23,7 @@ from bbadapt.predictors import (
     write_cache,
 )
 
-from conftest import make_blobs
+from conftest import JSON, NUMBER, assert_valid_records, make_blobs
 from per_row import disclose_row, hard_to_prob, teacher_row
 
 
@@ -439,27 +439,11 @@ def test_read_cache_rejects_bad_records(tmp_path):
 
 # fuzzing the two parsers of untrusted records ----------------------------
 
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=10,
-)
-NUMBER = st.integers(-1, 5) | st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf"), True])
 ROW = st.lists(NUMBER, max_size=3)
 RECORD = st.fixed_dictionaries(
     {"sample_id": st.integers(0, 3), "classes": ROW | JSON, "probs": ROW | JSON, "r": st.integers(-1, 5) | JSON},
     optional={"predictor_id": JSON},
 )
-
-
-def assert_valid_records(records, r, k):
-    assert type(r) is int and 0 <= r <= k
-    for rec in records:
-        assert type(rec) is TopK and rec.r == r and rec.k == k
-        assert len(rec.classes) == len(rec.probs) == max(r, 1) == len(set(rec.classes))
-        assert all(type(c) is int and 0 <= c < k for c in rec.classes)
-        assert all(type(p) is float and 0.0 <= p <= 1.0 for p in rec.probs)
-        assert list(rec.probs) == sorted(rec.probs, reverse=True)
 
 
 def assert_cache_or_contract_error(path, data: bytes):

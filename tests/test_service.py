@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbadapt.errors import ContractError, StartupError, TransportError
 from bbadapt.nets import SourceNet, train_source_net
@@ -12,7 +14,7 @@ from bbadapt.predictors import InProcessPredictor, TopK, read_cache, write_cache
 from bbadapt import service
 from bbadapt.service import PredictionServer, RemotePredictor
 
-from conftest import make_blobs
+from conftest import JSON, NUMBER, assert_valid_records, make_blobs
 
 
 @pytest.fixture(scope="module")
@@ -387,3 +389,57 @@ def test_malformed_response_raises_typed_error(canned_server, reply):
     remote = RemotePredictor(*canned_server.endpoint, num_classes=3, disclosure="top-r", r=2)
     with pytest.raises((ContractError, TransportError)):
         remote.query(np.zeros((1, 2)))
+
+
+def test_listen_backlog_holds_a_burst_of_clients(trained_net):
+    # bound but not serving: every connect must complete in the kernel's
+    # accept queue, which socketserver's default backlog of 5 overflows
+    server = PredictionServer(InProcessPredictor(trained_net, disclosure="hard"))
+    clients = []
+    try:
+        for _ in range(16):
+            clients.append(socket.create_connection(server.endpoint, timeout=0.5))
+    finally:
+        for sock in clients:
+            sock.close()
+        server.server_close()
+    assert len(clients) == 16
+
+
+# fuzzing both ends of the wire -------------------------------------------
+
+FEATURES = st.lists(st.lists(NUMBER | st.floats(), max_size=3), max_size=3)
+REQUEST = st.fixed_dictionaries({"features": FEATURES | JSON}, optional={"id": JSON})
+PAIRS = st.lists(st.lists(st.lists(NUMBER, max_size=3) | JSON, max_size=3), max_size=3)
+RESPONSE = st.fixed_dictionaries({"id": st.integers(-1, 1) | JSON, "topk": PAIRS | JSON}, optional={"error": JSON})
+
+
+@pytest.fixture(scope="module")
+def unserved_server(trained_net):
+    server = PredictionServer(InProcessPredictor(trained_net, disclosure="top-r", r=2))
+    yield server
+    server.server_close()
+
+
+@given(st.binary(max_size=200) | REQUEST.map(lambda obj: json.dumps(obj).encode()))
+@settings(max_examples=100, deadline=None)
+def test_answer_fuzz(unserved_server, line):
+    payload = json.loads(unserved_server.answer(line))
+    assert type(payload) is dict and "id" in payload and ("error" in payload) != ("topk" in payload)
+    if "error" in payload:
+        assert type(payload["error"]) is str and payload["error"]
+    else:
+        assert all(len(pairs) == 2 and type(c) is int and type(p) is float for pairs in payload["topk"]
+                   for c, p in pairs)
+
+
+@given(st.binary(max_size=200) | RESPONSE.map(lambda obj: json.dumps(obj).encode()), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_response_records_fuzz(line, rows):
+    remote = RemotePredictor("127.0.0.1", 9, num_classes=4, disclosure="top-r", r=2)
+    try:
+        records = remote._records(line, 0, rows)
+    except (ContractError, TransportError):
+        return
+    assert len(records) == rows
+    assert_valid_records(records, 2, 4)
