@@ -92,6 +92,11 @@ class ExperimentConfig(Record):
     bottleneck_dim: int = 32
 
     def validate(self):
+        """ContractError unless every field `adapt` uses is usable, checked
+        before any net trains. The scenario checks itself when built."""
+        self.validate_source()
+        if not self.bottleneck_dim > 0:
+            raise ContractError(f"bottleneck_dim must be positive, got {self.bottleneck_dim}")
         k = self.scenario.num_classes
         if self.teacher not in TEACHERS:
             raise ContractError(f"unknown teacher {self.teacher!r}, expected one of {TEACHERS}")
@@ -105,6 +110,14 @@ class ExperimentConfig(Record):
             raise ContractError(f"at least one seed is required, all nonnegative, got {self.seeds}")
         self.disclosed_r()  # rejects an unknown disclosure name
         _adapt_config(self, self.seeds[0]).validate()  # before any source net trains
+
+    def validate_source(self):
+        """The part of `validate` that covers source training: positive
+        hidden widths and `ls_alpha` in [0, 1]."""
+        if not all(width > 0 for width in self.hidden):
+            raise ContractError(f"hidden widths must be positive, got {list(self.hidden)}")
+        if not 0.0 <= self.ls_alpha <= 1.0:
+            raise ContractError(f"ls_alpha must lie in [0, 1], got {self.ls_alpha}")
 
     def disclosed_r(self) -> int:
         """The truncation level the sources disclose at (see `resolve_r`).
@@ -206,8 +219,8 @@ def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> d
     bank = init_teacher(handles, target.features, r=cfg.r, hard_mode=hard_mode)
     no_adapt = bank_accuracy(bank.rows, target.labels)
 
-    def eval_fn(net):
-        return evaluate(net, target)["accuracy"]
+    def eval_fn(probs):
+        return bank_accuracy(probs, target.labels)
 
     net = TargetNet(
         target.features.shape[1],
@@ -341,8 +354,9 @@ def _split_paths(value):
 
 
 def _load_config(args, check=ExperimentConfig.validate) -> ExperimentConfig:
-    """The config the arguments name, with their overrides applied and
-    passed through `check`."""
+    """The config the arguments name, with their overrides applied and,
+    unless `check` is None, passed through `check`. Each subcommand checks
+    only the fields it uses."""
     if args.config:
         cfg = ExperimentConfig.from_dict(read_json(args.config, "config"))
     elif args.preset:
@@ -355,12 +369,13 @@ def _load_config(args, check=ExperimentConfig.validate) -> ExperimentConfig:
         overrides["seeds"] = _parse_ints(overrides["seeds"])
     if overrides:
         cfg = replace(cfg, **overrides)
-    check(cfg)
+    if check is not None:
+        check(cfg)
     return cfg
 
 
 def cmd_train_source(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, check=ExperimentConfig.validate_source)
     scn = cfg.scenario
     sources, _ = generate(scn)
     nets = train_source_models(cfg, sources, args.seed)
@@ -432,12 +447,12 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_finetune_only(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, check=None)  # the net's sizes come from the checkpoint; run_finetune checks the rest
     net = load_checkpoint(args.checkpoint)
     _, target = generate(cfg.scenario)
 
-    def eval_fn(n):
-        return evaluate(n, target)["accuracy"]
+    def eval_fn(probs):
+        return bank_accuracy(probs, target.labels)
 
     before = evaluate(net, target)["accuracy"]
     metrics = run_finetune(_finetune_config(cfg, args.seed), net, target.features, eval_fn=eval_fn)

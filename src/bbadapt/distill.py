@@ -196,10 +196,10 @@ def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=
 
     Per epoch: `nets.train_epochs` steps on `total_loss` over shuffled
     mini-batches (batch order and mixup draws share one generator); then
-    an eval-mode forward over the whole set, in sample order, feeds the
-    bank's EMA update. `eval_fn`, when given, is called with the net after
-    the bank update and its value is recorded as that epoch's accuracy;
-    training itself never sees labels.
+    one eval-mode forward over the whole set, in sample order, feeds the
+    bank's EMA update. `eval_fn`, when given, is called after the bank
+    update with that forward's probabilities, and its value is recorded
+    as that epoch's accuracy; training itself never sees labels.
     """
     x = np.asarray(features, dtype=np.float64)
     cfg.validate()
@@ -216,9 +216,10 @@ def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=
     history = []
     epochs_run = train_epochs(net, n, batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "distill")
     for epoch, means in enumerate(epochs_run, 1):
-        bank.ema_update(net.predict_proba(x), cfg.gamma)
+        probs = net.predict_proba(x)
+        bank.ema_update(probs, cfg.gamma)
         record = {"phase": "distill", "epoch": epoch, **means}
         if eval_fn is not None:
-            record["accuracy"] = float(eval_fn(net))
+            record["accuracy"] = float(eval_fn(probs))
         history.append(record)
     return history

@@ -31,7 +31,10 @@ def run_finetune(cfg: FinetuneConfig, net, features, eval_fn=None) -> list[dict]
 
     Each step ascends the mutual-information objective (descends its
     negative). Metrics track the objective and the mean per-sample
-    entropy, which is expected to fall as predictions sharpen.
+    entropy, which is expected to fall as predictions sharpen. `eval_fn`,
+    when given, is called after each epoch with the net's eval-mode
+    probabilities on `features`, and its value is recorded as that
+    epoch's accuracy.
     """
     x = np.asarray(features, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
@@ -48,6 +51,6 @@ def run_finetune(cfg: FinetuneConfig, net, features, eval_fn=None) -> list[dict]
     for epoch, means in enumerate(epochs_run, 1):
         record = {"phase": "finetune", "epoch": epoch, **means}
         if eval_fn is not None:
-            record["accuracy"] = float(eval_fn(net))
+            record["accuracy"] = float(eval_fn(net.predict_proba(x)))
         history.append(record)
     return history

@@ -46,6 +46,7 @@ class BatchNorm:
     folds them into the running averages with momentum BN_MOMENTUM);
     eval mode is a deterministic affine map using the running statistics.
     Both add BN_EPS to the variance; either way the layer is one record.
+    Eval mode normalizes in place on one fresh array.
     """
 
     def __init__(self, dim: int):
@@ -69,7 +70,8 @@ class BatchNorm:
                 self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var * bessel
         else:
             inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat = (x.data - self.running_mean) * inv
+            xhat = x.data - self.running_mean
+            xhat *= inv
 
         def vjp(g):
             gxhat = g * gamma
@@ -79,7 +81,9 @@ class BatchNorm:
                 gx = gxhat * inv
             return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
-        return record_op(xhat * gamma + beta, (x, self.gamma, self.beta), vjp)
+        out = xhat * gamma
+        out += beta
+        return record_op(out, (x, self.gamma, self.beta), vjp)
 
     @property
     def params(self):
@@ -112,7 +116,8 @@ class WeightNormLinear:
             gx = g @ weight if x.requires_grad else None
             return gx, g_direction, (g_weight * unit).sum(axis=1), g.sum(axis=0)
 
-        out = x.data @ weight.T + self.bias.data
+        out = x.data @ weight.T
+        out += self.bias.data
         return record_op(out, (x, self.direction, self.scale, self.bias), vjp)
 
     def renorm(self):
@@ -274,6 +279,13 @@ class SGD:
     Update per parameter: v <- MOMENTUM*v + g + WEIGHT_DECAY*theta, then
     theta <- theta - lr0*lr_factor(progress)*v. Parameter groups carry
     their own base rate, so new layers can run at 10x the trunk rate.
+
+    The optimizer owns its parameters' storage: it copies them, in order,
+    into the one vector `flat` and rebinds each `p.data` to a view into
+    it, so a step is a few operations on whole vectors, with one base
+    rate per element. Every operation is elementwise, so the weights are
+    bit for bit those of a per-parameter update. Change a parameter in
+    place from then on; rebinding its `data` detaches it from `flat`.
     """
 
     def __init__(self, param_groups):
@@ -283,18 +295,31 @@ class SGD:
             for p in params:
                 self.params.append(p)
                 self.base_lrs.append(lr)
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        sizes = [p.size for p in self.params]
+        self.flat = np.empty(sum(sizes))
+        offset = 0
+        for p, size in zip(self.params, sizes):
+            view = self.flat[offset : offset + size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            offset += size
+        self._rates = np.repeat(np.asarray(self.base_lrs, dtype=np.float64), sizes)
+        self.velocity = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)
 
     def step(self, grads, progress: float):
         if len(grads) != len(self.params):
             raise DimensionError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        factor = lr_factor(progress)
-        for p, v, g, lr in zip(self.params, self.velocity, grads, self.base_lrs):
-            if g.shape != p.data.shape:
-                raise DimensionError(f"gradient shape {g.shape} vs parameter {p.data.shape}")
-            v *= MOMENTUM
-            v += g + WEIGHT_DECAY * p.data
-            p.data -= lr * factor * v
+        for p, g in zip(self.params, grads):
+            if g.shape != p.shape:
+                raise DimensionError(f"gradient shape {g.shape} vs parameter {p.shape}")
+        g = np.concatenate(grads, axis=None, out=self._grad)
+        g += WEIGHT_DECAY * self.flat
+        self.velocity *= MOMENTUM
+        self.velocity += g
+        np.multiply(self._rates, lr_factor(progress), out=g)
+        g *= self.velocity
+        self.flat -= g
 
 
 def make_sgd(net, lr_backbone: float = 1e-3) -> SGD:

@@ -8,12 +8,13 @@ not geometry. Everything is a pure function of the ScenarioSpec: the
 same ScenarioSpec always yields bit-identical datasets.
 
 Labels exist for evaluation only. Training code receives bare feature
-arrays and an evaluation callback; nothing in the adaptation path can
-read a target label.
+arrays and an evaluation callback that it hands its epoch-end
+predictions; nothing in the adaptation path can read a target label.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -90,11 +91,20 @@ def _typed(kind, value, where: str):
 @dataclass(frozen=True)
 class Shift(Record):
     """Affine domain transform: rotate about the origin, translate, and
-    rescale the generator's noise level."""
+    rescale the generator's noise level. Every value is finite, the
+    translation is one (x, y) pair and the noise scale is nonnegative."""
 
     rotation_deg: float = 0.0
     translation: tuple[float, ...] = (0.0, 0.0)
     noise_scale: float = 1.0
+
+    def __post_init__(self):
+        if not (len(self.translation) == 2 and all(map(math.isfinite, self.translation))):
+            raise ContractError(f"translation must be 2 finite numbers, got {list(self.translation)}")
+        if not math.isfinite(self.rotation_deg):
+            raise ContractError(f"rotation_deg must be finite, got {self.rotation_deg}")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ContractError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
 
     def matrix(self) -> np.ndarray:
         theta = np.deg2rad(self.rotation_deg)
@@ -103,7 +113,6 @@ class Shift(Record):
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.matrix().T + np.asarray(self.translation, dtype=np.float64)
-
 
 
 @dataclass(frozen=True)
@@ -135,6 +144,10 @@ class ScenarioSpec(Record):
             raise ContractError("sample counts must be positive")
         if self.seed < 0:
             raise ContractError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ContractError(f"noise must be finite and nonnegative, got {self.noise}")
+        if not math.isfinite(self.radius):
+            raise ContractError(f"radius must be finite, got {self.radius}")
         if not self.source_shifts:
             raise ContractError("at least one source domain is required")
         if self.regime == "partial":
@@ -263,7 +276,9 @@ def evaluate(net, data: DomainData) -> dict:
 
 
 def bank_accuracy(rows: np.ndarray, labels: np.ndarray) -> float:
-    """Accuracy (percent) of argmax over teacher rows."""
+    """Accuracy (percent) of argmax over probability rows: a teacher
+    bank's, or a net's predictions handed to an epoch-end callback. It
+    equals `evaluate`'s accuracy for the rows `net.predict_proba` gives."""
     pred = np.asarray(rows).argmax(axis=1)
     return 100.0 * float(np.mean(pred == np.asarray(labels)))
 

@@ -220,15 +220,19 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """x @ weight + bias for a batch of rows, optionally through a ReLU,
-    as one record (the forward of `relu(x @ weight + bias)`)."""
+    as one record (the forward of `relu(x @ weight + bias)`). The bias and
+    the ReLU are applied in place on the product, the one full-batch
+    array the forward allocates."""
     if x.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise DimensionError(f"affine expects rows of {weight.shape[0]} features, got shape {x.shape}")
-    pre = x.data @ weight.data + bias.data
-    out = np.maximum(pre, 0.0) if relu else pre
+    out = x.data @ weight.data
+    out += bias.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def vjp(g):
-        if relu:
-            g = g * (pre > 0.0)
+        if relu:  # out > 0 exactly where x @ weight + bias > 0
+            g = g * (out > 0.0)
         gx = g @ weight.data.T if x.requires_grad else None
         return gx, x.data.T @ g, g.sum(axis=0)
 
@@ -239,11 +243,12 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 
 
 def softmax(logits: Tensor | np.ndarray) -> Tensor:
-    """Row-wise softmax over the last axis, computed with max subtraction,
-    as one record."""
+    """Row-wise softmax over the last axis, computed with max subtraction
+    in one array of the output's shape, as one record."""
     t = as_tensor(logits)
-    e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = t.data - t.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)

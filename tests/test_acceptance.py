@@ -350,8 +350,8 @@ def test_c07_ema_boundary_behavior():
     net = TargetNet(2, 3, hidden=(16,), bottleneck_dim=8, rng=np.random.default_rng(1))
     gaps = []
 
-    def eval_fn(n):
-        gaps.append(float(np.abs(tracking_bank.rows - n.predict_proba(target.features)).max()))
+    def eval_fn(probs):
+        gaps.append(float(np.abs(tracking_bank.rows - net.predict_proba(target.features)).max()))
         return 0.0
 
     run_distillation(

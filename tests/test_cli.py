@@ -446,3 +446,56 @@ def test_finetune_only_command(run_a, tmp_path, capsys):
     assert (outdir / "target_seed2019.json").exists()
     lines = [json.loads(l) for l in (outdir / "metrics_seed2019.ndjson").read_text().splitlines()]
     assert [l["phase"] for l in lines] == ["finetune", "finetune"]
+
+
+@pytest.mark.parametrize("flags", [["--disclosure", "hard"], ["--teacher", "hard", "--disclosure", "full-soft"]])
+def test_train_source_and_finetune_only_check_only_their_fields(flags, run_a, tmp_path, capsys):
+    # neither command builds a teacher, so no teacher/disclosure pairing stops it
+    assert main(["train-source", "--preset", "moons-rot30", *flags, "--source-epochs", "1",
+                 "--seed", "3", "--outdir", str(tmp_path / "src")]) == 0, flags
+    assert (tmp_path / "src" / "source0_seed3.json").exists()
+    assert main(["finetune-only", "--config", str(run_a / "manifest.json"), *flags, "--finetune-epochs", "1",
+                 "--checkpoint", str(run_a / "distilled_seed2019.json"), "--outdir", str(tmp_path / "ft")]) == 0, flags
+    assert (tmp_path / "ft" / "target_seed2020.json").exists()
+    assert capsys.readouterr().err == ""
+
+
+def _with(config: dict, path: str, value) -> dict:
+    """`config` with the value at the dotted `path` replaced."""
+    key, _, rest = path.partition(".")
+    return {**config, key: _with(config[key], rest, value) if rest else value}
+
+
+BAD_CONFIG_VALUES = [
+    ("hidden", [0]),
+    ("hidden", [16, -4]),
+    ("bottleneck_dim", 0),
+    ("ls_alpha", 2.0),
+    ("ls_alpha", -0.1),
+    ("ls_alpha", float("nan")),
+    ("scenario.target_shift.translation", [1.0, 2.0, 3.0]),
+    ("scenario.target_shift.translation", [1.0]),
+    ("scenario.target_shift.translation", [0.0, float("inf")]),
+    ("scenario.target_shift.rotation_deg", float("nan")),
+    ("scenario.target_shift.noise_scale", float("inf")),
+    ("scenario.target_shift.noise_scale", -1.0),
+    ("scenario.noise", -1.0),
+    ("scenario.noise", float("nan")),
+    ("scenario.noise", float("inf")),
+    ("scenario.radius", float("inf")),
+]
+
+
+@pytest.mark.parametrize("path, value", BAD_CONFIG_VALUES, ids=[f"{p}={v}" for p, v in BAD_CONFIG_VALUES])
+def test_bad_config_values_exit_2_before_training(path, value, tmp_path, capsys, monkeypatch):
+    def train_source_models(*args):
+        raise AssertionError("source nets trained before the config was checked")
+
+    monkeypatch.setattr(cli, "train_source_models", train_source_models)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(_with(small_config().to_dict(), path, value)))
+    outdir = tmp_path / "x"
+    assert main(["adapt", "--config", str(config), "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path.rsplit(".", 1)[-1] in err, err
+    assert not outdir.exists()

@@ -326,11 +326,12 @@ def test_run_distillation_eval_fn_sees_updated_bank():
     prev_rows = [bank.rows.copy()]
     checks = []
 
-    def eval_fn(trained):
-        # called after the EMA update: the bank must already hold the blend
-        fresh = trained.predict_proba(x)
+    def eval_fn(probs):
+        # called after the EMA update: the bank must already hold the blend,
+        # and the callback gets the probabilities of the net as trained
+        fresh = net.predict_proba(x)
         expected = 0.6 * prev_rows[0] + 0.4 * fresh
-        checks.append(bool(np.allclose(bank.rows, expected, atol=1e-12)))
+        checks.append(bool(np.allclose(bank.rows, expected, atol=1e-12)) and np.array_equal(probs, fresh))
         prev_rows[0] = bank.rows.copy()
         return 0.0
 
@@ -343,8 +344,8 @@ def test_run_distillation_gamma_zero_bank_equals_student():
     x, bank, net = _distill_setup()
     deviations = []
 
-    def eval_fn(trained):
-        deviations.append(np.max(np.abs(bank.rows - trained.predict_proba(x))))
+    def eval_fn(probs):
+        deviations.append(np.max(np.abs(bank.rows - net.predict_proba(x))))
         return 0.0
 
     cfg = AdaptConfig(epochs=3, batch_size=16, seed=1, gamma=0.0)

@@ -196,6 +196,28 @@ def test_sgd_validates_gradients(rng):
         opt.step([np.zeros((3, 3))], progress=0.0)
 
 
+def test_sgd_parameters_stay_views_of_its_vector(rng):
+    net = TargetNet(2, 3, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(0))
+    before = {name: p.data.copy() for name, p in net.named_params().items()}
+    opt = make_sgd(net)
+
+    def laid_out():  # every parameter is its own stretch of `flat`, in optimizer order
+        shared = all(np.shares_memory(p.data, opt.flat) for p in opt.params)
+        return shared and np.array_equal(opt.flat, np.concatenate([p.data.ravel() for p in opt.params]))
+
+    assert laid_out()
+    assert all(np.array_equal(p.data, before[name]) for name, p in net.named_params().items())
+    x = rng.normal(size=(6, 2))
+    with GradTape() as tape:
+        loss = ls_cross_entropy(net.forward(x), rng.integers(0, 3, 6))
+    opt.step(tape.gradient(loss, opt.params), progress=0.0)
+    assert laid_out()
+    assert not np.array_equal(net.trunk[0].weight.data, before["trunk.0.weight"])
+    net.post_update()  # renormalizes the classifier's direction rows in place
+    assert laid_out()
+    assert np.allclose(np.linalg.norm(net.classifier.direction.data, axis=1), 1.0)
+
+
 def test_make_sgd_group_rates():
     net = TargetNet(2, 3, rng=np.random.default_rng(0))
     opt = make_sgd(net, lr_backbone=1e-3)
