@@ -59,6 +59,8 @@ _DISTILL = 41
 _FINETUNE = 43
 
 TEACHERS = ("adals", "hard", "ls")
+MAX_WIDTH = 1024  # the widest hidden or bottleneck layer a config may ask for
+MAX_DEPTH = 8  # the most hidden layers a config may ask for
 
 
 def _flag(default, spelling: str | None = None, **argparse_kwargs):
@@ -95,8 +97,8 @@ class ExperimentConfig(Record):
         """ContractError unless every field `adapt` uses is usable, checked
         before any net trains. The scenario checks itself when built."""
         self.validate_source()
-        if not self.bottleneck_dim > 0:
-            raise ContractError(f"bottleneck_dim must be positive, got {self.bottleneck_dim}")
+        if not 0 < self.bottleneck_dim <= MAX_WIDTH:
+            raise ContractError(f"bottleneck_dim must lie in [1, {MAX_WIDTH}], got {self.bottleneck_dim}")
         k = self.scenario.num_classes
         if self.teacher not in TEACHERS:
             raise ContractError(f"unknown teacher {self.teacher!r}, expected one of {TEACHERS}")
@@ -106,16 +108,17 @@ class ExperimentConfig(Record):
             raise ContractError(f"teacher {self.teacher!r} requires hard disclosure")
         if self.teacher == "adals" and self.disclosure == "hard":
             raise ContractError("an adaptive-smoothing teacher needs probabilities, not hard labels")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ContractError(f"at least one seed is required, all nonnegative, got {self.seeds}")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ContractError(f"seeds must be one or more distinct nonnegative integers, got {list(self.seeds)}")
         self.disclosed_r()  # rejects an unknown disclosure name
         _adapt_config(self, self.seeds[0]).validate()  # before any source net trains
 
     def validate_source(self):
-        """The part of `validate` that covers source training: positive
-        hidden widths and `ls_alpha` in [0, 1]."""
-        if not all(width > 0 for width in self.hidden):
-            raise ContractError(f"hidden widths must be positive, got {list(self.hidden)}")
+        """The part of `validate` that covers source training: at most
+        MAX_DEPTH hidden widths in [1, MAX_WIDTH] and `ls_alpha` in [0, 1]."""
+        if not (len(self.hidden) <= MAX_DEPTH and all(0 < width <= MAX_WIDTH for width in self.hidden)):
+            raise ContractError(f"hidden must be at most {MAX_DEPTH} widths in [1, {MAX_WIDTH}], "
+                                f"got {list(self.hidden)}")
         if not 0.0 <= self.ls_alpha <= 1.0:
             raise ContractError(f"ls_alpha must lie in [0, 1], got {self.ls_alpha}")
 
@@ -358,6 +361,8 @@ def _load_config(args, check=ExperimentConfig.validate) -> ExperimentConfig:
     unless `check` is None, passed through `check`. Each subcommand checks
     only the fields it uses."""
     if args.config:
+        if args.scenario_seed is not None:
+            raise ContractError("--scenario-seed applies to --preset; a --config file names its own scenario")
         cfg = ExperimentConfig.from_dict(read_json(args.config, "config"))
     elif args.preset:
         seed = 2020 if args.scenario_seed is None else args.scenario_seed
@@ -534,8 +539,9 @@ def cmd_report(args) -> int:
 
 
 def _add_config_args(sub):
-    sub.add_argument("--config", help="experiment config or manifest JSON")
-    sub.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario preset")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--config", help="experiment config or manifest JSON")
+    source.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario preset")
     sub.add_argument("--scenario-seed", type=int, default=None, help="data seed for --preset")
     hints = get_type_hints(ExperimentConfig)
     for f in _override_fields():
@@ -568,17 +574,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cache-predictions", help="query a predictor over the target set, write a cache")
     _add_config_args(sub)
-    sub.add_argument("--checkpoint", help="source checkpoint for an in-process predictor")
-    sub.add_argument("--endpoint", help="HOST:PORT of a served predictor")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--checkpoint", help="source checkpoint for an in-process predictor")
+    source.add_argument("--endpoint", help="HOST:PORT of a served predictor")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_cache_predictions)
 
     sub = subs.add_parser("adapt", help="run the full two-phase adaptation")
     _add_config_args(sub)
     sub.add_argument("--outdir", required=True)
-    sub.add_argument("--caches", help="comma-separated prediction cache files, one per source")
-    sub.add_argument("--endpoints", help="comma-separated HOST:PORT endpoints, one per source")
-    sub.add_argument("--source-checkpoints", dest="source_checkpoints", help="comma-separated checkpoints")
+    sources = sub.add_mutually_exclusive_group()
+    sources.add_argument("--caches", help="comma-separated prediction cache files, one per source")
+    sources.add_argument("--endpoints", help="comma-separated HOST:PORT endpoints, one per source")
+    sources.add_argument("--source-checkpoints", dest="source_checkpoints", help="comma-separated checkpoints")
     sub.set_defaults(func=cmd_adapt)
 
     sub = subs.add_parser("finetune-only", help="fine-tune a distilled checkpoint")

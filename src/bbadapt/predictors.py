@@ -14,9 +14,11 @@ hard label, K the full vector, and top-r with r = K is full disclosure.
 
 Every disclosed probability is quantized to 9 significant digits, the same
 precision the wire protocol and the cache file use, so the three backings
-are interchangeable bit for bit. Disclosure, adaptive label smoothing and
-the cache file work on whole batches as arrays; `query` keeps answering
-one `TopK` record per row, the form every backing returns.
+are interchangeable bit for bit. A handle does one thing: `query` takes a
+feature batch, which `checked_features` admits, and answers one `TopK`
+record per row. Behind it, a disclosed batch is one pair of `classes` and
+`probs` arrays at one r, and records are built only where a `query`
+returns them.
 """
 
 from __future__ import annotations
@@ -119,6 +121,20 @@ def disclose(probs, r: int) -> tuple[np.ndarray, np.ndarray]:
     return classes, np.take_along_axis(q, classes, axis=1) if r else np.ones((q.shape[0], 1))
 
 
+def checked_features(features) -> np.ndarray:
+    """A feature batch as a 2-D float64 array with at least one column and
+    only finite values; ContractError for anything else."""
+    try:
+        x = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError):  # rows of unequal length, or not numbers
+        raise ContractError("features must be a batch of equal-length rows of numbers") from None
+    if x.ndim != 2 or not x.shape[1]:
+        raise ContractError(f"expected a 2-D feature batch with at least one column, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ContractError("features must be finite numbers")
+    return x
+
+
 def _records(classes: np.ndarray, probs: np.ndarray, r: int, k: int) -> list[TopK]:
     # tuple.__new__ builds each record without a per-row call of TopK.__new__
     fields = zip(map(tuple, classes.tolist()), map(tuple, probs.tolist()), repeat(r), repeat(k))
@@ -137,9 +153,9 @@ def _columns(records, k: int) -> tuple[np.ndarray, np.ndarray, int]:
             np.fromiter(chain.from_iterable(probs), np.float64).reshape(len(probs), -1), rs[0])
 
 
-def checked_topks(classes, probs, r, k: int) -> list[TopK]:
-    """TopK records built from untrusted values: the rows of a wire
-    response or the lines of a cache file.
+def checked_columns(classes, probs, r, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `classes` (intp) and `probs` (float64) arrays of untrusted
+    records: the rows of a wire response or the lines of a cache file.
 
     `classes` and `probs` hold one row per record. r must be an integer in
     [0, k], and every row must hold max(r, 1) distinct integer classes in
@@ -169,7 +185,7 @@ def checked_topks(classes, probs, r, k: int) -> list[TopK]:
     first_bad((np.diff(np.sort(c, axis=1), axis=1) != 0).all(axis=1), "classes must be distinct")
     first_bad(((p >= 0.0) & (p <= 1.0)).all(axis=1), "probabilities must lie in [0, 1]")
     first_bad((p[:, 1:] <= p[:, :-1]).all(axis=1), "probabilities must be in descending order")
-    return _records(c, p.astype(np.float64), r, k)
+    return c, p.astype(np.float64)
 
 
 def teacher_rows(classes, probs, disclosed_r: int, r: int, k: int, hard_mode: str = "ls") -> np.ndarray:
@@ -207,23 +223,13 @@ def teacher_rows(classes, probs, disclosed_r: int, r: int, k: int, hard_mode: st
 
 
 def ada_ls(p, r: int) -> SmoothedPrediction:
-    """Adaptive label smoothing of one prediction (see `teacher_rows`).
-
-    Accepts a full probability vector or a `TopK` disclosure; a truncated
-    disclosure must carry the same r, and a hard disclosure carries no
-    probabilities to smooth.
-    """
-    if isinstance(p, TopK):
-        if p.r == 0:
-            raise ContractError("hard disclosures carry no probabilities; use teacher_rows")
-        classes, probs, k, disclosed_r = np.array([p.classes]), np.array([p.probs], dtype=np.float64), p.k, p.r
-    else:
-        probs_full = np.asarray(p, dtype=np.float64)
-        check_probabilities(probs_full, "input", ndim=1)
-        k = disclosed_r = probs_full.shape[0]
-        classes = np.argsort(-probs_full, kind="stable")[None, :]
-        probs = probs_full[classes]
-    return SmoothedPrediction(teacher_rows(classes, probs, disclosed_r, r, k)[0], r)
+    """Adaptive label smoothing of one full probability vector (see
+    `teacher_rows`)."""
+    probs = np.asarray(p, dtype=np.float64)
+    check_probabilities(probs, "input", ndim=1)
+    k = probs.shape[0]
+    classes = np.argsort(-probs, kind="stable")[None, :]
+    return SmoothedPrediction(teacher_rows(classes, probs[classes], k, r, k)[0], r)
 
 
 def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank:
@@ -256,9 +262,7 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
 class PredictorHandle:
     """Base for all predictor backings.
 
-    Subclasses set `r` and `num_classes` and implement `query`; `predict`
-    is the single-sample view whose return shape depends on the
-    disclosure mode.
+    Subclasses set `r` and `num_classes` and implement `query`.
     """
 
     r: int = 0
@@ -273,20 +277,6 @@ class PredictorHandle:
 
     def query(self, features) -> list[TopK]:
         raise NotImplementedError
-
-    def predict(self, x):
-        """Disclosed output for one feature vector.
-
-        full-soft returns the probability vector in class order, top-r a
-        list of (class, probability) pairs, hard the class index alone.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ContractError(f"predict takes one feature vector, got shape {x.shape}")
-        rec = self.query(x[None, :])[0]
-        if self.disclosure == "top-r":
-            return list(zip(rec.classes, rec.probs))
-        return rec.classes[0] if self.disclosure == "hard" else ada_ls(rec, rec.k).probs
 
 
 class InProcessPredictor(PredictorHandle):
@@ -304,42 +294,34 @@ class InProcessPredictor(PredictorHandle):
         self.predictor_id = predictor_id
 
     def query(self, features) -> list[TopK]:
-        probs = self._net.predict_proba(np.asarray(features, dtype=np.float64))
+        probs = self._net.predict_proba(checked_features(features))
         return _records(*disclose(probs, self.r), self.r, self.num_classes)
 
 
 class CachedPredictor(PredictorHandle):
-    """Handle backed by an on-disk prediction cache.
+    """Handle over the disclosed `classes` and `probs` arrays of a
+    prediction cache (see `read_cache`).
 
-    The cache was written for one fixed sample set, in sample-id order, so
-    queries are positional: the features themselves are ignored and only
-    their count is checked. Single-sample `predict` is therefore not
-    available on this backing.
+    The cache was written for one fixed sample set and holds its rows in
+    sample-id order, so queries are positional: the features are checked,
+    but only their count is used.
     """
 
-    def __init__(self, records: list[TopK], num_classes: int, predictor_id: str):
-        if not records:
-            raise ContractError("prediction cache is empty")
-        self._records = records
+    def __init__(self, classes: np.ndarray, probs: np.ndarray, r: int, num_classes: int, predictor_id: str):
+        self._classes = classes
+        self._probs = probs
+        self.r = r
         self.num_classes = num_classes
-        self.r = _columns(records, num_classes)[2]
         self.predictor_id = predictor_id
 
     def __len__(self):
-        return len(self._records)
+        return self._classes.shape[0]
 
     def query(self, features) -> list[TopK]:
-        if features is not None:
-            n = np.asarray(features).shape[0]
-            if n != len(self._records):
-                raise ContractError(f"cache holds {len(self._records)} samples, queried with {n}")
-        return list(self._records)
-
-    def lookup(self, sample_id: int) -> TopK:
-        return self._records[sample_id]
-
-    def predict(self, x):
-        raise ContractError("cached predictions are positional; use lookup(sample_id)")
+        n = checked_features(features).shape[0]
+        if n != len(self):
+            raise ContractError(f"cache holds {len(self)} samples, queried with {n}")
+        return _records(self._classes, self._probs, self.r, self.num_classes)
 
 
 # cache file ------------------------------------------------------------
@@ -353,8 +335,7 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
     are already quantized, so a reload is bit-identical. The file appears
     complete or not at all. Returns the number of records written.
     """
-    x = np.asarray(features, dtype=np.float64)
-    classes, probs, r = _columns(handle.query(x), handle.num_classes)
+    classes, probs, r = _columns(handle.query(features), handle.num_classes)
     n, m = classes.shape
     # every line in one format operation: %d writes an int and %r a float as json.dumps does
     line = '{"classes": [%s], "predictor_id": %s, "probs": [%s], "r": %d, "sample_id": %%d}\n' % (
@@ -375,8 +356,8 @@ def _cache_line(path: str, i: int, line: bytes):
 
 def read_cache(path: str, num_classes: int) -> CachedPredictor:
     """Load a prediction cache; sample ids must cover 0..n-1 exactly once,
-    every line must carry the same r, and every record must pass
-    `checked_topks`."""
+    every line must carry the same r and the same string predictor_id, and
+    the records must pass `checked_columns`."""
     with open(path, "rb") as fh:
         lines = [line for line in map(bytes.strip, fh.read().split(b"\n")) if line]
     try:  # all lines in one parse; if that fails or miscounts, line by line to name the bad record
@@ -384,27 +365,30 @@ def read_cache(path: str, num_classes: int) -> CachedPredictor:
     except (ValueError, RecursionError):
         objs = None
     if objs is None or len(objs) != len(lines):
-        objs = (_cache_line(path, i, line) for i, line in enumerate(lines))
+        objs = [_cache_line(path, i, line) for i, line in enumerate(lines)]
     ids, classes, probs = [], [], []
-    r = None
-    predictor_id = "cache"
+    r = predictor_id = None
     for obj in objs:
         if not (isinstance(obj, dict) and type(obj.get("sample_id")) is int and "classes" in obj and "probs" in obj):
             raise ContractError(f"cache {path} record {len(ids)}: expected an integer sample_id, classes and probs")
         if ids and obj.get("r") != r:
             raise ContractError(f"cache {path} mixes truncation levels: {r!r} and {obj.get('r')!r}")
+        if not isinstance(obj.get("predictor_id"), str) or ids and obj["predictor_id"] != predictor_id:
+            raise ContractError(f"cache {path} record {len(ids)}: expected the string predictor_id of every "
+                                f"line, got {obj.get('predictor_id')!r}")
         r = obj.get("r")
+        predictor_id = obj["predictor_id"]
         ids.append(obj["sample_id"])
         classes.append(obj["classes"])
         probs.append(obj["probs"])
-        predictor_id = obj.get("predictor_id", predictor_id)
     n = len(ids)
     if not n:
         raise ContractError(f"cache {path} is empty")
     if sorted(ids) != list(range(n)):
         raise ContractError(f"cache {path} does not cover sample ids 0..{n - 1} exactly once")
     try:
-        records = checked_topks(classes, probs, r, num_classes)
+        c, p = checked_columns(classes, probs, r, num_classes)
     except ContractError as exc:
         raise ContractError(f"cache {path}: {exc}") from None
-    return CachedPredictor([rec for _, rec in sorted(zip(ids, records))], num_classes, predictor_id)
+    order = np.argsort(ids)
+    return CachedPredictor(c[order], p[order], r, num_classes, predictor_id)

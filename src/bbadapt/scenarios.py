@@ -15,6 +15,7 @@ predictions; nothing in the adaptation path can read a target label.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -25,6 +26,9 @@ from .errors import ContractError
 # rng stream indices reserved per domain kind; sources use their index m
 TARGET_STREAM = 7919
 HOLDOUT_STREAM = 104729
+
+MAX_CLASSES = 256  # the most classes a scenario may have
+MAX_SAMPLES = 20_000  # the most samples a domain may have
 
 FAMILIES = ("moons", "gaussians")
 REGIMES = ("closed", "partial")
@@ -80,7 +84,7 @@ def _typed(kind, value, where: str):
     if kind is int:
         ok = number and (isinstance(value, int) or value.is_integer())
     elif kind is float:
-        ok = number
+        ok = number and (isinstance(value, float) or abs(value) <= sys.float_info.max)  # an int a float can hold
     else:
         ok = isinstance(value, kind)
     if not ok:
@@ -138,10 +142,11 @@ class ScenarioSpec(Record):
             raise ContractError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
         if self.family == "moons" and self.num_classes != 2:
             raise ContractError("the moons family has exactly 2 classes")
-        if self.num_classes < 2:
-            raise ContractError(f"need at least 2 classes, got {self.num_classes}")
-        if self.n_source < 1 or self.n_target < 1:
-            raise ContractError("sample counts must be positive")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ContractError(f"num_classes must lie in [2, {MAX_CLASSES}], got {self.num_classes}")
+        if not (0 < self.n_source <= MAX_SAMPLES and 0 < self.n_target <= MAX_SAMPLES):
+            raise ContractError(f"sample counts n_source and n_target must lie in [1, {MAX_SAMPLES}], "
+                                f"got {self.n_source} and {self.n_target}")
         if self.seed < 0:
             raise ContractError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.noise < math.inf:

@@ -33,7 +33,7 @@ import threading
 import numpy as np
 
 from .errors import ContractError, StartupError, TransportError
-from .predictors import PredictorHandle, TopK, checked_topks, resolve_r
+from .predictors import PredictorHandle, TopK, _records, checked_columns, checked_features, resolve_r
 
 MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
 IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
@@ -95,12 +95,8 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             features = obj.get("features")
             if not isinstance(features, list) or not features:
                 raise ContractError("request must carry a nonempty 'features' list of rows")
-            x = np.asarray(features, dtype=np.float64)
-            if x.ndim != 2 or not x.shape[1]:
-                raise ContractError(f"'features' must be equal-length nonempty rows, got shape {x.shape}")
-            if not np.isfinite(x).all():
-                raise ContractError("features must be finite numbers")
-            topk = [[[int(c), float(p)] for c, p in zip(rec.classes, rec.probs)] for rec in self._handle.query(x)]
+            records = self._handle.query(checked_features(features))
+            topk = [[[int(c), float(p)] for c, p in zip(rec.classes, rec.probs)] for rec in records]
             payload = {"id": request_id, "topk": topk}
         except Exception as exc:  # noqa: BLE001 - every failure becomes a structured response
             payload = {"id": request_id, "error": str(exc)}
@@ -155,11 +151,7 @@ class RemotePredictor(PredictorHandle):
         self.predictor_id = predictor_id
 
     def query(self, features) -> list[TopK]:
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2:
-            raise ContractError(f"expected a 2-D feature batch, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ContractError("features must be finite numbers")
+        x = checked_features(features)
         last = None
         for _ in range(2):  # the first attempt and one retry
             try:
@@ -204,4 +196,5 @@ class RemotePredictor(PredictorHandle):
             pairs = np.empty(0)
         if pairs.ndim != 3 or pairs.shape[2] != 2:
             raise ContractError(f"expected a list of [class, probability] pairs per row, got {str(topk)[:80]}")
-        return checked_topks(pairs[..., 0], pairs[..., 1], self.r, self.num_classes)
+        return _records(*checked_columns(pairs[..., 0], pairs[..., 1], self.r, self.num_classes),
+                        self.r, self.num_classes)

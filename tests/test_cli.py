@@ -2,9 +2,12 @@ import json
 import re
 import shutil
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbadapt import cli
 from bbadapt.cli import (
@@ -17,7 +20,9 @@ from bbadapt.cli import (
 from bbadapt.errors import ContractError
 from bbadapt.nets import SourceNet, net_state, save_checkpoint
 from bbadapt.predictors import InProcessPredictor, init_teacher, read_cache
-from bbadapt.scenarios import DomainData, ScenarioSpec, Shift, generate
+from bbadapt.scenarios import PRESET_NAMES, DomainData, ScenarioSpec, Shift, generate, preset
+
+from conftest import JSON
 
 
 def small_config(**overrides):
@@ -460,10 +465,14 @@ def test_train_source_and_finetune_only_check_only_their_fields(flags, run_a, tm
     assert capsys.readouterr().err == ""
 
 
-def _with(config: dict, path: str, value) -> dict:
-    """`config` with the value at the dotted `path` replaced."""
-    key, _, rest = path.partition(".")
-    return {**config, key: _with(config[key], rest, value) if rest else value}
+def _replaced(obj, path, value):
+    """A copy of the config dict `obj` with the value at the key path
+    `path` (dict keys and list indices) replaced."""
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return copy
 
 
 BAD_CONFIG_VALUES = [
@@ -483,19 +492,90 @@ BAD_CONFIG_VALUES = [
     ("scenario.noise", float("nan")),
     ("scenario.noise", float("inf")),
     ("scenario.radius", float("inf")),
+    ("seeds", [1, 1]),
+    ("scenario.num_classes", 1_000_000),
+    ("scenario.n_source", 10_000_000),
+    ("scenario.n_target", 10_000_000),
+    ("hidden", [1_000_000]),
+    ("hidden", [16] * 9),
+    ("bottleneck_dim", 1_000_000),
 ]
+
+
+def _never(*args):
+    raise AssertionError("data was generated or nets trained before the config was checked")
 
 
 @pytest.mark.parametrize("path, value", BAD_CONFIG_VALUES, ids=[f"{p}={v}" for p, v in BAD_CONFIG_VALUES])
 def test_bad_config_values_exit_2_before_training(path, value, tmp_path, capsys, monkeypatch):
-    def train_source_models(*args):
-        raise AssertionError("source nets trained before the config was checked")
-
-    monkeypatch.setattr(cli, "train_source_models", train_source_models)
+    monkeypatch.setattr(cli, "generate", _never)
+    monkeypatch.setattr(cli, "train_source_models", _never)
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(_with(small_config().to_dict(), path, value)))
+    config.write_text(json.dumps(_replaced(small_config().to_dict(), path.split("."), value)))
     outdir = tmp_path / "x"
     assert main(["adapt", "--config", str(config), "--outdir", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path.rsplit(".", 1)[-1] in err, err
     assert not outdir.exists()
+
+
+CONFLICTS = [
+    (["adapt", "--config", "c.json", "--preset", "moons-rot30"], "not allowed with argument"),
+    (["adapt", "--config", "c.json", "--scenario-seed", "3"], "--scenario-seed"),
+    (["adapt", "--preset", "moons-rot30", "--caches", "a.ndjson", "--endpoints", "localhost:1"], "not allowed"),
+    (["adapt", "--preset", "moons-rot30", "--caches", "a.ndjson", "--source-checkpoints", "s.json"], "not allowed"),
+    (["adapt", "--preset", "moons-rot30", "--endpoints", "localhost:1", "--source-checkpoints", "s.json"],
+     "not allowed"),
+    (["cache-predictions", "--preset", "moons-rot30", "--checkpoint", "s.json", "--endpoint", "localhost:1"],
+     "not allowed"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CONFLICTS,
+                         ids=[" ".join(a for a in argv if a.startswith("--")) for argv, _ in CONFLICTS])
+def test_conflicting_options_exit_2(argv, message, cfg_file, tmp_path, capsys, monkeypatch):
+    # every pair names two sources of one thing; neither may silently win
+    monkeypatch.setattr(cli, "generate", _never)
+    argv = [str(cfg_file) if a == "c.json" else a for a in argv]
+    argv += ["--out" if argv[0] == "cache-predictions" else "--outdir", str(tmp_path / "x")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a pair of exclusive options
+        code = exc.code
+    assert code == 2, argv
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err, err
+    assert not (tmp_path / "x").exists()
+
+
+def _paths(obj, prefix=()):
+    """The key paths of every value in a config dict, the dict's own empty
+    path first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    paths = [prefix]
+    for key, value in items:
+        paths += _paths(value, (*prefix, key))
+    return paths
+
+
+PRESET_CONFIGS = [ExperimentConfig(scenario=preset(name)).to_dict() for name in PRESET_NAMES]
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), 2**63, 0, -1, 10**7])
+VALUE = JSON | NUMBERS | st.lists(NUMBERS, max_size=12)
+
+
+@st.composite
+def near_valid_configs(draw):
+    config = draw(st.sampled_from(PRESET_CONFIGS))
+    for _ in range(draw(st.integers(1, 3))):
+        config = _replaced(config, draw(st.sampled_from(_paths(config)[1:])), draw(VALUE))
+    return config
+
+
+@given(JSON | near_valid_configs())
+@settings(max_examples=300, deadline=None)
+def test_config_validation_fuzz(obj):
+    with mock.patch.object(cli, "generate", _never), mock.patch.object(cli, "train_source_models", _never):
+        try:
+            ExperimentConfig.from_dict(obj).validate()
+        except ContractError:
+            pass

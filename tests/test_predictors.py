@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbadapt.errors import ContractError
+from bbadapt import predictors
 from bbadapt.nets import SourceNet, train_source_net
 from bbadapt.predictors import (
     CachedPredictor,
     InProcessPredictor,
     TopK,
+    _records,
     ada_ls,
-    checked_topks,
+    checked_columns,
+    checked_features,
     disclose,
     init_teacher,
     quantize_probs,
@@ -22,6 +25,7 @@ from bbadapt.predictors import (
     teacher_rows,
     write_cache,
 )
+from bbadapt.service import RemotePredictor
 
 from conftest import JSON, NUMBER, assert_valid_records, make_blobs
 from per_row import disclose_row, hard_to_prob, teacher_row
@@ -137,17 +141,6 @@ def test_ada_ls_preserves_argmax(seed):
         assert int(np.argmax(ada_ls(p, r).probs)) == int(np.argmax(p))
 
 
-def test_ada_ls_from_topk_matches_vector_path(rng):
-    p = quantize_probs(rng.dirichlet(np.ones(4)))
-    p = p / p.sum()
-    p = quantize_probs(p)
-    for r in (1, 2, 3):
-        rec = disclose_one(p, r)
-        via_rec = ada_ls(rec, r).probs
-        via_vec = ada_ls(p, r).probs
-        assert np.max(np.abs(via_rec - via_vec)) < 1e-9
-
-
 def test_ada_ls_rejects_bad_inputs():
     with pytest.raises(ContractError):
         ada_ls(np.array([0.5, 0.6]), 1)
@@ -155,21 +148,9 @@ def test_ada_ls_rejects_bad_inputs():
         ada_ls(np.array([[0.5, 0.5]]), 1)
     with pytest.raises(ContractError):
         ada_ls(np.array([0.5, 0.5]), 0)
-    hard = TopK((1,), (1.0,), 0, 3)
-    with pytest.raises(ContractError):
-        ada_ls(hard, 1)
-    truncated = TopK((2, 0), (0.6, 0.3), 2, 4)
-    with pytest.raises(ContractError):
-        ada_ls(truncated, 1)
     for p in ([np.nan, np.nan], [0.5, np.nan], [np.nan, 1.0]):
         with pytest.raises(ContractError):
             ada_ls(np.array(p), 1)
-
-
-def test_ada_ls_full_disclosure_any_r():
-    rec = disclose_one([0.1, 0.6, 0.3], 3)
-    out = ada_ls(rec, 1).probs
-    assert np.allclose(out, [0.2, 0.6, 0.2], atol=1e-12)
 
 
 def test_hard_to_prob_values():
@@ -282,19 +263,6 @@ def test_in_process_predictor_r_resolution(rng):
         InProcessPredictor(net, disclosure="soft")
 
 
-def test_predict_shapes_by_disclosure(rng):
-    net, x = _trained_net(rng)
-    full = InProcessPredictor(net, disclosure="full-soft").predict(x[0])
-    assert isinstance(full, np.ndarray) and full.shape == (3,)
-    assert abs(full.sum() - 1.0) < 1e-6
-    pairs = InProcessPredictor(net, disclosure="top-r", r=2).predict(x[0])
-    assert len(pairs) == 2 and pairs[0][1] >= pairs[1][1]
-    hard = InProcessPredictor(net, disclosure="hard").predict(x[0])
-    assert hard == int(np.argmax(full))
-    with pytest.raises(ContractError):
-        InProcessPredictor(net, disclosure="hard").predict(x[:2])
-
-
 def test_predictions_are_quantized(rng):
     net, x = _trained_net(rng)
     handle = InProcessPredictor(net, disclosure="full-soft")
@@ -303,35 +271,76 @@ def test_predictions_are_quantized(rng):
             assert p == float("%.9g" % p)
 
 
+def test_checked_features():
+    x = checked_features([[1, 2], [3, 4]])
+    assert x.dtype == np.float64 and x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert checked_features(np.zeros((0, 2))).shape == (0, 2)
+    for bad in (None, 1.0, [1.0, 2.0], [[]], [[1.0, 2.0], [1.0]], [["a", "b"]], [[1j]], np.zeros((2, 2, 1))):
+        with pytest.raises(ContractError):
+            checked_features(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_rejected(rng, tmp_path, bad):
+    # a non-finite feature would disclose NaN probabilities, which a cache file cannot hold as JSON
+    net, x = _trained_net(rng)
+    handle = InProcessPredictor(net, disclosure="top-r", r=2)
+    write_cache(str(tmp_path / "good.ndjson"), handle, x[:4])
+    cache = read_cache(str(tmp_path / "good.ndjson"), 3)
+    poisoned = x[:4].copy()
+    poisoned[2, 1] = bad
+    for h in (handle, cache):
+        with pytest.raises(ContractError, match="finite"):
+            h.query(poisoned)
+        with pytest.raises(ContractError, match="finite"):
+            init_teacher([h], poisoned, r=2)
+        with pytest.raises(ContractError, match="finite"):
+            write_cache(str(tmp_path / "bad.ndjson"), h, poisoned)
+        assert not (tmp_path / "bad.ndjson").exists()
+
+
+def test_public_surface_is_pinned():
+    # a handle answers `query` and nothing else; the single-row views must not come back
+    imported = {"annotations", "json", "chain", "repeat", "NamedTuple", "np", "MemoryBank", "ContractError",
+                "clone_net", "write_atomically", "check_probabilities"}
+    public = {name for name in vars(predictors) if not name.startswith("_")} - imported
+    assert public == {
+        "DISCLOSURES",
+        "CachedPredictor",
+        "InProcessPredictor",
+        "PredictorHandle",
+        "SmoothedPrediction",
+        "TopK",
+        "ada_ls",
+        "checked_columns",
+        "checked_features",
+        "disclose",
+        "init_teacher",
+        "quantize_probs",
+        "read_cache",
+        "resolve_r",
+        "teacher_rows",
+        "write_cache",
+    }
+    for cls in (InProcessPredictor, CachedPredictor, RemotePredictor):
+        assert {name for name in dir(cls) if not name.startswith("_")} == {
+            "disclosure", "num_classes", "predictor_id", "query", "r"}, cls
+
+
 def test_cached_predictor_positional(rng):
     net, x = _trained_net(rng)
     records = InProcessPredictor(net, disclosure="top-r", r=1).query(x[:6])
-    cache = CachedPredictor(records, 3, "c")
+    cache = CachedPredictor(*disclose(net.predict_proba(x[:6]), 1), 1, 3, "c")
     assert len(cache) == 6
     assert cache.query(x[:6]) == records
-    assert cache.query(None) == records
-    assert cache.lookup(2) == records[2]
-    with pytest.raises(ContractError):
-        cache.query(x[:4])
-    with pytest.raises(ContractError):
-        cache.predict(x[0])
-
-
-def test_cached_predictor_validation():
-    with pytest.raises(ContractError):
-        CachedPredictor([], 3, "c")
-    mixed = [TopK((0,), (0.9,), 1, 3), TopK((0, 1), (0.6, 0.3), 2, 3)]
-    with pytest.raises(ContractError):
-        CachedPredictor(mixed, 3, "c")
+    for features in (x[:4], None, x[:6, :0]):  # too few rows, no batch, no columns
+        with pytest.raises(ContractError):
+            cache.query(features)
 
 
 def test_cached_predictor_disclosure_inference():
-    hard = [TopK((1,), (1.0,), 0, 3)]
-    assert CachedPredictor(hard, 3, "c").disclosure == "hard"
-    full = [TopK((0, 1, 2), (0.5, 0.3, 0.2), 3, 3)]
-    assert CachedPredictor(full, 3, "c").disclosure == "full-soft"
-    top = [TopK((0,), (0.5,), 1, 3)]
-    assert CachedPredictor(top, 3, "c").disclosure == "top-r"
+    for r, disclosure in ((0, "hard"), (3, "full-soft"), (1, "top-r")):
+        assert CachedPredictor(*disclose([[0.5, 0.3, 0.2]], r), r, 3, "c").disclosure == disclosure
 
 
 def test_cache_file_round_trip(tmp_path, rng):
@@ -367,7 +376,12 @@ def test_read_cache_requires_full_coverage(tmp_path):
     path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
     with pytest.raises(ContractError):
         read_cache(str(path), 3)
+    path.write_text("\n \n")
+    with pytest.raises(ContractError, match="empty"):
+        read_cache(str(path), 3)
 
+
+# "topk" rows of a wire response or cache file, checked by checked_columns ------
 
 @pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("top-r", 2), ("hard", None)])
 def test_checked_topks_accepts_disclosed_records(rng, disclosure, r):
@@ -375,7 +389,9 @@ def test_checked_topks_accepts_disclosed_records(rng, disclosure, r):
     records = InProcessPredictor(net, disclosure=disclosure, r=r).query(x[:12])
     classes = [list(rec.classes) for rec in records]
     probs = [list(rec.probs) for rec in records]
-    assert checked_topks(classes, probs, records[0].r, 3) == records
+    c, p = checked_columns(classes, probs, records[0].r, 3)
+    assert c.dtype == np.intp and p.dtype == np.float64
+    assert c.tolist() == classes and p.tolist() == probs
 
 
 @pytest.mark.parametrize("classes,probs,r", [
@@ -404,14 +420,14 @@ def test_checked_topks_accepts_disclosed_records(rng, disclosure, r):
 ])
 def test_checked_topks_rejects_bad_records(classes, probs, r):
     with pytest.raises(ContractError):
-        checked_topks([classes], [probs], r, 8)
+        checked_columns([classes], [probs], r, 8)
     with pytest.raises(ContractError):
-        checked_topks([[3, 1], classes, [3, 1]], [[0.6, 0.3], probs, [0.6, 0.3]], r, 8)
+        checked_columns([[3, 1], classes, [3, 1]], [[0.6, 0.3], probs, [0.6, 0.3]], r, 8)
 
 
 def test_checked_topks_names_the_bad_record():
     with pytest.raises(ContractError, match=r"record 2: classes must be integers in \[0, 8\)"):
-        checked_topks([[3, 1], [2, 1], [9, 1]], [[0.6, 0.3]] * 3, 2, 8)
+        checked_columns([[3, 1], [2, 1], [9, 1]], [[0.6, 0.3]] * 3, 2, 8)
 
 
 def test_read_cache_rejects_bad_records(tmp_path):
@@ -424,6 +440,9 @@ def test_read_cache_rejects_bad_records(tmp_path):
         {**good, "r": 1},
         {**good, "sample_id": "0"},
         {k: v for k, v in good.items() if k != "classes"},
+        {**good, "predictor_id": [1, 2]},  # not a string
+        {**good, "predictor_id": "d"},  # not the first line's
+        {k: v for k, v in good.items() if k != "predictor_id"},
         [good],
     ]
     for i, obj in enumerate(bad_lines):
@@ -453,7 +472,7 @@ def assert_cache_or_contract_error(path, data: bytes):
     except ContractError:
         return
     assert len(cache) == len([line for line in data.split(b"\n") if line.strip()])
-    assert_valid_records(cache.query(None), cache.r, 4)
+    assert_valid_records(cache.query(np.zeros((len(cache), 1))), cache.r, 4)
 
 
 @given(st.binary(max_size=300))
@@ -483,7 +502,7 @@ def test_read_cache_rejects_deep_nesting(tmp_path):
 @settings(max_examples=100, deadline=None)
 def test_checked_topks_fuzz(classes, probs, r):
     try:
-        records = checked_topks(classes, probs, r, 4)
+        records = _records(*checked_columns(classes, probs, r, 4), r, 4)
     except ContractError:
         return
     assert_valid_records(records, r, 4)
