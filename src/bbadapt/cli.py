@@ -356,6 +356,15 @@ def _split_paths(value):
     return [p for p in value.split(",") if p] if value else None
 
 
+def _checked_checkpoint(path: str, cfg: ExperimentConfig):
+    """The net saved at `path`, if it maps the scenario's features to its classes."""
+    net, scn = load_checkpoint(path), cfg.scenario
+    if (net.in_dim, net.num_classes) != (scn.in_dim, scn.num_classes):
+        raise ContractError(f"checkpoint {path} maps {net.in_dim} features to {net.num_classes} classes, "
+                            f"but the scenario has {scn.in_dim} features and {scn.num_classes} classes")
+    return net
+
+
 def _load_config(args, check=ExperimentConfig.validate) -> ExperimentConfig:
     """The config the arguments name, with their overrides applied and,
     unless `check` is None, passed through `check`. Each subcommand checks
@@ -414,14 +423,14 @@ def cmd_serve(args) -> int:
 
 def cmd_cache_predictions(args) -> int:
     cfg = _load_config(args, check=ExperimentConfig.disclosed_r)  # no teacher is built here
-    _, target = generate(cfg.scenario)
     k = cfg.scenario.num_classes
     if args.endpoint:
         handle = RemotePredictor(*_parse_endpoint(args.endpoint), k, **cfg.disclosure_args())
     elif args.checkpoint:
-        handle = InProcessPredictor(load_checkpoint(args.checkpoint), **cfg.disclosure_args())
+        handle = InProcessPredictor(_checked_checkpoint(args.checkpoint, cfg), **cfg.disclosure_args())
     else:
         raise ContractError("pass --checkpoint FILE or --endpoint HOST:PORT")
+    _, target = generate(cfg.scenario)
     count = write_cache(args.out, handle, target.features)
     print(f"cached {count} predictions ({handle.disclosure}) at {args.out}")
     return 0
@@ -443,7 +452,7 @@ def cmd_adapt(args) -> int:
         ]
     elif checkpoints:
         fixed_handles = [
-            InProcessPredictor(load_checkpoint(path), **cfg.disclosure_args(), predictor_id=f"source{i}")
+            InProcessPredictor(_checked_checkpoint(path, cfg), **cfg.disclosure_args(), predictor_id=f"source{i}")
             for i, path in enumerate(checkpoints)
         ]
     report = run_experiment(cfg, args.outdir, fixed_handles=fixed_handles)
@@ -453,7 +462,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_finetune_only(args) -> int:
     cfg = _load_config(args, check=None)  # the net's sizes come from the checkpoint; run_finetune checks the rest
-    net = load_checkpoint(args.checkpoint)
+    net = _checked_checkpoint(args.checkpoint, cfg)
     _, target = generate(cfg.scenario)
 
     def eval_fn(probs):
@@ -493,7 +502,7 @@ def _curve_lines(name: str, seed: int, path: str) -> list[str]:
         for number, line in enumerate(fh, 1):
             try:
                 rec = json.loads(line)
-            except ValueError:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
                 rec = None
             if not (isinstance(rec, dict) and {"phase", "epoch", "loss"} <= rec.keys()):
                 raise ContractError(f"metrics {path} line {number} is not an object with phase, epoch and loss")

@@ -572,7 +572,7 @@ def read_json(path: str, what: str):
     with open(path, "rb") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ContractError(f"{what} {path} is not JSON: {exc}") from None
 
 

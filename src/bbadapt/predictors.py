@@ -19,6 +19,10 @@ feature batch, which `checked_features` admits, and answers one `TopK`
 record per row. Behind it, a disclosed batch is one pair of `classes` and
 `probs` arrays at one r, and records are built only where a `query`
 returns them.
+
+A disclosed batch has one JSON form, `topk`: a list of [class, prob] pairs
+per row, in row order, written by `_topk_text` and read by `_topk_columns`.
+A server's response carries it, and a prediction cache saves one answer.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .distill import MemoryBank
 from .errors import ContractError
-from .nets import clone_net, write_atomically
+from .nets import clone_net, read_json, write_atomically
 from .tensor import check_probabilities
 
 DISCLOSURES = ("full-soft", "top-r", "hard")
@@ -155,7 +159,7 @@ def _columns(records, k: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 def checked_columns(classes, probs, r, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The `classes` (intp) and `probs` (float64) arrays of untrusted
-    records: the rows of a wire response or the lines of a cache file.
+    records: the `topk` rows of a wire response or a cache file.
 
     `classes` and `probs` hold one row per record. r must be an integer in
     [0, k], and every row must hold max(r, 1) distinct integer classes in
@@ -186,6 +190,27 @@ def checked_columns(classes, probs, r, k: int) -> tuple[np.ndarray, np.ndarray]:
     first_bad(((p >= 0.0) & (p <= 1.0)).all(axis=1), "probabilities must lie in [0, 1]")
     first_bad((p[:, 1:] <= p[:, :-1]).all(axis=1), "probabilities must be in descending order")
     return c, p.astype(np.float64)
+
+
+def _topk_text(classes: np.ndarray, probs: np.ndarray) -> str:
+    """The `topk` text `json.dumps` gives for a disclosed batch, in one
+    format operation: %d writes an int and %r a float as json.dumps does."""
+    n, m = classes.shape
+    pairs = np.empty((n, m, 2), dtype=object)  # Python ints and floats
+    pairs[..., 0], pairs[..., 1] = classes, probs
+    row = "[%s]" % ", ".join(["[%d, %r]"] * m)
+    return "[%s]" % (", ".join([row] * n) % tuple(pairs.ravel().tolist()))
+
+
+def _topk_columns(topk, r, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `checked_columns` of a parsed, untrusted `topk` list."""
+    try:
+        pairs = np.asarray(topk)
+    except ValueError:  # rows of unequal length
+        pairs = np.empty(0)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ContractError(f"expected a list of [class, probability] pairs per row, got {str(topk)[:80]}")
+    return checked_columns(pairs[..., 0], pairs[..., 1], r, k)
 
 
 def teacher_rows(classes, probs, disclosed_r: int, r: int, k: int, hard_mode: str = "ls") -> np.ndarray:
@@ -303,7 +328,7 @@ class CachedPredictor(PredictorHandle):
     prediction cache (see `read_cache`).
 
     The cache was written for one fixed sample set and holds its rows in
-    sample-id order, so queries are positional: the features are checked,
+    sample order, so queries are positional: the features are checked,
     but only their count is used.
     """
 
@@ -328,67 +353,30 @@ class CachedPredictor(PredictorHandle):
 
 
 def write_cache(path: str, handle: PredictorHandle, features) -> int:
-    """Query `handle` over the sample set and persist one record per line.
-
-    Each line is `json.dumps(record, sort_keys=True)` of a record
-    {sample_id, classes, probs, r, predictor_id}; the stored probabilities
-    are already quantized, so a reload is bit-identical. The file appears
-    complete or not at all. Returns the number of records written.
-    """
+    """Query `handle` over the sample set and save its answer as the line
+    `json.dumps({num_classes, predictor_id, r, topk}, sort_keys=True)`, one
+    `topk` row per sample in sample order. The probabilities are already
+    quantized, so a reload is bit-identical. The file appears complete or
+    not at all. Returns the number of rows written."""
     classes, probs, r = _columns(handle.query(features), handle.num_classes)
-    n, m = classes.shape
-    # every line in one format operation: %d writes an int and %r a float as json.dumps does
-    line = '{"classes": [%s], "predictor_id": %s, "probs": [%s], "r": %d, "sample_id": %%d}\n' % (
-        ", ".join(["%d"] * m), json.dumps(handle.predictor_id).replace("%", "%%"), ", ".join(["%r"] * m), r)
-    cells = np.empty((n, 2 * m + 1), dtype=object)  # Python ints and floats, one row per line
-    cells[:, :m], cells[:, m:-1], cells[:, -1] = classes, probs, np.arange(n)
-    text = (line * n) % tuple(cells.ravel().tolist())
+    text = '{"num_classes": %d, "predictor_id": %s, "r": %d, "topk": %s}\n' % (
+        handle.num_classes, json.dumps(handle.predictor_id), r, _topk_text(classes, probs))
     write_atomically(path, lambda fh: fh.write(text))
-    return n
-
-
-def _cache_line(path: str, i: int, line: bytes):
-    try:
-        return json.loads(line)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise ContractError(f"cache {path} record {i} is not JSON: {exc}") from None
+    return classes.shape[0]
 
 
 def read_cache(path: str, num_classes: int) -> CachedPredictor:
-    """Load a prediction cache; sample ids must cover 0..n-1 exactly once,
-    every line must carry the same r and the same string predictor_id, and
-    the records must pass `checked_columns`."""
-    with open(path, "rb") as fh:
-        lines = [line for line in map(bytes.strip, fh.read().split(b"\n")) if line]
-    try:  # all lines in one parse; if that fails or miscounts, line by line to name the bad record
-        objs = json.loads(b"[%s]" % b",".join(lines))
-    except (ValueError, RecursionError):
-        objs = None
-    if objs is None or len(objs) != len(lines):
-        objs = [_cache_line(path, i, line) for i, line in enumerate(lines)]
-    ids, classes, probs = [], [], []
-    r = predictor_id = None
-    for obj in objs:
-        if not (isinstance(obj, dict) and type(obj.get("sample_id")) is int and "classes" in obj and "probs" in obj):
-            raise ContractError(f"cache {path} record {len(ids)}: expected an integer sample_id, classes and probs")
-        if ids and obj.get("r") != r:
-            raise ContractError(f"cache {path} mixes truncation levels: {r!r} and {obj.get('r')!r}")
-        if not isinstance(obj.get("predictor_id"), str) or ids and obj["predictor_id"] != predictor_id:
-            raise ContractError(f"cache {path} record {len(ids)}: expected the string predictor_id of every "
-                                f"line, got {obj.get('predictor_id')!r}")
-        r = obj.get("r")
-        predictor_id = obj["predictor_id"]
-        ids.append(obj["sample_id"])
-        classes.append(obj["classes"])
-        probs.append(obj["probs"])
-    n = len(ids)
-    if not n:
-        raise ContractError(f"cache {path} is empty")
-    if sorted(ids) != list(range(n)):
-        raise ContractError(f"cache {path} does not cover sample ids 0..{n - 1} exactly once")
+    """Load a prediction cache (see `write_cache`) over `num_classes`
+    classes; ContractError unless its rows pass `checked_columns`."""
+    obj = read_json(path, "cache")
+    if not (isinstance(obj, dict) and obj.keys() == {"num_classes", "predictor_id", "r", "topk"}
+            and isinstance(obj["predictor_id"], str) and obj["topk"]):
+        raise ContractError(f"cache {path} is not one object of exactly num_classes, a string predictor_id, "
+                            "r and a nonempty topk")
+    if obj["num_classes"] != num_classes:
+        raise ContractError(f"cache {path} holds predictions over {obj['num_classes']!r} classes, not {num_classes}")
     try:
-        c, p = checked_columns(classes, probs, r, num_classes)
+        classes, probs = _topk_columns(obj["topk"], obj["r"], num_classes)
     except ContractError as exc:
         raise ContractError(f"cache {path}: {exc}") from None
-    order = np.argsort(ids)
-    return CachedPredictor(c[order], p[order], r, num_classes, predictor_id)
+    return CachedPredictor(classes, probs, obj["r"], num_classes, obj["predictor_id"])

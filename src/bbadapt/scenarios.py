@@ -29,6 +29,7 @@ HOLDOUT_STREAM = 104729
 
 MAX_CLASSES = 256  # the most classes a scenario may have
 MAX_SAMPLES = 20_000  # the most samples a domain may have
+MAX_SOURCES = 16  # the most source domains a scenario may have
 
 FAMILIES = ("moons", "gaussians")
 REGIMES = ("closed", "partial")
@@ -134,6 +135,7 @@ class ScenarioSpec(Record):
     seed: int = 2020
     noise: float = 0.12
     radius: float = 2.0
+    in_dim = 2  # not a field: every family draws points in the plane
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -153,8 +155,8 @@ class ScenarioSpec(Record):
             raise ContractError(f"noise must be finite and nonnegative, got {self.noise}")
         if not math.isfinite(self.radius):
             raise ContractError(f"radius must be finite, got {self.radius}")
-        if not self.source_shifts:
-            raise ContractError("at least one source domain is required")
+        if not 1 <= self.num_sources <= MAX_SOURCES:
+            raise ContractError(f"source_shifts must hold 1 to {MAX_SOURCES} source domains, got {self.num_sources}")
         if self.regime == "partial":
             if not 1 <= self.k_target < self.num_classes:
                 raise ContractError(

@@ -21,6 +21,8 @@ Malformed or mismatched requests get {"id", "error"} responses and the
 connection stays open. A request line longer than MAX_LINE_BYTES gets
 {"id": null, "error"} and the connection is closed, as is a connection
 that sends nothing for IDLE_TIMEOUT_S seconds.
+
+`topk` is the one JSON form of a disclosed batch; `predictors` owns it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import threading
 import numpy as np
 
 from .errors import ContractError, StartupError, TransportError
-from .predictors import PredictorHandle, TopK, _records, checked_columns, checked_features, resolve_r
+from .predictors import (PredictorHandle, TopK, _columns, _records, _topk_columns, _topk_text, checked_features,
+                         resolve_r)
 
 MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
 IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
@@ -80,7 +83,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         self._handle = handle
         try:
             super().__init__((host, port), _LineHandler)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: a port outside [0, 65535]
             raise StartupError(f"cannot bind {host}:{port}: {exc}") from exc
 
     @property
@@ -96,11 +99,12 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             if not isinstance(features, list) or not features:
                 raise ContractError("request must carry a nonempty 'features' list of rows")
             records = self._handle.query(checked_features(features))
-            topk = [[[int(c), float(p)] for c, p in zip(rec.classes, rec.probs)] for rec in records]
-            payload = {"id": request_id, "topk": topk}
+            classes, probs, _ = _columns(records, self._handle.num_classes)
+            # {"id": <id>, "topk": <rows>}, keys sorted as json.dumps writes them
+            text = '{"id": %s, "topk": %s}' % (json.dumps(request_id, sort_keys=True), _topk_text(classes, probs))
         except Exception as exc:  # noqa: BLE001 - every failure becomes a structured response
-            payload = {"id": request_id, "error": str(exc)}
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+            text = json.dumps({"id": request_id, "error": str(exc)}, sort_keys=True)
+        return text.encode("utf-8")
 
     def start_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -190,11 +194,4 @@ class RemotePredictor(PredictorHandle):
         topk = obj.get("topk")
         if not isinstance(topk, list) or len(topk) != rows:
             raise ContractError(f"expected a 'topk' list of {rows} rows, got {str(topk)[:80]}")
-        try:
-            pairs = np.asarray(topk)
-        except ValueError:  # rows of unequal length
-            pairs = np.empty(0)
-        if pairs.ndim != 3 or pairs.shape[2] != 2:
-            raise ContractError(f"expected a list of [class, probability] pairs per row, got {str(topk)[:80]}")
-        return _records(*checked_columns(pairs[..., 0], pairs[..., 1], self.r, self.num_classes),
-                        self.r, self.num_classes)
+        return _records(*_topk_columns(topk, self.r, self.num_classes), self.r, self.num_classes)

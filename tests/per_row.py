@@ -3,8 +3,8 @@
 `bbadapt.predictors` discloses, smooths and writes whole batches at once.
 These are the per-row forms it replaced, kept as the oracle the batch code
 must match bit for bit: each row is quantized element by element, ordered
-with `lexsort`, smoothed on its own, and each cache record is serialized
-with `json.dumps`.
+with `lexsort` and smoothed on its own; a cache is serialized with one
+`json.dumps` of the whole object.
 """
 
 import json
@@ -76,12 +76,11 @@ def teacher_row(rec: TopK, r: int, hard_mode: str = "ls") -> np.ndarray:
     return ada_ls_row(rec, r)
 
 
-def cache_line(sample_id: int, rec: TopK, predictor_id: str) -> str:
+def cache_text(records: list, predictor_id: str) -> str:
     obj = {
-        "sample_id": sample_id,
-        "classes": list(rec.classes),
-        "probs": list(rec.probs),
-        "r": rec.r,
+        "num_classes": records[0].k,
         "predictor_id": predictor_id,
+        "r": records[0].r,
+        "topk": [[[c, p] for c, p in zip(rec.classes, rec.probs)] for rec in records],
     }
     return json.dumps(obj, sort_keys=True) + "\n"

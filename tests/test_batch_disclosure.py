@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbadapt.errors import ContractError
 from bbadapt.nets import SourceNet
 from bbadapt.predictors import (
     InProcessPredictor,
@@ -19,7 +20,7 @@ from bbadapt.predictors import (
     write_cache,
 )
 
-from per_row import ada_ls_row, cache_line, descending_order, disclose_row, quantize_row, teacher_row
+from per_row import ada_ls_row, cache_text, descending_order, disclose_row, quantize_row, teacher_row
 
 
 def probability_rows(k: int, seed: int) -> np.ndarray:
@@ -165,20 +166,24 @@ def test_ada_ls_on_a_vector_matches_per_row(k):
 @pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("top-r", 2), ("top-r", 5),
                                           ("hard", None)])
 def test_cache_lines_are_json_dumps_per_record(tmp_path, disclosure, r):
+    # the cache is one line: json.dumps of the whole saved answer
     net = SourceNet(2, 5, hidden=(8,), rng=np.random.default_rng(3))
     x = np.random.default_rng(4).normal(0.0, 2.0, (64, 2))
     predictor_id = 'src "0" \\ é\t%d %s'  # needs JSON escaping, and holds format directives
     handle = InProcessPredictor(net, disclosure=disclosure, r=r, predictor_id=predictor_id)
-    path = tmp_path / "cache.ndjson"
+    path = tmp_path / "cache.json"
     assert write_cache(str(path), handle, x) == 64
     records = handle.query(x)
-    assert path.read_bytes() == "".join(cache_line(i, rec, predictor_id) for i, rec in enumerate(records)).encode()
+    assert path.read_bytes() == cache_text(records, predictor_id).encode()
     cache = read_cache(str(path), 5)
     assert cache.query(x) == records and cache.predictor_id == predictor_id
 
 
 def test_empty_query_writes_an_empty_cache(tmp_path):
+    # an answer without rows has no truncation level; its cache loads as an error
     handle = InProcessPredictor(SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(0)), disclosure="top-r", r=2)
-    path = tmp_path / "empty.ndjson"
+    path = tmp_path / "empty.json"
     assert write_cache(str(path), handle, np.zeros((0, 2))) == 0
-    assert path.read_bytes() == b""
+    assert path.read_bytes() == b'{"num_classes": 3, "predictor_id": "source", "r": 0, "topk": []}\n'
+    with pytest.raises(ContractError, match="nonempty topk"):
+        read_cache(str(path), 3)

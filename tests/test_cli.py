@@ -19,7 +19,7 @@ from bbadapt.cli import (
 )
 from bbadapt.errors import ContractError
 from bbadapt.nets import SourceNet, net_state, save_checkpoint
-from bbadapt.predictors import InProcessPredictor, init_teacher, read_cache
+from bbadapt.predictors import InProcessPredictor, init_teacher, read_cache, write_cache
 from bbadapt.scenarios import PRESET_NAMES, DomainData, ScenarioSpec, Shift, generate, preset
 
 from conftest import JSON
@@ -177,10 +177,10 @@ def test_checkpoint_cache_and_adapt_paths_agree(cfg_file, tmp_path):
 
     # the second case, top-r at r = K, is full disclosure on both backings
     for tag, flags in (("auto", []), ("top3", ["--disclosure", "top-r", "--r", "3"])):
-        cache = tmp_path / f"preds_{tag}.ndjson"
+        cache = tmp_path / f"preds_{tag}.json"
         assert main(["cache-predictions", "--config", str(cfg_file), *flags,
                      "--checkpoint", str(ckpt), "--out", str(cache)]) == 0
-        assert len(cache.read_text().splitlines()) == 90
+        assert len(json.loads(cache.read_text())["topk"]) == 90
 
         run_ckpt = tmp_path / f"run_ckpt_{tag}"
         run_cache = tmp_path / f"run_cache_{tag}"
@@ -227,6 +227,7 @@ def test_report_on_a_malformed_report_exits_2(run_a, tmp_path, capsys):
         "string_seeds": json.dumps({**good, "seeds": ["2019"]}).encode(),
         "truncated": b'{"seeds": [',
         "not_utf8": b"\xff\xfe\x00garbage\n",
+        "deep": b"[" * 100_000,
     }
     for name, data in reports.items():
         rundir = tmp_path / name
@@ -246,6 +247,7 @@ def test_report_on_a_malformed_metrics_line_exits_2(run_a, tmp_path, capsys):
         "not_json": good + b"{truncated\n",
         "not_object": good + b"[1, 2]\n",
         "not_utf8": b"\xff\xfe\x00garbage\n",
+        "deep": good + b"[" * 100_000 + b"\n",
     }
     for name, data in lines.items():
         rundir = tmp_path / name
@@ -311,10 +313,13 @@ def test_main_error_exits(tmp_path, capsys):
     assert main(["adapt", "--config", str(tmp_path / "nope.json"), "--outdir", str(tmp_path / "x")]) == 2
     assert main(["adapt", "--preset", "moons-rot30", "--teacher", "hard",
                  "--disclosure", "full-soft", "--outdir", str(tmp_path / "x")]) == 2
-    assert main(["cache-predictions", "--preset", "moons-rot30", "--out", str(tmp_path / "c.ndjson")]) == 2
+    assert main(["cache-predictions", "--preset", "moons-rot30", "--out", str(tmp_path / "c.json")]) == 2
     assert main(["finetune-only", "--checkpoint", str(tmp_path / "nope.json"),
                  "--outdir", str(tmp_path / "x")]) == 2
     (tmp_path / "bad.bin").write_bytes(b"\xff\xfe\x00garbage\n")
+    (tmp_path / "deep.json").write_bytes(b"[" * 100_000)
+    checkpoint = tmp_path / "source.json"
+    save_checkpoint(SourceNet(2, 2, hidden=(4,), rng=np.random.default_rng(0)), str(checkpoint), seed=0)
 
     good = small_config().to_dict()
     no_family = {**good, "scenario": {k: v for k, v in good["scenario"].items() if k != "family"}}
@@ -329,7 +334,7 @@ def test_main_error_exits(tmp_path, capsys):
         (tmp_path / name).write_text(text)
     capsys.readouterr()
     adapt = ["adapt", "--outdir", str(tmp_path / "x")]
-    cache = ["cache-predictions", "--out", str(tmp_path / "c.ndjson"), "--preset", "moons-rot30"]
+    cache = ["cache-predictions", "--out", str(tmp_path / "c.json"), "--preset", "moons-rot30"]
     for argv in (
         *([*adapt, "--config", str(tmp_path / name)] for name in configs),
         [*adapt, "--preset", "moons-rot30", "--seeds", "a,b"],
@@ -348,6 +353,10 @@ def test_main_error_exits(tmp_path, capsys):
         [*adapt, "--config", str(tmp_path / "bad.bin")],
         [*adapt, "--config", str(tmp_path)],  # a directory, not a file
         ["serve", "--checkpoint", str(tmp_path)],
+        [*adapt, "--config", str(tmp_path / "deep.json")],  # nested too deep to parse
+        ["serve", "--checkpoint", str(tmp_path / "deep.json")],
+        ["serve", "--checkpoint", str(checkpoint), "--port", "70000"],
+        ["serve", "--checkpoint", str(checkpoint), "--port=-1"],
     ):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
@@ -406,7 +415,7 @@ def test_malformed_checkpoint_exits_2(case, cfg_file, tmp_path, capsys):
     for argv in (
         ["serve", "--checkpoint", str(bad)],
         ["finetune-only", *config, "--checkpoint", str(bad), "--outdir", str(tmp_path / "ft")],
-        ["cache-predictions", *config, "--checkpoint", str(bad), "--out", str(tmp_path / "c.ndjson")],
+        ["cache-predictions", *config, "--checkpoint", str(bad), "--out", str(tmp_path / "c.json")],
         ["adapt", *config, "--source-checkpoints", str(bad), "--outdir", str(tmp_path / "run")],
     ):
         assert main(argv) == 2, argv
@@ -422,7 +431,7 @@ def test_cache_predictions_checks_only_the_disclosure(cfg_file, tmp_path, capsys
     save_checkpoint(net, str(ckpt), seed=0)
     x = generate(small_config().scenario)[1].features
     for flags, r in ((["--disclosure", "hard"], 0), (["--teacher", "hard", "--disclosure", "full-soft"], 3)):
-        cache = tmp_path / f"r{r}.ndjson"
+        cache = tmp_path / f"r{r}.json"
         assert main(["cache-predictions", "--config", str(cfg_file), *flags,
                      "--checkpoint", str(ckpt), "--out", str(cache)]) == 0, flags
         assert read_cache(str(cache), 3).query(x) == InProcessPredictor(net, "top-r" if r else "hard", r).query(x)
@@ -430,13 +439,47 @@ def test_cache_predictions_checks_only_the_disclosure(cfg_file, tmp_path, capsys
 
 
 def test_adapt_rejects_out_of_range_cache_class(cfg_file, tmp_path, capsys):
-    # a cache covering the 90 target samples, one of whose records names class 9 of 3
-    lines = [{"sample_id": i, "classes": [9 if i == 5 else 0], "probs": [0.9], "r": 1, "predictor_id": "c"}
-             for i in range(90)]
-    cache = tmp_path / "bad.ndjson"
-    cache.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    # a cache covering the 90 target samples, whose row 5 names class 9 of 3
+    topk = [[[9 if i == 5 else 0, 0.9]] for i in range(90)]
+    cache = tmp_path / "bad.json"
+    cache.write_text(json.dumps({"num_classes": 3, "predictor_id": "c", "r": 1, "topk": topk}))
     assert main(["adapt", "--config", str(cfg_file), "--outdir", str(tmp_path / "x"), "--caches", str(cache)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: cache {cache}: record 5: classes must be integers in [0, 3)")
+    assert not (tmp_path / "x").exists()
+
+
+def test_adapt_rejects_an_old_or_foreign_cache(cfg_file, tmp_path, capsys, monkeypatch):
+    # a cache in the old one-line-per-sample format, and one written for 4 classes, not the scenario's 3
+    old = tmp_path / "old.ndjson"
+    old.write_text("".join(json.dumps({"classes": [0], "predictor_id": "c", "probs": [0.9], "r": 1, "sample_id": i},
+                                      sort_keys=True) + "\n" for i in range(90)))
+    foreign = tmp_path / "foreign.json"
+    net = SourceNet(2, 4, hidden=(4,), rng=np.random.default_rng(0))
+    write_cache(str(foreign), InProcessPredictor(net, "top-r", 1), generate(small_config().scenario)[1].features)
+    monkeypatch.setattr(cli, "generate", _never)
+    for cache in (old, foreign):
+        assert main(["adapt", "--config", str(cfg_file), "--outdir", str(tmp_path / "x"), "--caches", str(cache)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cache {cache}"), cache
+        assert not (tmp_path / "x").exists()
+
+
+def test_checkpoint_for_another_scenario_exits_2(cfg_file, tmp_path, capsys, monkeypatch):
+    # the scenario maps 2 features to 3 classes; nothing may be generated, trained or written
+    monkeypatch.setattr(cli, "generate", _never)
+    monkeypatch.setattr(cli, "train_source_models", _never)
+    config = ["--config", str(cfg_file)]
+    for in_dim, k in ((2, 4), (3, 3)):
+        ckpt = tmp_path / f"source_{in_dim}_{k}.json"
+        save_checkpoint(SourceNet(in_dim, k, hidden=(4,), rng=np.random.default_rng(0)), str(ckpt), seed=0)
+        for argv in (
+            ["adapt", *config, "--source-checkpoints", str(ckpt), "--outdir", str(tmp_path / "run")],
+            ["cache-predictions", *config, "--checkpoint", str(ckpt), "--out", str(tmp_path / "c.json")],
+            ["finetune-only", *config, "--checkpoint", str(ckpt), "--outdir", str(tmp_path / "ft")],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt} maps {in_dim} features to {k} "
+                                                      "classes, but the scenario has 2 features and 3 classes"), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["source_2_4.json", "source_3_3.json"]
 
 
 def test_finetune_only_command(run_a, tmp_path, capsys):
@@ -499,6 +542,7 @@ BAD_CONFIG_VALUES = [
     ("hidden", [1_000_000]),
     ("hidden", [16] * 9),
     ("bottleneck_dim", 1_000_000),
+    ("scenario.source_shifts", [{}] * 17),
 ]
 
 

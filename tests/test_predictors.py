@@ -285,8 +285,8 @@ def test_non_finite_features_are_rejected(rng, tmp_path, bad):
     # a non-finite feature would disclose NaN probabilities, which a cache file cannot hold as JSON
     net, x = _trained_net(rng)
     handle = InProcessPredictor(net, disclosure="top-r", r=2)
-    write_cache(str(tmp_path / "good.ndjson"), handle, x[:4])
-    cache = read_cache(str(tmp_path / "good.ndjson"), 3)
+    write_cache(str(tmp_path / "good.json"), handle, x[:4])
+    cache = read_cache(str(tmp_path / "good.json"), 3)
     poisoned = x[:4].copy()
     poisoned[2, 1] = bad
     for h in (handle, cache):
@@ -295,14 +295,14 @@ def test_non_finite_features_are_rejected(rng, tmp_path, bad):
         with pytest.raises(ContractError, match="finite"):
             init_teacher([h], poisoned, r=2)
         with pytest.raises(ContractError, match="finite"):
-            write_cache(str(tmp_path / "bad.ndjson"), h, poisoned)
-        assert not (tmp_path / "bad.ndjson").exists()
+            write_cache(str(tmp_path / "bad.json"), h, poisoned)
+        assert not (tmp_path / "bad.json").exists()
 
 
 def test_public_surface_is_pinned():
     # a handle answers `query` and nothing else; the single-row views must not come back
     imported = {"annotations", "json", "chain", "repeat", "NamedTuple", "np", "MemoryBank", "ContractError",
-                "clone_net", "write_atomically", "check_probabilities"}
+                "clone_net", "read_json", "write_atomically", "check_probabilities"}
     public = {name for name in vars(predictors) if not name.startswith("_")} - imported
     assert public == {
         "DISCLOSURES",
@@ -346,39 +346,33 @@ def test_cached_predictor_disclosure_inference():
 def test_cache_file_round_trip(tmp_path, rng):
     net, x = _trained_net(rng)
     handle = InProcessPredictor(net, disclosure="top-r", r=2, predictor_id="src0")
-    path = tmp_path / "cache.ndjson"
+    path = tmp_path / "cache.json"
     count = write_cache(str(path), handle, x)
     assert count == x.shape[0]
     cache = read_cache(str(path), 3)
     assert cache.predictor_id == "src0"
     assert cache.query(x) == handle.query(x)
-    first = json.loads(path.read_text().splitlines()[0])
-    assert set(first) == {"sample_id", "classes", "probs", "r", "predictor_id"}
-
-
-def test_read_cache_parses_each_line_alone(tmp_path):
-    # each file parses as JSON once its lines are joined with commas, but holds a line that is not JSON
-    one = '{"sample_id": %d, "classes": [1, 2], "probs": [0.6, 0.3], "r": 2}'
-    split = '{"sample_id": 0, "classes": [1\n2], "probs": [0.6, 0.3], "r": 2}'
-    for text in (one % 0 + ", " + one % 1, split + "\n" + one % 1):
-        path = tmp_path / "lines.ndjson"
-        path.write_text(text + "\n")
-        with pytest.raises(ContractError, match="record 0 is not JSON"):
-            read_cache(str(path), 3)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    saved = json.loads(text)
+    assert set(saved) == {"num_classes", "predictor_id", "r", "topk"}
+    assert saved["num_classes"] == 3 and saved["r"] == 2 and len(saved["topk"]) == x.shape[0]
 
 
 def test_read_cache_requires_full_coverage(tmp_path):
-    lines = [
-        {"sample_id": 0, "classes": [1], "probs": [0.8], "r": 1, "predictor_id": "c"},
-        {"sample_id": 2, "classes": [0], "probs": [0.7], "r": 1, "predictor_id": "c"},
-    ]
-    path = tmp_path / "gap.ndjson"
-    path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
-    with pytest.raises(ContractError):
-        read_cache(str(path), 3)
-    path.write_text("\n \n")
-    with pytest.raises(ContractError, match="empty"):
-        read_cache(str(path), 3)
+    # a cache answers for every sample it was written for, and for no other count
+    good = {"num_classes": 3, "predictor_id": "c", "r": 1, "topk": [[[1, 0.8]], [[0, 0.7]]]}
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(good))
+    cache = read_cache(str(path), 3)
+    assert len(cache) == 2
+    for n in (1, 3):
+        with pytest.raises(ContractError, match="cache holds 2 samples"):
+            cache.query(np.zeros((n, 2)))
+    for text in ("", "\n \n", json.dumps({**good, "topk": []})):
+        path.write_text(text)
+        with pytest.raises(ContractError, match="cache"):
+            read_cache(str(path), 3)
 
 
 # "topk" rows of a wire response or cache file, checked by checked_columns ------
@@ -430,39 +424,70 @@ def test_checked_topks_names_the_bad_record():
         checked_columns([[3, 1], [2, 1], [9, 1]], [[0.6, 0.3]] * 3, 2, 8)
 
 
+GOOD_CACHE = {"num_classes": 8, "predictor_id": "c", "r": 2, "topk": [[[3, 0.6], [1, 0.3]], [[2, 0.5], [0, 0.4]]]}
+
+
+def _without(key):
+    return {k: v for k, v in GOOD_CACHE.items() if k != key}
+
+
+def _row(pairs):
+    """GOOD_CACHE with its second row replaced by `pairs`."""
+    return {**GOOD_CACHE, "topk": [GOOD_CACHE["topk"][0], pairs]}
+
+
+BAD_CACHES = {
+    "class out of range": _row([[9, 0.6], [1, 0.3]]),
+    "one pair at r=2": _row([[3, 0.6]]),
+    "three values in a pair": _row([[3, 0.6, 0.1], [1, 0.3, 0.1]]),
+    "nan probability": _row([[3, float("nan")], [1, 0.3]]),
+    "ascending probabilities": _row([[3, 0.3], [1, 0.6]]),
+    "string class": _row([["3", 0.6], [1, 0.3]]),
+    "r below the pair count": {**GOOD_CACHE, "r": 1},
+    "string r": {**GOOD_CACHE, "r": "2"},
+    "no num_classes": _without("num_classes"),
+    "no predictor_id": _without("predictor_id"),
+    "no r": _without("r"),
+    "no topk": _without("topk"),
+    "extra key": {**GOOD_CACHE, "sample_id": 0},
+    "list predictor_id": {**GOOD_CACHE, "predictor_id": [1, 2]},
+    "null predictor_id": {**GOOD_CACHE, "predictor_id": None},
+    "other num_classes": {**GOOD_CACHE, "num_classes": 4},
+    "string num_classes": {**GOOD_CACHE, "num_classes": "8"},
+    "topk not a list of rows": {**GOOD_CACHE, "topk": {"0": [[3, 0.6], [1, 0.3]]}},
+    "empty topk": {**GOOD_CACHE, "topk": []},
+    "a list": [GOOD_CACHE],
+}
+
+
 def test_read_cache_rejects_bad_records(tmp_path):
-    good = {"sample_id": 0, "classes": [3, 1], "probs": [0.6, 0.3], "r": 2, "predictor_id": "c"}
-    bad_lines = [
-        {**good, "classes": [9, 1]},
-        {**good, "classes": [3]},
-        {**good, "probs": [float("nan"), 0.3]},
-        {**good, "probs": [0.3, 0.6]},
-        {**good, "r": 1},
-        {**good, "sample_id": "0"},
-        {k: v for k, v in good.items() if k != "classes"},
-        {**good, "predictor_id": [1, 2]},  # not a string
-        {**good, "predictor_id": "d"},  # not the first line's
-        {k: v for k, v in good.items() if k != "predictor_id"},
-        [good],
-    ]
-    for i, obj in enumerate(bad_lines):
-        path = tmp_path / f"bad{i}.ndjson"
-        path.write_text(json.dumps(good | {"sample_id": 1}) + "\n" + json.dumps(obj) + "\n")
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(GOOD_CACHE))
+    assert len(read_cache(str(path), 8)) == 2
+    for obj in BAD_CACHES.values():
+        path.write_text(json.dumps(obj))
         with pytest.raises(ContractError, match="cache"):
             read_cache(str(path), 8)
-    repeated = tmp_path / "repeated.ndjson"
-    repeated.write_text("".join(json.dumps(good | {"sample_id": i}) + "\n" for i in (0, 1, 0)))
-    with pytest.raises(ContractError, match="exactly once"):
-        read_cache(str(repeated), 8)
 
 
 # fuzzing the two parsers of untrusted records ----------------------------
 
 ROW = st.lists(NUMBER, max_size=3)
-RECORD = st.fixed_dictionaries(
-    {"sample_id": st.integers(0, 3), "classes": ROW | JSON, "probs": ROW | JSON, "r": st.integers(-1, 5) | JSON},
-    optional={"predictor_id": JSON},
-)
+
+
+@st.composite
+def near_valid_caches(draw):
+    """A cache `write_cache` could write, with a few values then replaced."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(0, 4))
+    classes, probs = disclose(gen.dirichlet(np.ones(4), size=draw(st.integers(1, 3))), r)
+    obj = {"num_classes": 4, "predictor_id": draw(st.text(max_size=4)), "r": r,
+           "topk": [[list(pair) for pair in zip(*row)] for row in zip(classes.tolist(), probs.tolist())]}
+    if draw(st.booleans()):  # one number of one pair
+        draw(st.sampled_from(draw(st.sampled_from(obj["topk"]))))[draw(st.integers(0, 1))] = draw(NUMBER | JSON)
+    for key in draw(st.lists(st.sampled_from([*obj, "sample_id"]), max_size=2)):  # a value, or one key too many
+        obj[key] = draw(NUMBER | JSON)
+    return obj
 
 
 def assert_cache_or_contract_error(path, data: bytes):
@@ -471,30 +496,31 @@ def assert_cache_or_contract_error(path, data: bytes):
         cache = read_cache(str(path), 4)
     except ContractError:
         return
-    assert len(cache) == len([line for line in data.split(b"\n") if line.strip()])
+    assert len(cache) == len(json.loads(data)["topk"])
     assert_valid_records(cache.query(np.zeros((len(cache), 1))), cache.r, 4)
 
 
 @given(st.binary(max_size=300))
 @settings(max_examples=300, deadline=None)
 def test_read_cache_fuzz_bytes(tmp_path_factory, data):
-    assert_cache_or_contract_error(tmp_path_factory.mktemp("fuzz") / "cache.ndjson", data)
+    assert_cache_or_contract_error(tmp_path_factory.mktemp("fuzz") / "cache.json", data)
 
 
-@given(st.lists(RECORD | JSON, min_size=1, max_size=4),
-       st.lists(st.sampled_from([b"\n", b"\n\n", b" \r\n"]), min_size=4, max_size=4))
-@settings(max_examples=100, deadline=None)
-def test_read_cache_fuzz_json_lines(tmp_path_factory, objs, ends):
-    data = b"".join(json.dumps(obj).encode() + end for obj, end in zip(objs, ends))
-    assert_cache_or_contract_error(tmp_path_factory.mktemp("fuzz") / "cache.ndjson", data)
+@given(near_valid_caches() | JSON, st.sampled_from([b"", b"\n", b" \r\n"]))
+@settings(max_examples=200, deadline=None)
+def test_read_cache_fuzz_objects(tmp_path_factory, obj, end):
+    data = json.dumps(obj).encode() + end
+    assert_cache_or_contract_error(tmp_path_factory.mktemp("fuzz") / "cache.json", data)
 
 
 def test_read_cache_rejects_deep_nesting(tmp_path):
-    good = b'{"sample_id": 0, "classes": [1], "probs": [0.5], "r": 1}\n'
-    path = tmp_path / "deep.ndjson"
-    for data, record in ((b"[" * 100_000, 0), (good + b"[" * 100_000 + b"]" * 100_000, 1)):
+    head = b'{"num_classes": 4, "predictor_id": "c", "r": 1, "topk": '
+    path = tmp_path / "deep.json"
+    for data, message in ((b"[" * 100_000, "is not JSON"),
+                          (head + b"[" * 100_000 + b"]" * 100_000 + b"}", "is not JSON"),
+                          (head + b"[" * 200 + b"]" * 200 + b"}", "pairs per row")):
         path.write_bytes(data)
-        with pytest.raises(ContractError, match=f"record {record} is not JSON"):
+        with pytest.raises(ContractError, match=message):
             read_cache(str(path), 4)
 
 

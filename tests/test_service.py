@@ -55,12 +55,12 @@ def test_every_backing_answers_a_list_of_topk(trained_net, tmp_path, disclosure,
     rows = np.random.default_rng(7).choice(23, 9, replace=False)
     local = InProcessPredictor(trained_net, disclosure=disclosure, r=r)
     reference = local.query(x)
-    write_cache(str(tmp_path / "cache.ndjson"), local, x)
+    write_cache(str(tmp_path / "cache.json"), local, x)
     server = _serve(local)
     try:
         remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure=disclosure, r=r)
         answers = [(local.query(x[rows]), rows), (remote.query(x[rows]), rows),
-                   (read_cache(str(tmp_path / "cache.ndjson"), 3).query(x), range(23))]
+                   (read_cache(str(tmp_path / "cache.json"), 3).query(x), range(23))]
     finally:
         server.shutdown()
         server.server_close()
@@ -424,7 +424,9 @@ def unserved_server(trained_net):
 @given(st.binary(max_size=200) | REQUEST.map(lambda obj: json.dumps(obj).encode()))
 @settings(max_examples=100, deadline=None)
 def test_answer_fuzz(unserved_server, line):
-    payload = json.loads(unserved_server.answer(line))
+    answer = unserved_server.answer(line)
+    payload = json.loads(answer)
+    assert answer == json.dumps(payload, sort_keys=True).encode()  # the text json.dumps gives, ids included
     assert type(payload) is dict and "id" in payload and ("error" in payload) != ("topk" in payload)
     if "error" in payload:
         assert type(payload["error"]) is str and payload["error"]
