@@ -8,7 +8,9 @@ rerunning a manifest yields byte-identical metrics files.
 
 Per-seed randomness is split into fixed named streams (source init,
 source training, target init, distillation, fine-tuning), so changing one
-phase's consumption never shifts another's.
+phase's consumption never shifts another's. A run trains every seed's
+nets of one phase in lockstep as one stack, each on its own streams, so
+a seed's outputs are those it would have alone.
 """
 
 from __future__ import annotations
@@ -149,29 +151,27 @@ class ExperimentConfig(Record):
 # pipeline building blocks ----------------------------------------------
 
 
-def train_source_models(cfg: ExperimentConfig, sources, seed: int) -> list:
-    """One trained source net per source domain, all streams seeded."""
-    scn = cfg.scenario
-    nets = []
-    for m, domain in enumerate(sources):
-        net = SourceNet(
-            domain.features.shape[1],
-            scn.num_classes,
-            hidden=cfg.hidden,
-            rng=np.random.default_rng([seed, _SOURCE_INIT, m]),
-        )
-        train_source_net(
-            net,
-            domain.features,
-            domain.labels,
-            epochs=cfg.source_epochs,
-            batch_size=cfg.batch_size,
-            ls_alpha=cfg.ls_alpha,
-            lr_backbone=cfg.lr_backbone,
-            seed=[seed, _SOURCE_TRAIN, m],
-        )
-        nets.append(net)
-    return nets
+def train_source_models(cfg: ExperimentConfig, sources, seeds) -> list[list]:
+    """For each seed, one trained source net per source domain, all
+    streams seeded. Every seed's nets train in lockstep as one stack."""
+    members = [(seed, m) for seed in seeds for m in range(len(sources))]
+    nets = [
+        SourceNet(cfg.scenario.in_dim, cfg.scenario.num_classes, hidden=cfg.hidden,
+                  rng=np.random.default_rng([seed, _SOURCE_INIT, m]))
+        for seed, m in members
+    ]
+    train_source_net(
+        nets,
+        [sources[m].features for _, m in members],
+        [sources[m].labels for _, m in members],
+        epochs=cfg.source_epochs,
+        batch_size=cfg.batch_size,
+        ls_alpha=cfg.ls_alpha,
+        lr_backbone=cfg.lr_backbone,
+        seed=[[seed, _SOURCE_TRAIN, m] for seed, m in members],
+        names=[f"seed {seed}, source {m}" for seed, m in members],
+    )
+    return [nets[i : i + len(sources)] for i in range(0, len(nets), len(sources))]
 
 
 def handles_from_nets(cfg: ExperimentConfig, nets) -> list:
@@ -211,54 +211,59 @@ def _finetune_config(cfg: ExperimentConfig, seed: int) -> FinetuneConfig:
     )
 
 
-def run_seed(cfg: ExperimentConfig, target: DomainData, handles, seed: int) -> dict:
-    """One full adaptation for one seed: teacher init, distillation,
-    fine-tuning. Labels are touched only by the baseline computation and
-    the evaluation callback."""
+def run_seeds(cfg: ExperimentConfig, target: DomainData, handles, seeds) -> list[dict]:
+    """The full adaptation of each seed, given one list of predictor
+    handles per seed: teacher init, then distillation and fine-tuning,
+    each one stack of every seed's target net. Labels are touched only by
+    the baseline computation and the evaluation callback."""
     cfg.validate()
-    _check_handle_disclosures(cfg, handles)
-    k = handles[0].num_classes
+    for seed_handles in handles:
+        _check_handle_disclosures(cfg, seed_handles)
     hard_mode = "onehot" if cfg.teacher == "hard" else "ls"
-    bank = init_teacher(handles, target.features, r=cfg.r, hard_mode=hard_mode)
-    no_adapt = bank_accuracy(bank.rows, target.labels)
+    banks = [init_teacher(seed_handles, target.features, r=cfg.r, hard_mode=hard_mode) for seed_handles in handles]
+    no_adapt = [bank_accuracy(bank.rows, target.labels) for bank in banks]
 
     def eval_fn(probs):
         return bank_accuracy(probs, target.labels)
 
-    net = TargetNet(
-        target.features.shape[1],
-        k,
-        hidden=cfg.hidden,
-        bottleneck_dim=cfg.bottleneck_dim,
-        rng=np.random.default_rng([seed, _TARGET_INIT]),
-    )
-    metrics = run_distillation(_adapt_config(cfg, seed), bank, net, target.features, eval_fn=eval_fn)
-    distilled = evaluate(net, target)
-    distilled_state = net_state(net, seed=seed)
-    metrics = metrics + run_finetune(_finetune_config(cfg, seed), net, target.features, eval_fn=eval_fn)
-    final = evaluate(net, target)
-    summary = {
-        "seed": seed,
-        "no_adapt": no_adapt,
-        "accuracy_distilled": distilled["accuracy"],
-        "accuracy_final": final["accuracy"],
-        "per_class_final": final["per_class_accuracy"],
-    }
-    return {
-        "summary": summary,
-        "metrics": metrics,
-        "net": net,
-        "bank": bank,
-        "distilled_state": distilled_state,
-    }
+    nets = [
+        TargetNet(target.features.shape[1], handles[0][0].num_classes, hidden=cfg.hidden,
+                  bottleneck_dim=cfg.bottleneck_dim, rng=np.random.default_rng([seed, _TARGET_INIT]))
+        for seed in seeds
+    ]
+    names = [f"seed {seed}" for seed in seeds]
+    metrics = run_distillation([_adapt_config(cfg, seed) for seed in seeds], banks, nets, target.features,
+                               eval_fn=eval_fn, names=names)
+    distilled = [evaluate(net, target) for net in nets]
+    states = [net_state(net, seed=seed) for net, seed in zip(nets, seeds)]
+    finetuned = run_finetune([_finetune_config(cfg, seed) for seed in seeds], nets, target.features,
+                             eval_fn=eval_fn, names=names)
+    finals = [evaluate(net, target) for net in nets]
+    return [
+        {
+            "summary": {
+                "seed": seed,
+                "no_adapt": no_adapt[i],
+                "accuracy_distilled": distilled[i]["accuracy"],
+                "accuracy_final": finals[i]["accuracy"],
+                "per_class_final": finals[i]["per_class_accuracy"],
+            },
+            "metrics": metrics[i] + finetuned[i],
+            "net": nets[i],
+            "bank": banks[i],
+            "distilled_state": states[i],
+        }
+        for i, seed in enumerate(seeds)
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> dict:
     """Run every seed, persist metrics, checkpoints, report and manifest.
 
     `fixed_handles` (cache/remote/checkpoint backings) are shared across
-    seeds; otherwise fresh source models are trained per seed. Each file
-    is written atomically, and `manifest.json` last, so a run that fails
+    seeds; otherwise fresh source models are trained per seed. Files are
+    written once every seed has trained, in seed order. Each file is
+    written atomically, and `manifest.json` last, so a run that fails
     leaves no manifest behind.
     """
     cfg.validate()
@@ -269,13 +274,12 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
         check_training_args(phase, epochs, cfg.batch_size, cfg.lr_backbone, net_cls.min_batch)
     os.makedirs(outdir, exist_ok=True)
     sources, target = generate(cfg.scenario)
+    if fixed_handles is None:
+        handles = [handles_from_nets(cfg, nets) for nets in train_source_models(cfg, sources, cfg.seeds)]
+    else:
+        handles = [fixed_handles] * len(cfg.seeds)
     per_seed = []
-    for seed in cfg.seeds:
-        if fixed_handles is None:
-            handles = handles_from_nets(cfg, train_source_models(cfg, sources, seed))
-        else:
-            handles = fixed_handles
-        out = run_seed(cfg, target, handles, seed)
+    for seed, out in zip(cfg.seeds, run_seeds(cfg, target, handles, cfg.seeds)):
         _write_metrics(os.path.join(outdir, f"metrics_seed{seed}.ndjson"), seed, out["metrics"])
         _write_json(os.path.join(outdir, f"distilled_seed{seed}.json"), out["distilled_state"])
         save_checkpoint(out["net"], os.path.join(outdir, f"target_seed{seed}.json"), seed=seed)
@@ -392,7 +396,7 @@ def cmd_train_source(args) -> int:
     cfg = _load_config(args, check=ExperimentConfig.validate_source)
     scn = cfg.scenario
     sources, _ = generate(scn)
-    nets = train_source_models(cfg, sources, args.seed)
+    (nets,) = train_source_models(cfg, sources, [args.seed])
     os.makedirs(args.outdir, exist_ok=True)
     rows = []
     for m, (net, domain) in enumerate(zip(nets, sources)):

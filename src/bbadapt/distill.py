@@ -8,7 +8,10 @@ step minimizes
     KL(teacher row || student) + beta * mixup consistency - mutual information
 
 and the optimizer state, batch order, and mixup draws are all derived from
-one seeded generator, so a run is reproducible bit for bit.
+one seeded generator, so a run is reproducible bit for bit. Several
+students, each with its own bank and generator, can distill in lockstep
+as one stack (see `nets.train_epochs`); each ends exactly as it would
+alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nets import soft_cross_entropy, train_epochs
+from .nets import RngStack, as_members, shared_config, soft_cross_entropy, take_rows, train_epochs
 from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording
 
 
@@ -91,26 +94,31 @@ class AdaptConfig:
             raise ContractError(f"mixup_alpha must be finite and positive, got {self.mixup_alpha}")
 
 
+def _check_rows(p: np.ndarray, name: str):
+    """`check_probabilities` for a batch of rows or a stack of batches."""
+    check_probabilities(p, name, ndim=3 if p.ndim == 3 else 2)
+
+
 def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
     """Mean over the batch of KL(bank row || student row), both logs
-    clamped below at 1e-8, as one record.
+    clamped below at 1e-8, as one record; on a stack, one mean per member.
 
     The bank rows are constants; the gradient reaches the student only.
     """
     t = as_tensor(bank_rows).data
     if t.shape != student_probs.shape:
         raise DimensionError(f"bank rows {t.shape} vs student {student_probs.shape}")
-    check_probabilities(t, "bank rows", ndim=2)
+    _check_rows(t, "bank rows")
     p = student_probs.data
-    check_probabilities(p, "student rows", ndim=2)
+    _check_rows(p, "student rows")
     clamped = np.maximum(p, LOG_EPS)
     per_sample = (t * (np.log(np.maximum(t, LOG_EPS)) - np.log(clamped))).sum(axis=-1)
-    n = per_sample.size
+    n = per_sample.shape[-1]
 
     def vjp(g):
-        return (np.where(p > LOG_EPS, (-g / n) * t / clamped, 0.0),)
+        return (np.where(p > LOG_EPS, (-g[..., None, None] / n) * t / clamped, 0.0),)
 
-    return record_op(per_sample.sum() * (1.0 / n), (student_probs,), vjp)
+    return record_op(per_sample.sum(axis=-1) * (1.0 / n), (student_probs,), vjp)
 
 
 def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
@@ -121,21 +129,23 @@ def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
     the mixed input is pulled (soft cross entropy) toward the same mixture
     of the stop-gradient endpoint predictions. Both forwards run in train
     mode without touching the batch-norm running statistics. Pass `probs`
-    to reuse an already-computed clean forward.
+    to reuse an already-computed clean forward. On a stack the batch is
+    (S, n, in_dim) and `rng` an `RngStack`, so each member draws its own
+    lambda and partners from its own generator.
     """
     x = np.asarray(batch, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-2]
     if n < 2:
         raise ContractError(f"mixup needs at least 2 samples, got {n}")
-    lam = float(rng.beta(alpha, alpha))
+    lam = np.reshape(rng.beta(alpha, alpha), x.shape[:-2] + (1, 1))
     perm = rng.permutation(n)
     if probs is None:
         with stop_recording():
             endpoint = softmax(net.forward(x, mode="train", update_stats=False)).data
     else:
         endpoint = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    targets = lam * endpoint + (1.0 - lam) * endpoint[perm]
-    x_mix = lam * x + (1.0 - lam) * x[perm]
+    targets = lam * endpoint + (1.0 - lam) * take_rows(endpoint, perm)
+    x_mix = lam * x + (1.0 - lam) * take_rows(x, perm)
     mixed_pred = softmax(net.forward(x_mix, mode="train", update_stats=False))
     return soft_cross_entropy(targets, mixed_pred)
 
@@ -146,28 +156,28 @@ def mi_loss(student_probs) -> Tensor:
     Nonnegative, at most log K; larger values mean confident predictions
     spread across classes. This term is maximized, so it enters the step
     objective with a minus sign. Logs are clamped below at 1e-8; the term
-    is one record.
+    is one record. On a stack of batches it is one value per member.
     """
     probs = as_tensor(student_probs)
     p = probs.data
-    if p.ndim != 2 or p.shape[0] < 1:
+    if p.ndim not in (2, 3) or p.shape[-2] < 1:
         raise ContractError(f"expected a nonempty batch of probability rows, got shape {p.shape}")
-    check_probabilities(p, "student rows", ndim=2)
-    n = p.shape[0]
-    mean_p = p.sum(axis=0) * (1.0 / n)
+    _check_rows(p, "student rows")
+    n = p.shape[-2]
+    mean_p = p.sum(axis=-2) * (1.0 / n)
     clamped_mean = np.maximum(mean_p, LOG_EPS)
     log_mean = np.log(clamped_mean)
-    marginal = -((mean_p * log_mean).sum())
+    marginal = -((mean_p * log_mean).sum(axis=-1))
     clamped = np.maximum(p, LOG_EPS)
     log_p = np.log(clamped)
-    conditional = -((p * log_p).sum(axis=-1).sum() * (1.0 / n))
+    conditional = -((p * log_p).sum(axis=-1).sum(axis=-1) * (1.0 / n))
 
     def vjp(g):
         # d/dq of -q log max(q, eps) is -(log max(q, eps) + q / max(q, eps)),
         # without the second term where the clamp is flat (q <= eps)
         g_mean = -(log_mean + np.where(mean_p > LOG_EPS, mean_p / clamped_mean, 0.0))
         g_rows = log_p + np.where(p > LOG_EPS, p / clamped, 0.0)
-        return ((g / n) * (g_mean + g_rows),)
+        return ((g[..., None, None] / n) * (g_mean[..., None, :] + g_rows),)
 
     return record_op(marginal - conditional, (probs,), vjp)
 
@@ -175,23 +185,22 @@ def mi_loss(student_probs) -> Tensor:
 def total_loss(cfg: AdaptConfig, bank_rows, net, batch, rng):
     """One step objective: distill + beta*mixup - MI, on a single tape.
 
-    Returns the scalar loss and a dict of the (float) term values. The
-    clean forward runs in train mode and refreshes batch-norm running
-    statistics; the two mixup forwards never touch them.
+    Returns the loss and a dict of the term values (arrays, one value per
+    member of a stack). The clean forward runs in train mode and
+    refreshes batch-norm running statistics; the two mixup forwards never
+    touch them.
     """
     logits = net.forward(batch, mode="train")
     probs = softmax(logits)
     l_kd = distill_loss(bank_rows, probs)
-    if cfg.beta != 0.0:
-        l_mix = mixup_loss(net, batch, rng, alpha=cfg.mixup_alpha, probs=probs)
-    else:
-        l_mix = Tensor(0.0)
-    l_im = Tensor(0.0) if cfg.drop_mi else mi_loss(probs)
+    zero = Tensor(np.zeros(l_kd.shape))
+    l_mix = mixup_loss(net, batch, rng, alpha=cfg.mixup_alpha, probs=probs) if cfg.beta != 0.0 else zero
+    l_im = zero if cfg.drop_mi else mi_loss(probs)
     loss = l_kd + Tensor(cfg.beta) * l_mix - l_im
-    return loss, {"kd": l_kd.item(), "mix": l_mix.item(), "mi": l_im.item()}
+    return loss, {"kd": l_kd.data, "mix": l_mix.data, "mi": l_im.data}
 
 
-def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=None) -> list[dict]:
+def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=None, names=None) -> list[dict]:
     """Run the distillation phase in place; returns per-epoch metrics.
 
     Per epoch: `nets.train_epochs` steps on `total_loss` over shuffled
@@ -200,26 +209,37 @@ def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=
     bank's EMA update. `eval_fn`, when given, is called after the bank
     update with that forward's probabilities, and its value is recorded
     as that epoch's accuracy; training itself never sees labels.
+
+    Given a list of nets, it distills them on the same features as one
+    stack (see `nets.train_epochs`, which takes `names`): `cfg` and `bank`
+    then hold one entry per net, the configs differing in `seed` alone,
+    and the result is one history per net. The epoch-end work runs net by
+    net.
     """
+    single, (nets, configs, banks) = as_members(net, cfg, bank)
+    configs[0].validate()
+    cfg = shared_config(configs)
     x = np.asarray(features, dtype=np.float64)
-    cfg.validate()
     n = x.shape[0]
-    if len(bank) != n or bank.num_classes != net.num_classes:
-        raise ContractError(
-            f"bank shape {bank.rows.shape} does not match {n} samples x {net.num_classes} classes"
-        )
-    rng = np.random.default_rng(cfg.seed)
+    for bank, net in zip(banks, nets):
+        if len(bank) != n or bank.num_classes != net.num_classes:
+            raise ContractError(
+                f"bank shape {bank.rows.shape} does not match {n} samples x {net.num_classes} classes"
+            )
+    rng = RngStack([member.seed for member in configs])
 
-    def batch_loss(idx):
-        return total_loss(cfg, bank.rows[idx], net, x[idx], rng)
+    def batch_loss(stack, idx):
+        rows = np.stack([bank.rows[i] for bank, i in zip(banks, idx)])
+        return total_loss(cfg, rows, stack, x[idx], rng)
 
-    history = []
-    epochs_run = train_epochs(net, n, batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "distill")
-    for epoch, means in enumerate(epochs_run, 1):
-        probs = net.predict_proba(x)
-        bank.ema_update(probs, cfg.gamma)
-        record = {"phase": "distill", "epoch": epoch, **means}
-        if eval_fn is not None:
-            record["accuracy"] = float(eval_fn(probs))
-        history.append(record)
-    return history
+    histories = [[] for _ in nets]
+    epochs_run = train_epochs(nets, n, batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "distill", names)
+    for epoch, member_means in enumerate(epochs_run, 1):
+        for net, bank, means, history in zip(nets, banks, member_means, histories):
+            probs = net.predict_proba(x)
+            bank.ema_update(probs, cfg.gamma)
+            record = {"phase": "distill", "epoch": epoch, **means}
+            if eval_fn is not None:
+                record["accuracy"] = float(eval_fn(probs))
+            history.append(record)
+    return histories[0] if single else histories

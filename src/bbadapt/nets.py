@@ -5,13 +5,21 @@ The target net keeps the same trunk but adds a bottleneck (batch norm
 followed by an affine layer) and a weight-normalized classifier. Trunk
 layers train at the base learning rate; bottleneck/classifier layers are
 "new" and train at ten times that rate.
+
+Nets of one architecture can train in lockstep as one stack: `stack_nets`
+builds a net of the same class whose every parameter and running
+statistic carries a leading member axis, and the layers and losses run
+on it unchanged, each member's slice computed exactly as that member
+alone. `train_epochs` drives such a stack with one tape and one optimizer.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,6 +31,7 @@ MOMENTUM = 0.9  # SGD, in every training phase
 WEIGHT_DECAY = 1e-3  # SGD, in every training phase
 BN_MOMENTUM = 0.1  # the target's batch norm: weight of a batch in the running statistics
 BN_EPS = 1e-5  # the target's batch norm: added to the variance
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc `mallopt` parameters
 
 
 class Linear:
@@ -46,7 +55,9 @@ class BatchNorm:
     folds them into the running averages with momentum BN_MOMENTUM);
     eval mode is a deterministic affine map using the running statistics.
     Both add BN_EPS to the variance; either way the layer is one record.
-    Eval mode normalizes in place on one fresh array.
+    Eval mode normalizes in place on one fresh array. The statistics are
+    taken over the rows (axis -2), so a stack normalizes each member's
+    rows with that member's statistics.
     """
 
     def __init__(self, dim: int):
@@ -56,30 +67,31 @@ class BatchNorm:
         self.running_var = np.ones(dim)
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
-        gamma, beta = self.gamma.data, self.beta.data
+        gamma, beta = self.gamma.data[..., None, :], self.beta.data[..., None, :]
         if train:
-            n = x.shape[0]
-            mu = x.data.sum(axis=0) * (1.0 / n)
-            centered = x.data - mu
-            var = (centered * centered).sum(axis=0) * (1.0 / n)
-            std = np.sqrt(var + BN_EPS)
+            n = x.shape[-2]
+            mu = x.data.sum(axis=-2) * (1.0 / n)
+            centered = x.data - mu[..., None, :]
+            var = (centered * centered).sum(axis=-2) * (1.0 / n)
+            std = np.sqrt(var + BN_EPS)[..., None, :]
             xhat = centered / std
             if update_stats:
                 bessel = n / (n - 1) if n > 1 else 1.0
                 self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
                 self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var * bessel
         else:
-            inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat = x.data - self.running_mean
+            inv = 1.0 / np.sqrt(self.running_var[..., None, :] + BN_EPS)
+            xhat = x.data - self.running_mean[..., None, :]
             xhat *= inv
 
         def vjp(g):
             gxhat = g * gamma
             if train:  # the batch statistics depend on x too
-                gx = (gxhat - gxhat.mean(axis=0) - xhat * (gxhat * xhat).mean(axis=0)) / std
+                gx = (gxhat - gxhat.mean(axis=-2, keepdims=True)
+                      - xhat * (gxhat * xhat).mean(axis=-2, keepdims=True)) / std
             else:
                 gx = gxhat * inv
-            return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+            return gx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
 
         out = xhat * gamma
         out += beta
@@ -103,21 +115,21 @@ class WeightNormLinear:
         self.out_dim = out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        direction, scale = self.direction.data, self.scale.data
-        norm = np.sqrt((direction * direction).sum(axis=1, keepdims=True))
+        direction, scale = self.direction.data, self.scale.data[..., None]
+        norm = np.sqrt((direction * direction).sum(axis=-1, keepdims=True))
         unit = direction / norm
-        weight = scale.reshape(self.out_dim, 1) * unit
+        weight = scale * unit
 
         def vjp(g):
-            g_weight = g.T @ x.data
-            g_unit = g_weight * scale.reshape(self.out_dim, 1)
+            g_weight = g.swapaxes(-1, -2) @ x.data
+            g_unit = g_weight * scale
             # d(unit)/d(direction) projects out each row's own direction
-            g_direction = (g_unit - unit * (g_unit * unit).sum(axis=1, keepdims=True)) / norm
+            g_direction = (g_unit - unit * (g_unit * unit).sum(axis=-1, keepdims=True)) / norm
             gx = g @ weight if x.requires_grad else None
-            return gx, g_direction, (g_weight * unit).sum(axis=1), g.sum(axis=0)
+            return gx, g_direction, (g_weight * unit).sum(axis=-1), g.sum(axis=-2)
 
-        out = x.data @ weight.T
-        out += self.bias.data
+        out = x.data @ weight.swapaxes(-1, -2)
+        out += self.bias.data[..., None, :]
         return record_op(out, (x, self.direction, self.scale, self.bias), vjp)
 
     def renorm(self):
@@ -126,7 +138,7 @@ class WeightNormLinear:
         The forward pass divides by the row norms, so this is a pure
         reparameterization: outputs are unchanged.
         """
-        norms = np.linalg.norm(self.direction.data, axis=1, keepdims=True)
+        norms = np.linalg.norm(self.direction.data, axis=-1, keepdims=True)
         self.direction.data /= norms
 
     @property
@@ -140,6 +152,7 @@ class _Net:
     their head layers (`_build_head`, `_head`, `_head_params`)."""
 
     min_batch = 1  # smallest mini-batch a training step accepts
+    lead = ()  # (S,) on a stack of S nets: the member axis every array leads with
 
     def __init__(self, in_dim: int, num_classes: int, hidden=(64, 64), rng=None):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -157,8 +170,9 @@ class _Net:
         if mode not in ("train", "eval"):
             raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = as_tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise DimensionError(f"expected (n, {self.in_dim}) features, got {x.shape}")
+        if x.ndim != len(self.lead) + 2 or x.shape[:-2] != self.lead or x.shape[-1] != self.in_dim:
+            expected = ", ".join(map(str, (*self.lead, "n", self.in_dim)))
+            raise DimensionError(f"expected ({expected}) features, got {x.shape}")
         if mode == "eval":
             with stop_recording():
                 return self._forward(x, train=False, update_stats=False)
@@ -282,28 +296,31 @@ class SGD:
 
     The optimizer owns its parameters' storage: it copies them, in order,
     into the one vector `flat` and rebinds each `p.data` to a view into
-    it, so a step is a few operations on whole vectors, with one base
-    rate per element. Every operation is elementwise, so the weights are
-    bit for bit those of a per-parameter update. Change a parameter in
-    place from then on; rebinding its `data` detaches it from `flat`.
+    it, so a step is a few operations on whole vectors, each group's
+    stretch of them scaled by its own rate. Every operation is
+    elementwise, so the weights are bit for bit those of a per-parameter
+    update. Change a parameter in place from then on; rebinding its `data`
+    detaches it from `flat`.
     """
 
     def __init__(self, param_groups):
         self.params = []
         self.base_lrs = []
-        for params, lr in param_groups:
-            for p in params:
-                self.params.append(p)
-                self.base_lrs.append(lr)
-        sizes = [p.size for p in self.params]
-        self.flat = np.empty(sum(sizes))
+        self._stretches = []  # (slice of `flat`, base rate) per group
         offset = 0
-        for p, size in zip(self.params, sizes):
-            view = self.flat[offset : offset + size].reshape(p.shape)
+        for params, lr in param_groups:
+            size = sum(p.size for p in params)
+            self._stretches.append((slice(offset, offset + size), lr))
+            offset += size
+            self.params += params
+            self.base_lrs += [lr] * len(params)
+        self.flat = np.empty(offset)
+        offset = 0
+        for p in self.params:
+            view = self.flat[offset : offset + p.size].reshape(p.shape)
             view[...] = p.data
             p.data = view
-            offset += size
-        self._rates = np.repeat(np.asarray(self.base_lrs, dtype=np.float64), sizes)
+            offset += p.size
         self.velocity = np.zeros_like(self.flat)
         self._grad = np.empty_like(self.flat)
 
@@ -317,8 +334,9 @@ class SGD:
         g += WEIGHT_DECAY * self.flat
         self.velocity *= MOMENTUM
         self.velocity += g
-        np.multiply(self._rates, lr_factor(progress), out=g)
-        g *= self.velocity
+        factor = lr_factor(progress)
+        for stretch, lr in self._stretches:
+            np.multiply(self.velocity[stretch], lr * factor, out=g[stretch])
         self.flat -= g
 
 
@@ -327,22 +345,88 @@ def make_sgd(net, lr_backbone: float = 1e-3) -> SGD:
     return SGD([(net.backbone_params(), lr_backbone), (net.new_params(), 10.0 * lr_backbone)])
 
 
+# stacks -----------------------------------------------------------------
+
+
+def stack_nets(nets) -> "_Net":
+    """One net of the nets' class and architecture whose every parameter
+    and running statistic holds theirs, in order, along a new leading
+    member axis: a stack, whose forward takes (S, n, in_dim) features."""
+    arch = nets[0].arch()
+    if any(net.arch() != arch for net in nets):
+        raise ContractError("the nets of a stack must share one architecture")
+    stack = _net_for_arch(arch)
+    stack.lead = (len(nets),)
+    params = [net.named_params() for net in nets]
+    running = [net.running_stats() for net in nets]
+    _assign(stack, {name: np.stack([p[name].data for p in params]) for name in params[0]},
+            {name: np.stack([r[name] for r in running]) for name in running[0]})
+    return stack
+
+
+def _view_members(stack, nets):
+    """Rebind each net's parameters and running statistics to views of
+    its slice of the stack's current arrays."""
+    params, running = stack.named_params(), stack.running_stats()
+    for i, net in enumerate(nets):
+        _assign(net, {name: p.data[i] for name, p in params.items()}, {name: r[i] for name, r in running.items()})
+
+
+def as_members(net, *per_net) -> tuple[bool, list]:
+    """Whether `net` is one net, and the lists `[nets, *per_net]`: one net
+    and its per-net arguments become a one-member stack, and a list of
+    nets must come with one entry per net in every per-net argument."""
+    if not isinstance(net, list):
+        return True, [[net], *([arg] for arg in per_net)]
+    if not net or any(len(arg) != len(net) for arg in per_net):
+        raise ContractError(f"a stack needs at least one net and one entry per net in each per-net argument, "
+                            f"got {len(net)} nets and {[len(arg) for arg in per_net]} entries")
+    return False, [net, *per_net]
+
+
+def shared_config(configs):
+    """The one phase config a stack's members share; ContractError unless
+    they differ in `seed` alone."""
+    first = replace(configs[0], seed=None)
+    if any(replace(cfg, seed=None) != first for cfg in configs[1:]):
+        raise ContractError("the members of a stack must share every setting but the seed")
+    return configs[0]
+
+
+class RngStack:
+    """The generators of a stack's members, drawn as one: each draw
+    returns the members' draws along a leading axis, each from the
+    member's own generator, so every member sees exactly the draws it
+    would see training alone."""
+
+    def __init__(self, seeds):
+        self.members = [np.random.default_rng(seed) for seed in seeds]
+
+    def permutation(self, n: int) -> np.ndarray:
+        return np.stack([rng.permutation(n) for rng in self.members])
+
+    def beta(self, a: float, b: float) -> np.ndarray:
+        return np.array([rng.beta(a, b) for rng in self.members])
+
+
 # training ---------------------------------------------------------------
 
 
 def soft_cross_entropy(targets, probs: Tensor) -> Tensor:
     """-mean_i sum_k t_ik log max(p_ik, 1e-8) with constant soft targets,
-    as one record; the gradient reaches `probs` only."""
+    as one record; the gradient reaches `probs` only. On a stack the mean
+    is taken per member, one value each."""
     t = as_tensor(targets).data
     if t.shape != probs.shape:
         raise DimensionError(f"targets {t.shape} vs predictions {probs.shape}")
     clamped = np.maximum(probs.data, LOG_EPS)
     rows = (t * np.log(clamped)).sum(axis=-1)
+    n = rows.shape[-1]
 
     def vjp(g):
-        return (np.where(probs.data > LOG_EPS, (-g / rows.size) * t / clamped, 0.0),)
+        return (np.where(probs.data > LOG_EPS, (-g[..., None, None] / n) * t / clamped, 0.0),)
 
-    return record_op(-(rows.sum() * (1.0 / rows.size)), (probs,), vjp)
+    return record_op(-(rows.sum(axis=-1) * (1.0 / n)), (probs,), vjp)
 
 
 def ls_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float = 0.1) -> Tensor:
@@ -351,21 +435,29 @@ def ls_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float = 0.1) -> 
     The target for label y is (1-alpha)*onehot(y) + alpha/K.
     """
     labels = np.asarray(labels)
-    n, k = logits.shape
-    q = np.full((n, k), alpha / k)
-    q[np.arange(n), labels] += 1.0 - alpha
+    k = logits.shape[-1]
+    q = np.where(labels[..., None] == np.arange(k), alpha / k + (1.0 - alpha), alpha / k)
     return soft_cross_entropy(q, softmax(logits))
 
 
-def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator, min_size: int = 1):
+def take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows `idx` of a batch, or on a stack (idx holding one row of
+    indices per member) each member's rows of its own batch."""
+    if idx.ndim == 1:
+        return a[idx]
+    return a[np.arange(idx.shape[0])[:, None], idx]
+
+
+def minibatch_indices(n: int, batch_size: int, rng, min_size: int = 1):
     """Shuffled mini-batch index arrays covering all n samples once.
 
-    A trailing batch smaller than min_size is dropped.
+    A trailing batch smaller than min_size is dropped. With an `RngStack`
+    each batch holds one row of indices per member.
     """
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
-        batch = order[start : start + batch_size]
-        if batch.size >= min_size:
+        batch = order[..., start : start + batch_size]
+        if batch.shape[-1] >= min_size:
             yield batch
 
 
@@ -386,44 +478,93 @@ def check_training_args(phase: str, epochs: int, batch_size: int, lr_backbone: f
         raise ContractError(f"{phase}: learning rate must be finite and positive, got {lr_backbone}")
 
 
-def train_epochs(net, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_backbone: float, phase: str):
-    """The mini-batch training loop every phase shares.
+@functools.cache
+def _reuse_freed_memory():
+    """Let glibc's allocator hand what one training step frees to the next.
 
-    Each epoch shuffles the n sample indices with `rng` into batches of
-    `batch_size` (a trailing batch smaller than `net.min_batch` is
-    dropped) and takes one SGD step per batch on the loss of
-    `batch_loss(idx) -> (loss, {name: float})`, recorded on one tape; the
-    schedule's progress is the fraction of all steps taken. After each
-    epoch it yields the per-batch means of "loss" and of the named terms.
-    Bad arguments (see `check_training_args`) and a non-finite loss raise
-    ContractError. The steps run with numpy's floating-point warnings off:
-    a diverging run is reported once, by the non-finite loss.
+    A stack's step frees arrays of a few hundred KiB. By default each is
+    unmapped, or the heap trimmed, and the next step faults the pages in
+    again. Arrays below 4 MiB now come from the heap, which keeps up to
+    32 MiB of freed memory. Without `mallopt` this does nothing.
     """
-    check_training_args(phase, epochs, batch_size, lr_backbone, net.min_batch)
-    if n < net.min_batch:
-        raise ContractError(f"{phase}: got {n} samples, fewer than the smallest batch ({net.min_batch})")
-    opt = make_sgd(net, lr_backbone=lr_backbone)
-    total_steps = max(1, epochs * _batches_per_epoch(n, batch_size, net.min_batch))
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library, no mallopt, or no dlopen(NULL)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(M_TRIM_THRESHOLD, 32 << 20)
+
+
+def _member_sum(loss: Tensor) -> Tensor:
+    """The sum of a stack's member losses, as one record: each member's
+    loss gets gradient 1, so each member's gradient is exactly its own."""
+    return record_op(loss.data.sum(), (loss,), lambda g: (np.full(loss.shape, g),))
+
+
+def train_epochs(nets, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_backbone: float, phase: str,
+                 names=None):
+    """The mini-batch training loop every phase shares. It trains the list
+    `nets` in lockstep as one stack (`stack_nets`), on one tape with one
+    optimizer.
+
+    `rng` is an `RngStack`, one generator per net. Each epoch shuffles
+    the n sample indices into batches of `batch_size` (a trailing batch
+    smaller than `min_batch` is dropped) and takes one SGD step per batch
+    on `batch_loss(stack, idx) -> (loss, {name: values})`, where `idx`,
+    `loss` and each term hold one row or value per member. The step
+    descends the members' summed loss, so each member's gradient is
+    exactly its own; the schedule's progress is the fraction of all steps
+    taken. Each net's parameters and running statistics are views of its
+    slice of the stack's, current after each epoch, when the loop yields
+    one dict per net: the per-batch means of "loss" and of the terms.
+
+    Bad arguments (see `check_training_args`) and a non-finite loss raise
+    ContractError; on a stack of two or more the loss error names the
+    member by its entry in `names`. The steps run with numpy's
+    floating-point warnings off: a diverging run is reported once, by the
+    non-finite loss.
+    """
+    min_batch = nets[0].min_batch
+    check_training_args(phase, epochs, batch_size, lr_backbone, min_batch)
+    if n < min_batch:
+        raise ContractError(f"{phase}: got {n} samples, fewer than the smallest batch ({min_batch})")
+    names = names or [f"member {i}" for i in range(len(nets))]
+    _reuse_freed_memory()
+    stack = stack_nets(nets)
+    opt = make_sgd(stack, lr_backbone=lr_backbone)
+    _view_members(stack, nets)
+    total_steps = max(1, epochs * _batches_per_epoch(n, batch_size, min_batch))
+
+    def sgd_step(idx, epoch: int, step: int):
+        # the tape and its arrays end with the step, before any epoch-end work
+        with np.errstate(all="ignore"):
+            with GradTape() as tape:
+                loss, terms = batch_loss(stack, idx)
+                objective = loss if loss.size == 1 else _member_sum(loss)
+            values = loss.data.tolist()
+            if not all(map(math.isfinite, values)):
+                i = next(i for i, value in enumerate(values) if not math.isfinite(value))
+                where = f" ({names[i]})" if len(nets) > 1 else ""
+                raise ContractError(f"{phase}: loss is {values[i]} at epoch {epoch}, "
+                                    f"step {step + 1} of {total_steps}{where}")
+            opt.step(tape.gradient(objective, opt.params), progress=step / total_steps)
+            stack.post_update()
+        return {"loss": loss.data, **terms}
+
     step = 0
     for epoch in range(1, epochs + 1):
-        sums = {"loss": 0.0}
+        sums = {}
         nbatches = 0
-        for idx in minibatch_indices(n, batch_size, rng, min_size=net.min_batch):
-            with np.errstate(all="ignore"):
-                with GradTape() as tape:
-                    loss, terms = batch_loss(idx)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise ContractError(f"{phase}: loss is {value} at epoch {epoch}, step {step + 1} of {total_steps}")
-                grads = tape.gradient(loss, opt.params)
-                opt.step(grads, progress=step / total_steps)
-                net.post_update()
+        for idx in minibatch_indices(n, batch_size, rng, min_size=min_batch):
+            for key, values in sgd_step(idx, epoch, step).items():
+                sums[key] = sums.get(key, 0.0) + values
             step += 1
             nbatches += 1
-            sums["loss"] += value
-            for key, term in terms.items():
-                sums[key] = sums.get(key, 0.0) + term
-        yield {key: total / nbatches for key, total in sums.items()}
+        _view_members(stack, nets)
+        yield [{key: float(total[i] / nbatches) for key, total in sums.items()} for i in range(len(nets))]
 
 
 def train_source_net(
@@ -434,20 +575,32 @@ def train_source_net(
     batch_size: int = 64,
     ls_alpha: float = 0.1,
     lr_backbone: float = 1e-3,
-    seed: int = 0,
+    seed=0,
+    names=None,
 ) -> list[float]:
     """Train a source net with the label-smoothed objective.
 
-    Returns the per-epoch mean training loss.
+    Returns the per-epoch mean training loss. Given a list of nets, it
+    trains them as one stack (see `train_epochs`, which takes `names`):
+    `features`, `labels` and `seed` then hold one entry per net, on
+    domains of one size, and the result is one history per net.
     """
+    single, (nets, features, labels, seeds) = as_members(net, features, labels, seed)
+    if len({np.shape(x) for x in features}) != 1 or len({np.shape(y) for y in labels}) != 1:
+        raise ContractError("the nets of a stack must train on domains of one size")
+    x, y = np.stack(features), np.stack(labels)
 
-    def batch_loss(idx):
-        logits = net.forward(features[idx], mode="train")
-        return ls_cross_entropy(logits, labels[idx], alpha=ls_alpha), {}
+    def batch_loss(stack, idx):
+        logits = stack.forward(take_rows(x, idx), mode="train")
+        return ls_cross_entropy(logits, take_rows(y, idx), alpha=ls_alpha), {}
 
-    rng = np.random.default_rng(seed)
-    epochs_run = train_epochs(net, features.shape[0], batch_loss, epochs, batch_size, rng, lr_backbone, "source")
-    return [means["loss"] for means in epochs_run]
+    histories = [[] for _ in nets]
+    epochs_run = train_epochs(nets, x.shape[1], batch_loss, epochs, batch_size, RngStack(seeds), lr_backbone,
+                              "source", names)
+    for means in epochs_run:
+        for history, member in zip(histories, means):
+            history.append(member["loss"])
+    return histories[0] if single else histories
 
 
 # checkpoints ----------------------------------------------------------
@@ -532,15 +685,24 @@ def net_from_state(state):
     running = _checked_arrays(state.get("running"), running_shapes, "running stat")
     if running and (running["bn.running_var"] < 0.0).any():
         raise ContractError("checkpoint running stat bn.running_var has negative entries")
-    if kind == "source":
-        net = SourceNet(*sizes, hidden=hidden)
-    else:
-        net = TargetNet(*sizes[:2], hidden=hidden, bottleneck_dim=sizes[2])
+    net = _net_for_arch(arch)
+    _assign(net, params, running)
+    return net
+
+
+def _net_for_arch(arch: dict):
+    """A freshly initialized net of the architecture `arch` describes."""
+    cls = SourceNet if arch["kind"] == "source" else TargetNet
+    return cls(**{key: value for key, value in arch.items() if key != "kind"})
+
+
+def _assign(net, params: dict, running: dict):
+    """Rebind the net's parameters and running statistics, by name, to
+    the given arrays."""
     for name, p in net.named_params().items():
         p.data = params[name]
     if running:
         net.set_running_stats(running)
-    return net
 
 
 def write_atomically(path: str, write):

@@ -203,13 +203,19 @@ def _topk_text(classes: np.ndarray, probs: np.ndarray) -> str:
 
 
 def _topk_columns(topk, r, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `checked_columns` of a parsed, untrusted `topk` list."""
+    """The `checked_columns` of a parsed, untrusted `topk` list. A JSON
+    `true` or `false` is no number here, though `np.asarray` would read it
+    as 1 or 0 beside numbers."""
     try:
         pairs = np.asarray(topk)
     except ValueError:  # rows of unequal length
         pairs = np.empty(0)
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ContractError(f"expected a list of [class, probability] pairs per row, got {str(topk)[:80]}")
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(topk)))):
+        i = next(i for i, row in enumerate(topk) if bool in {type(v) for pair in row for v in pair})
+        raise ContractError(f"record {i}: classes and probabilities must be numbers, not true or false, "
+                            f"got {json.dumps(topk[i])}")
     return checked_columns(pairs[..., 0], pairs[..., 1], r, k)
 
 
@@ -357,8 +363,12 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
     `json.dumps({num_classes, predictor_id, r, topk}, sort_keys=True)`, one
     `topk` row per sample in sample order. The probabilities are already
     quantized, so a reload is bit-identical. The file appears complete or
-    not at all. Returns the number of rows written."""
+    not at all. Returns the number of rows written; an answer without rows
+    is a ContractError, and no file is written, since `read_cache` admits
+    no empty cache."""
     classes, probs, r = _columns(handle.query(features), handle.num_classes)
+    if not classes.shape[0]:
+        raise ContractError(f"cache {path}: the query returned no rows, and a cache holds at least one")
     text = '{"num_classes": %d, "predictor_id": %s, "r": %d, "topk": %s}\n' % (
         handle.num_classes, json.dumps(handle.predictor_id), r, _topk_text(classes, probs))
     write_atomically(path, lambda fh: fh.write(text))

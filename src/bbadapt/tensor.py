@@ -15,6 +15,11 @@ terms in `nets` and `distill`. `Tensor`'s `+`, `-`, `*` and unary `-`
 combine scalar loss terms into one objective. The per-op expressions the
 fused records replaced live with the tests (`tests/per_op.py`), which
 check that each fused forward performs the same float operations.
+
+The layer ops take a batch of rows, or a stack of batches with one leading
+member axis (see `nets.stack_nets`): rows are reduced over axis -2 and
+weights transposed over the last two axes, so each member's slice is
+computed exactly as that member alone.
 """
 
 from __future__ import annotations
@@ -137,13 +142,15 @@ class GradTape:
         """Gradients of scalar `target` with respect to each source tensor.
 
         Sources not reached by the tape get a zero gradient of their own
-        shape. Replays the records in reverse order exactly once.
+        shape. Replays the records in reverse order exactly once, dropping
+        each intermediate gradient once its record has used it.
         """
         if target.size != 1:
             raise ContractError(f"gradient target must be scalar, got shape {target.shape}")
         grads: dict[int, np.ndarray] = {id(target): np.ones_like(target.data)}
+        keep = {id(s) for s in sources}
         for out, inputs, vjp in reversed(self._records):
-            g = grads.get(id(out))
+            g = grads.get(id(out)) if id(out) in keep else grads.pop(id(out), None)
             if g is None:
                 continue
             for t, gi in zip(inputs, vjp(g)):
@@ -222,19 +229,23 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     """x @ weight + bias for a batch of rows, optionally through a ReLU,
     as one record (the forward of `relu(x @ weight + bias)`). The bias and
     the ReLU are applied in place on the product, the one full-batch
-    array the forward allocates."""
-    if x.ndim != 2 or x.shape[1] != weight.shape[0]:
-        raise DimensionError(f"affine expects rows of {weight.shape[0]} features, got shape {x.shape}")
+    array the forward allocates.
+
+    A stack of S layers is the same call with one leading member axis on
+    every argument: x (S, n, in), weight (S, in, out), bias (S, out). Each
+    member's slice is computed exactly as the member alone would be."""
+    if x.ndim != weight.ndim or x.shape[-1] != weight.shape[-2]:
+        raise DimensionError(f"affine expects rows of {weight.shape[-2]} features, got shape {x.shape}")
     out = x.data @ weight.data
-    out += bias.data
+    out += bias.data[..., None, :]
     if relu:
         np.maximum(out, 0.0, out=out)
 
     def vjp(g):
         if relu:  # out > 0 exactly where x @ weight + bias > 0
             g = g * (out > 0.0)
-        gx = g @ weight.data.T if x.requires_grad else None
-        return gx, x.data.T @ g, g.sum(axis=0)
+        gx = g @ weight.data.swapaxes(-1, -2) if x.requires_grad else None
+        return gx, x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2)
 
     return record_op(out, (x, weight, bias), vjp)
 
@@ -257,8 +268,9 @@ def softmax(logits: Tensor | np.ndarray) -> Tensor:
 
 
 def check_probabilities(p: np.ndarray, name: str, ndim: int):
-    """Require a probability vector (ndim=1) or a batch of rows (ndim=2):
-    no entry below -1e-12 and every row summing to 1 within 1e-6.
+    """Require a probability vector (ndim=1), a batch of rows (ndim=2) or
+    a stack of batches, one per member (ndim=3): no entry below -1e-12 and
+    every row summing to 1 within 1e-6.
 
     The comparisons are written so that NaN fails them; `initial=0.0`
     lets an empty batch through.

@@ -13,7 +13,7 @@ from bbadapt.cli import (
     ExperimentConfig,
     handles_from_nets,
     main,
-    run_seed,
+    run_seeds,
     train_source_models,
 )
 from bbadapt.distill import (
@@ -43,10 +43,11 @@ _SOURCE_NETS = {}
 _RUNS = {}
 
 
-def _seed_nets(cfg, preset_name, sources, seed):
-    key = (preset_name, seed)
+def _seed_nets(cfg, preset_name, sources):
+    """The source nets of each of the config's seeds, trained as one stack."""
+    key = (preset_name, cfg.seeds)
     if key not in _SOURCE_NETS:
-        _SOURCE_NETS[key] = train_source_models(cfg, sources, seed)
+        _SOURCE_NETS[key] = train_source_models(cfg, sources, cfg.seeds)
     return _SOURCE_NETS[key]
 
 
@@ -57,10 +58,8 @@ def run_preset(preset_name, **overrides):
         return _RUNS[key]
     cfg = ExperimentConfig(scenario=preset(preset_name), **overrides)
     sources, target = generate(cfg.scenario)
-    rows = []
-    for seed in cfg.seeds:
-        handles = handles_from_nets(cfg, _seed_nets(cfg, preset_name, sources, seed))
-        rows.append(run_seed(cfg, target, handles, seed)["summary"])
+    handles = [handles_from_nets(cfg, nets) for nets in _seed_nets(cfg, preset_name, sources)]
+    rows = [out["summary"] for out in run_seeds(cfg, target, handles, cfg.seeds)]
     result = {
         "no_adapt": float(np.mean([r["no_adapt"] for r in rows])),
         "distilled": float(np.mean([r["accuracy_distilled"] for r in rows])),
@@ -336,7 +335,7 @@ def test_c07_ema_boundary_behavior():
     cfg = ExperimentConfig(scenario=scenario, seeds=(2019,), source_epochs=15,
                            batch_size=32, hidden=(16,), bottleneck_dim=8)
     sources, target = generate(scenario)
-    handles = handles_from_nets(cfg, train_source_models(cfg, sources, 2019))
+    handles = handles_from_nets(cfg, train_source_models(cfg, sources, [2019])[0])
     initial = init_teacher(handles, target.features, r=1)
 
     frozen_bank = MemoryBank(initial.rows)
@@ -409,7 +408,7 @@ def test_c10_service_matches_cache(tmp_path):
     cfg_path = tmp_path / "experiment.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     sources, target = generate(cfg.scenario)
-    net = train_source_models(cfg, sources, 2019)[0]
+    net = train_source_models(cfg, sources, [2019])[0][0]
 
     cache_path = tmp_path / "preds.ndjson"
     write_cache(str(cache_path), InProcessPredictor(net, disclosure="top-r", r=1), target.features)

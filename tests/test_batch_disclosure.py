@@ -179,11 +179,10 @@ def test_cache_lines_are_json_dumps_per_record(tmp_path, disclosure, r):
     assert cache.query(x) == records and cache.predictor_id == predictor_id
 
 
-def test_empty_query_writes_an_empty_cache(tmp_path):
-    # an answer without rows has no truncation level; its cache loads as an error
+def test_empty_query_writes_no_cache(tmp_path):
+    # an answer without rows has no truncation level, and `read_cache` admits no empty cache
     handle = InProcessPredictor(SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(0)), disclosure="top-r", r=2)
     path = tmp_path / "empty.json"
-    assert write_cache(str(path), handle, np.zeros((0, 2))) == 0
-    assert path.read_bytes() == b'{"num_classes": 3, "predictor_id": "source", "r": 0, "topk": []}\n'
-    with pytest.raises(ContractError, match="nonempty topk"):
-        read_cache(str(path), 3)
+    with pytest.raises(ContractError, match="no rows"):
+        write_cache(str(path), handle, np.zeros((0, 2)))
+    assert list(tmp_path.iterdir()) == []

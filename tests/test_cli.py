@@ -14,7 +14,7 @@ from bbadapt.cli import (
     ExperimentConfig,
     handles_from_nets,
     main,
-    run_seed,
+    run_seeds,
     train_source_models,
 )
 from bbadapt.errors import ContractError
@@ -192,6 +192,27 @@ def test_checkpoint_cache_and_adapt_paths_agree(cfg_file, tmp_path):
             assert (run_ckpt / name).read_bytes() == (run_cache / name).read_bytes()
 
 
+@pytest.mark.parametrize("backing", ["in-process", "caches"])
+def test_a_seeds_outputs_do_not_depend_on_the_other_seeds(backing, tmp_path):
+    # a run's seeds train in lockstep, one stack per phase; each seed's
+    # files must be byte-identical to those of a run of that seed alone
+    tiny = ["--preset", "multi3-gauss4", "--scenario-seed", "3",
+            "--source-epochs", "2", "--adapt-epochs", "2", "--finetune-epochs", "2"]
+    flags = []
+    if backing == "caches":
+        assert main(["train-source", *tiny, "--seed", "5", "--outdir", str(tmp_path / "sources")]) == 0
+        caches = [str(tmp_path / f"preds{m}.json") for m in range(3)]
+        for m, cache in enumerate(caches):
+            checkpoint = str(tmp_path / "sources" / f"source{m}_seed5.json")
+            assert main(["cache-predictions", *tiny, "--checkpoint", checkpoint, "--out", cache]) == 0
+        flags = ["--caches", ",".join(caches)]
+    for seeds in ("11,12", "11", "12"):
+        assert main(["adapt", *tiny, *flags, "--seeds", seeds, "--outdir", str(tmp_path / seeds)]) == 0
+    for seed in (11, 12):
+        for name in (f"metrics_seed{seed}.ndjson", f"distilled_seed{seed}.json", f"target_seed{seed}.json"):
+            assert (tmp_path / "11,12" / name).read_bytes() == (tmp_path / str(seed) / name).read_bytes(), name
+
+
 def test_cli_surface_is_pinned(run_a, capsys):
     # the override flags are derived from the config fields; neither may drift
     with pytest.raises(SystemExit):
@@ -280,10 +301,10 @@ def test_target_labels_never_reach_training():
     # poisoned labels may change reported accuracy but not a single weight
     cfg = small_config(adapt_epochs=2, finetune_epochs=1)
     sources, target = generate(cfg.scenario)
-    handles = handles_from_nets(cfg, train_source_models(cfg, sources, 2019))
+    handles = handles_from_nets(cfg, train_source_models(cfg, sources, [2019])[0])
     poisoned = DomainData(target.features, (target.labels + 1) % 3)
-    out_clean = run_seed(cfg, target, handles, 2019)
-    out_poisoned = run_seed(cfg, poisoned, handles, 2019)
+    (out_clean,) = run_seeds(cfg, target, [handles], [2019])
+    (out_poisoned,) = run_seeds(cfg, poisoned, [handles], [2019])
     state_clean = net_state(out_clean["net"], seed=0)
     state_poisoned = net_state(out_poisoned["net"], seed=0)
     assert state_clean["params"] == state_poisoned["params"]
@@ -300,9 +321,9 @@ def test_frozen_hard_teacher_stays_one_hot():
     cfg = small_config(teacher="hard", gamma=1.0, drop_mi=True, drop_mix=True,
                        adapt_epochs=2, finetune_epochs=0)
     sources, target = generate(cfg.scenario)
-    handles = handles_from_nets(cfg, train_source_models(cfg, sources, 2019))
+    handles = handles_from_nets(cfg, train_source_models(cfg, sources, [2019])[0])
     initial = init_teacher(handles, target.features, r=cfg.r, hard_mode="onehot")
-    out = run_seed(cfg, target, handles, 2019)
+    (out,) = run_seeds(cfg, target, [handles], [2019])
     assert np.array_equal(out["bank"].rows, initial.rows)
     assert np.all(np.sort(out["bank"].rows, axis=1)[:, :-1] == 0.0)
 

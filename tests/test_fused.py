@@ -4,16 +4,31 @@ Each fused op is one tape record. Its forward must equal, bit for bit,
 the same expression built from the per-op primitives in `per_op`; its
 hand-written VJP must agree with the per-op tape within 1e-10 and with
 central differences (`grad_check`) within 1e-6.
+
+Every op on the training path also runs on a stack of members (one
+leading member axis on each argument). There each member's slice of the
+value and of the VJP must equal, bit for bit, the op on that member alone.
+`kl_div` compares two probability vectors and has no stack form.
 """
 
 import numpy as np
 import pytest
 
 from bbadapt import nets
-from bbadapt.distill import AdaptConfig, MemoryBank, distill_loss, mi_loss, run_distillation
+from bbadapt.distill import AdaptConfig, MemoryBank, distill_loss, mi_loss, mixup_loss, run_distillation, total_loss
 from bbadapt.errors import DimensionError
 from bbadapt.finetune import FinetuneConfig, run_finetune
-from bbadapt.nets import BatchNorm, SourceNet, TargetNet, WeightNormLinear, soft_cross_entropy, train_source_net
+from bbadapt.nets import (
+    BatchNorm,
+    RngStack,
+    SourceNet,
+    TargetNet,
+    WeightNormLinear,
+    ls_cross_entropy,
+    soft_cross_entropy,
+    stack_nets,
+    train_source_net,
+)
 from bbadapt.tensor import GradTape, Tensor, affine, grad_check, kl_div, softmax, stop_recording
 
 from per_op import (
@@ -327,3 +342,224 @@ def test_records_per_step_are_pinned(monkeypatch):
     run_finetune(FinetuneConfig(epochs=1, batch_size=8), net, x)
     # 5 layers, softmax, MI, negation
     assert counts == [8, 8]
+
+
+# stacks: each member's slice is the member alone ------------------------------------
+
+
+def value_and_vjp(fn, inputs, cotangent):
+    """fn()'s value and the gradients of sum(fn() * cotangent) with respect
+    to `inputs`: the op's VJP at that cotangent."""
+    with GradTape() as tape:
+        out = fn()
+        target = reduce_sum(out * Tensor(cotangent))
+    return out.data, tape.gradient(target, inputs)
+
+
+def assert_stack_matches_members(build, members, seed=0):
+    """`build(arrays) -> (fn, inputs, state)` makes an op on Tensors built
+    from `arrays`, the Tensors whose gradients count, and a function
+    returning arrays the op may change. Built from the members' arrays
+    stacked along a new leading axis, the op's value, VJP and state must
+    equal, slice by slice and bit for bit, those built from each member's
+    arrays alone."""
+    stacked = [np.stack(column) for column in zip(*members)]
+    shape = build(stacked)[0]().shape
+    assert shape[0] == len(members)
+    cotangent = np.random.default_rng(seed).normal(size=shape)
+    fn, inputs, state = build(stacked)
+    value, grads = value_and_vjp(fn, inputs, cotangent)
+    for i, arrays in enumerate(members):
+        fn, inputs, member_state = build(list(arrays))
+        member_value, member_grads = value_and_vjp(fn, inputs, cotangent[i])
+        assert value[i].tobytes() == member_value.tobytes()
+        assert len(grads) == len(member_grads)
+        for g, member_g in zip(grads, member_grads):
+            assert g[i].tobytes() == member_g.tobytes()
+        for a, member_a in zip(state(), member_state()):
+            assert a[i].tobytes() == member_a.tobytes()
+
+
+def grad_tensors(*arrays):
+    return [Tensor(a, requires_grad=True) for a in arrays]
+
+
+def no_state():
+    return []
+
+
+def build_affine(relu):
+    def build(arrays):
+        x, w, b = grad_tensors(*arrays)
+        return lambda: affine(x, w, b, relu=relu), [x, w, b], no_state
+    return build
+
+
+def build_softmax(arrays):
+    (z,) = grad_tensors(*arrays)
+    return lambda: softmax(z), [z], no_state
+
+
+def build_batchnorm(train, update_stats):
+    def build(arrays):
+        x, gamma, beta = grad_tensors(*arrays[:3])
+        bn = BatchNorm(3)
+        bn.gamma, bn.beta, bn.running_mean, bn.running_var = gamma, beta, arrays[3], arrays[4]
+        return (lambda: bn(x, train=train, update_stats=update_stats), [x, gamma, beta],
+                lambda: [bn.running_mean, bn.running_var])
+    return build
+
+
+def build_weightnorm(arrays):
+    x, direction, scale, bias = grad_tensors(*arrays)
+    layer = WeightNormLinear(5, 3, np.random.default_rng(0))
+    layer.direction, layer.scale, layer.bias = direction, scale, bias
+    return lambda: layer(x), [x, direction, scale, bias], no_state
+
+
+def build_loss(loss):
+    """A loss of constant rows (the first array) and probabilities."""
+    def build(arrays):
+        (p,) = grad_tensors(arrays[1])
+        return lambda: loss(arrays[0], p), [p], no_state
+    return build
+
+
+def build_ls_cross_entropy(arrays):
+    (z,) = grad_tensors(arrays[0])
+    return lambda: ls_cross_entropy(z, arrays[1], alpha=0.1), [z], no_state
+
+
+def build_mi_loss(arrays):
+    (p,) = grad_tensors(*arrays)
+    return lambda: mi_loss(p), [p], no_state
+
+
+def layer_members(rng):
+    return [[rng.normal(size=(7, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)] for _ in range(2)]
+
+
+def batchnorm_members(rng):
+    return [[rng.normal(1.0, 2.0, (8, 3)), rng.uniform(0.5, 2.0, 3), rng.normal(size=3), rng.normal(size=3),
+             rng.uniform(0.5, 3.0, 3)] for _ in range(2)]
+
+
+def weightnorm_members(rng):
+    return [[rng.normal(size=(6, 5)), rng.normal(size=(3, 5)) * rng.uniform(0.3, 3.0, (3, 1)),
+             rng.uniform(0.5, 2.0, 3), rng.normal(size=3)] for _ in range(2)]
+
+
+def row_members(rng):
+    """Two members' (rows, probabilities), both with entries inside the log clamp."""
+    return [[clamped_probs(rng, 6, 4)[0], clamped_probs(rng, 6, 4)[0]] for _ in range(2)]
+
+
+STACK_CASES = {
+    "affine": (build_affine(False), layer_members),
+    "affine relu": (build_affine(True), layer_members),
+    "softmax": (build_softmax, lambda rng: [[rng.normal(0.0, 5.0, (6, 4))] for _ in range(2)]),
+    "batchnorm train": (build_batchnorm(True, False), batchnorm_members),
+    "batchnorm train, stats updated": (build_batchnorm(True, True), batchnorm_members),
+    "batchnorm eval": (build_batchnorm(False, False), batchnorm_members),
+    "weightnorm": (build_weightnorm, weightnorm_members),
+    "soft cross entropy": (build_loss(soft_cross_entropy), row_members),
+    "label-smoothed cross entropy": (
+        build_ls_cross_entropy, lambda rng: [[rng.normal(size=(6, 4)), rng.integers(0, 4, 6)] for _ in range(2)]),
+    "distill loss": (build_loss(distill_loss), row_members),
+    "mi loss": (build_mi_loss, lambda rng: [[clamped_probs(rng, 6, 4)[0]] for _ in range(2)]),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_op_on_a_stack_matches_each_member(case, seed):
+    build, members = STACK_CASES[case]
+    assert_stack_matches_members(build, members(np.random.default_rng(seed)), seed=seed)
+
+
+def test_renorm_on_a_stack_matches_each_member():
+    rng = np.random.default_rng(3)
+    layers = [WeightNormLinear(5, 3, rng) for _ in range(2)]
+    for layer in layers:
+        layer.direction.data *= rng.uniform(0.3, 3.0, (3, 1))
+    stacked = WeightNormLinear(5, 3, rng)
+    stacked.direction.data = np.stack([layer.direction.data for layer in layers])
+    stacked.renorm()
+    for i, layer in enumerate(layers):
+        layer.renorm()
+        assert stacked.direction.data[i].tobytes() == layer.direction.data.tobytes()
+
+
+def member_nets(cls, count=2):
+    return [cls(2, 4, hidden=(8, 8), rng=np.random.default_rng(10 + i)) for i in range(count)]
+
+
+def assert_slices_match(stack, nets, grads=None, member_grads=None):
+    """Each net's parameters and running statistics (and gradients, when
+    given) equal, bit for bit, its slice of the stack's."""
+    for i, net in enumerate(nets):
+        for name, p in stack.named_params().items():
+            assert p.data[i].tobytes() == net.named_params()[name].data.tobytes(), name
+        for name, r in stack.running_stats().items():
+            assert r[i].tobytes() == net.running_stats()[name].tobytes(), name
+        if grads is not None:
+            for g, member_g in zip(grads, member_grads[i]):
+                assert g[i].tobytes() == member_g.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("cls", [SourceNet, TargetNet])
+def test_net_forward_on_a_stack_matches_each_member(cls, mode):
+    rng = np.random.default_rng(5)
+    nets = member_nets(cls)
+    stack = stack_nets(nets)
+    assert stack.lead == (2,)
+    x = rng.normal(size=(2, 10, 2))
+    cotangent = rng.normal(size=(2, 10, 4))
+    value, grads = value_and_vjp(lambda: stack.forward(x, mode=mode), list(stack.named_params().values()), cotangent)
+    member_grads = []
+    for i, net in enumerate(nets):
+        member_value, g = value_and_vjp(lambda: net.forward(x[i], mode=mode), list(net.named_params().values()),
+                                        cotangent[i])
+        assert value[i].tobytes() == member_value.tobytes()
+        member_grads.append(g)
+        assert stack.predict_proba(x)[i].tobytes() == net.predict_proba(x[i]).tobytes()
+    assert_slices_match(stack, nets, grads, member_grads)
+    with pytest.raises(DimensionError, match=r"expected \(2, n, 2\) features"):
+        stack.forward(x[0])
+
+
+@pytest.mark.parametrize("beta, drop_mi", [(1.0, False), (0.0, False), (1.7, True)])
+def test_total_loss_on_a_stack_matches_each_member(beta, drop_mi):
+    rng = np.random.default_rng(6)
+    nets = member_nets(TargetNet)
+    stack = stack_nets(nets)
+    x = rng.normal(size=(2, 8, 2))
+    rows = rng.dirichlet(np.ones(4), size=(2, 8))
+    cfg = AdaptConfig(beta=beta, drop_mi=drop_mi)
+    params = list(stack.named_params().values())
+    cotangent = rng.normal(size=2)
+    draws = RngStack([11, 12])
+    with GradTape() as tape:
+        loss, terms = total_loss(cfg, rows, stack, x, draws)
+        target = reduce_sum(loss * Tensor(cotangent))
+    grads = tape.gradient(target, params)
+    member_grads = []
+    for i, net in enumerate(nets):
+        with GradTape() as tape:
+            member_loss, member_terms = total_loss(cfg, rows[i], net, x[i], np.random.default_rng(11 + i))
+            target = member_loss * Tensor(cotangent[i])
+        member_grads.append(tape.gradient(target, list(net.named_params().values())))
+        assert loss.data[i] == member_loss.item()
+        assert {key: term[i] for key, term in terms.items()} == member_terms
+    assert_slices_match(stack, nets, grads, member_grads)
+
+
+def test_mixup_on_a_stack_draws_each_members_own_numbers():
+    rng = np.random.default_rng(7)
+    nets = member_nets(TargetNet)
+    stack = stack_nets(nets)
+    x = rng.normal(size=(2, 9, 2))
+    value = mixup_loss(stack, x, RngStack([3, 4]), alpha=0.3).data
+    for i, net in enumerate(nets):
+        assert value[i] == mixup_loss(net, x[i], np.random.default_rng(3 + i), alpha=0.3).item()

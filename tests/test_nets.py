@@ -326,6 +326,22 @@ def test_train_source_net_rejects_non_finite_loss():
             train_source_net(net, domain.features, domain.labels, epochs=2, lr_backbone=1e8)
 
 
+def test_non_finite_loss_names_the_diverging_member():
+    # one member of a stack of two diverges; the error names it, and only on a stack
+    (domain,), _ = generate(preset("moons-rot30"))
+    names = ["seed 7, source 0", "seed 7, source 1"]
+    for diverging in (0, 1):
+        nets = [SourceNet(2, 2, rng=np.random.default_rng(i)) for i in range(2)]
+        nets[diverging].trunk[0].bias.data[0] = np.inf
+        message = rf"^source: loss is nan at epoch 1, step 1 of 32 \({names[diverging]}\)$"
+        with pytest.raises(ContractError, match=message):
+            train_source_net(nets, [domain.features] * 2, [domain.labels] * 2, epochs=2, seed=[0, 1], names=names)
+    net = SourceNet(2, 2, rng=np.random.default_rng(0))
+    net.trunk[0].bias.data[0] = np.inf
+    with pytest.raises(ContractError, match=r"^source: loss is nan at epoch 1, step 1 of 32$"):
+        train_source_net(net, domain.features, domain.labels, epochs=2)
+
+
 def test_train_source_net_learns_blobs(rng):
     x, y = make_blobs(60, [(-2.0, 0.0), (2.0, 0.0)], 0.3, rng)
     net = SourceNet(2, 2, hidden=(16, 16), rng=np.random.default_rng(1))

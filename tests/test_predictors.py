@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,20 @@ def test_read_cache_rejects_bad_records(tmp_path):
         path.write_text(json.dumps(obj))
         with pytest.raises(ContractError, match="cache"):
             read_cache(str(path), 8)
+
+
+@pytest.mark.parametrize("topk, record", [
+    ([[[True, 0.5]], [[0, True]]], 0),
+    ([[[1, 0.5]], [[0, True]]], 1),
+    ([[[1, 0.5]], [[False, 0.5]]], 1),
+])
+def test_read_cache_rejects_booleans(tmp_path, topk, record):
+    # beside numbers, numpy would read true as 1 and false as 0
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"num_classes": 3, "predictor_id": "c", "r": 1, "topk": topk}))
+    message = f"cache {re.escape(str(path))}: record {record}: classes and probabilities must be numbers"
+    with pytest.raises(ContractError, match=message):
+        read_cache(str(path), 3)
 
 
 # fuzzing the two parsers of untrusted records ----------------------------

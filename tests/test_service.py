@@ -391,6 +391,19 @@ def test_malformed_response_raises_typed_error(canned_server, reply):
         remote.query(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("reply, record", [
+    (b'{"id": 0, "topk": [[[true, 0.6], [2, 0.3]], [[0, 0.6], [1, 0.3]]]}', 0),
+    (b'{"id": 0, "topk": [[[0, 0.6], [1, 0.3]], [[0, true], [1, 0.3]]]}', 1),
+    (b'{"id": 0, "topk": [[[0, 0.6], [1, 0.3]], [[2, 0.6], [false, 0.3]]]}', 1),
+])
+def test_boolean_in_a_response_names_the_record(canned_server, reply, record):
+    # beside numbers, numpy would read true as 1 and false as 0
+    canned_server.reply = reply
+    remote = RemotePredictor(*canned_server.endpoint, num_classes=3, disclosure="top-r", r=2)
+    with pytest.raises(ContractError, match=f"record {record}: classes and probabilities must be numbers"):
+        remote.query(np.zeros((2, 2)))
+
+
 def test_listen_backlog_holds_a_burst_of_clients(trained_net):
     # bound but not serving: every connect must complete in the kernel's
     # accept queue, which socketserver's default backlog of 5 overflows
