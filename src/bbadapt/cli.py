@@ -113,7 +113,7 @@ class ExperimentConfig(Record):
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ContractError(f"seeds must be one or more distinct nonnegative integers, got {list(self.seeds)}")
         self.disclosed_r()  # rejects an unknown disclosure name
-        _adapt_config(self, self.seeds[0]).validate()  # before any source net trains
+        _adapt_config(self).validate()  # before any source net trains
 
     def validate_source(self):
         """The part of `validate` that covers source training: at most
@@ -160,17 +160,10 @@ def train_source_models(cfg: ExperimentConfig, sources, seeds) -> list[list]:
                   rng=np.random.default_rng([seed, _SOURCE_INIT, m]))
         for seed, m in members
     ]
-    train_source_net(
-        nets,
-        [sources[m].features for _, m in members],
-        [sources[m].labels for _, m in members],
-        epochs=cfg.source_epochs,
-        batch_size=cfg.batch_size,
-        ls_alpha=cfg.ls_alpha,
-        lr_backbone=cfg.lr_backbone,
-        seed=[[seed, _SOURCE_TRAIN, m] for seed, m in members],
-        names=[f"seed {seed}, source {m}" for seed, m in members],
-    )
+    train_source_net(nets, [sources[m].features for _, m in members], [sources[m].labels for _, m in members],
+                     [[seed, _SOURCE_TRAIN, m] for seed, m in members], epochs=cfg.source_epochs,
+                     batch_size=cfg.batch_size, ls_alpha=cfg.ls_alpha, lr_backbone=cfg.lr_backbone,
+                     names=[f"seed {seed}, source {m}" for seed, m in members])
     return [nets[i : i + len(sources)] for i in range(0, len(nets), len(sources))]
 
 
@@ -188,24 +181,22 @@ def _check_handle_disclosures(cfg: ExperimentConfig, handles):
             raise ContractError(f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), config expects r={want}")
 
 
-def _adapt_config(cfg: ExperimentConfig, seed: int) -> AdaptConfig:
+def _adapt_config(cfg: ExperimentConfig) -> AdaptConfig:
     return AdaptConfig(
         beta=0.0 if cfg.drop_mix else cfg.beta,
         gamma=cfg.gamma,
         mixup_alpha=cfg.mixup_alpha,
         epochs=cfg.adapt_epochs,
         batch_size=cfg.batch_size,
-        seed=[seed, _DISTILL],
         drop_mi=cfg.drop_mi,
         lr_backbone=cfg.lr_backbone,
     )
 
 
-def _finetune_config(cfg: ExperimentConfig, seed: int) -> FinetuneConfig:
+def _finetune_config(cfg: ExperimentConfig) -> FinetuneConfig:
     return FinetuneConfig(
         epochs=cfg.finetune_epochs,
         batch_size=cfg.batch_size,
-        seed=[seed, _FINETUNE],
         freeze_bn_stats=cfg.freeze_bn_stats,
         lr_backbone=cfg.lr_backbone,
     )
@@ -232,11 +223,11 @@ def run_seeds(cfg: ExperimentConfig, target: DomainData, handles, seeds) -> list
         for seed in seeds
     ]
     names = [f"seed {seed}" for seed in seeds]
-    metrics = run_distillation([_adapt_config(cfg, seed) for seed in seeds], banks, nets, target.features,
+    metrics = run_distillation(_adapt_config(cfg), banks, nets, target.features, [[seed, _DISTILL] for seed in seeds],
                                eval_fn=eval_fn, names=names)
     distilled = [evaluate(net, target) for net in nets]
     states = [net_state(net, seed=seed) for net, seed in zip(nets, seeds)]
-    finetuned = run_finetune([_finetune_config(cfg, seed) for seed in seeds], nets, target.features,
+    finetuned = run_finetune(_finetune_config(cfg), nets, target.features, [[seed, _FINETUNE] for seed in seeds],
                              eval_fn=eval_fn, names=names)
     finals = [evaluate(net, target) for net in nets]
     return [
@@ -473,7 +464,7 @@ def cmd_finetune_only(args) -> int:
         return bank_accuracy(probs, target.labels)
 
     before = evaluate(net, target)["accuracy"]
-    metrics = run_finetune(_finetune_config(cfg, args.seed), net, target.features, eval_fn=eval_fn)
+    (metrics,) = run_finetune(_finetune_config(cfg), [net], target.features, [[args.seed, _FINETUNE]], eval_fn=eval_fn)
     after = evaluate(net, target)["accuracy"]
     os.makedirs(args.outdir, exist_ok=True)
     _write_metrics(os.path.join(args.outdir, f"metrics_seed{args.seed}.ndjson"), args.seed, metrics)

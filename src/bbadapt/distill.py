@@ -7,11 +7,10 @@ step minimizes
 
     KL(teacher row || student) + beta * mixup consistency - mutual information
 
-and the optimizer state, batch order, and mixup draws are all derived from
-one seeded generator, so a run is reproducible bit for bit. Several
-students, each with its own bank and generator, can distill in lockstep
-as one stack (see `nets.train_epochs`); each ends exactly as it would
-alone.
+Batch order and mixup draws come from one seeded generator per student,
+so a run is reproducible bit for bit. The students, each with its own
+bank and seed, distill in lockstep as one stack (see `nets.train_epochs`);
+each ends exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nets import RngStack, as_members, shared_config, soft_cross_entropy, take_rows, train_epochs
+from .nets import RngStack, soft_cross_entropy, take_rows, train_epochs
 from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording
 
 
@@ -68,8 +67,7 @@ class MemoryBank:
 class AdaptConfig:
     """Hyper-parameters for the distillation phase.
 
-    `seed` may be anything numpy's default_rng accepts (int or a list of
-    ints); `drop_mi` removes the mutual-information term from the step
+    `drop_mi` removes the mutual-information term from the step
     objective, and beta=0 removes the mixup term.
     """
 
@@ -78,7 +76,6 @@ class AdaptConfig:
     mixup_alpha: float = 0.3
     epochs: int = 30
     batch_size: int = 64
-    seed: object = 2020
     drop_mi: bool = False
     lr_backbone: float = 1e-3
 
@@ -200,40 +197,33 @@ def total_loss(cfg: AdaptConfig, bank_rows, net, batch, rng):
     return loss, {"kd": l_kd.data, "mix": l_mix.data, "mi": l_im.data}
 
 
-def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=None, names=None) -> list[dict]:
-    """Run the distillation phase in place; returns per-epoch metrics.
+def run_distillation(cfg: AdaptConfig, banks, nets, features, seeds, eval_fn=None, names=None) -> list[list[dict]]:
+    """Distill the list of nets in place as one stack (see
+    `nets.train_epochs`, which takes `names`), each with its own bank and
+    seed; returns one history of per-epoch metrics per net.
 
     Per epoch: `nets.train_epochs` steps on `total_loss` over shuffled
-    mini-batches (batch order and mixup draws share one generator); then
-    one eval-mode forward over the whole set, in sample order, feeds the
-    bank's EMA update. `eval_fn`, when given, is called after the bank
-    update with that forward's probabilities, and its value is recorded
-    as that epoch's accuracy; training itself never sees labels.
-
-    Given a list of nets, it distills them on the same features as one
-    stack (see `nets.train_epochs`, which takes `names`): `cfg` and `bank`
-    then hold one entry per net, the configs differing in `seed` alone,
-    and the result is one history per net. The epoch-end work runs net by
-    net.
+    mini-batches (batch order and mixup draws share each net's
+    generator); then, net by net, an eval-mode forward over the whole set
+    feeds the bank's EMA update, and `eval_fn`, when given, gets those
+    probabilities: its value is recorded as that epoch's accuracy.
+    Training itself never sees labels.
     """
-    single, (nets, configs, banks) = as_members(net, cfg, bank)
-    configs[0].validate()
-    cfg = shared_config(configs)
+    cfg.validate()
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     for bank, net in zip(banks, nets):
         if len(bank) != n or bank.num_classes != net.num_classes:
-            raise ContractError(
-                f"bank shape {bank.rows.shape} does not match {n} samples x {net.num_classes} classes"
-            )
-    rng = RngStack([member.seed for member in configs])
+            raise ContractError(f"bank shape {bank.rows.shape} does not match {n} samples x {net.num_classes} classes")
+    rng = RngStack(seeds)
 
     def batch_loss(stack, idx):
         rows = np.stack([bank.rows[i] for bank, i in zip(banks, idx)])
         return total_loss(cfg, rows, stack, x[idx], rng)
 
     histories = [[] for _ in nets]
-    epochs_run = train_epochs(nets, n, batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "distill", names)
+    epochs_run = train_epochs(nets, n, batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "distill", names,
+                              banks=banks)
     for epoch, member_means in enumerate(epochs_run, 1):
         for net, bank, means, history in zip(nets, banks, member_means, histories):
             probs = net.predict_proba(x)
@@ -242,4 +232,4 @@ def run_distillation(cfg: AdaptConfig, bank: MemoryBank, net, features, eval_fn=
             if eval_fn is not None:
                 record["accuracy"] = float(eval_fn(probs))
             history.append(record)
-    return histories[0] if single else histories
+    return histories

@@ -4,8 +4,8 @@ The only objective is the mutual-information term (maximized), the memory
 bank plays no part, and the learning-rate schedule restarts its progress
 at zero. All layers stay trainable. Batch-norm running statistics keep
 updating by default; `freeze_bn_stats` pins them to the distilled values.
-Several nets can fine-tune in lockstep as one stack (see
-`nets.train_epochs`); each ends exactly as it would alone.
+The nets, each with its own seed, fine-tune in lockstep as one stack
+(see `nets.train_epochs`); each ends exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import mi_loss
-from .nets import RngStack, as_members, shared_config, train_epochs
+from .nets import RngStack, train_epochs
 from .tensor import softmax
 
 
@@ -23,30 +23,22 @@ from .tensor import softmax
 class FinetuneConfig:
     epochs: int = 30
     batch_size: int = 64
-    seed: object = 2020
     freeze_bn_stats: bool = False
     lr_backbone: float = 1e-3
 
 
-def run_finetune(cfg: FinetuneConfig, net, features, eval_fn=None, names=None) -> list[dict]:
-    """Fine-tune the net in place; returns per-epoch metrics.
+def run_finetune(cfg: FinetuneConfig, nets, features, seeds, eval_fn=None, names=None) -> list[list[dict]]:
+    """Fine-tune the list of nets in place as one stack (see
+    `nets.train_epochs`, which takes `names`), one seed each; returns one
+    history of per-epoch metrics per net.
 
     Each step ascends the mutual-information objective (descends its
     negative). Metrics track the objective and the mean per-sample
     entropy, which is expected to fall as predictions sharpen. `eval_fn`,
-    when given, is called after each epoch with the net's eval-mode
-    probabilities on `features`, and its value is recorded as that
-    epoch's accuracy.
-
-    Given a list of nets, it fine-tunes them on the same features as one
-    stack (see `nets.train_epochs`, which takes `names`): `cfg` then holds
-    one config per net, differing in `seed` alone, and the result is one
-    history per net. The epoch-end forwards run net by net.
+    when given, gets each net's eval-mode probabilities on `features`
+    after each epoch; its value is recorded as that epoch's accuracy.
     """
-    single, (nets, configs) = as_members(net, cfg)
-    cfg = shared_config(configs)
     x = np.asarray(features, dtype=np.float64)
-    rng = RngStack([member.seed for member in configs])
 
     def batch_loss(stack, idx):
         probs = softmax(stack.forward(x[idx], mode="train", update_stats=not cfg.freeze_bn_stats))
@@ -56,12 +48,12 @@ def run_finetune(cfg: FinetuneConfig, net, features, eval_fn=None, names=None) -
         return -mi, {"mi": mi.data, "cond_entropy": entropy}
 
     histories = [[] for _ in nets]
-    epochs_run = train_epochs(nets, x.shape[0], batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone,
-                              "finetune", names)
+    epochs_run = train_epochs(nets, x.shape[0], batch_loss, cfg.epochs, cfg.batch_size, RngStack(seeds),
+                              cfg.lr_backbone, "finetune", names)
     for epoch, member_means in enumerate(epochs_run, 1):
         for net, means, history in zip(nets, member_means, histories):
             record = {"phase": "finetune", "epoch": epoch, **means}
             if eval_fn is not None:
                 record["accuracy"] = float(eval_fn(net.predict_proba(x)))
             history.append(record)
-    return histories[0] if single else histories
+    return histories

@@ -6,11 +6,11 @@ followed by an affine layer) and a weight-normalized classifier. Trunk
 layers train at the base learning rate; bottleneck/classifier layers are
 "new" and train at ten times that rate.
 
-Nets of one architecture can train in lockstep as one stack: `stack_nets`
-builds a net of the same class whose every parameter and running
-statistic carries a leading member axis, and the layers and losses run
-on it unchanged, each member's slice computed exactly as that member
-alone. `train_epochs` drives such a stack with one tape and one optimizer.
+Every training phase trains a list of nets, one seed each, in lockstep
+as one stack: `stack_nets` builds a net of their class whose every
+parameter and running statistic carries a leading member axis, and the
+layers and losses run on it unchanged, each member's slice computed
+exactly as that member alone. `train_epochs` drives such a stack.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -372,27 +371,6 @@ def _view_members(stack, nets):
         _assign(net, {name: p.data[i] for name, p in params.items()}, {name: r[i] for name, r in running.items()})
 
 
-def as_members(net, *per_net) -> tuple[bool, list]:
-    """Whether `net` is one net, and the lists `[nets, *per_net]`: one net
-    and its per-net arguments become a one-member stack, and a list of
-    nets must come with one entry per net in every per-net argument."""
-    if not isinstance(net, list):
-        return True, [[net], *([arg] for arg in per_net)]
-    if not net or any(len(arg) != len(net) for arg in per_net):
-        raise ContractError(f"a stack needs at least one net and one entry per net in each per-net argument, "
-                            f"got {len(net)} nets and {[len(arg) for arg in per_net]} entries")
-    return False, [net, *per_net]
-
-
-def shared_config(configs):
-    """The one phase config a stack's members share; ContractError unless
-    they differ in `seed` alone."""
-    first = replace(configs[0], seed=None)
-    if any(replace(cfg, seed=None) != first for cfg in configs[1:]):
-        raise ContractError("the members of a stack must share every setting but the seed")
-    return configs[0]
-
-
 class RngStack:
     """The generators of a stack's members, drawn as one: each draw
     returns the members' draws along a leading axis, each from the
@@ -498,35 +476,44 @@ def _reuse_freed_memory():
     mallopt(M_TRIM_THRESHOLD, 32 << 20)
 
 
-def _member_sum(loss: Tensor) -> Tensor:
-    """The sum of a stack's member losses, as one record: each member's
-    loss gets gradient 1, so each member's gradient is exactly its own."""
-    return record_op(loss.data.sum(), (loss,), lambda g: (np.full(loss.shape, g),))
+def _diverged_member(tape: GradTape, members: int):
+    """The first member of a stack of `members` with a value on the tape
+    that is not finite, in record order; None if every value is finite."""
+    for out, _, _ in tape._records:
+        finite = np.isfinite(out.data).reshape(members, -1).all(axis=1)
+        if not finite.all():
+            return int(np.argmin(finite))
+    return None
 
 
 def train_epochs(nets, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_backbone: float, phase: str,
-                 names=None):
+                 names=None, **per_net):
     """The mini-batch training loop every phase shares. It trains the list
     `nets` in lockstep as one stack (`stack_nets`), on one tape with one
-    optimizer.
+    optimizer; `rng` (an `RngStack`), `names` and each phase argument in
+    `per_net` hold one entry per net.
 
-    `rng` is an `RngStack`, one generator per net. Each epoch shuffles
-    the n sample indices into batches of `batch_size` (a trailing batch
-    smaller than `min_batch` is dropped) and takes one SGD step per batch
-    on `batch_loss(stack, idx) -> (loss, {name: values})`, where `idx`,
-    `loss` and each term hold one row or value per member. The step
-    descends the members' summed loss, so each member's gradient is
-    exactly its own; the schedule's progress is the fraction of all steps
-    taken. Each net's parameters and running statistics are views of its
-    slice of the stack's, current after each epoch, when the loop yields
-    one dict per net: the per-batch means of "loss" and of the terms.
+    Each epoch shuffles the n sample indices into batches of `batch_size`
+    (a trailing batch smaller than `min_batch` is dropped) and takes one
+    SGD step per batch on `batch_loss(stack, idx) -> (loss, {name:
+    values})`, where `idx`, `loss` and each term hold one row or value per
+    member. The gradient of the members' summed loss is each member's own;
+    the schedule's progress is the fraction of all steps taken. After each
+    epoch, each net's parameters and running statistics are current views
+    of its slice of the stack's, and the loop yields one dict per net: the
+    per-batch means of "loss" and of the terms.
 
-    Bad arguments (see `check_training_args`) and a non-finite loss raise
-    ContractError; on a stack of two or more the loss error names the
-    member by its entry in `names`. The steps run with numpy's
-    floating-point warnings off: a diverging run is reported once, by the
-    non-finite loss.
+    Mismatched counts, bad arguments (see `check_training_args`) and a
+    diverging step (a non-finite loss, or a check in `batch_loss` failing
+    on non-finite values) raise ContractError naming the phase; the last
+    names the epoch, the step and, on a stack of two or more, the first
+    member to diverge by its entry in `names`. Steps run with numpy's
+    floating-point warnings off, so a diverging run is reported once.
     """
+    counts = {key: len(arg) for key, arg in {"seeds": rng.members, "names": names or nets, **per_net}.items()}
+    if not nets or any(count != len(nets) for count in counts.values()):
+        raise ContractError(f"{phase}: a stack needs at least one net and one entry per net in each per-net "
+                            f"argument, got {len(nets)} nets and {counts}")
     min_batch = nets[0].min_batch
     check_training_args(phase, epochs, batch_size, lr_backbone, min_batch)
     if n < min_batch:
@@ -538,19 +525,24 @@ def train_epochs(nets, n: int, batch_loss, epochs: int, batch_size: int, rng, lr
     _view_members(stack, nets)
     total_steps = max(1, epochs * _batches_per_epoch(n, batch_size, min_batch))
 
+    def diverged(problem: str, epoch: int, step: int, member: int):
+        where = f" ({names[member]})" if len(nets) > 1 else ""
+        return ContractError(f"{phase}: {problem} at epoch {epoch}, step {step + 1} of {total_steps}{where}")
+
     def sgd_step(idx, epoch: int, step: int):
         # the tape and its arrays end with the step, before any epoch-end work
         with np.errstate(all="ignore"):
             with GradTape() as tape:
-                loss, terms = batch_loss(stack, idx)
-                objective = loss if loss.size == 1 else _member_sum(loss)
-            values = loss.data.tolist()
-            if not all(map(math.isfinite, values)):
-                i = next(i for i, value in enumerate(values) if not math.isfinite(value))
-                where = f" ({names[i]})" if len(nets) > 1 else ""
-                raise ContractError(f"{phase}: loss is {values[i]} at epoch {epoch}, "
-                                    f"step {step + 1} of {total_steps}{where}")
-            opt.step(tape.gradient(objective, opt.params), progress=step / total_steps)
+                try:
+                    loss, terms = batch_loss(stack, idx)
+                except ContractError as exc:  # a failed check: on a diverged member's values, or not
+                    if (member := _diverged_member(tape, len(nets))) is None:
+                        raise
+                    raise diverged(str(exc), epoch, step, member) from None
+            bad = [i for i, value in enumerate(loss.data.tolist()) if not math.isfinite(value)]
+            if bad:
+                raise diverged(f"loss is {loss.data[bad[0]]}", epoch, step, bad[0])
+            opt.step(tape.gradient(loss, opt.params), progress=step / total_steps)
             stack.post_update()
         return {"loss": loss.data, **terms}
 
@@ -567,25 +559,14 @@ def train_epochs(nets, n: int, batch_loss, epochs: int, batch_size: int, rng, lr
         yield [{key: float(total[i] / nbatches) for key, total in sums.items()} for i in range(len(nets))]
 
 
-def train_source_net(
-    net: SourceNet,
-    features: np.ndarray,
-    labels: np.ndarray,
-    epochs: int = 30,
-    batch_size: int = 64,
-    ls_alpha: float = 0.1,
-    lr_backbone: float = 1e-3,
-    seed=0,
-    names=None,
-) -> list[float]:
-    """Train a source net with the label-smoothed objective.
+def train_source_net(nets, features, labels, seeds, epochs: int = 30, batch_size: int = 64, ls_alpha: float = 0.1,
+                     lr_backbone: float = 1e-3, names=None) -> list[list[float]]:
+    """Train the list of source nets as one stack (see `train_epochs`,
+    which takes `names`) with the label-smoothed objective; `features`,
+    `labels` and `seeds` hold one entry per net, on domains of one size.
 
-    Returns the per-epoch mean training loss. Given a list of nets, it
-    trains them as one stack (see `train_epochs`, which takes `names`):
-    `features`, `labels` and `seed` then hold one entry per net, on
-    domains of one size, and the result is one history per net.
+    Returns one history per net: its per-epoch mean training loss.
     """
-    single, (nets, features, labels, seeds) = as_members(net, features, labels, seed)
     if len({np.shape(x) for x in features}) != 1 or len({np.shape(y) for y in labels}) != 1:
         raise ContractError("the nets of a stack must train on domains of one size")
     x, y = np.stack(features), np.stack(labels)
@@ -596,11 +577,11 @@ def train_source_net(
 
     histories = [[] for _ in nets]
     epochs_run = train_epochs(nets, x.shape[1], batch_loss, epochs, batch_size, RngStack(seeds), lr_backbone,
-                              "source", names)
+                              "source", names, features=features, labels=labels)
     for means in epochs_run:
         for history, member in zip(histories, means):
             history.append(member["loss"])
-    return histories[0] if single else histories
+    return histories
 
 
 # checkpoints ----------------------------------------------------------

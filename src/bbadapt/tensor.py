@@ -2,9 +2,9 @@
 
 Values are computed eagerly on numpy arrays; while a :class:`GradTape` is
 active, each op also appends one record holding a vector-Jacobian
-callback, so that the gradient of a scalar loss can be pulled back to any
-parameter tensor. Tapes are rebuilt per mini-batch and are confined to the
-thread that created them.
+callback, so that the gradient of a loss (the sum of its entries) can be
+pulled back to any parameter tensor. Tapes are rebuilt per mini-batch
+and are confined to the thread that created them.
 
 `record_op` is the one way to define an op: compute the output with
 numpy, then hand it over with the inputs and a hand-written VJP. Each
@@ -139,14 +139,14 @@ class GradTape:
         return len(self._records)
 
     def gradient(self, target: Tensor, sources: list[Tensor]) -> list[np.ndarray]:
-        """Gradients of scalar `target` with respect to each source tensor.
+        """Gradients of the sum of `target`'s entries with respect to each
+        source tensor: the target is seeded with ones, so on a stack's
+        per-member loss each member's gradient is exactly its own.
 
         Sources not reached by the tape get a zero gradient of their own
         shape. Replays the records in reverse order exactly once, dropping
         each intermediate gradient once its record has used it.
         """
-        if target.size != 1:
-            raise ContractError(f"gradient target must be scalar, got shape {target.shape}")
         grads: dict[int, np.ndarray] = {id(target): np.ones_like(target.data)}
         keep = {id(s) for s in sources}
         for out, inputs, vjp in reversed(self._records):

@@ -93,7 +93,7 @@ def test_c01_gradient_fidelity():
         rows = rng.dirichlet(np.full(k, 0.7), 16)
         src = SourceNet(2, k, hidden=(16,), rng=np.random.default_rng(seed + 100))
         tgt = TargetNet(2, k, hidden=(16,), bottleneck_dim=8, rng=np.random.default_rng(seed + 200))
-        cfg = AdaptConfig(beta=1.0, mixup_alpha=0.3, batch_size=16, seed=seed)
+        cfg = AdaptConfig(beta=1.0, mixup_alpha=0.3, batch_size=16)
         src_params = src.backbone_params() + src.new_params()
         tgt_params = tgt.backbone_params() + tgt.new_params()
 
@@ -341,7 +341,7 @@ def test_c07_ema_boundary_behavior():
     frozen_bank = MemoryBank(initial.rows)
     net = TargetNet(2, 3, hidden=(16,), bottleneck_dim=8, rng=np.random.default_rng(1))
     run_distillation(
-        AdaptConfig(gamma=1.0, epochs=3, batch_size=32, seed=0), frozen_bank, net, target.features
+        AdaptConfig(gamma=1.0, epochs=3, batch_size=32), [frozen_bank], [net], target.features, [0]
     )
     frozen_ok = np.array_equal(frozen_bank.rows, initial.rows)
 
@@ -354,8 +354,8 @@ def test_c07_ema_boundary_behavior():
         return 0.0
 
     run_distillation(
-        AdaptConfig(gamma=0.0, epochs=3, batch_size=32, seed=0),
-        tracking_bank, net, target.features, eval_fn=eval_fn,
+        AdaptConfig(gamma=0.0, epochs=3, batch_size=32),
+        [tracking_bank], [net], target.features, [0], eval_fn=eval_fn,
     )
     tracking_ok = len(gaps) == 3 and max(gaps) <= 1e-9
     _check(

@@ -69,7 +69,7 @@ def _assert_required_spans_fire(workload: str, run):
 
 
 def test_adapt_fires_the_required_spans(tmp_path):
-    argv = ["adapt", "--preset", "multi3-gauss4", "--seeds", "1", "--source-epochs", "1",
+    argv = ["adapt", "--preset", "multi3-gauss4", "--seeds", "1,2", "--source-epochs", "1",
             "--adapt-epochs", "1", "--finetune-epochs", "1", "--outdir", str(tmp_path)]
 
     def run():

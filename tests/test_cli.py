@@ -418,6 +418,19 @@ def test_diverging_run_prints_only_the_error(tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_diverging_step_that_fails_a_check_names_its_seed(tmp_path, capsys, recwarn):
+    # the sources train; then a student's predictions go NaN, which a probability check meets before the loss
+    outdir = tmp_path / "x"
+    argv = ["adapt", "--preset", "moons-rot30", "--seeds", "1,2", "--lr", "1e6", "--source-epochs", "2",
+            "--outdir", str(outdir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    message = r"error: distill: student rows has negative or NaN entries \(min=nan\) at epoch \d+, step \d+ of 480 "
+    assert re.fullmatch(message + r"\(seed [12]\)\n", err), err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert list(outdir.iterdir()) == []
+
+
 def test_failed_run_leaves_no_manifest(tmp_path, capsys):
     outdir = tmp_path / "x"
     assert main(["adapt", "--preset", "moons-rot30", "--lr", "1e8", "--outdir", str(outdir)]) == 2

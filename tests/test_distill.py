@@ -229,7 +229,7 @@ def test_total_loss_clean_forward_updates_stats(rng):
     batch = rng.normal(size=(8, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=8)
     stats_before = {k: v.copy() for k, v in net.running_stats().items()}
-    cfg = AdaptConfig(seed=0)
+    cfg = AdaptConfig()
     total_loss(cfg, bank_rows, net, batch, np.random.default_rng(0))
     changed = any(not np.array_equal(v, stats_before[k]) for k, v in net.running_stats().items())
     assert changed
@@ -243,11 +243,11 @@ def test_total_loss_term_composition(rng):
     bank_rows = rng.dirichlet(np.ones(3), size=10)
     stats = {k: v.copy() for k, v in net.running_stats().items()}
 
-    full_cfg = AdaptConfig(beta=1.7, seed=0)
+    full_cfg = AdaptConfig(beta=1.7)
     loss_full, parts_full = total_loss(full_cfg, bank_rows, net, batch, np.random.default_rng(9))
 
     net.set_running_stats(stats)
-    base_cfg = AdaptConfig(beta=0.0, seed=0)
+    base_cfg = AdaptConfig(beta=0.0)
     loss_base, parts_base = total_loss(base_cfg, bank_rows, net, batch, np.random.default_rng(9))
 
     net.set_running_stats(stats)
@@ -264,7 +264,7 @@ def test_total_loss_drop_mi(rng):
     net = small_net()
     batch = rng.normal(size=(6, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=6)
-    cfg = AdaptConfig(drop_mi=True, beta=0.0, seed=0)
+    cfg = AdaptConfig(drop_mi=True, beta=0.0)
     loss, parts = total_loss(cfg, bank_rows, net, batch, np.random.default_rng(0))
     assert parts["mi"] == 0.0
     assert abs(loss.item() - parts["kd"]) < 1e-12
@@ -274,7 +274,7 @@ def test_total_loss_gradient_reaches_all_params(rng):
     net = small_net()
     batch = rng.normal(size=(8, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=8)
-    cfg = AdaptConfig(seed=0)
+    cfg = AdaptConfig()
     params = net.backbone_params() + net.new_params()
     with GradTape() as tape:
         loss, _ = total_loss(cfg, bank_rows, net, batch, np.random.default_rng(1))
@@ -298,9 +298,9 @@ def test_adapt_config_validation():
             AdaptConfig(**bad).validate()
     x, bank, net = _distill_setup()
     with pytest.raises(ContractError, match="batch_size"):
-        run_distillation(AdaptConfig(batch_size=1), bank, net, x)
+        run_distillation(AdaptConfig(batch_size=1), [bank], [net], x, [0])
     with pytest.raises(ContractError, match="epochs"):
-        run_distillation(AdaptConfig(epochs=-1), bank, net, x)
+        run_distillation(AdaptConfig(epochs=-1), [bank], [net], x, [0])
 
 
 def _distill_setup(n=40, k=3, seed=0):
@@ -313,8 +313,8 @@ def _distill_setup(n=40, k=3, seed=0):
 
 def test_run_distillation_metrics_and_bank_epochs():
     x, bank, net = _distill_setup()
-    cfg = AdaptConfig(epochs=3, batch_size=16, seed=1)
-    history = run_distillation(cfg, bank, net, x, eval_fn=lambda n: 42.0)
+    cfg = AdaptConfig(epochs=3, batch_size=16)
+    (history,) = run_distillation(cfg, [bank], [net], x, [1], eval_fn=lambda n: 42.0)
     assert [rec["epoch"] for rec in history] == [1, 2, 3]
     assert all(rec["phase"] == "distill" for rec in history)
     assert all({"loss", "kd", "mix", "mi", "accuracy"} <= set(rec) for rec in history)
@@ -335,8 +335,8 @@ def test_run_distillation_eval_fn_sees_updated_bank():
         prev_rows[0] = bank.rows.copy()
         return 0.0
 
-    cfg = AdaptConfig(epochs=2, batch_size=16, seed=1, gamma=0.6)
-    run_distillation(cfg, bank, net, x, eval_fn=eval_fn)
+    cfg = AdaptConfig(epochs=2, batch_size=16, gamma=0.6)
+    run_distillation(cfg, [bank], [net], x, [1], eval_fn=eval_fn)
     assert checks == [True, True]
 
 
@@ -348,25 +348,25 @@ def test_run_distillation_gamma_zero_bank_equals_student():
         deviations.append(np.max(np.abs(bank.rows - net.predict_proba(x))))
         return 0.0
 
-    cfg = AdaptConfig(epochs=3, batch_size=16, seed=1, gamma=0.0)
-    run_distillation(cfg, bank, net, x, eval_fn=eval_fn)
+    cfg = AdaptConfig(epochs=3, batch_size=16, gamma=0.0)
+    run_distillation(cfg, [bank], [net], x, [1], eval_fn=eval_fn)
     assert max(deviations) < 1e-9
 
 
 def test_run_distillation_gamma_one_bank_frozen():
     x, bank, net = _distill_setup()
     init_rows = bank.rows.copy()
-    cfg = AdaptConfig(epochs=3, batch_size=16, seed=1, gamma=1.0)
-    run_distillation(cfg, bank, net, x)
+    cfg = AdaptConfig(epochs=3, batch_size=16, gamma=1.0)
+    run_distillation(cfg, [bank], [net], x, [1])
     assert np.array_equal(bank.rows, init_rows)
 
 
 def test_run_distillation_deterministic():
     x, bank_a, net_a = _distill_setup(seed=7)
     _, bank_b, net_b = _distill_setup(seed=7)
-    cfg = AdaptConfig(epochs=2, batch_size=16, seed=3)
-    run_distillation(cfg, bank_a, net_a, x)
-    run_distillation(cfg, bank_b, net_b, x)
+    cfg = AdaptConfig(epochs=2, batch_size=16)
+    run_distillation(cfg, [bank_a], [net_a], x, [3])
+    run_distillation(cfg, [bank_b], [net_b], x, [3])
     for name, p in net_a.named_params().items():
         assert np.array_equal(p.data, net_b.named_params()[name].data), name
     assert np.array_equal(bank_a.rows, bank_b.rows)
@@ -374,9 +374,9 @@ def test_run_distillation_deterministic():
 
 def test_run_distillation_bank_size_mismatch():
     x, bank, net = _distill_setup()
-    cfg = AdaptConfig(epochs=1, batch_size=16, seed=0)
+    cfg = AdaptConfig(epochs=1, batch_size=16)
     with pytest.raises(ContractError):
-        run_distillation(cfg, MemoryBank(bank.rows[:10]), net, x)
+        run_distillation(cfg, [MemoryBank(bank.rows[:10])], [net], x, [0])
 
 
 def test_run_distillation_trains_toward_bank():
@@ -387,8 +387,8 @@ def test_run_distillation_trains_toward_bank():
     rows[np.arange(60), y] = 0.95
     bank = MemoryBank(rows)
     net = small_net(seed=1, k=2)
-    cfg = AdaptConfig(epochs=10, batch_size=16, seed=4, gamma=1.0, drop_mi=True, beta=0.0)
-    history = run_distillation(cfg, bank, net, x)
+    cfg = AdaptConfig(epochs=10, batch_size=16, gamma=1.0, drop_mi=True, beta=0.0)
+    (history,) = run_distillation(cfg, [bank], [net], x, [4])
     assert history[-1]["kd"] < history[0]["kd"]
     pred = net.predict_proba(x).argmax(axis=1)
     assert (pred == y).mean() > 0.9

@@ -329,19 +329,25 @@ def test_records_per_step_are_pinned(monkeypatch):
     monkeypatch.setattr(GradTape, "gradient", counting)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16, 2))
-    train_source_net(SourceNet(2, 3, rng=np.random.default_rng(1)), x, rng.integers(0, 3, 16), epochs=1, batch_size=8)
-    # 2 trunk layers + head, softmax, cross entropy
-    assert counts == [5, 5]
-    counts.clear()
-    net = TargetNet(2, 3, rng=np.random.default_rng(2))
-    bank = MemoryBank(rng.dirichlet(np.ones(3), 16))
-    run_distillation(AdaptConfig(epochs=1, batch_size=8), bank, net, x)
-    # (5 layers + softmax) per forward, twice; KL, mixup CE, MI; 3 to combine
-    assert counts == [18, 18]
-    counts.clear()
-    run_finetune(FinetuneConfig(epochs=1, batch_size=8), net, x)
-    # 5 layers, softmax, MI, negation
-    assert counts == [8, 8]
+    y = rng.integers(0, 3, 16)
+    rows = rng.dirichlet(np.ones(3), 16)
+    for members in (1, 2):  # a stack's step records what a single net's does
+        seeds = list(range(members))
+        counts.clear()
+        sources = [SourceNet(2, 3, rng=np.random.default_rng(1 + i)) for i in seeds]
+        train_source_net(sources, [x] * members, [y] * members, seeds, epochs=1, batch_size=8)
+        # 2 trunk layers + head, softmax, cross entropy
+        assert counts == [5, 5]
+        counts.clear()
+        targets = [TargetNet(2, 3, rng=np.random.default_rng(2 + i)) for i in seeds]
+        banks = [MemoryBank(rows) for _ in seeds]
+        run_distillation(AdaptConfig(epochs=1, batch_size=8), banks, targets, x, seeds)
+        # (5 layers + softmax) per forward, twice; KL, mixup CE, MI; 3 to combine
+        assert counts == [18, 18]
+        counts.clear()
+        run_finetune(FinetuneConfig(epochs=1, batch_size=8), targets, x, seeds)
+        # 5 layers, softmax, MI, negation
+        assert counts == [8, 8]
 
 
 # stacks: each member's slice is the member alone ------------------------------------

@@ -1,14 +1,20 @@
 """Lockstep training against training alone.
 
-`train_source_net`, `run_distillation` and `run_finetune` given a list
-of nets train them as one stack. Every net must end exactly as it would
-trained alone with its own arguments: the same parameters, running
-statistics, bank rows and per-epoch history, bit for bit.
+`train_source_net`, `run_distillation` and `run_finetune` train a list
+of nets as one stack. Every net must end exactly as it would trained
+alone, as a one-member list with its own arguments: the same parameters,
+running statistics, bank rows and per-epoch history, bit for bit.
 """
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import bbadapt.distill
+import bbadapt.finetune
+import bbadapt.nets
 from bbadapt.distill import AdaptConfig, MemoryBank, run_distillation
 from bbadapt.errors import ContractError
 from bbadapt.finetune import FinetuneConfig, run_finetune
@@ -37,8 +43,8 @@ def test_source_stack_matches_training_alone(n, batch_size):
     alone = [clone_net(net) for net in nets]
     seeds = [[7, 13, m] for m in range(3)]
     kwargs = dict(epochs=3, batch_size=batch_size, lr_backbone=1e-2)
-    histories = train_source_net(nets, [x for x, _ in domains], [y for _, y in domains], seed=seeds, **kwargs)
-    alone_histories = [train_source_net(net, x, y, seed=seed, **kwargs)
+    histories = train_source_net(nets, [x for x, _ in domains], [y for _, y in domains], seeds, **kwargs)
+    alone_histories = [train_source_net([net], [x], [y], [seed], **kwargs)[0]
                        for net, (x, y), seed in zip(alone, domains, seeds)]
     assert histories == alone_histories
     assert_same_nets(nets, alone)
@@ -52,7 +58,8 @@ def test_distillation_stack_matches_distilling_alone(n, beta, drop_mi):
     rows = [rng.dirichlet(np.ones(3), n) for _ in range(2)]
     nets = target_nets(2)
     alone = [clone_net(net) for net in nets]
-    configs = [AdaptConfig(beta=beta, drop_mi=drop_mi, epochs=3, batch_size=16, seed=[seed, 41]) for seed in (5, 6)]
+    cfg = AdaptConfig(beta=beta, drop_mi=drop_mi, epochs=3, batch_size=16)
+    seeds = [[seed, 41] for seed in (5, 6)]
     seen = []
 
     def eval_fn(probs):
@@ -60,11 +67,11 @@ def test_distillation_stack_matches_distilling_alone(n, beta, drop_mi):
         return float(probs[:, 0].sum())
 
     banks = [MemoryBank(r) for r in rows]
-    histories = run_distillation(configs, banks, nets, x, eval_fn=eval_fn)
+    histories = run_distillation(cfg, banks, nets, x, seeds, eval_fn=eval_fn)
     stacked_seen, seen[:] = seen[:], []
     alone_banks = [MemoryBank(r) for r in rows]
-    alone_histories = [run_distillation(cfg, bank, net, x, eval_fn=eval_fn)
-                       for cfg, bank, net in zip(configs, alone_banks, alone)]
+    alone_histories = [run_distillation(cfg, [bank], [net], x, [seed], eval_fn=eval_fn)[0]
+                       for bank, net, seed in zip(alone_banks, alone, seeds)]
     assert histories == alone_histories
     assert_same_nets(nets, alone)
     for bank, other in zip(banks, alone_banks):
@@ -82,11 +89,11 @@ def test_finetune_stack_matches_finetuning_alone(freeze_bn_stats):
     for i, net in enumerate(nets):  # running statistics off their defaults, differently per net
         net.forward(x + i, mode="train")
     alone = [clone_net(net) for net in nets]
-    configs = [FinetuneConfig(epochs=2, batch_size=8, seed=[seed, 43], freeze_bn_stats=freeze_bn_stats)
-               for seed in (1, 2, 3)]
-    histories = run_finetune(configs, nets, x, eval_fn=lambda probs: float(probs.max()))
-    alone_histories = [run_finetune(cfg, net, x, eval_fn=lambda probs: float(probs.max()))
-                       for cfg, net in zip(configs, alone)]
+    cfg = FinetuneConfig(epochs=2, batch_size=8, freeze_bn_stats=freeze_bn_stats)
+    seeds = [[seed, 43] for seed in (1, 2, 3)]
+    histories = run_finetune(cfg, nets, x, seeds, eval_fn=lambda probs: float(probs.max()))
+    alone_histories = [run_finetune(cfg, [net], x, [seed], eval_fn=lambda probs: float(probs.max()))[0]
+                       for net, seed in zip(alone, seeds)]
     assert histories == alone_histories
     assert_same_nets(nets, alone)
 
@@ -94,13 +101,62 @@ def test_finetune_stack_matches_finetuning_alone(freeze_bn_stats):
 def test_stack_arguments_are_checked():
     x = np.random.default_rng(3).normal(size=(20, 2))
     nets = target_nets(2)
-    with pytest.raises(ContractError, match="share every setting but the seed"):
-        run_finetune([FinetuneConfig(epochs=1, seed=1), FinetuneConfig(epochs=2, seed=2)], nets, x)
-    with pytest.raises(ContractError, match="one entry per net"):
-        run_finetune([FinetuneConfig(epochs=1, seed=1)], nets, x)
+    banks = [MemoryBank(np.full((20, 3), 1 / 3)) for _ in range(2)]
+    cfg = FinetuneConfig(epochs=1)
+    mixed_up = [  # one argument per call with one entry too few or too many
+        lambda: run_finetune(cfg, nets, x, [1]),
+        lambda: run_finetune(cfg, nets, x, [1, 2], names=["seed 1"]),
+        lambda: run_finetune(cfg, nets[:1], x, [1, 2]),
+        lambda: run_finetune(cfg, [], x, []),
+        lambda: run_distillation(AdaptConfig(epochs=1), banks[:1], nets, x, [1, 2]),
+        lambda: run_distillation(AdaptConfig(epochs=1), banks, nets, x, [1, 2, 3]),
+        lambda: run_distillation(AdaptConfig(epochs=1), banks, nets, x, [1, 2], names=["a", "b", "c"]),
+    ]
+    for call in mixed_up:
+        with pytest.raises(ContractError, match="one entry per net"):
+            call()
     with pytest.raises(ContractError, match="one architecture"):
-        run_finetune([FinetuneConfig(epochs=1, seed=s) for s in (1, 2)], [nets[0], *target_nets(1, hidden=(4,))], x)
+        run_finetune(cfg, [nets[0], *target_nets(1, hidden=(4,))], x, [1, 2])
     sources = [SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(i)) for i in range(2)]
     y = np.zeros(20, dtype=int)
+    with pytest.raises(ContractError, match="one entry per net"):
+        train_source_net(sources, [x, x], [y], [0, 1], epochs=1)
     with pytest.raises(ContractError, match="domains of one size"):
-        train_source_net(sources, [x, x[:10]], [y, y[:10]], epochs=1, seed=[0, 1])
+        train_source_net(sources, [x, x[:10]], [y, y[:10]], [0, 1], epochs=1)
+
+
+def test_training_surface_is_pinned():
+    # one call form per phase: a list of nets with one seed each, and one config the members share
+    nets, distill, finetune = bbadapt.nets, bbadapt.distill, bbadapt.finetune
+    imported = {
+        nets: {"annotations", "functools", "json", "math", "np", "os", "ContractError", "DimensionError", "LOG_EPS",
+               "GradTape", "Tensor", "affine", "as_tensor", "record_op", "softmax", "stop_recording"},
+        distill: {"annotations", "math", "dataclass", "np", "ContractError", "DimensionError", "RngStack",
+                  "soft_cross_entropy", "take_rows", "train_epochs", "LOG_EPS", "Tensor", "as_tensor",
+                  "check_probabilities", "record_op", "softmax", "stop_recording"},
+        finetune: {"annotations", "dataclass", "np", "mi_loss", "RngStack", "train_epochs", "softmax"},
+    }
+    public = {module: {name for name in vars(module) if not name.startswith("_")} - imported[module]
+              for module in imported}
+    assert public[nets] == {
+        "BN_EPS", "BN_MOMENTUM", "CHECKPOINT_VERSION", "MOMENTUM", "M_MMAP_THRESHOLD", "M_TRIM_THRESHOLD",
+        "WEIGHT_DECAY", "BatchNorm", "Linear", "RngStack", "SGD", "SourceNet", "TargetNet", "WeightNormLinear",
+        "check_training_args", "clone_net", "load_checkpoint", "lr_factor", "ls_cross_entropy", "make_sgd",
+        "minibatch_indices", "net_from_state", "net_state", "read_json", "save_checkpoint", "soft_cross_entropy",
+        "stack_nets", "take_rows", "train_epochs", "train_source_net", "write_atomically",
+    }
+    assert public[distill] == {"AdaptConfig", "MemoryBank", "distill_loss", "mi_loss", "mixup_loss",
+                               "run_distillation", "total_loss"}
+    assert public[finetune] == {"FinetuneConfig", "run_finetune"}
+    assert [f.name for f in dataclasses.fields(AdaptConfig)] == [
+        "beta", "gamma", "mixup_alpha", "epochs", "batch_size", "drop_mi", "lr_backbone"]
+    assert [f.name for f in dataclasses.fields(FinetuneConfig)] == [
+        "epochs", "batch_size", "freeze_bn_stats", "lr_backbone"]
+    signatures = {fn: list(inspect.signature(fn).parameters)
+                  for fn in (train_source_net, run_distillation, run_finetune)}
+    assert signatures == {
+        train_source_net: ["nets", "features", "labels", "seeds", "epochs", "batch_size", "ls_alpha", "lr_backbone",
+                           "names"],
+        run_distillation: ["cfg", "banks", "nets", "features", "seeds", "eval_fn", "names"],
+        run_finetune: ["cfg", "nets", "features", "seeds", "eval_fn", "names"],
+    }

@@ -291,12 +291,12 @@ def _train(phase, n=40, **overrides):
     kwargs = {"epochs": 1, "batch_size": 16, "lr_backbone": 1e-3, **overrides}
     if phase == "source":
         net = SourceNet(2, 2, hidden=(8,), rng=np.random.default_rng(1))
-        return train_source_net(net, x, y, seed=0, **kwargs)
+        return train_source_net([net], [x], [y], [0], **kwargs)[0]
     net = TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(1))
     if phase == "distill":
         bank = MemoryBank(np.full((len(x), 2), 0.5))
-        return run_distillation(AdaptConfig(seed=0, **kwargs), bank, net, x)
-    return run_finetune(FinetuneConfig(seed=0, **kwargs), net, x)
+        return run_distillation(AdaptConfig(**kwargs), [bank], [net], x, [0])[0]
+    return run_finetune(FinetuneConfig(**kwargs), [net], x, [0])[0]
 
 
 PHASE_MIN_BATCH = {"source": SourceNet.min_batch, "distill": TargetNet.min_batch, "finetune": TargetNet.min_batch}
@@ -323,7 +323,7 @@ def test_train_source_net_rejects_non_finite_loss():
     net = SourceNet(2, 2, rng=np.random.default_rng(0))
     with pytest.raises(ContractError, match=r"source: loss is nan at epoch 2, step \d+ of 32"):
         with np.errstate(over="ignore", invalid="ignore"):
-            train_source_net(net, domain.features, domain.labels, epochs=2, lr_backbone=1e8)
+            train_source_net([net], [domain.features], [domain.labels], [0], epochs=2, lr_backbone=1e8)
 
 
 def test_non_finite_loss_names_the_diverging_member():
@@ -335,17 +335,36 @@ def test_non_finite_loss_names_the_diverging_member():
         nets[diverging].trunk[0].bias.data[0] = np.inf
         message = rf"^source: loss is nan at epoch 1, step 1 of 32 \({names[diverging]}\)$"
         with pytest.raises(ContractError, match=message):
-            train_source_net(nets, [domain.features] * 2, [domain.labels] * 2, epochs=2, seed=[0, 1], names=names)
+            train_source_net(nets, [domain.features] * 2, [domain.labels] * 2, [0, 1], epochs=2, names=names)
     net = SourceNet(2, 2, rng=np.random.default_rng(0))
     net.trunk[0].bias.data[0] = np.inf
     with pytest.raises(ContractError, match=r"^source: loss is nan at epoch 1, step 1 of 32$"):
-        train_source_net(net, domain.features, domain.labels, epochs=2)
+        train_source_net([net], [domain.features], [domain.labels], [0], epochs=2)
+
+
+@pytest.mark.parametrize("phase", ["distill", "finetune"])
+def test_failed_check_names_the_diverging_member(phase):
+    # a non-finite student fails a probability check inside the step, before
+    # there is a loss; the error names the step and member as a loss error does
+    x, _ = make_blobs(20, [(-2.0, 0.0), (2.0, 0.0)], 0.3, np.random.default_rng(0))
+    names = ["seed 3", "seed 4"]
+    for diverging in (0, 1):
+        nets = [TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(i)) for i in range(2)]
+        nets[diverging].trunk[0].bias.data[0] = np.inf
+        message = (rf"^{phase}: student rows has negative or NaN entries \(min=nan\) "
+                   rf"at epoch 1, step 1 of 6 \({names[diverging]}\)$")
+        with pytest.raises(ContractError, match=message):
+            if phase == "distill":
+                banks = [MemoryBank(np.full((len(x), 2), 0.5)) for _ in nets]
+                run_distillation(AdaptConfig(epochs=2, batch_size=16), banks, nets, x, [3, 4], names=names)
+            else:
+                run_finetune(FinetuneConfig(epochs=2, batch_size=16), nets, x, [3, 4], names=names)
 
 
 def test_train_source_net_learns_blobs(rng):
     x, y = make_blobs(60, [(-2.0, 0.0), (2.0, 0.0)], 0.3, rng)
     net = SourceNet(2, 2, hidden=(16, 16), rng=np.random.default_rng(1))
-    history = train_source_net(net, x, y, epochs=10, batch_size=32, seed=3)
+    (history,) = train_source_net([net], [x], [y], [3], epochs=10, batch_size=32)
     assert len(history) == 10
     assert history[-1] < history[0]
     pred = net.predict_proba(x).argmax(axis=1)

@@ -237,7 +237,7 @@ def test_init_teacher_aborts_on_failure(rng):
 def _trained_net(rng):
     x, y = make_blobs(40, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.5)], 0.4, rng)
     net = SourceNet(2, 3, hidden=(16,), rng=np.random.default_rng(0))
-    train_source_net(net, x, y, epochs=5, batch_size=32, seed=1)
+    train_source_net([net], [x], [y], [1], epochs=5, batch_size=32)
     return net, x
 
 

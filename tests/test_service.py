@@ -22,7 +22,7 @@ def trained_net():
     rng = np.random.default_rng(42)
     x, y = make_blobs(40, [(-2, 0), (2, 0), (0, 2)], 0.4, rng)
     net = SourceNet(2, 3, hidden=(16,), rng=np.random.default_rng(0))
-    train_source_net(net, x, y, epochs=8, batch_size=32, seed=1)
+    train_source_net([net], [x], [y], [1], epochs=8, batch_size=32)
     return net
 
 

@@ -135,12 +135,22 @@ def test_log_clamped_value_and_gradient():
     assert abs(g[1] - 2.0) < 1e-12
 
 
-def test_gradient_requires_scalar_target():
-    x = Tensor([1.0, 2.0], requires_grad=True)
+def test_gradient_of_a_vector_is_that_of_its_sum(rng):
+    # the target is seeded with ones: its entries' gradients add up, bit for bit as an explicit taped sum
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+
+    def rows(x, w):
+        h = softmax(matmul(x, w))
+        return reduce_sum(h * h, axis=1)
+
     with GradTape() as tape:
-        y = x * x
-    with pytest.raises(ContractError):
-        tape.gradient(y, [x])
+        y = rows(x, w)
+    with GradTape() as summed_tape:
+        total = reduce_sum(rows(x, w))
+    assert y.shape == (3,)
+    for g, g_sum in zip(tape.gradient(y, [x, w]), summed_tape.gradient(total, [x, w]), strict=True):
+        assert g.tobytes() == g_sum.tobytes()
 
 
 def test_gradient_unreached_source_is_zero():
