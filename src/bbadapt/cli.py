@@ -364,6 +364,8 @@ def _load_config(args, check=ExperimentConfig.validate) -> ExperimentConfig:
     """The config the arguments name, with their overrides applied and,
     unless `check` is None, passed through `check`. Each subcommand checks
     only the fields it uses."""
+    if getattr(args, "seed", 0) < 0:  # train-source and finetune-only take one --seed
+        raise ContractError(f"--seed must be a nonnegative integer, got {args.seed}")
     if args.config:
         if args.scenario_seed is not None:
             raise ContractError("--scenario-seed applies to --preset; a --config file names its own scenario")

@@ -9,8 +9,8 @@ step minimizes
 
 Batch order and mixup draws come from one seeded generator per student,
 so a run is reproducible bit for bit. The students, each with its own
-bank and seed, distill in lockstep as one stack (see `nets.train_epochs`);
-each ends exactly as it would alone.
+bank and seed, distill in lockstep as one stack, each ending exactly as
+alone; `nets.train_epochs` runs the epochs and checks each epoch's end.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nets import RngStack, soft_cross_entropy, take_rows, train_epochs
+from .nets import soft_cross_entropy, take_rows, train_epochs
 from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording
 
 
@@ -198,16 +198,14 @@ def total_loss(cfg: AdaptConfig, bank_rows, net, batch, rng):
 
 
 def run_distillation(cfg: AdaptConfig, banks, nets, features, seeds, eval_fn=None, names=None) -> list[list[dict]]:
-    """Distill the list of nets in place as one stack (see
-    `nets.train_epochs`, which takes `names`), each with its own bank and
-    seed; returns one history of per-epoch metrics per net.
+    """Distill the list of nets in place as one stack, each with its own
+    bank and seed; returns one history of per-epoch records per net (see
+    `nets.train_epochs`, which takes `names` and `eval_fn`).
 
-    Per epoch: `nets.train_epochs` steps on `total_loss` over shuffled
-    mini-batches (batch order and mixup draws share each net's
-    generator); then, net by net, an eval-mode forward over the whole set
-    feeds the bank's EMA update, and `eval_fn`, when given, gets those
-    probabilities: its value is recorded as that epoch's accuracy.
-    Training itself never sees labels.
+    Each step descends `total_loss` on a shuffled mini-batch; batch order
+    and mixup draws share each net's generator. Each epoch ends, net by
+    net, with a checked eval-mode forward over the whole set, which feeds
+    the bank's EMA update and then `eval_fn`. Training never sees labels.
     """
     cfg.validate()
     x = np.asarray(features, dtype=np.float64)
@@ -215,21 +213,10 @@ def run_distillation(cfg: AdaptConfig, banks, nets, features, seeds, eval_fn=Non
     for bank, net in zip(banks, nets):
         if len(bank) != n or bank.num_classes != net.num_classes:
             raise ContractError(f"bank shape {bank.rows.shape} does not match {n} samples x {net.num_classes} classes")
-    rng = RngStack(seeds)
 
-    def batch_loss(stack, idx):
+    def batch_loss(stack, idx, rng):
         rows = np.stack([bank.rows[i] for bank, i in zip(banks, idx)])
         return total_loss(cfg, rows, stack, x[idx], rng)
 
-    histories = [[] for _ in nets]
-    epochs_run = train_epochs(nets, n, batch_loss, cfg.epochs, cfg.batch_size, rng, cfg.lr_backbone, "distill", names,
-                              banks=banks)
-    for epoch, member_means in enumerate(epochs_run, 1):
-        for net, bank, means, history in zip(nets, banks, member_means, histories):
-            probs = net.predict_proba(x)
-            bank.ema_update(probs, cfg.gamma)
-            record = {"phase": "distill", "epoch": epoch, **means}
-            if eval_fn is not None:
-                record["accuracy"] = float(eval_fn(probs))
-            history.append(record)
-    return histories
+    return train_epochs(nets, [x] * len(nets), batch_loss, cfg.epochs, cfg.batch_size, seeds, cfg.lr_backbone,
+                        "distill", names, lambda i, probs: banks[i].ema_update(probs, cfg.gamma), eval_fn, banks=banks)

@@ -7,10 +7,9 @@ layers train at the base learning rate; bottleneck/classifier layers are
 "new" and train at ten times that rate.
 
 Every training phase trains a list of nets, one seed each, in lockstep
-as one stack: `stack_nets` builds a net of their class whose every
-parameter and running statistic carries a leading member axis, and the
-layers and losses run on it unchanged, each member's slice computed
-exactly as that member alone. `train_epochs` drives such a stack.
+as one stack (`stack_nets`: a net whose parameters and running statistics
+lead with a member axis, each member's slice computed exactly as alone)
+in `train_epochs`, the one epoch loop, which also checks each epoch's end.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ import os
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import LOG_EPS, GradTape, Tensor, affine, as_tensor, record_op, softmax, stop_recording
+from .tensor import (LOG_EPS, GradTape, Tensor, affine, as_tensor, check_probabilities, record_op, softmax,
+                     stop_recording)
 
 CHECKPOINT_VERSION = 1
 MOMENTUM = 0.9  # SGD, in every training phase
@@ -476,50 +476,57 @@ def _reuse_freed_memory():
     mallopt(M_TRIM_THRESHOLD, 32 << 20)
 
 
-def _diverged_member(tape: GradTape, members: int):
-    """The first member of a stack of `members` with a value on the tape
-    that is not finite, in record order; None if every value is finite."""
-    for out, _, _ in tape._records:
-        finite = np.isfinite(out.data).reshape(members, -1).all(axis=1)
+def _diverged_member(arrays, members: int):
+    """The first member of a stack of `members` with a non-finite value in
+    `arrays`, each with a leading member axis; None if every value is finite."""
+    for a in arrays:
+        finite = np.isfinite(a).reshape(members, -1).all(axis=1)
         if not finite.all():
             return int(np.argmin(finite))
     return None
 
 
-def train_epochs(nets, n: int, batch_loss, epochs: int, batch_size: int, rng, lr_backbone: float, phase: str,
-                 names=None, **per_net):
-    """The mini-batch training loop every phase shares. It trains the list
-    `nets` in lockstep as one stack (`stack_nets`), on one tape with one
-    optimizer; `rng` (an `RngStack`), `names` and each phase argument in
-    `per_net` hold one entry per net.
+def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds, lr_backbone: float, phase: str,
+                 names=None, epoch_end=None, eval_fn=None, **per_net) -> list[list[dict]]:
+    """The training loop every phase shares: it trains the list `nets` in
+    lockstep as one stack (`stack_nets`), on one tape with one optimizer,
+    and returns one history per net. `features` (each net's n training
+    samples), `seeds`, `names` and each `per_net` argument hold one entry
+    per net.
 
     Each epoch shuffles the n sample indices into batches of `batch_size`
     (a trailing batch smaller than `min_batch` is dropped) and takes one
-    SGD step per batch on `batch_loss(stack, idx) -> (loss, {name:
-    values})`, where `idx`, `loss` and each term hold one row or value per
-    member. The gradient of the members' summed loss is each member's own;
-    the schedule's progress is the fraction of all steps taken. After each
-    epoch, each net's parameters and running statistics are current views
-    of its slice of the stack's, and the loop yields one dict per net: the
-    per-batch means of "loss" and of the terms.
+    SGD step per batch on `batch_loss(stack, idx, rng) -> (loss, {name:
+    values})`, where `rng` is the seeds' `RngStack`, which also shuffles,
+    and `idx`, `loss` and each term hold one row or value per member. The
+    gradient of the members' summed loss is each member's own; the
+    schedule's progress is the fraction of all steps taken.
+
+    An epoch's end leaves each net's arrays views of its slice of the
+    stack's and appends its record {"phase", "epoch", "loss", **terms}, the
+    per-batch means. Its eval-mode forward over its features is checked,
+    then passed to `epoch_end(i, probs)` and `eval_fn` ("accuracy"); with
+    neither, only the last epoch's runs. Every array must then be finite.
 
     Mismatched counts, bad arguments (see `check_training_args`) and a
-    diverging step (a non-finite loss, or a check in `batch_loss` failing
-    on non-finite values) raise ContractError naming the phase; the last
-    names the epoch, the step and, on a stack of two or more, the first
-    member to diverge by its entry in `names`. Steps run with numpy's
-    floating-point warnings off, so a diverging run is reported once.
+    diverging run (a non-finite loss, or a failed check in a step or at an
+    epoch's end) raise ContractError naming the phase; the last names the
+    epoch, the step and, on a stack of two or more, the first member to
+    diverge by its entry in `names`. Numpy's floating-point warnings are
+    off throughout, so a diverging run is reported once.
     """
-    counts = {key: len(arg) for key, arg in {"seeds": rng.members, "names": names or nets, **per_net}.items()}
+    counts = {key: len(a) for key, a in dict(features=features, seeds=seeds, names=names or nets, **per_net).items()}
     if not nets or any(count != len(nets) for count in counts.values()):
         raise ContractError(f"{phase}: a stack needs at least one net and one entry per net in each per-net "
                             f"argument, got {len(nets)} nets and {counts}")
     min_batch = nets[0].min_batch
     check_training_args(phase, epochs, batch_size, lr_backbone, min_batch)
+    n = len(features[0])
     if n < min_batch:
         raise ContractError(f"{phase}: got {n} samples, fewer than the smallest batch ({min_batch})")
     names = names or [f"member {i}" for i in range(len(nets))]
     _reuse_freed_memory()
+    rng = RngStack(seeds)
     stack = stack_nets(nets)
     opt = make_sgd(stack, lr_backbone=lr_backbone)
     _view_members(stack, nets)
@@ -531,57 +538,69 @@ def train_epochs(nets, n: int, batch_loss, epochs: int, batch_size: int, rng, lr
 
     def sgd_step(idx, epoch: int, step: int):
         # the tape and its arrays end with the step, before any epoch-end work
-        with np.errstate(all="ignore"):
-            with GradTape() as tape:
-                try:
-                    loss, terms = batch_loss(stack, idx)
-                except ContractError as exc:  # a failed check: on a diverged member's values, or not
-                    if (member := _diverged_member(tape, len(nets))) is None:
-                        raise
-                    raise diverged(str(exc), epoch, step, member) from None
-            bad = [i for i, value in enumerate(loss.data.tolist()) if not math.isfinite(value)]
-            if bad:
-                raise diverged(f"loss is {loss.data[bad[0]]}", epoch, step, bad[0])
-            opt.step(tape.gradient(loss, opt.params), progress=step / total_steps)
-            stack.post_update()
+        with GradTape() as tape:
+            try:
+                loss, terms = batch_loss(stack, idx, rng)
+            except ContractError as exc:  # a failed check: on a diverged member's values, or not
+                if (member := _diverged_member((out.data for out, _, _ in tape._records), len(nets))) is None:
+                    raise
+                raise diverged(str(exc), epoch, step, member) from None
+        if bad := [i for i, value in enumerate(loss.data.tolist()) if not math.isfinite(value)]:
+            raise diverged(f"loss is {loss.data[bad[0]]}", epoch, step, bad[0])
+        opt.step(tape.gradient(loss, opt.params), progress=step / total_steps)
+        stack.post_update()
         return {"loss": loss.data, **terms}
 
+    histories = [[] for _ in nets]
     step = 0
-    for epoch in range(1, epochs + 1):
-        sums = {}
-        nbatches = 0
-        for idx in minibatch_indices(n, batch_size, rng, min_size=min_batch):
-            for key, values in sgd_step(idx, epoch, step).items():
-                sums[key] = sums.get(key, 0.0) + values
-            step += 1
-            nbatches += 1
-        _view_members(stack, nets)
-        yield [{key: float(total[i] / nbatches) for key, total in sums.items()} for i in range(len(nets))]
+    with np.errstate(all="ignore"):
+        for epoch in range(1, epochs + 1):
+            sums = {}
+            for nbatches, idx in enumerate(minibatch_indices(n, batch_size, rng, min_size=min_batch), 1):
+                for key, values in sgd_step(idx, epoch, step).items():
+                    sums[key] = sums.get(key, 0.0) + values
+                step += 1
+            _view_members(stack, nets)
+            for i, (net, history) in enumerate(zip(nets, histories)):
+                record = {"phase": phase, "epoch": epoch}
+                record.update((key, float(total[i] / nbatches)) for key, total in sums.items())
+                history.append(record)
+                if epoch < epochs and epoch_end is None and eval_fn is None:  # nothing reads these predictions
+                    continue
+                try:
+                    probs = net.predict_proba(features[i])
+                    check_probabilities(probs, "epoch-end predictions", ndim=2)
+                    if epoch_end is not None:
+                        epoch_end(i, probs)
+                    if eval_fn is not None:
+                        record["accuracy"] = float(eval_fn(probs))
+                except ContractError as exc:
+                    raise diverged(str(exc), epoch, step - 1, i) from None
+            state = [p.data for p in stack.named_params().values()] + list(stack.running_stats().values())
+            if (member := _diverged_member(state, len(nets))) is not None:  # a checkpoint would not load
+                raise diverged("a parameter or running statistic is not finite", epoch, step - 1, member)
+    return histories
 
 
 def train_source_net(nets, features, labels, seeds, epochs: int = 30, batch_size: int = 64, ls_alpha: float = 0.1,
-                     lr_backbone: float = 1e-3, names=None) -> list[list[float]]:
+                     lr_backbone: float = 1e-3, names=None) -> list[list[dict]]:
     """Train the list of source nets as one stack (see `train_epochs`,
     which takes `names`) with the label-smoothed objective; `features`,
     `labels` and `seeds` hold one entry per net, on domains of one size.
 
-    Returns one history per net: its per-epoch mean training loss.
+    Returns one history per net: per epoch, {"phase": "source", "epoch",
+    "loss"} with the mean training loss.
     """
     if len({np.shape(x) for x in features}) != 1 or len({np.shape(y) for y in labels}) != 1:
         raise ContractError("the nets of a stack must train on domains of one size")
     x, y = np.stack(features), np.stack(labels)
 
-    def batch_loss(stack, idx):
+    def batch_loss(stack, idx, rng):
         logits = stack.forward(take_rows(x, idx), mode="train")
         return ls_cross_entropy(logits, take_rows(y, idx), alpha=ls_alpha), {}
 
-    histories = [[] for _ in nets]
-    epochs_run = train_epochs(nets, x.shape[1], batch_loss, epochs, batch_size, RngStack(seeds), lr_backbone,
-                              "source", names, features=features, labels=labels)
-    for means in epochs_run:
-        for history, member in zip(histories, means):
-            history.append(member["loss"])
-    return histories
+    return train_epochs(nets, features, batch_loss, epochs, batch_size, seeds, lr_backbone, "source", names,
+                        labels=labels)
 
 
 # checkpoints ----------------------------------------------------------
@@ -627,8 +646,8 @@ def _checked_arrays(given, expected: dict, what: str) -> dict[str, np.ndarray]:
         raise ContractError(f"checkpoint {what}: missing {missing}, unknown {unknown}")
     arrays = {}
     for name, shape in expected.items():
-        try:
-            value = np.asarray(given[name], dtype=np.float64)
+        try:  # no strings, None or integers beyond 64 bits, which a float64 cast would accept or overflow on
+            value = np.asarray(given[name]).astype(np.float64, casting="same_kind")
         except (TypeError, ValueError):
             raise ContractError(f"checkpoint {what} {name} is not an array of numbers") from None
         if value.shape != shape:

@@ -30,6 +30,7 @@ HOLDOUT_STREAM = 104729
 MAX_CLASSES = 256  # the most classes a scenario may have
 MAX_SAMPLES = 20_000  # the most samples a domain may have
 MAX_SOURCES = 16  # the most source domains a scenario may have
+_MAX_SCALE = 1e6  # the largest translation, radius, noise and noise scale: beyond, a net's forward can overflow
 
 FAMILIES = ("moons", "gaussians")
 REGIMES = ("closed", "partial")
@@ -96,20 +97,20 @@ def _typed(kind, value, where: str):
 @dataclass(frozen=True)
 class Shift(Record):
     """Affine domain transform: rotate about the origin, translate, and
-    rescale the generator's noise level. Every value is finite, the
-    translation is one (x, y) pair and the noise scale is nonnegative."""
+    rescale the generator's noise level. The rotation is finite, the (x, y)
+    translation within [-1e6, 1e6] and the noise scale within [0, 1e6]."""
 
     rotation_deg: float = 0.0
     translation: tuple[float, ...] = (0.0, 0.0)
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if not (len(self.translation) == 2 and all(map(math.isfinite, self.translation))):
-            raise ContractError(f"translation must be 2 finite numbers, got {list(self.translation)}")
+        if not (len(self.translation) == 2 and all(abs(t) <= _MAX_SCALE for t in self.translation)):
+            raise ContractError(f"translation must be 2 numbers in [-1e6, 1e6], got {list(self.translation)}")
         if not math.isfinite(self.rotation_deg):
             raise ContractError(f"rotation_deg must be finite, got {self.rotation_deg}")
-        if not 0.0 <= self.noise_scale < math.inf:
-            raise ContractError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
+        if not 0.0 <= self.noise_scale <= _MAX_SCALE:
+            raise ContractError(f"noise_scale must lie in [0, 1e6], got {self.noise_scale}")
 
     def matrix(self) -> np.ndarray:
         theta = np.deg2rad(self.rotation_deg)
@@ -151,10 +152,10 @@ class ScenarioSpec(Record):
                                 f"got {self.n_source} and {self.n_target}")
         if self.seed < 0:
             raise ContractError(f"seed must be nonnegative, got {self.seed}")
-        if not 0.0 <= self.noise < math.inf:
-            raise ContractError(f"noise must be finite and nonnegative, got {self.noise}")
-        if not math.isfinite(self.radius):
-            raise ContractError(f"radius must be finite, got {self.radius}")
+        if not 0.0 <= self.noise <= _MAX_SCALE:
+            raise ContractError(f"noise must lie in [0, 1e6], got {self.noise}")
+        if not abs(self.radius) <= _MAX_SCALE:
+            raise ContractError(f"radius must lie in [-1e6, 1e6], got {self.radius}")
         if not 1 <= self.num_sources <= MAX_SOURCES:
             raise ContractError(f"source_shifts must hold 1 to {MAX_SOURCES} source domains, got {self.num_sources}")
         if self.regime == "partial":
@@ -224,7 +225,7 @@ def _sample_gaussians(n: int, num_classes: int, classes, rng, radius: float, noi
 
 
 def _sample_domain(spec: ScenarioSpec, shift: Shift, n: int, classes, rng) -> DomainData:
-    sigma = spec.noise * shift.noise_scale
+    sigma = abs(spec.noise * shift.noise_scale)  # a noise of -0.0 passes the checks, but numpy refuses it
     if spec.family == "moons":
         points, labels = _sample_moons(n, classes, rng, sigma)
     else:

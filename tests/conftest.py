@@ -13,6 +13,32 @@ JSON = st.recursive(
 NUMBER = st.integers(-1, 5) | st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf"), True])
 
 
+DROP = object()  # a `replaced` value that removes the entry instead
+
+
+def key_paths(obj, prefix=()):
+    """The key paths (dict keys and list indices) of every value in a
+    JSON value, the value's own empty path first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    paths = [prefix]
+    for key, value in items:
+        paths += key_paths(value, (*prefix, key))
+    return paths
+
+
+def replaced(obj, path, value):
+    """A copy of the JSON value `obj` with the value at the key path
+    `path` replaced by `value`, or removed if `value` is DROP."""
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    if value is DROP and len(path) == 1:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = replaced(obj[path[0]], path[1:], value)
+    return copy
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

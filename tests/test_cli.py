@@ -1,6 +1,11 @@
+import contextlib
+import functools
+import io
 import json
+import os
 import re
 import shutil
+import tempfile
 from dataclasses import fields
 from unittest import mock
 
@@ -18,11 +23,11 @@ from bbadapt.cli import (
     train_source_models,
 )
 from bbadapt.errors import ContractError
-from bbadapt.nets import SourceNet, net_state, save_checkpoint
+from bbadapt.nets import SourceNet, TargetNet, load_checkpoint, net_state, save_checkpoint
 from bbadapt.predictors import InProcessPredictor, init_teacher, read_cache, write_cache
 from bbadapt.scenarios import PRESET_NAMES, DomainData, ScenarioSpec, Shift, generate, preset
 
-from conftest import JSON
+from conftest import JSON, key_paths, replaced
 
 
 def small_config(**overrides):
@@ -419,16 +424,51 @@ def test_diverging_run_prints_only_the_error(tmp_path, capsys, recwarn):
 
 
 def test_a_diverging_step_that_fails_a_check_names_its_seed(tmp_path, capsys, recwarn):
-    # the sources train; then a student's predictions go NaN, which a probability check meets before the loss
-    outdir = tmp_path / "x"
-    argv = ["adapt", "--preset", "moons-rot30", "--seeds", "1,2", "--lr", "1e6", "--source-epochs", "2",
-            "--outdir", str(outdir)]
-    assert main(argv) == 2
+    # a student's predictions go NaN, which a probability check meets before the loss: after two source
+    # epochs inside a step; with a trained source from a checkpoint, in the epoch-end forward that feeds
+    # the bank after the epoch's last step
+    assert main(["train-source", "--preset", "moons-rot30", "--seed", "5", "--outdir", str(tmp_path / "c")]) == 0
+    checkpoint = str(tmp_path / "c" / "source0_seed5.json")
+    cases = [
+        (["--lr", "1e6", "--source-epochs", "2"], r"student rows", r"epoch \d+, step \d+ of 480 \(seed [12]\)"),
+        (["--lr", "1e8", "--source-checkpoints", checkpoint], r"epoch-end predictions",
+         r"epoch 1, step 16 of 480 \(seed 1\)"),
+    ]
+    for n, (flags, checked, where) in enumerate(cases):
+        capsys.readouterr()
+        outdir = tmp_path / f"x{n}"
+        assert main(["adapt", "--preset", "moons-rot30", "--seeds", "1,2", *flags, "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        message = rf"error: distill: {checked} has negative or NaN entries \(min=nan\) at {where}\n"
+        assert re.fullmatch(message, err), err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert list(outdir.iterdir()) == []
+
+
+def test_a_diverging_finetune_only_writes_nothing(tmp_path, capsys, recwarn):
+    # one step per epoch overflows the parameters; the epoch-end forward meets the NaN, not the next loss
+    flags = ["--preset", "moons-rot30", "--seeds", "1", "--source-epochs", "2", "--adapt-epochs", "1"]
+    assert main(["adapt", *flags, "--finetune-epochs", "0", "--outdir", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "f"
+    assert main(["finetune-only", "--preset", "moons-rot30", "--checkpoint", str(tmp_path / "d" / "target_seed1.json"),
+                 "--seed", "1", "--lr", "1e150", "--finetune-epochs", "1", "--batch-size", "1000",
+                 "--outdir", str(outdir)]) == 2
     err = capsys.readouterr().err
-    message = r"error: distill: student rows has negative or NaN entries \(min=nan\) at epoch \d+, step \d+ of 480 "
-    assert re.fullmatch(message + r"\(seed [12]\)\n", err), err
+    assert err == ("error: finetune: epoch-end predictions has negative or NaN entries (min=nan) "
+                   "at epoch 1, step 1 of 1\n"), err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-    assert list(outdir.iterdir()) == []
+    assert not outdir.exists()
+
+
+def test_a_negative_seed_exits_2(tmp_path, capsys):
+    for argv in (["train-source", "--preset", "moons-rot30", "--seed", "-1", "--outdir", str(tmp_path / "x")],
+                 ["finetune-only", "--preset", "moons-rot30", "--checkpoint", str(tmp_path / "none.json"),
+                  "--seed", "-3", "--outdir", str(tmp_path / "x")]):
+        assert main(argv) == 2, argv
+        seed = argv[argv.index("--seed") + 1]
+        assert capsys.readouterr().err == f"error: --seed must be a nonnegative integer, got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_run_leaves_no_manifest(tmp_path, capsys):
@@ -542,16 +582,6 @@ def test_train_source_and_finetune_only_check_only_their_fields(flags, run_a, tm
     assert capsys.readouterr().err == ""
 
 
-def _replaced(obj, path, value):
-    """A copy of the config dict `obj` with the value at the key path
-    `path` (dict keys and list indices) replaced."""
-    if not path:
-        return value
-    copy = dict(obj) if isinstance(obj, dict) else list(obj)
-    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
-    return copy
-
-
 BAD_CONFIG_VALUES = [
     ("hidden", [0]),
     ("hidden", [16, -4]),
@@ -569,6 +599,10 @@ BAD_CONFIG_VALUES = [
     ("scenario.noise", float("nan")),
     ("scenario.noise", float("inf")),
     ("scenario.radius", float("inf")),
+    ("scenario.target_shift.translation", [0.0, 6.1e93]),  # batch-norm variances overflow on such features
+    ("scenario.target_shift.noise_scale", 1e7),
+    ("scenario.noise", 1e7),
+    ("scenario.radius", -2e6),
     ("seeds", [1, 1]),
     ("scenario.num_classes", 1_000_000),
     ("scenario.n_source", 10_000_000),
@@ -589,7 +623,7 @@ def test_bad_config_values_exit_2_before_training(path, value, tmp_path, capsys,
     monkeypatch.setattr(cli, "generate", _never)
     monkeypatch.setattr(cli, "train_source_models", _never)
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(_replaced(small_config().to_dict(), path.split("."), value)))
+    config.write_text(json.dumps(replaced(small_config().to_dict(), path.split("."), value)))
     outdir = tmp_path / "x"
     assert main(["adapt", "--config", str(config), "--outdir", str(outdir)]) == 2
     err = capsys.readouterr().err
@@ -626,16 +660,6 @@ def test_conflicting_options_exit_2(argv, message, cfg_file, tmp_path, capsys, m
     assert not (tmp_path / "x").exists()
 
 
-def _paths(obj, prefix=()):
-    """The key paths of every value in a config dict, the dict's own empty
-    path first."""
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
-    paths = [prefix]
-    for key, value in items:
-        paths += _paths(value, (*prefix, key))
-    return paths
-
-
 PRESET_CONFIGS = [ExperimentConfig(scenario=preset(name)).to_dict() for name in PRESET_NAMES]
 NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), 2**63, 0, -1, 10**7])
 VALUE = JSON | NUMBERS | st.lists(NUMBERS, max_size=12)
@@ -645,7 +669,7 @@ VALUE = JSON | NUMBERS | st.lists(NUMBERS, max_size=12)
 def near_valid_configs(draw):
     config = draw(st.sampled_from(PRESET_CONFIGS))
     for _ in range(draw(st.integers(1, 3))):
-        config = _replaced(config, draw(st.sampled_from(_paths(config)[1:])), draw(VALUE))
+        config = replaced(config, draw(st.sampled_from(key_paths(config)[1:])), draw(VALUE))
     return config
 
 
@@ -657,3 +681,53 @@ def test_config_validation_fuzz(obj):
             ExperimentConfig.from_dict(obj).validate()
         except ContractError:
             pass
+
+
+# the presets cut to a few dozen samples, one seed and one epoch per phase, and small values of each type
+TINY = {"seeds": [1], "source_epochs": 1, "adapt_epochs": 1, "finetune_epochs": 1, "batch_size": 16, "hidden": [8],
+        "bottleneck_dim": 4}
+TINY_CONFIGS = [{**config, **TINY, "scenario": {**config["scenario"], "n_source": 32, "n_target": 32}}
+                for config in PRESET_CONFIGS]
+
+
+def _at(obj, path):
+    return functools.reduce(lambda value, key: value[key], path, obj)
+
+
+WORDS = sorted({value for config in PRESET_CONFIGS for path in key_paths(config)
+                if isinstance(value := _at(config, path), str)} | {*cli.TEACHERS, *cli.DISCLOSURES, "auto"})
+SMALL_INTS = st.integers(-2, 40)
+SMALL = (st.none() | st.booleans() | st.sampled_from(WORDS) | SMALL_INTS | st.floats()
+         | st.lists(SMALL_INTS | st.floats(), max_size=4))
+LIKE = {bool: st.booleans(), int: SMALL_INTS, float: st.floats(), str: st.sampled_from(WORDS),
+        list: st.lists(SMALL_INTS, max_size=4) | st.lists(st.floats(), max_size=4)}
+
+
+@st.composite
+def tiny_configs(draw):
+    config = draw(st.sampled_from(TINY_CONFIGS))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(key_paths(config)[1:]))
+        config = replaced(config, path, draw(LIKE.get(type(_at(config, path)), SMALL)))
+    return config
+
+
+@given(tiny_configs())
+@settings(max_examples=25, deadline=None)
+def test_a_tiny_config_runs_or_exits_2(obj):
+    # what the checks let through trains to the end, and its checkpoints load back; anything they stop,
+    # before or during training (a diverging run), exits 2 with one error line and leaves no file
+    with tempfile.TemporaryDirectory() as tmp:
+        config, outdir, err = os.path.join(tmp, "config.json"), os.path.join(tmp, "run"), io.StringIO()
+        with open(config, "w") as fh:
+            json.dump(obj, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["adapt", "--config", config, "--outdir", outdir])
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+            assert not os.path.exists(outdir) or os.listdir(outdir) == []
+            return
+        assert code == 0, err.getvalue()
+        for seed in ExperimentConfig.from_dict(obj).seeds:
+            for name in (f"distilled_seed{seed}.json", f"target_seed{seed}.json"):
+                assert isinstance(load_checkpoint(os.path.join(outdir, name)), TargetNet)

@@ -1,8 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbadapt.distill import AdaptConfig, MemoryBank, run_distillation
 from bbadapt.errors import ContractError, DimensionError
@@ -25,13 +28,14 @@ from bbadapt.nets import (
     net_from_state,
     net_state,
     save_checkpoint,
+    train_epochs,
     train_source_net,
     write_atomically,
 )
 from bbadapt.scenarios import generate, preset
 from bbadapt.tensor import GradTape, Tensor, softmax
 
-from conftest import make_blobs
+from conftest import DROP, JSON, key_paths, make_blobs, replaced
 from per_op import pow_const, reduce_sum
 
 
@@ -361,12 +365,59 @@ def test_failed_check_names_the_diverging_member(phase):
                 run_finetune(FinetuneConfig(epochs=2, batch_size=16), nets, x, [3, 4], names=names)
 
 
+@pytest.mark.parametrize("phase", ["distill", "finetune"])
+def test_a_diverged_epoch_end_names_the_member(phase):
+    # one step per epoch leaves both members' parameters overflowing; the
+    # loss of that step was finite, so the epoch-end forward meets the NaN
+    x, _ = make_blobs(8, [(-2.0, 0.0), (2.0, 0.0)], 0.3, np.random.default_rng(0))
+    nets = [TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(i)) for i in range(2)]
+    calls = []
+    kwargs = dict(epochs=2, batch_size=16, lr_backbone=1e150)
+    message = (rf"^{phase}: epoch-end predictions has negative or NaN entries \(min=nan\) "
+               rf"at epoch 1, step 1 of 2 \(seed 3\)$")
+    with pytest.raises(ContractError, match=message):
+        if phase == "distill":
+            banks = [MemoryBank(np.full((len(x), 2), 0.5)) for _ in nets]
+            run_distillation(AdaptConfig(**kwargs), banks, nets, x, [3, 4], eval_fn=calls.append,
+                             names=["seed 3", "seed 4"])
+        else:
+            run_finetune(FinetuneConfig(**kwargs), nets, x, [3, 4], eval_fn=calls.append, names=["seed 3", "seed 4"])
+    assert calls == []
+    if phase == "distill":
+        assert [bank.epoch for bank in banks] == [0, 0]
+
+
+def test_a_non_finite_running_statistic_names_the_member():
+    # eval mode divides by the square root of an infinite variance, so the predictions pass their check,
+    # but the net could not be saved and loaded again
+    x, _ = make_blobs(8, [(-2.0, 0.0), (2.0, 0.0)], 0.3, np.random.default_rng(0))
+    nets = [TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(i)) for i in range(2)]
+    nets[1].bn.running_var[0] = np.inf
+    assert np.isfinite(nets[1].predict_proba(x)).all()
+    message = r"^finetune: a parameter or running statistic is not finite at epoch 1, step 1 of 2 \(seed 4\)$"
+    with pytest.raises(ContractError, match=message):
+        run_finetune(FinetuneConfig(epochs=2, batch_size=16, freeze_bn_stats=True), nets, x, [3, 4],
+                     names=["seed 3", "seed 4"])
+
+
+def test_every_phase_returns_records():
+    assert not inspect.isgeneratorfunction(train_epochs)
+    terms = {"source": set(), "distill": {"kd", "mix", "mi"}, "finetune": {"mi", "cond_entropy"}}
+    for phase, names in terms.items():
+        history = _train(phase, epochs=2)
+        assert [(record["phase"], record["epoch"]) for record in history] == [(phase, 1), (phase, 2)]
+        for record in history:
+            assert set(record) == {"phase", "epoch", "loss", *names}
+            assert all(type(record[name]) is float for name in ("loss", *names))
+
+
 def test_train_source_net_learns_blobs(rng):
     x, y = make_blobs(60, [(-2.0, 0.0), (2.0, 0.0)], 0.3, rng)
     net = SourceNet(2, 2, hidden=(16, 16), rng=np.random.default_rng(1))
     (history,) = train_source_net([net], [x], [y], [3], epochs=10, batch_size=32)
     assert len(history) == 10
-    assert history[-1] < history[0]
+    assert [record["epoch"] for record in history] == list(range(1, 11))
+    assert history[-1]["loss"] < history[0]["loss"]
     pred = net.predict_proba(x).argmax(axis=1)
     assert (pred == y).mean() == 1.0
 
@@ -470,6 +521,8 @@ MALFORMED_CHECKPOINTS = {
     "param wrong shape": lambda: _edit(_set(["params", "bn.gamma"], [1.0, 1.0])),
     "param ragged": lambda: _edit(_set(["params", "trunk.0.weight"], [[1.0, 2.0, 3.0, 4.0], [1.0]])),
     "param not numbers": lambda: _edit(_set(["params", "bn.beta"], [{}, {}, {}, {}])),
+    "param strings": lambda: _edit(_set(["params", "bn.beta"], ["0.0"] * 4)),
+    "param beyond 64 bits": lambda: _edit(_set(["params", "bn.beta"], [10**400, 0, 0, 0])),
     "param nan": lambda: _edit(_set(["params", "classifier.bias"], [0.0, float("nan"), 0.0])),
     "param inf": lambda: _edit(_set(["params", "trunk.0.bias"], [0.0, float("inf"), 0.0, 0.0])),
     "no running stats": lambda: _edit(_set(["running"], {})),
@@ -511,6 +564,38 @@ def test_valid_checkpoint_states_load():
     assert empty.trunk == []
     empty = net_from_state(net_state(TargetNet(2, 3, hidden=(), rng=np.random.default_rng(0))))
     assert empty.trunk == [] and empty.bn.running_mean.shape == (2,)
+
+
+FUZZ_STATES = [_target_state(), net_state(SourceNet(2, 3, hidden=(3,), rng=np.random.default_rng(0))),
+               net_state(TargetNet(2, 3, hidden=(), bottleneck_dim=2, rng=np.random.default_rng(0)))]
+# odd sizes, non-finite and negative numbers, other shapes, and any JSON value
+STATE_VALUES = JSON | st.sampled_from([0, -1, -1e-3, 1.5, True, 2**63, 10**400, float("nan"), float("inf"),
+                                       float("-inf"), [], [1.0], [[1.0, 2.0]], [3000], "1.0"])
+
+
+@st.composite
+def mutated_states(draw):
+    state = draw(st.sampled_from(FUZZ_STATES))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(key_paths(state)[1:]))
+        state = replaced(state, path, draw(st.just(DROP) | STATE_VALUES))
+    return state
+
+
+@given(mutated_states())
+@settings(max_examples=300, deadline=None)
+def test_net_from_state_fuzz(state):
+    # a dropped key, a changed shape, a non-finite value, a negative variance or an odd arch
+    # size is a ContractError, never another exception; what loads holds the state's numbers
+    try:
+        net = net_from_state(state)
+    except ContractError:
+        return
+    assert net.arch() == state["arch"]
+    for name, p in net.named_params().items():
+        assert np.array_equal(p.data, state["params"][name])
+    for name, r in net.running_stats().items():
+        assert np.array_equal(r, state["running"][name]) and (name != "bn.running_var" or (r >= 0).all())
 
 
 def test_oversized_arch_is_rejected_before_building(monkeypatch):

@@ -87,6 +87,15 @@ def test_generate_deterministic():
     assert np.array_equal(target_a.labels, target_b.labels)
 
 
+def test_negative_zero_noise_draws_as_zero_noise():
+    # -0.0 passes `0.0 <= noise`, and numpy's normal refuses a scale with the sign bit set
+    for spec in (ScenarioSpec(family="moons", num_classes=2, n_source=20, n_target=20, noise=-0.0),
+                 ScenarioSpec(family="gaussians", num_classes=3, n_source=20, n_target=20,
+                              target_shift=Shift(noise_scale=-0.0))):
+        sources, target = generate(spec)
+        assert np.isfinite(target.features).all() and len(sources[0].features) == 20
+
+
 def test_generate_shapes_and_balance():
     spec = ScenarioSpec(family="gaussians", num_classes=4, n_source=202, n_target=101)
     sources, target = generate(spec)
