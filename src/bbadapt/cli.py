@@ -8,9 +8,13 @@ rerunning a manifest yields byte-identical metrics files.
 
 Per-seed randomness is split into fixed named streams (source init,
 source training, target init, distillation, fine-tuning), so changing one
-phase's consumption never shifts another's. A run trains every seed's
-nets of one phase in lockstep as one stack, each on its own streams, so
-a seed's outputs are those it would have alone.
+phase's consumption never shifts another's. A run splits its seeds into
+one share per usable CPU; each share trains its seeds' nets of one phase
+in lockstep as one stack, each on its own streams, so a seed's outputs
+are those it would have alone. Share 0 trains in the calling process and
+the others in forked children, with numpy's BLAS on one thread while
+they run; with one seed or one CPU, or where forking or pinning the
+BLAS is not possible, the one share runs in the calling process.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -31,6 +36,7 @@ from .finetune import FinetuneConfig, run_finetune
 from .nets import (
     SourceNet,
     TargetNet,
+    _blas_threads,
     check_training_args,
     load_checkpoint,
     net_state,
@@ -248,14 +254,103 @@ def run_seeds(cfg: ExperimentConfig, target: DomainData, handles, seeds) -> list
     ]
 
 
+def _share_count(seeds) -> int:
+    """How many shares `_in_shares` splits `seeds` into: one per usable
+    CPU, at most one per seed, and 1 (serial) unless this process can
+    fork safely (no other thread running) and pin numpy's BLAS."""
+    if len(seeds) < 2 or not hasattr(os, "fork") or threading.active_count() > 1 or _blas_threads() is None:
+        return 1
+    return min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(seeds))
+
+
+def _in_shares(work, seeds) -> list:
+    """`work(share)` for contiguous shares of `seeds`, its lists joined in
+    seed order. Share 0 runs here; every other share runs in a forked
+    child at the same time, which sends back what `work` returned or
+    raised. Meanwhile numpy's BLAS runs one thread, so the processes do
+    not contend for the CPUs, and afterwards it runs as many as before.
+
+    The first share in seed order to raise decides the error; a child
+    that ends without a result is a RuntimeError. No child outlives the
+    call, whether it returns or raises.
+    """
+    k = _share_count(seeds)
+    if k == 1:
+        return work(seeds)
+    import pickle
+    import signal
+
+    bounds = [len(seeds) * i // k for i in range(k + 1)]
+    shares = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    children = {}  # pid -> (share, read end of its pipe), until reaped
+    set_threads(1)
+    try:
+        for share in shares[1:]:
+            pid, pipe = _fork_share(work, share)
+            children[pid] = (share, pipe)
+        results = work(shares[0])
+        for pid, (share, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()  # to the end before reaping: a result outgrows the pipe's buffer
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            try:
+                kind, value = pickle.loads(data)
+            except Exception:  # noqa: BLE001 - nothing, or a cut-off message
+                raise RuntimeError(f"the process running seeds {list(share)} ended without a result "
+                                   f"(wait status {status})") from None
+            if kind == "raised":
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        set_threads(threads)
+
+
+def _fork_share(work, share):
+    """Fork a child that runs `work(share)` and pickles ("value", result)
+    or ("raised", exception) into a pipe; return its pid and the pipe's
+    read end. The child writes nothing else and ends with `os._exit`."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    code = 1
+    try:  # the child: it never returns into its caller's frames
+        os.close(read_fd)
+        try:
+            message = ("value", work(share))
+        except BaseException as exc:  # sent to the parent, which raises it
+            message = ("raised", exc)
+        try:
+            data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - reported instead of what could not be sent
+            data = pickle.dumps(("raised", RuntimeError(f"seeds {list(share)}: cannot send {message[1]!r}: {exc!r}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> dict:
     """Run every seed, persist metrics, checkpoints, report and manifest.
 
     `fixed_handles` (cache/remote/checkpoint backings) are shared across
-    seeds; otherwise fresh source models are trained per seed. Files are
-    written once every seed has trained, in seed order. Each file is
-    written atomically, and `manifest.json` last, so a run that fails
-    leaves no manifest behind.
+    seeds; otherwise fresh source models are trained per seed. The seeds
+    train in shares, one per usable CPU, each share one lockstep stack per
+    phase (`_in_shares`). Files are written once every seed has trained,
+    in seed order. Each file is written atomically, and `manifest.json`
+    last, so a run that fails leaves no manifest behind.
     """
     cfg.validate()
     phases = [("distill", TargetNet, cfg.adapt_epochs), ("finetune", TargetNet, cfg.finetune_epochs)]
@@ -265,12 +360,16 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
         check_training_args(phase, epochs, cfg.batch_size, cfg.lr_backbone, net_cls.min_batch)
     os.makedirs(outdir, exist_ok=True)
     sources, target = generate(cfg.scenario)
-    if fixed_handles is None:
-        handles = [handles_from_nets(cfg, nets) for nets in train_source_models(cfg, sources, cfg.seeds)]
-    else:
-        handles = [fixed_handles] * len(cfg.seeds)
+
+    def run_share(seeds):
+        if fixed_handles is None:
+            handles = [handles_from_nets(cfg, nets) for nets in train_source_models(cfg, sources, seeds)]
+        else:
+            handles = [fixed_handles] * len(seeds)
+        return run_seeds(cfg, target, handles, seeds)
+
     per_seed = []
-    for seed, out in zip(cfg.seeds, run_seeds(cfg, target, handles, cfg.seeds)):
+    for seed, out in zip(cfg.seeds, _in_shares(run_share, cfg.seeds)):
         _write_metrics(os.path.join(outdir, f"metrics_seed{seed}.ndjson"), seed, out["metrics"])
         _write_json(os.path.join(outdir, f"distilled_seed{seed}.json"), out["distilled_state"])
         save_checkpoint(out["net"], os.path.join(outdir, f"target_seed{seed}.json"), seed=seed)

@@ -476,6 +476,36 @@ def _reuse_freed_memory():
     mallopt(M_TRIM_THRESHOLD, 32 << 20)
 
 
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None if there is none to pin.
+
+    A numpy wheel ships its OpenBLAS in `numpy.libs`, beside the package,
+    and names the two functions with a 64-bit-integer suffix, after a
+    prefix that numpy 2 changed (`scipy_openblas_set_num_threads64_`); a
+    library not already loaded is left alone, so a call always reaches
+    numpy's own.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except (OSError, AttributeError):  # not loaded, or no RTLD_NOLOAD on this platform
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            get = getattr(lib, f"{prefix}get_num_threads64_", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
 def _diverged_member(arrays, members: int):
     """The first member of a stack of `members` with a non-finite value in
     `arrays`, each with a leading member axis; None if every value is finite."""
@@ -511,9 +541,10 @@ def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds
     Mismatched counts, bad arguments (see `check_training_args`) and a
     diverging run (a non-finite loss, or a failed check in a step or at an
     epoch's end) raise ContractError naming the phase; the last names the
-    epoch, the step and, on a stack of two or more, the first member to
-    diverge by its entry in `names`. Numpy's floating-point warnings are
-    off throughout, so a diverging run is reported once.
+    epoch, the step and the first member to diverge: by its entry in
+    `names` whenever `names` is given, even for one net, and otherwise as
+    `member i` on a stack of two or more. Numpy's floating-point warnings
+    are off throughout, so a diverging run is reported once.
     """
     counts = {key: len(a) for key, a in dict(features=features, seeds=seeds, names=names or nets, **per_net).items()}
     if not nets or any(count != len(nets) for count in counts.values()):
@@ -524,7 +555,8 @@ def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds
     n = len(features[0])
     if n < min_batch:
         raise ContractError(f"{phase}: got {n} samples, fewer than the smallest batch ({min_batch})")
-    names = names or [f"member {i}" for i in range(len(nets))]
+    if names is None and len(nets) > 1:
+        names = [f"member {i}" for i in range(len(nets))]
     _reuse_freed_memory()
     rng = RngStack(seeds)
     stack = stack_nets(nets)
@@ -533,7 +565,7 @@ def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds
     total_steps = max(1, epochs * _batches_per_epoch(n, batch_size, min_batch))
 
     def diverged(problem: str, epoch: int, step: int, member: int):
-        where = f" ({names[member]})" if len(nets) > 1 else ""
+        where = f" ({names[member]})" if names else ""
         return ContractError(f"{phase}: {problem} at epoch {epoch}, step {step + 1} of {total_steps}{where}")
 
     def sgd_step(idx, epoch: int, step: int):

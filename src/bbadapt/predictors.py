@@ -325,7 +325,12 @@ class InProcessPredictor(PredictorHandle):
         self.predictor_id = predictor_id
 
     def query(self, features) -> list[TopK]:
-        probs = self._net.predict_proba(checked_features(features))
+        """The disclosed predictions of the snapshot; ContractError, naming
+        the predictor, if its forward overflows to non-probabilities."""
+        x = checked_features(features)
+        with np.errstate(all="ignore"):
+            probs = self._net.predict_proba(x)
+        check_probabilities(probs, f"predictor '{self.predictor_id}' predictions", ndim=2)
         return _records(*disclose(probs, self.r), self.r, self.num_classes)
 
 

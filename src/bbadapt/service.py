@@ -20,7 +20,9 @@ goes out in a single write, so no response waits on a delayed ACK.
 Malformed or mismatched requests get {"id", "error"} responses and the
 connection stays open. A request line longer than MAX_LINE_BYTES gets
 {"id": null, "error"} and the connection is closed, as is a connection
-that sends nothing for IDLE_TIMEOUT_S seconds.
+that sends nothing for IDLE_TIMEOUT_S seconds. The server serves at most
+MAX_CONNECTIONS connections at once, each on its own thread; one more
+gets a single {"id": null, "error"} line and is closed.
 
 `topk` is the one JSON form of a disclosed batch; `predictors` owns it.
 """
@@ -41,6 +43,7 @@ from .predictors import (PredictorHandle, TopK, _columns, _records, _topk_column
 MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
 IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
 CONNECT_TIMEOUT_S = 10.0  # the client's socket timeout, for connecting and for each read
+MAX_CONNECTIONS = 64  # connections the server serves at once, one thread each
 
 
 def _no_delay(sock):
@@ -81,6 +84,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, handle: PredictorHandle, host: str = "127.0.0.1", port: int = 0):
         self._handle = handle
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)  # one per connection being served
         try:
             super().__init__((host, port), _LineHandler)
         except (OSError, OverflowError) as exc:  # OverflowError: a port outside [0, 65535]
@@ -89,6 +93,29 @@ class PredictionServer(socketserver.ThreadingTCPServer):
     @property
     def endpoint(self) -> tuple:
         return self.server_address[0], self.server_address[1]
+
+    def process_request(self, request, client_address):
+        """Serve the connection on a new thread, or, with MAX_CONNECTIONS
+        already being served, send one error line and close it."""
+        if not self._slots.acquire(blocking=False):
+            error = {"id": None, "error": f"server busy: {MAX_CONNECTIONS} connections open, try again later"}
+            try:
+                request.sendall(json.dumps(error, sort_keys=True).encode("utf-8") + b"\n")
+            except OSError:  # the client already went away
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     def answer(self, line: bytes) -> bytes:
         request_id = None

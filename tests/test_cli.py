@@ -6,6 +6,8 @@ import os
 import re
 import shutil
 import tempfile
+import threading
+import time
 from dataclasses import fields
 from unittest import mock
 
@@ -216,6 +218,142 @@ def test_a_seeds_outputs_do_not_depend_on_the_other_seeds(backing, tmp_path):
     for seed in (11, 12):
         for name in (f"metrics_seed{seed}.ndjson", f"distilled_seed{seed}.json", f"target_seed{seed}.json"):
             assert (tmp_path / "11,12" / name).read_bytes() == (tmp_path / str(seed) / name).read_bytes(), name
+
+
+# seed shares: `run_experiment` trains shares of the seeds in forked children ------------------
+
+TINY_ADAPT = ["adapt", "--preset", "moons-rot30", "--source-epochs", "1", "--adapt-epochs", "1",
+              "--finetune-epochs", "1"]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or cli._blas_threads() is None,
+                                reason="seed shares need os.fork and an OpenBLAS whose threads can be pinned")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children `os.fork` starts, recorded in the parent."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _reaped(pids) -> bool:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+def _in_a_child(parent_pid, fn, real=run_seeds):
+    """A `run_seeds` that calls `fn(seeds)` in a forked child and runs for real here."""
+    def patched(cfg, target, handles, seeds):
+        if os.getpid() != parent_pid:
+            fn(seeds)
+        return real(cfg, target, handles, seeds)
+
+    return patched
+
+
+def _files(outdir) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+@needs_fork
+@pytest.mark.parametrize("seeds", ["1", "1,2", "1,2,3"])
+def test_shares_write_the_files_of_a_serial_run(seeds, tmp_path, monkeypatch, forks):
+    count = len(seeds.split(","))
+    for name, shares in (("serial", lambda seeds: 1), ("shares", len)):  # one share, or one per seed
+        monkeypatch.setattr(cli, "_share_count", shares)
+        assert main([*TINY_ADAPT, "--seeds", seeds, "--outdir", str(tmp_path / name)]) == 0
+    assert len(forks) == count - 1 and _reaped(forks)
+    serial, shared = _files(tmp_path / "serial"), _files(tmp_path / "shares")
+    assert len(serial) == 3 * count + 2 and shared == serial
+
+
+@needs_fork
+def test_shares_use_the_cpus_one_blas_thread_each(tmp_path, monkeypatch, forks):
+    get_threads = cli._blas_threads()[0]
+    before, during = get_threads(), []
+
+    def counting(cfg, target, handles, seeds):
+        during.append(get_threads())
+        return run_seeds(cfg, target, handles, seeds)
+
+    monkeypatch.setattr(cli, "run_seeds", counting)
+    alone = threading.active_count() == 1  # a process with another thread running does not fork
+    assert cli._share_count((1, 2, 3)) == (min(len(os.sched_getaffinity(0)), 3) if alone else 1)
+    assert cli._share_count((1,)) == 1
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait)
+    waiting.start()
+    try:
+        assert cli._share_count((1, 2, 3)) == 1
+    finally:
+        stop.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    assert main([*TINY_ADAPT, "--seeds", "1,2,3", "--outdir", str(tmp_path / "x")]) == 0
+    assert len(forks) == cli._share_count((1, 2, 3)) - 1 and _reaped(forks)
+    assert during == [1 if forks else before] and get_threads() == before
+
+
+def test_an_unpinnable_blas_runs_serially(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked without a pinned BLAS")
+
+    monkeypatch.setattr(cli, "_blas_threads", lambda: None)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main([*TINY_ADAPT, "--seeds", "1,2,3", "--outdir", str(tmp_path / "x")]) == 0
+    assert len(list((tmp_path / "x").iterdir())) == 3 * 3 + 2
+
+
+@needs_fork
+def test_a_contract_error_in_a_child_exits_2(tmp_path, capsys, monkeypatch, forks):
+    # shares (1), (2) and (3); both children fail, and the first share in seed order to fail is reported
+    def refuse(seeds):
+        raise ContractError(f"refused seeds {list(seeds)}")
+
+    monkeypatch.setattr(cli, "_share_count", len)
+    monkeypatch.setattr(cli, "run_seeds", _in_a_child(os.getpid(), refuse))
+    outdir = tmp_path / "x"
+    assert main([*TINY_ADAPT, "--seeds", "1,2,3", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == "error: refused seeds [2]\n"
+    assert list(outdir.iterdir()) == [] and len(forks) == 2 and _reaped(forks)
+
+
+@needs_fork
+def test_a_child_that_ends_without_a_result_raises(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(cli, "_share_count", len)
+    monkeypatch.setattr(cli, "run_seeds", _in_a_child(os.getpid(), lambda seeds: os._exit(3)))
+    outdir = tmp_path / "x"
+    with pytest.raises(RuntimeError, match=r"seeds \[2\] ended without a result \(wait status 768\)"):
+        main([*TINY_ADAPT, "--seeds", "1,2", "--outdir", str(outdir)])
+    assert list(outdir.iterdir()) == [] and len(forks) == 1 and _reaped(forks)
+
+
+@needs_fork
+def test_a_failing_parent_share_stops_the_children(tmp_path, capsys, monkeypatch, forks):
+    parent = os.getpid()
+
+    def refuse_here(cfg, target, handles, seeds):
+        if os.getpid() == parent:
+            raise ContractError(f"refused seeds {list(seeds)}")
+        time.sleep(60)  # a child still at work when the parent's share fails
+
+    monkeypatch.setattr(cli, "_share_count", len)
+    monkeypatch.setattr(cli, "run_seeds", refuse_here)
+    outdir = tmp_path / "x"
+    started = time.monotonic()
+    assert main([*TINY_ADAPT, "--seeds", "1,2", "--outdir", str(outdir)]) == 2
+    assert time.monotonic() - started < 30
+    assert capsys.readouterr().err == "error: refused seeds [1]\n"
+    assert list(outdir.iterdir()) == [] and len(forks) == 1 and _reaped(forks)
 
 
 def test_cli_surface_is_pinned(run_a, capsys):
@@ -554,6 +692,28 @@ def test_checkpoint_for_another_scenario_exits_2(cfg_file, tmp_path, capsys, mon
             assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt} maps {in_dim} features to {k} "
                                                       "classes, but the scenario has 2 features and 3 classes"), argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["source_2_4.json", "source_3_3.json"]
+
+
+def test_an_overflowing_source_checkpoint_exits_2(tmp_path, capsys, recwarn):
+    # a checkpoint that loads, but whose forward overflows: no numpy warning, no NaN cache, one error line
+    assert main(["train-source", "--preset", "moons-rot30", "--seed", "5", "--source-epochs", "2",
+                 "--outdir", str(tmp_path / "c")]) == 0
+    state = json.loads((tmp_path / "c" / "source0_seed5.json").read_text())
+    for name in ("trunk.0.weight", "trunk.1.weight"):
+        state["params"][name] = (np.array(state["params"][name]) * 1e160).tolist()
+    checkpoint = tmp_path / "overflowing.json"
+    checkpoint.write_text(json.dumps(state))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv, source in (
+        (["cache-predictions", "--checkpoint", str(checkpoint), "--out", str(out / "c.json")], "source"),
+        (["adapt", "--seeds", "1,2", "--source-checkpoints", str(checkpoint), "--outdir", str(out)], "source0"),
+    ):
+        assert main([argv[0], "--preset", "moons-rot30", *argv[1:]]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: predictor '{source}' predictions has negative or NaN entries (min=nan)\n", err
+        assert not out.exists() or list(out.iterdir()) == [], argv
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_finetune_only_command(run_a, tmp_path, capsys):

@@ -331,7 +331,8 @@ def test_train_source_net_rejects_non_finite_loss():
 
 
 def test_non_finite_loss_names_the_diverging_member():
-    # one member of a stack of two diverges; the error names it, and only on a stack
+    # one member of a stack of two diverges; the error names it, as it names a lone net given a name,
+    # and a lone net without a name is not named
     (domain,), _ = generate(preset("moons-rot30"))
     names = ["seed 7, source 0", "seed 7, source 1"]
     for diverging in (0, 1):
@@ -344,6 +345,8 @@ def test_non_finite_loss_names_the_diverging_member():
     net.trunk[0].bias.data[0] = np.inf
     with pytest.raises(ContractError, match=r"^source: loss is nan at epoch 1, step 1 of 32$"):
         train_source_net([net], [domain.features], [domain.labels], [0], epochs=2)
+    with pytest.raises(ContractError, match=r"^source: loss is nan at epoch 1, step 1 of 32 \(seed 7, source 0\)$"):
+        train_source_net([net], [domain.features], [domain.labels], [0], epochs=2, names=names[:1])
 
 
 @pytest.mark.parametrize("phase", ["distill", "finetune"])

@@ -2,6 +2,7 @@ import json
 import queue
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -417,6 +418,42 @@ def test_listen_backlog_holds_a_burst_of_clients(trained_net):
             sock.close()
         server.server_close()
     assert len(clients) == 16
+
+
+def test_a_connection_beyond_the_cap_gets_one_error_line(trained_net, monkeypatch):
+    monkeypatch.setattr(service, "MAX_CONNECTIONS", 2)
+    server = _serve(InProcessPredictor(trained_net, disclosure="hard"))
+    request = json.dumps({"id": 0, "features": [[0.0, 0.0]]}).encode() + b"\n"
+
+    def served(sock) -> bool:
+        sock.sendall(request)
+        return "topk" in json.loads(sock.makefile("rb").readline())
+
+    held = [socket.create_connection(server.endpoint, timeout=5.0) for _ in range(2)]
+    try:
+        assert all(served(sock) for sock in held)  # both are served, and stay open
+        with socket.create_connection(server.endpoint, timeout=5.0) as sock:
+            stream = sock.makefile("rb")
+            reply = json.loads(stream.readline())
+            assert reply == {"id": None, "error": "server busy: 2 connections open, try again later"}
+            assert stream.readline() == b""  # closed
+        held.pop().close()  # frees a slot once the server sees the close
+        deadline = time.monotonic() + 10.0
+        while True:
+            with socket.create_connection(server.endpoint, timeout=5.0) as sock:
+                try:
+                    ok = served(sock)
+                except ConnectionError:  # refused while our request lay unread, so the close may reset
+                    ok = False
+            if ok or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert ok
+    finally:
+        for sock in held:
+            sock.close()
+        server.shutdown()
+        server.server_close()
 
 
 # fuzzing both ends of the wire -------------------------------------------
