@@ -4,7 +4,9 @@ Subcommands cover the full pipeline: train source models, serve one as a
 black-box endpoint, cache its predictions, run the two-phase adaptation,
 fine-tune an existing checkpoint, and summarize finished runs. Every
 adaptation run writes a manifest sufficient to reproduce it exactly;
-rerunning a manifest yields byte-identical metrics files.
+rerunning a manifest yields byte-identical metrics files. An
+`ExperimentConfig` holds every hyper-parameter; `validate` checks them all
+before any net trains, and each phase takes its own as keywords.
 
 Per-seed randomness is split into fixed named streams (source init,
 source training, target init, distillation, fine-tuning), so changing one
@@ -20,6 +22,7 @@ BLAS is not possible, the one share runs in the calling process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,9 +33,9 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .distill import AdaptConfig, run_distillation
+from .distill import check_distill_args, run_distillation
 from .errors import ContractError
-from .finetune import FinetuneConfig, run_finetune
+from .finetune import run_finetune
 from .nets import (
     SourceNet,
     TargetNet,
@@ -103,7 +106,8 @@ class ExperimentConfig(Record):
 
     def validate(self):
         """ContractError unless every field `adapt` uses is usable, checked
-        before any net trains. The scenario checks itself when built."""
+        before any net trains, every phase's epochs, batch size and learning
+        rate included. The scenario checks itself when built."""
         self.validate_source()
         if not 0 < self.bottleneck_dim <= MAX_WIDTH:
             raise ContractError(f"bottleneck_dim must lie in [1, {MAX_WIDTH}], got {self.bottleneck_dim}")
@@ -119,16 +123,20 @@ class ExperimentConfig(Record):
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ContractError(f"seeds must be one or more distinct nonnegative integers, got {list(self.seeds)}")
         self.disclosed_r()  # rejects an unknown disclosure name
-        _adapt_config(self).validate()  # before any source net trains
+        check_distill_args(self.beta, self.gamma, self.mixup_alpha)
+        for phase, epochs in (("distill", self.adapt_epochs), ("finetune", self.finetune_epochs)):
+            check_training_args(phase, epochs, self.batch_size, self.lr_backbone, TargetNet.min_batch)
 
     def validate_source(self):
         """The part of `validate` that covers source training: at most
-        MAX_DEPTH hidden widths in [1, MAX_WIDTH] and `ls_alpha` in [0, 1]."""
+        MAX_DEPTH hidden widths in [1, MAX_WIDTH], `ls_alpha` in [0, 1] and
+        the source phase's epochs, batch size and learning rate."""
         if not (len(self.hidden) <= MAX_DEPTH and all(0 < width <= MAX_WIDTH for width in self.hidden)):
             raise ContractError(f"hidden must be at most {MAX_DEPTH} widths in [1, {MAX_WIDTH}], "
                                 f"got {list(self.hidden)}")
         if not 0.0 <= self.ls_alpha <= 1.0:
             raise ContractError(f"ls_alpha must lie in [0, 1], got {self.ls_alpha}")
+        check_training_args("source", self.source_epochs, self.batch_size, self.lr_backbone, SourceNet.min_batch)
 
     def disclosed_r(self) -> int:
         """The truncation level the sources disclose at (see `resolve_r`).
@@ -187,27 +195,6 @@ def _check_handle_disclosures(cfg: ExperimentConfig, handles):
             raise ContractError(f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), config expects r={want}")
 
 
-def _adapt_config(cfg: ExperimentConfig) -> AdaptConfig:
-    return AdaptConfig(
-        beta=0.0 if cfg.drop_mix else cfg.beta,
-        gamma=cfg.gamma,
-        mixup_alpha=cfg.mixup_alpha,
-        epochs=cfg.adapt_epochs,
-        batch_size=cfg.batch_size,
-        drop_mi=cfg.drop_mi,
-        lr_backbone=cfg.lr_backbone,
-    )
-
-
-def _finetune_config(cfg: ExperimentConfig) -> FinetuneConfig:
-    return FinetuneConfig(
-        epochs=cfg.finetune_epochs,
-        batch_size=cfg.batch_size,
-        freeze_bn_stats=cfg.freeze_bn_stats,
-        lr_backbone=cfg.lr_backbone,
-    )
-
-
 def run_seeds(cfg: ExperimentConfig, target: DomainData, handles, seeds) -> list[dict]:
     """The full adaptation of each seed, given one list of predictor
     handles per seed: teacher init, then distillation and fine-tuning,
@@ -219,22 +206,22 @@ def run_seeds(cfg: ExperimentConfig, target: DomainData, handles, seeds) -> list
     hard_mode = "onehot" if cfg.teacher == "hard" else "ls"
     banks = [init_teacher(seed_handles, target.features, r=cfg.r, hard_mode=hard_mode) for seed_handles in handles]
     no_adapt = [bank_accuracy(bank.rows, target.labels) for bank in banks]
-
-    def eval_fn(probs):
-        return bank_accuracy(probs, target.labels)
-
+    eval_fn = functools.partial(bank_accuracy, labels=target.labels)
     nets = [
         TargetNet(target.features.shape[1], handles[0][0].num_classes, hidden=cfg.hidden,
                   bottleneck_dim=cfg.bottleneck_dim, rng=np.random.default_rng([seed, _TARGET_INIT]))
         for seed in seeds
     ]
     names = [f"seed {seed}" for seed in seeds]
-    metrics = run_distillation(_adapt_config(cfg), banks, nets, target.features, [[seed, _DISTILL] for seed in seeds],
-                               eval_fn=eval_fn, names=names)
+    metrics = run_distillation(banks, nets, target.features, [[seed, _DISTILL] for seed in seeds],
+                               epochs=cfg.adapt_epochs, batch_size=cfg.batch_size, lr_backbone=cfg.lr_backbone,
+                               beta=0.0 if cfg.drop_mix else cfg.beta, gamma=cfg.gamma, mixup_alpha=cfg.mixup_alpha,
+                               drop_mi=cfg.drop_mi, eval_fn=eval_fn, names=names)
     distilled = [evaluate(net, target) for net in nets]
     states = [net_state(net, seed=seed) for net, seed in zip(nets, seeds)]
-    finetuned = run_finetune(_finetune_config(cfg), nets, target.features, [[seed, _FINETUNE] for seed in seeds],
-                             eval_fn=eval_fn, names=names)
+    finetuned = run_finetune(nets, target.features, [[seed, _FINETUNE] for seed in seeds],
+                             epochs=cfg.finetune_epochs, batch_size=cfg.batch_size, lr_backbone=cfg.lr_backbone,
+                             freeze_bn_stats=cfg.freeze_bn_stats, eval_fn=eval_fn, names=names)
     finals = [evaluate(net, target) for net in nets]
     return [
         {
@@ -352,12 +339,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
     in seed order. Each file is written atomically, and `manifest.json`
     last, so a run that fails leaves no manifest behind.
     """
-    cfg.validate()
-    phases = [("distill", TargetNet, cfg.adapt_epochs), ("finetune", TargetNet, cfg.finetune_epochs)]
-    if fixed_handles is None:
-        phases.insert(0, ("source", SourceNet, cfg.source_epochs))
-    for phase, net_cls, epochs in phases:  # checked here, before the first file is written
-        check_training_args(phase, epochs, cfg.batch_size, cfg.lr_backbone, net_cls.min_batch)
+    cfg.validate()  # before the first file is written
     os.makedirs(outdir, exist_ok=True)
     sources, target = generate(cfg.scenario)
 
@@ -560,12 +542,11 @@ def cmd_finetune_only(args) -> int:
     cfg = _load_config(args, check=None)  # the net's sizes come from the checkpoint; run_finetune checks the rest
     net = _checked_checkpoint(args.checkpoint, cfg)
     _, target = generate(cfg.scenario)
-
-    def eval_fn(probs):
-        return bank_accuracy(probs, target.labels)
-
     before = evaluate(net, target)["accuracy"]
-    (metrics,) = run_finetune(_finetune_config(cfg), [net], target.features, [[args.seed, _FINETUNE]], eval_fn=eval_fn)
+    (metrics,) = run_finetune([net], target.features, [[args.seed, _FINETUNE]], epochs=cfg.finetune_epochs,
+                              batch_size=cfg.batch_size, lr_backbone=cfg.lr_backbone,
+                              freeze_bn_stats=cfg.freeze_bn_stats,
+                              eval_fn=functools.partial(bank_accuracy, labels=target.labels))
     after = evaluate(net, target)["accuracy"]
     os.makedirs(args.outdir, exist_ok=True)
     _write_metrics(os.path.join(args.outdir, f"metrics_seed{args.seed}.ndjson"), args.seed, metrics)

@@ -11,12 +11,13 @@ Batch order and mixup draws come from one seeded generator per student,
 so a run is reproducible bit for bit. The students, each with its own
 bank and seed, distill in lockstep as one stack, each ending exactly as
 alone; `nets.train_epochs` runs the epochs and checks each epoch's end.
+Hyper-parameters are keyword arguments with the paper's defaults;
+`check_distill_args` checks the three that only this phase takes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,32 +64,16 @@ class MemoryBank:
         self.epoch += 1
 
 
-@dataclass
-class AdaptConfig:
-    """Hyper-parameters for the distillation phase.
-
-    `drop_mi` removes the mutual-information term from the step
-    objective, and beta=0 removes the mixup term.
-    """
-
-    beta: float = 1.0
-    gamma: float = 0.6
-    mixup_alpha: float = 0.3
-    epochs: int = 30
-    batch_size: int = 64
-    drop_mi: bool = False
-    lr_backbone: float = 1e-3
-
-    def validate(self):
-        """ContractError unless gamma lies in [0, 1], beta is finite and
-        nonnegative and mixup_alpha finite and positive; the comparisons are
-        written so that NaN fails them."""
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ContractError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.beta < math.inf:
-            raise ContractError(f"beta must be finite and nonnegative, got {self.beta}")
-        if not 0.0 < self.mixup_alpha < math.inf:
-            raise ContractError(f"mixup_alpha must be finite and positive, got {self.mixup_alpha}")
+def check_distill_args(beta: float, gamma: float, mixup_alpha: float):
+    """Raise ContractError unless gamma lies in [0, 1], beta is finite and
+    nonnegative and mixup_alpha finite and positive; the comparisons are
+    written so that NaN fails them."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ContractError(f"gamma must lie in [0, 1], got {gamma}")
+    if not 0.0 <= beta < math.inf:
+        raise ContractError(f"beta must be finite and nonnegative, got {beta}")
+    if not 0.0 < mixup_alpha < math.inf:
+        raise ContractError(f"mixup_alpha must be finite and positive, got {mixup_alpha}")
 
 
 def _check_rows(p: np.ndarray, name: str):
@@ -179,8 +164,9 @@ def mi_loss(student_probs) -> Tensor:
     return record_op(marginal - conditional, (probs,), vjp)
 
 
-def total_loss(cfg: AdaptConfig, bank_rows, net, batch, rng):
-    """One step objective: distill + beta*mixup - MI, on a single tape.
+def total_loss(bank_rows, net, batch, rng, *, beta: float = 1.0, mixup_alpha: float = 0.3, drop_mi: bool = False):
+    """One step objective: distill + beta*mixup - MI, on a single tape;
+    beta=0 leaves out the mixup term and `drop_mi` the MI term.
 
     Returns the loss and a dict of the term values (arrays, one value per
     member of a stack). The clean forward runs in train mode and
@@ -191,23 +177,27 @@ def total_loss(cfg: AdaptConfig, bank_rows, net, batch, rng):
     probs = softmax(logits)
     l_kd = distill_loss(bank_rows, probs)
     zero = Tensor(np.zeros(l_kd.shape))
-    l_mix = mixup_loss(net, batch, rng, alpha=cfg.mixup_alpha, probs=probs) if cfg.beta != 0.0 else zero
-    l_im = zero if cfg.drop_mi else mi_loss(probs)
-    loss = l_kd + Tensor(cfg.beta) * l_mix - l_im
+    l_mix = mixup_loss(net, batch, rng, alpha=mixup_alpha, probs=probs) if beta != 0.0 else zero
+    l_im = zero if drop_mi else mi_loss(probs)
+    loss = l_kd + Tensor(beta) * l_mix - l_im
     return loss, {"kd": l_kd.data, "mix": l_mix.data, "mi": l_im.data}
 
 
-def run_distillation(cfg: AdaptConfig, banks, nets, features, seeds, eval_fn=None, names=None) -> list[list[dict]]:
+def run_distillation(banks, nets, features, seeds, *, epochs: int = 30, batch_size: int = 64,
+                     lr_backbone: float = 1e-3, beta: float = 1.0, gamma: float = 0.6, mixup_alpha: float = 0.3,
+                     drop_mi: bool = False, eval_fn=None, names=None) -> list[list[dict]]:
     """Distill the list of nets in place as one stack, each with its own
     bank and seed; returns one history of per-epoch records per net (see
-    `nets.train_epochs`, which takes `names` and `eval_fn`).
+    `nets.train_epochs`, which takes `names` and `eval_fn`, and
+    `total_loss`, which takes `beta`, `mixup_alpha` and `drop_mi`).
 
     Each step descends `total_loss` on a shuffled mini-batch; batch order
     and mixup draws share each net's generator. Each epoch ends, net by
     net, with a checked eval-mode forward over the whole set, which feeds
-    the bank's EMA update and then `eval_fn`. Training never sees labels.
+    the bank's EMA update at `gamma` and then `eval_fn`. Training never
+    sees labels.
     """
-    cfg.validate()
+    check_distill_args(beta, gamma, mixup_alpha)
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     for bank, net in zip(banks, nets):
@@ -216,7 +206,7 @@ def run_distillation(cfg: AdaptConfig, banks, nets, features, seeds, eval_fn=Non
 
     def batch_loss(stack, idx, rng):
         rows = np.stack([bank.rows[i] for bank, i in zip(banks, idx)])
-        return total_loss(cfg, rows, stack, x[idx], rng)
+        return total_loss(rows, stack, x[idx], rng, beta=beta, mixup_alpha=mixup_alpha, drop_mi=drop_mi)
 
-    return train_epochs(nets, [x] * len(nets), batch_loss, cfg.epochs, cfg.batch_size, seeds, cfg.lr_backbone,
-                        "distill", names, lambda i, probs: banks[i].ema_update(probs, cfg.gamma), eval_fn, banks=banks)
+    return train_epochs(nets, [x] * len(nets), batch_loss, epochs, batch_size, seeds, lr_backbone, "distill", names,
+                        lambda i, probs: banks[i].ema_update(probs, gamma), eval_fn, banks=banks)

@@ -6,11 +6,10 @@ at zero. All layers stay trainable. Batch-norm running statistics keep
 updating by default; `freeze_bn_stats` pins them to the distilled values.
 The nets fine-tune in lockstep, one seed each, in `nets.train_epochs`,
 which checks each epoch's end; each ends exactly as it would alone.
+Hyper-parameters are keyword arguments with the paper's defaults.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +18,8 @@ from .nets import train_epochs
 from .tensor import softmax
 
 
-@dataclass
-class FinetuneConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    freeze_bn_stats: bool = False
-    lr_backbone: float = 1e-3
-
-
-def run_finetune(cfg: FinetuneConfig, nets, features, seeds, eval_fn=None, names=None) -> list[list[dict]]:
+def run_finetune(nets, features, seeds, *, epochs: int = 30, batch_size: int = 64, lr_backbone: float = 1e-3,
+                 freeze_bn_stats: bool = False, eval_fn=None, names=None) -> list[list[dict]]:
     """Fine-tune the list of nets in place as one stack, one seed each;
     returns one history of per-epoch records per net (see
     `nets.train_epochs`, which takes `names` and `eval_fn`).
@@ -40,11 +32,11 @@ def run_finetune(cfg: FinetuneConfig, nets, features, seeds, eval_fn=None, names
     x = np.asarray(features, dtype=np.float64)
 
     def batch_loss(stack, idx, rng):
-        probs = softmax(stack.forward(x[idx], mode="train", update_stats=not cfg.freeze_bn_stats))
+        probs = softmax(stack.forward(x[idx], mode="train", update_stats=not freeze_bn_stats))
         mi = mi_loss(probs)
         p = probs.data
         entropy = -(p * np.log(np.maximum(p, 1e-8))).sum(axis=-1).mean(axis=-1)
         return -mi, {"mi": mi.data, "cond_entropy": entropy}
 
-    return train_epochs(nets, [x] * len(nets), batch_loss, cfg.epochs, cfg.batch_size, seeds, cfg.lr_backbone,
-                        "finetune", names, eval_fn=eval_fn)
+    return train_epochs(nets, [x] * len(nets), batch_loss, epochs, batch_size, seeds, lr_backbone, "finetune", names,
+                        eval_fn=eval_fn)

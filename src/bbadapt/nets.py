@@ -614,8 +614,8 @@ def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds
     return histories
 
 
-def train_source_net(nets, features, labels, seeds, epochs: int = 30, batch_size: int = 64, ls_alpha: float = 0.1,
-                     lr_backbone: float = 1e-3, names=None) -> list[list[dict]]:
+def train_source_net(nets, features, labels, seeds, *, epochs: int = 30, batch_size: int = 64,
+                     lr_backbone: float = 1e-3, ls_alpha: float = 0.1, names=None) -> list[list[dict]]:
     """Train the list of source nets as one stack (see `train_epochs`,
     which takes `names`) with the label-smoothed objective; `features`,
     `labels` and `seeds` hold one entry per net, on domains of one size.

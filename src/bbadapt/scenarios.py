@@ -271,13 +271,12 @@ def evaluate(net, data: DomainData) -> dict:
     """
     probs = net.predict_proba(data.features)
     pred = probs.argmax(axis=1)
-    acc = 100.0 * float(np.mean(pred == data.labels))
     per_class = {}
     for cls in np.unique(data.labels):
         mask = data.labels == cls
         per_class[int(cls)] = 100.0 * float(np.mean(pred[mask] == cls))
     return {
-        "accuracy": acc,
+        "accuracy": bank_accuracy(probs, data.labels),
         "per_class_accuracy": float(np.mean(list(per_class.values()))),
         "class_accuracy": per_class,
     }
@@ -285,8 +284,8 @@ def evaluate(net, data: DomainData) -> dict:
 
 def bank_accuracy(rows: np.ndarray, labels: np.ndarray) -> float:
     """Accuracy (percent) of argmax over probability rows: a teacher
-    bank's, or a net's predictions handed to an epoch-end callback. It
-    equals `evaluate`'s accuracy for the rows `net.predict_proba` gives."""
+    bank's, a net's predictions handed to an epoch-end callback, or
+    `evaluate`'s."""
     pred = np.asarray(rows).argmax(axis=1)
     return 100.0 * float(np.mean(pred == np.asarray(labels)))
 

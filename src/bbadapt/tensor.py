@@ -9,12 +9,12 @@ and are confined to the thread that created them.
 `record_op` is the one way to define an op: compute the output with
 numpy, then hand it over with the inputs and a hand-written VJP. Each
 layer and loss term on the training path is one such record: `affine`
-(x @ W + b, optionally through a ReLU), `softmax` and `kl_div` here,
-batch norm and the weight-normalized classifier in `nets`, and the loss
-terms in `nets` and `distill`. `Tensor`'s `+`, `-`, `*` and unary `-`
-combine scalar loss terms into one objective. The per-op expressions the
-fused records replaced live with the tests (`tests/per_op.py`), which
-check that each fused forward performs the same float operations.
+(x @ W + b, optionally through a ReLU) and `softmax` here, batch norm
+and the weight-normalized classifier in `nets`, and the loss terms in
+`nets` and `distill`. `Tensor`'s `+`, `-`, `*` and unary `-` combine
+scalar loss terms into one objective. The per-op expressions the fused
+records replaced live with the tests (`tests/per_op.py`), which check
+that each fused forward performs the same float operations.
 
 The layer ops take a batch of rows, or a stack of batches with one leading
 member axis (see `nets.stack_nets`): rows are reduced over axis -2 and
@@ -283,33 +283,6 @@ def check_probabilities(p: np.ndarray, name: str, ndim: int):
     worst = np.abs(p.sum(axis=-1) - 1.0).max(initial=0.0)
     if not worst <= 1e-6:
         raise ContractError(f"{name} must sum to 1 within 1e-06, worst deviation {worst}")
-
-
-def kl_div(p: Tensor | np.ndarray, q: Tensor | np.ndarray) -> Tensor:
-    """KL divergence sum p_i (log p_i - log q_i) between probability
-    vectors, as one record.
-
-    Both inputs are clamped below by 1e-8 before the log, so the value is
-    finite for any valid inputs and nonnegative by Gibbs' inequality; the
-    derivative through a clamped log is zero. When `p` is a constant
-    teacher row, the gradient flows to `q` alone.
-    """
-    tp = as_tensor(p)
-    tq = as_tensor(q)
-    if tp.data.shape != tq.data.shape:
-        raise DimensionError(f"kl_div shapes disagree: {tp.data.shape} vs {tq.data.shape}")
-    check_probabilities(tp.data, "p", ndim=1)
-    check_probabilities(tq.data, "q", ndim=1)
-    clamped_p = np.maximum(tp.data, LOG_EPS)
-    clamped_q = np.maximum(tq.data, LOG_EPS)
-    diff = np.log(clamped_p) - np.log(clamped_q)
-
-    def vjp(g):
-        gp = g * diff + np.where(tp.data > LOG_EPS, g * tp.data / clamped_p, 0.0)
-        gq = np.where(tq.data > LOG_EPS, -g * tp.data / clamped_q, 0.0)
-        return gp, gq
-
-    return record_op((tp.data * diff).sum(), (tp, tq), vjp)
 
 
 # verification oracle --------------------------------------------------

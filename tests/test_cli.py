@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import io
 import json
 import os
@@ -526,13 +527,67 @@ def test_main_error_exits(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, argv
 
 
+BAD_PHASE_ARGUMENTS = [
+    (["--batch-size", "1"], "distill: batch_size must be at least 2, got 1"),
+    (["--adapt-epochs", "-1"], "distill: epochs must be nonnegative, got -1"),
+    (["--finetune-epochs", "-1"], "finetune: epochs must be nonnegative, got -1"),
+    (["--lr", "0"], "source: learning rate must be finite and positive, got 0.0"),
+    (["--gamma", "2"], "gamma must lie in [0, 1], got 2.0"),
+    (["--beta", "-1"], "beta must be finite and nonnegative, got -1.0"),
+    (["--mixup-alpha", "0"], "mixup_alpha must be finite and positive, got 0.0"),
+]
+
+
 def test_bad_phase_arguments_write_nothing(cfg_file, tmp_path, capsys):
-    # every phase's arguments are checked before the first file is written
-    for flags in (["--adapt-epochs", "-1"], ["--finetune-epochs", "-1"], ["--batch-size", "1"]):
-        outdir = tmp_path / "out"
+    # `validate` checks every phase's arguments before the first file is written: the source phase's
+    # even when a cache stands in for the sources, and beta even when --drop-mix leaves it unused
+    net = SourceNet(2, 3, hidden=(16,), rng=np.random.default_rng(0))
+    cache = tmp_path / "cache.json"
+    write_cache(str(cache), InProcessPredictor(net, "top-r", 1), generate(small_config().scenario)[1].features)
+    outdir = tmp_path / "out"
+    unused = [
+        (["--caches", str(cache), "--source-epochs", "-1"], "source: epochs must be nonnegative, got -1"),
+        (["--caches", str(cache), "--lr", "0"], "source: learning rate must be finite and positive, got 0.0"),
+        (["--drop-mix", "--beta", "-1"], "beta must be finite and nonnegative, got -1.0"),
+    ]
+    for flags, message in (*BAD_PHASE_ARGUMENTS, *unused):
         assert main(["adapt", "--config", str(cfg_file), *flags, "--outdir", str(outdir)]) == 2, flags
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not outdir.exists(), flags
+    assert main(["adapt", "--config", str(cfg_file), "--caches", str(cache), "--outdir", str(outdir)]) == 0
+
+
+@pytest.mark.parametrize("drop_mix", [False, True])
+def test_every_hyper_parameter_reaches_its_phase(drop_mix, tmp_path, monkeypatch):
+    # each value differs from the phase's default, so a keyword left out would show
+    cfg = small_config(source_epochs=3, ls_alpha=0.2, adapt_epochs=3, finetune_epochs=4, batch_size=16,
+                       lr_backbone=2e-3, beta=0.7, gamma=0.5, mixup_alpha=0.4, drop_mix=drop_mix, drop_mi=True,
+                       freeze_bn_stats=True)
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(cfg.to_dict()))
+    shared = dict(batch_size=cfg.batch_size, lr_backbone=cfg.lr_backbone)
+    expected = {
+        "train_source_net": dict(epochs=cfg.source_epochs, **shared, ls_alpha=cfg.ls_alpha),
+        "run_distillation": dict(epochs=cfg.adapt_epochs, **shared, beta=0.0 if drop_mix else cfg.beta,
+                                 gamma=cfg.gamma, mixup_alpha=cfg.mixup_alpha, drop_mi=cfg.drop_mi),
+        "run_finetune": dict(epochs=cfg.finetune_epochs, **shared, freeze_bn_stats=cfg.freeze_bn_stats),
+    }
+    calls = {name: [] for name in expected}
+    for name, want in expected.items():
+        phase = getattr(cli, name)
+        defaults = inspect.signature(phase).parameters
+        assert all(value != defaults[key].default for key, value in want.items()), name
+
+        def spy(*args, _phase=phase, _calls=calls[name], **kwargs):
+            _calls.append({key: value for key, value in kwargs.items() if key not in ("eval_fn", "names")})
+            return _phase(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    assert main(["adapt", "--config", str(config), "--outdir", str(tmp_path / "run")]) == 0
+    distilled = tmp_path / "run" / "distilled_seed2019.json"
+    assert main(["finetune-only", "--config", str(config), "--checkpoint", str(distilled),
+                 "--outdir", str(tmp_path / "ft")]) == 0
+    assert calls == {name: [want] * (2 if name == "run_finetune" else 1) for name, want in expected.items()}
 
 
 def test_bad_distillation_settings_exit_before_source_training(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bbadapt.distill import (
-    AdaptConfig,
     MemoryBank,
+    check_distill_args,
     distill_loss,
     mi_loss,
     mixup_loss,
@@ -124,6 +124,7 @@ def test_distill_loss_matches_naive(rng):
         probs = rng.dirichlet(np.ones(k), size=6)
         got = distill_loss(targets, Tensor(probs)).item()
         assert abs(got - naive_kl_rows(targets, probs)) < 1e-12
+        assert got >= 0.0  # Gibbs' inequality
 
 
 def test_distill_loss_zero_for_identical(rng):
@@ -137,8 +138,9 @@ def test_distill_loss_validates_rows(rng):
         distill_loss(good * 2.0, Tensor(good))
     with pytest.raises(DimensionError):
         distill_loss(good[:, :2], Tensor(good))
-    with pytest.raises(ContractError):
-        distill_loss(good, Tensor(np.full((4, 3), np.nan)))
+    for bank_rows, probs in ((good, np.full((4, 3), np.nan)), (np.full((4, 3), np.nan), good)):
+        with pytest.raises(ContractError):
+            distill_loss(bank_rows, Tensor(probs))
 
 
 def test_mi_loss_matches_naive(rng):
@@ -229,8 +231,7 @@ def test_total_loss_clean_forward_updates_stats(rng):
     batch = rng.normal(size=(8, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=8)
     stats_before = {k: v.copy() for k, v in net.running_stats().items()}
-    cfg = AdaptConfig()
-    total_loss(cfg, bank_rows, net, batch, np.random.default_rng(0))
+    total_loss(bank_rows, net, batch, np.random.default_rng(0))
     changed = any(not np.array_equal(v, stats_before[k]) for k, v in net.running_stats().items())
     assert changed
 
@@ -243,16 +244,14 @@ def test_total_loss_term_composition(rng):
     bank_rows = rng.dirichlet(np.ones(3), size=10)
     stats = {k: v.copy() for k, v in net.running_stats().items()}
 
-    full_cfg = AdaptConfig(beta=1.7)
-    loss_full, parts_full = total_loss(full_cfg, bank_rows, net, batch, np.random.default_rng(9))
+    loss_full, parts_full = total_loss(bank_rows, net, batch, np.random.default_rng(9), beta=1.7, mixup_alpha=0.4)
 
     net.set_running_stats(stats)
-    base_cfg = AdaptConfig(beta=0.0)
-    loss_base, parts_base = total_loss(base_cfg, bank_rows, net, batch, np.random.default_rng(9))
+    loss_base, parts_base = total_loss(bank_rows, net, batch, np.random.default_rng(9), beta=0.0, mixup_alpha=0.4)
 
     net.set_running_stats(stats)
     probs = softmax(net.forward(batch, mode="train", update_stats=False))
-    l_mix = mixup_loss(net, batch, np.random.default_rng(9), alpha=full_cfg.mixup_alpha, probs=probs)
+    l_mix = mixup_loss(net, batch, np.random.default_rng(9), alpha=0.4, probs=probs)
 
     assert abs(loss_full.item() - (loss_base.item() + 1.7 * l_mix.item())) < 1e-9
     assert parts_base["mix"] == 0.0
@@ -264,8 +263,7 @@ def test_total_loss_drop_mi(rng):
     net = small_net()
     batch = rng.normal(size=(6, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=6)
-    cfg = AdaptConfig(drop_mi=True, beta=0.0)
-    loss, parts = total_loss(cfg, bank_rows, net, batch, np.random.default_rng(0))
+    loss, parts = total_loss(bank_rows, net, batch, np.random.default_rng(0), beta=0.0, drop_mi=True)
     assert parts["mi"] == 0.0
     assert abs(loss.item() - parts["kd"]) < 1e-12
 
@@ -274,10 +272,9 @@ def test_total_loss_gradient_reaches_all_params(rng):
     net = small_net()
     batch = rng.normal(size=(8, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=8)
-    cfg = AdaptConfig()
     params = net.backbone_params() + net.new_params()
     with GradTape() as tape:
-        loss, _ = total_loss(cfg, bank_rows, net, batch, np.random.default_rng(1))
+        loss, _ = total_loss(bank_rows, net, batch, np.random.default_rng(1))
     grads = tape.gradient(loss, params)
     assert all(np.any(g != 0.0) for g in grads)
 
@@ -286,21 +283,24 @@ def test_total_loss_gradient_reaches_all_params(rng):
 
 
 def test_adapt_config_validation():
-    AdaptConfig().validate()
-    with pytest.raises(ContractError):
-        AdaptConfig(gamma=1.2).validate()
-    with pytest.raises(ContractError):
-        AdaptConfig(beta=-0.5).validate()
-    with pytest.raises(ContractError):
-        AdaptConfig(mixup_alpha=0.0).validate()
-    for bad in ({"beta": float("inf")}, {"mixup_alpha": float("inf")}):
-        with pytest.raises(ContractError, match="finite"):
-            AdaptConfig(**bad).validate()
+    # the distillation settings of an `adapt` config: checked alone and by run_distillation
+    good = {"beta": 1.0, "gamma": 0.6, "mixup_alpha": 0.3}
+    check_distill_args(**good)
     x, bank, net = _distill_setup()
+    for bad, message in (({"gamma": 1.2}, r"gamma must lie in \[0, 1\], got 1.2"),
+                         ({"beta": -0.5}, "beta must be finite and nonnegative, got -0.5"),
+                         ({"mixup_alpha": 0.0}, "mixup_alpha must be finite and positive, got 0.0"),
+                         ({"beta": float("inf")}, "beta must be finite"),
+                         ({"mixup_alpha": float("inf")}, "mixup_alpha must be finite")):
+        with pytest.raises(ContractError, match=message):
+            check_distill_args(**{**good, **bad})
+        with pytest.raises(ContractError, match=message):
+            run_distillation([bank], [net], x, [0], epochs=1, **bad)
+    assert bank.epoch == 0
     with pytest.raises(ContractError, match="batch_size"):
-        run_distillation(AdaptConfig(batch_size=1), [bank], [net], x, [0])
+        run_distillation([bank], [net], x, [0], batch_size=1)
     with pytest.raises(ContractError, match="epochs"):
-        run_distillation(AdaptConfig(epochs=-1), [bank], [net], x, [0])
+        run_distillation([bank], [net], x, [0], epochs=-1)
 
 
 def _distill_setup(n=40, k=3, seed=0):
@@ -313,8 +313,7 @@ def _distill_setup(n=40, k=3, seed=0):
 
 def test_run_distillation_metrics_and_bank_epochs():
     x, bank, net = _distill_setup()
-    cfg = AdaptConfig(epochs=3, batch_size=16)
-    (history,) = run_distillation(cfg, [bank], [net], x, [1], eval_fn=lambda n: 42.0)
+    (history,) = run_distillation([bank], [net], x, [1], epochs=3, batch_size=16, eval_fn=lambda n: 42.0)
     assert [rec["epoch"] for rec in history] == [1, 2, 3]
     assert all(rec["phase"] == "distill" for rec in history)
     assert all({"loss", "kd", "mix", "mi", "accuracy"} <= set(rec) for rec in history)
@@ -335,8 +334,7 @@ def test_run_distillation_eval_fn_sees_updated_bank():
         prev_rows[0] = bank.rows.copy()
         return 0.0
 
-    cfg = AdaptConfig(epochs=2, batch_size=16, gamma=0.6)
-    run_distillation(cfg, [bank], [net], x, [1], eval_fn=eval_fn)
+    run_distillation([bank], [net], x, [1], epochs=2, batch_size=16, gamma=0.6, eval_fn=eval_fn)
     assert checks == [True, True]
 
 
@@ -348,25 +346,22 @@ def test_run_distillation_gamma_zero_bank_equals_student():
         deviations.append(np.max(np.abs(bank.rows - net.predict_proba(x))))
         return 0.0
 
-    cfg = AdaptConfig(epochs=3, batch_size=16, gamma=0.0)
-    run_distillation(cfg, [bank], [net], x, [1], eval_fn=eval_fn)
+    run_distillation([bank], [net], x, [1], epochs=3, batch_size=16, gamma=0.0, eval_fn=eval_fn)
     assert max(deviations) < 1e-9
 
 
 def test_run_distillation_gamma_one_bank_frozen():
     x, bank, net = _distill_setup()
     init_rows = bank.rows.copy()
-    cfg = AdaptConfig(epochs=3, batch_size=16, gamma=1.0)
-    run_distillation(cfg, [bank], [net], x, [1])
+    run_distillation([bank], [net], x, [1], epochs=3, batch_size=16, gamma=1.0)
     assert np.array_equal(bank.rows, init_rows)
 
 
 def test_run_distillation_deterministic():
     x, bank_a, net_a = _distill_setup(seed=7)
     _, bank_b, net_b = _distill_setup(seed=7)
-    cfg = AdaptConfig(epochs=2, batch_size=16)
-    run_distillation(cfg, [bank_a], [net_a], x, [3])
-    run_distillation(cfg, [bank_b], [net_b], x, [3])
+    run_distillation([bank_a], [net_a], x, [3], epochs=2, batch_size=16)
+    run_distillation([bank_b], [net_b], x, [3], epochs=2, batch_size=16)
     for name, p in net_a.named_params().items():
         assert np.array_equal(p.data, net_b.named_params()[name].data), name
     assert np.array_equal(bank_a.rows, bank_b.rows)
@@ -374,9 +369,8 @@ def test_run_distillation_deterministic():
 
 def test_run_distillation_bank_size_mismatch():
     x, bank, net = _distill_setup()
-    cfg = AdaptConfig(epochs=1, batch_size=16)
     with pytest.raises(ContractError):
-        run_distillation(cfg, [MemoryBank(bank.rows[:10])], [net], x, [0])
+        run_distillation([MemoryBank(bank.rows[:10])], [net], x, [0], epochs=1, batch_size=16)
 
 
 def test_run_distillation_trains_toward_bank():
@@ -387,8 +381,7 @@ def test_run_distillation_trains_toward_bank():
     rows[np.arange(60), y] = 0.95
     bank = MemoryBank(rows)
     net = small_net(seed=1, k=2)
-    cfg = AdaptConfig(epochs=10, batch_size=16, gamma=1.0, drop_mi=True, beta=0.0)
-    (history,) = run_distillation(cfg, [bank], [net], x, [4])
+    (history,) = run_distillation([bank], [net], x, [4], epochs=10, batch_size=16, gamma=1.0, drop_mi=True, beta=0.0)
     assert history[-1]["kd"] < history[0]["kd"]
     pred = net.predict_proba(x).argmax(axis=1)
     assert (pred == y).mean() > 0.9

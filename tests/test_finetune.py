@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bbadapt.distill import AdaptConfig, MemoryBank, run_distillation
+from bbadapt.distill import MemoryBank, run_distillation
 from bbadapt.errors import ContractError
-from bbadapt.finetune import FinetuneConfig, run_finetune
+from bbadapt.finetune import run_finetune
 from bbadapt.nets import TargetNet
 
 from conftest import make_blobs
@@ -19,15 +19,14 @@ def _setup(seed=0):
 def test_config_validation():
     x, _, net = _setup()
     with pytest.raises(ContractError, match="epochs"):
-        run_finetune(FinetuneConfig(epochs=-1), [net], x, [2020])
+        run_finetune([net], x, [2020], epochs=-1)
     with pytest.raises(ContractError, match="batch_size"):
-        run_finetune(FinetuneConfig(batch_size=1), [net], x, [2020])
+        run_finetune([net], x, [2020], batch_size=1)
 
 
 def test_metrics_shape():
     x, _, net = _setup()
-    cfg = FinetuneConfig(epochs=3, batch_size=16)
-    (history,) = run_finetune(cfg, [net], x, [1], eval_fn=lambda n: 1.0)
+    (history,) = run_finetune([net], x, [1], epochs=3, batch_size=16, eval_fn=lambda n: 1.0)
     assert [rec["epoch"] for rec in history] == [1, 2, 3]
     assert all(rec["phase"] == "finetune" for rec in history)
     assert all({"loss", "mi", "cond_entropy", "accuracy"} <= set(rec) for rec in history)
@@ -37,8 +36,7 @@ def test_metrics_shape():
 
 def test_mi_rises_and_entropy_falls():
     x, _, net = _setup(seed=3)
-    cfg = FinetuneConfig(epochs=12, batch_size=16)
-    (history,) = run_finetune(cfg, [net], x, [2])
+    (history,) = run_finetune([net], x, [2], epochs=12, batch_size=16)
     assert history[-1]["mi"] > history[0]["mi"]
     assert history[-1]["cond_entropy"] < history[0]["cond_entropy"]
 
@@ -46,23 +44,21 @@ def test_mi_rises_and_entropy_falls():
 def test_freeze_bn_stats_switch():
     x, _, net = _setup(seed=1)
     stats = {k: v.copy() for k, v in net.running_stats().items()}
-    cfg = FinetuneConfig(epochs=2, batch_size=16, freeze_bn_stats=True)
-    run_finetune(cfg, [net], x, [1])
+    run_finetune([net], x, [1], epochs=2, batch_size=16, freeze_bn_stats=True)
     for k, v in net.running_stats().items():
         assert np.array_equal(v, stats[k])
 
     x, _, net2 = _setup(seed=1)
     stats2 = {k: v.copy() for k, v in net2.running_stats().items()}
-    run_finetune(FinetuneConfig(epochs=2, batch_size=16), [net2], x, [1])
+    run_finetune([net2], x, [1], epochs=2, batch_size=16)
     assert any(not np.array_equal(v, stats2[k]) for k, v in net2.running_stats().items())
 
 
 def test_finetune_deterministic():
     x, _, net_a = _setup(seed=2)
     _, _, net_b = _setup(seed=2)
-    cfg = FinetuneConfig(epochs=3, batch_size=16)
-    run_finetune(cfg, [net_a], x, [5])
-    run_finetune(cfg, [net_b], x, [5])
+    run_finetune([net_a], x, [5], epochs=3, batch_size=16)
+    run_finetune([net_b], x, [5], epochs=3, batch_size=16)
     for name, p in net_a.named_params().items():
         assert np.array_equal(p.data, net_b.named_params()[name].data), name
 
@@ -73,9 +69,9 @@ def test_finetune_after_distill_keeps_cluster_assignment():
     x, y, net = _setup(seed=4)
     rows = np.full((x.shape[0], 2), 0.05)
     rows[np.arange(x.shape[0]), y] = 0.95
-    run_distillation(AdaptConfig(epochs=8, batch_size=16, gamma=1.0), [MemoryBank(rows)], [net], x, [1])
+    run_distillation([MemoryBank(rows)], [net], x, [1], epochs=8, batch_size=16, gamma=1.0)
     before = (net.predict_proba(x).argmax(axis=1) == y).mean()
-    run_finetune(FinetuneConfig(epochs=8, batch_size=16), [net], x, [1])
+    run_finetune([net], x, [1], epochs=8, batch_size=16)
     after = (net.predict_proba(x).argmax(axis=1) == y).mean()
     assert before > 0.9
     assert after >= before - 0.05
@@ -84,7 +80,7 @@ def test_finetune_after_distill_keeps_cluster_assignment():
 def test_zero_epochs_is_noop():
     x, _, net = _setup()
     params = {k: p.data.copy() for k, p in net.named_params().items()}
-    histories = run_finetune(FinetuneConfig(epochs=0, batch_size=16), [net], x, [1])
+    histories = run_finetune([net], x, [1], epochs=0, batch_size=16)
     assert histories == [[]]
     for name, p in net.named_params().items():
         assert np.array_equal(p.data, params[name])

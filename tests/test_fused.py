@@ -8,16 +8,15 @@ central differences (`grad_check`) within 1e-6.
 Every op on the training path also runs on a stack of members (one
 leading member axis on each argument). There each member's slice of the
 value and of the VJP must equal, bit for bit, the op on that member alone.
-`kl_div` compares two probability vectors and has no stack form.
 """
 
 import numpy as np
 import pytest
 
 from bbadapt import nets
-from bbadapt.distill import AdaptConfig, MemoryBank, distill_loss, mi_loss, mixup_loss, run_distillation, total_loss
+from bbadapt.distill import MemoryBank, distill_loss, mi_loss, mixup_loss, run_distillation, total_loss
 from bbadapt.errors import DimensionError
-from bbadapt.finetune import FinetuneConfig, run_finetune
+from bbadapt.finetune import run_finetune
 from bbadapt.nets import (
     BatchNorm,
     RngStack,
@@ -29,7 +28,7 @@ from bbadapt.nets import (
     stack_nets,
     train_source_net,
 )
-from bbadapt.tensor import GradTape, Tensor, affine, grad_check, kl_div, softmax, stop_recording
+from bbadapt.tensor import GradTape, Tensor, affine, grad_check, softmax, stop_recording
 
 from per_op import (
     div,
@@ -92,10 +91,6 @@ def ref_mi_loss(p):
     marginal = -reduce_sum(mean_p * log_clamped(mean_p))
     conditional = -reduce_mean(reduce_sum(p * log_clamped(p), axis=-1))
     return marginal - conditional
-
-
-def ref_kl_div(p, q):
-    return reduce_sum(p * (log_clamped(p) - log_clamped(q)))
 
 
 # helpers -------------------------------------------------------------------
@@ -262,20 +257,6 @@ def test_mi_loss_matches_per_op(seed):
     assert grad_check_all(lambda: mi_loss(softmax(z)), [z]) < 1e-6
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_kl_div_matches_per_op(seed):
-    rng = np.random.default_rng(seed)
-    probs, logits = clamped_probs(rng, 2, 5)
-    # both rows have entries inside the clamp; q's first one is where p is not
-    assert probs[1, -1] < 1e-8 and probs[0, 0] < 1e-8 < probs[1, 0]
-    p = Tensor(probs[1], requires_grad=True)
-    q = Tensor(probs[0], requires_grad=True)
-    assert_matches_reference(lambda: kl_div(p, q), lambda: ref_kl_div(p, q), [p, q])
-    zp = Tensor(logits[1], requires_grad=True)
-    zq = Tensor(logits[0], requires_grad=True)
-    assert grad_check_all(lambda: kl_div(softmax(zp), softmax(zq)), [zp, zq]) < 1e-6
-
-
 # whole nets --------------------------------------------------------------------
 
 
@@ -341,11 +322,11 @@ def test_records_per_step_are_pinned(monkeypatch):
         counts.clear()
         targets = [TargetNet(2, 3, rng=np.random.default_rng(2 + i)) for i in seeds]
         banks = [MemoryBank(rows) for _ in seeds]
-        run_distillation(AdaptConfig(epochs=1, batch_size=8), banks, targets, x, seeds)
+        run_distillation(banks, targets, x, seeds, epochs=1, batch_size=8)
         # (5 layers + softmax) per forward, twice; KL, mixup CE, MI; 3 to combine
         assert counts == [18, 18]
         counts.clear()
-        run_finetune(FinetuneConfig(epochs=1, batch_size=8), targets, x, seeds)
+        run_finetune(targets, x, seeds, epochs=1, batch_size=8)
         # 5 layers, softmax, MI, negation
         assert counts == [8, 8]
 
@@ -542,18 +523,18 @@ def test_total_loss_on_a_stack_matches_each_member(beta, drop_mi):
     stack = stack_nets(nets)
     x = rng.normal(size=(2, 8, 2))
     rows = rng.dirichlet(np.ones(4), size=(2, 8))
-    cfg = AdaptConfig(beta=beta, drop_mi=drop_mi)
     params = list(stack.named_params().values())
     cotangent = rng.normal(size=2)
     draws = RngStack([11, 12])
     with GradTape() as tape:
-        loss, terms = total_loss(cfg, rows, stack, x, draws)
+        loss, terms = total_loss(rows, stack, x, draws, beta=beta, drop_mi=drop_mi)
         target = reduce_sum(loss * Tensor(cotangent))
     grads = tape.gradient(target, params)
     member_grads = []
     for i, net in enumerate(nets):
         with GradTape() as tape:
-            member_loss, member_terms = total_loss(cfg, rows[i], net, x[i], np.random.default_rng(11 + i))
+            member_loss, member_terms = total_loss(rows[i], net, x[i], np.random.default_rng(11 + i), beta=beta,
+                                                   drop_mi=drop_mi)
             target = member_loss * Tensor(cotangent[i])
         member_grads.append(tape.gradient(target, list(net.named_params().values())))
         assert loss.data[i] == member_loss.item()

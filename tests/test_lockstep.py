@@ -6,7 +6,6 @@ alone, as a one-member list with its own arguments: the same parameters,
 running statistics, bank rows and per-epoch history, bit for bit.
 """
 
-import dataclasses
 import inspect
 
 import numpy as np
@@ -15,9 +14,9 @@ import pytest
 import bbadapt.distill
 import bbadapt.finetune
 import bbadapt.nets
-from bbadapt.distill import AdaptConfig, MemoryBank, run_distillation
+from bbadapt.distill import MemoryBank, run_distillation
 from bbadapt.errors import ContractError
-from bbadapt.finetune import FinetuneConfig, run_finetune
+from bbadapt.finetune import run_finetune
 from bbadapt.nets import SourceNet, TargetNet, clone_net, net_state, train_source_net
 
 
@@ -58,7 +57,7 @@ def test_distillation_stack_matches_distilling_alone(n, beta, drop_mi):
     rows = [rng.dirichlet(np.ones(3), n) for _ in range(2)]
     nets = target_nets(2)
     alone = [clone_net(net) for net in nets]
-    cfg = AdaptConfig(beta=beta, drop_mi=drop_mi, epochs=3, batch_size=16)
+    kwargs = dict(beta=beta, drop_mi=drop_mi, epochs=3, batch_size=16)
     seeds = [[seed, 41] for seed in (5, 6)]
     seen = []
 
@@ -67,10 +66,10 @@ def test_distillation_stack_matches_distilling_alone(n, beta, drop_mi):
         return float(probs[:, 0].sum())
 
     banks = [MemoryBank(r) for r in rows]
-    histories = run_distillation(cfg, banks, nets, x, seeds, eval_fn=eval_fn)
+    histories = run_distillation(banks, nets, x, seeds, **kwargs, eval_fn=eval_fn)
     stacked_seen, seen[:] = seen[:], []
     alone_banks = [MemoryBank(r) for r in rows]
-    alone_histories = [run_distillation(cfg, [bank], [net], x, [seed], eval_fn=eval_fn)[0]
+    alone_histories = [run_distillation([bank], [net], x, [seed], **kwargs, eval_fn=eval_fn)[0]
                        for bank, net, seed in zip(alone_banks, alone, seeds)]
     assert histories == alone_histories
     assert_same_nets(nets, alone)
@@ -89,11 +88,10 @@ def test_finetune_stack_matches_finetuning_alone(freeze_bn_stats):
     for i, net in enumerate(nets):  # running statistics off their defaults, differently per net
         net.forward(x + i, mode="train")
     alone = [clone_net(net) for net in nets]
-    cfg = FinetuneConfig(epochs=2, batch_size=8, freeze_bn_stats=freeze_bn_stats)
+    kwargs = dict(epochs=2, batch_size=8, freeze_bn_stats=freeze_bn_stats, eval_fn=lambda probs: float(probs.max()))
     seeds = [[seed, 43] for seed in (1, 2, 3)]
-    histories = run_finetune(cfg, nets, x, seeds, eval_fn=lambda probs: float(probs.max()))
-    alone_histories = [run_finetune(cfg, [net], x, [seed], eval_fn=lambda probs: float(probs.max()))[0]
-                       for net, seed in zip(alone, seeds)]
+    histories = run_finetune(nets, x, seeds, **kwargs)
+    alone_histories = [run_finetune([net], x, [seed], **kwargs)[0] for net, seed in zip(alone, seeds)]
     assert histories == alone_histories
     assert_same_nets(nets, alone)
 
@@ -102,21 +100,20 @@ def test_stack_arguments_are_checked():
     x = np.random.default_rng(3).normal(size=(20, 2))
     nets = target_nets(2)
     banks = [MemoryBank(np.full((20, 3), 1 / 3)) for _ in range(2)]
-    cfg = FinetuneConfig(epochs=1)
     mixed_up = [  # one argument per call with one entry too few or too many
-        lambda: run_finetune(cfg, nets, x, [1]),
-        lambda: run_finetune(cfg, nets, x, [1, 2], names=["seed 1"]),
-        lambda: run_finetune(cfg, nets[:1], x, [1, 2]),
-        lambda: run_finetune(cfg, [], x, []),
-        lambda: run_distillation(AdaptConfig(epochs=1), banks[:1], nets, x, [1, 2]),
-        lambda: run_distillation(AdaptConfig(epochs=1), banks, nets, x, [1, 2, 3]),
-        lambda: run_distillation(AdaptConfig(epochs=1), banks, nets, x, [1, 2], names=["a", "b", "c"]),
+        lambda: run_finetune(nets, x, [1], epochs=1),
+        lambda: run_finetune(nets, x, [1, 2], epochs=1, names=["seed 1"]),
+        lambda: run_finetune(nets[:1], x, [1, 2], epochs=1),
+        lambda: run_finetune([], x, [], epochs=1),
+        lambda: run_distillation(banks[:1], nets, x, [1, 2], epochs=1),
+        lambda: run_distillation(banks, nets, x, [1, 2, 3], epochs=1),
+        lambda: run_distillation(banks, nets, x, [1, 2], epochs=1, names=["a", "b", "c"]),
     ]
     for call in mixed_up:
         with pytest.raises(ContractError, match="one entry per net"):
             call()
     with pytest.raises(ContractError, match="one architecture"):
-        run_finetune(cfg, [nets[0], *target_nets(1, hidden=(4,))], x, [1, 2])
+        run_finetune([nets[0], *target_nets(1, hidden=(4,))], x, [1, 2], epochs=1)
     sources = [SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(i)) for i in range(2)]
     y = np.zeros(20, dtype=int)
     with pytest.raises(ContractError, match="one entry per net"):
@@ -126,16 +123,16 @@ def test_stack_arguments_are_checked():
 
 
 def test_training_surface_is_pinned():
-    # one call form per phase: a list of nets with one seed each, and one config the members share
+    # one call form per phase: a list of nets with one seed each, then keyword-only hyper-parameters
     nets, distill, finetune = bbadapt.nets, bbadapt.distill, bbadapt.finetune
     imported = {
         nets: {"annotations", "functools", "json", "math", "np", "os", "ContractError", "DimensionError", "LOG_EPS",
                "GradTape", "Tensor", "affine", "as_tensor", "check_probabilities", "record_op", "softmax",
                "stop_recording"},
-        distill: {"annotations", "math", "dataclass", "np", "ContractError", "DimensionError", "soft_cross_entropy",
+        distill: {"annotations", "math", "np", "ContractError", "DimensionError", "soft_cross_entropy",
                   "take_rows", "train_epochs", "LOG_EPS", "Tensor", "as_tensor", "check_probabilities", "record_op",
                   "softmax", "stop_recording"},
-        finetune: {"annotations", "dataclass", "np", "mi_loss", "train_epochs", "softmax"},
+        finetune: {"annotations", "np", "mi_loss", "train_epochs", "softmax"},
     }
     public = {module: {name for name in vars(module) if not name.startswith("_")} - imported[module]
               for module in imported}
@@ -146,18 +143,28 @@ def test_training_surface_is_pinned():
         "minibatch_indices", "net_from_state", "net_state", "read_json", "save_checkpoint", "soft_cross_entropy",
         "stack_nets", "take_rows", "train_epochs", "train_source_net", "write_atomically",
     }
-    assert public[distill] == {"AdaptConfig", "MemoryBank", "distill_loss", "mi_loss", "mixup_loss",
+    assert public[distill] == {"MemoryBank", "check_distill_args", "distill_loss", "mi_loss", "mixup_loss",
                                "run_distillation", "total_loss"}
-    assert public[finetune] == {"FinetuneConfig", "run_finetune"}
-    assert [f.name for f in dataclasses.fields(AdaptConfig)] == [
-        "beta", "gamma", "mixup_alpha", "epochs", "batch_size", "drop_mi", "lr_backbone"]
-    assert [f.name for f in dataclasses.fields(FinetuneConfig)] == [
-        "epochs", "batch_size", "freeze_bn_stats", "lr_backbone"]
-    signatures = {fn: list(inspect.signature(fn).parameters)
-                  for fn in (train_source_net, run_distillation, run_finetune)}
-    assert signatures == {
-        train_source_net: ["nets", "features", "labels", "seeds", "epochs", "batch_size", "ls_alpha", "lr_backbone",
-                           "names"],
-        run_distillation: ["cfg", "banks", "nets", "features", "seeds", "eval_fn", "names"],
-        run_finetune: ["cfg", "nets", "features", "seeds", "eval_fn", "names"],
+    assert public[finetune] == {"run_finetune"}
+    signatures = {}
+    for fn in (train_source_net, run_distillation, run_finetune, distill.total_loss, distill.check_distill_args):
+        params = inspect.signature(fn).parameters.values()
+        signatures[fn] = [(p.name, p.kind == p.KEYWORD_ONLY, p.default) for p in params]
+    positional = {  # the rest are keyword-only, with the paper's defaults
+        train_source_net: ["nets", "features", "labels", "seeds"],
+        run_distillation: ["banks", "nets", "features", "seeds"],
+        run_finetune: ["nets", "features", "seeds"],
+        distill.total_loss: ["bank_rows", "net", "batch", "rng"],
+        distill.check_distill_args: ["beta", "gamma", "mixup_alpha"],
     }
+    empty = inspect.Parameter.empty
+    common = [("epochs", True, 30), ("batch_size", True, 64), ("lr_backbone", True, 1e-3)]
+    keywords = {
+        train_source_net: [*common, ("ls_alpha", True, 0.1), ("names", True, None)],
+        run_distillation: [*common, ("beta", True, 1.0), ("gamma", True, 0.6), ("mixup_alpha", True, 0.3),
+                           ("drop_mi", True, False), ("eval_fn", True, None), ("names", True, None)],
+        run_finetune: [*common, ("freeze_bn_stats", True, False), ("eval_fn", True, None), ("names", True, None)],
+        distill.total_loss: [("beta", True, 1.0), ("mixup_alpha", True, 0.3), ("drop_mi", True, False)],
+        distill.check_distill_args: [],
+    }
+    assert signatures == {fn: [(name, False, empty) for name in positional[fn]] + keywords[fn] for fn in positional}

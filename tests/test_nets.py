@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbadapt.distill import AdaptConfig, MemoryBank, run_distillation
+from bbadapt.distill import MemoryBank, run_distillation
 from bbadapt.errors import ContractError, DimensionError
-from bbadapt.finetune import FinetuneConfig, run_finetune
+from bbadapt.finetune import run_finetune
 from bbadapt import nets
 from bbadapt.nets import (
     BatchNorm,
@@ -299,8 +299,8 @@ def _train(phase, n=40, **overrides):
     net = TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(1))
     if phase == "distill":
         bank = MemoryBank(np.full((len(x), 2), 0.5))
-        return run_distillation(AdaptConfig(**kwargs), [bank], [net], x, [0])[0]
-    return run_finetune(FinetuneConfig(**kwargs), [net], x, [0])[0]
+        return run_distillation([bank], [net], x, [0], **kwargs)[0]
+    return run_finetune([net], x, [0], **kwargs)[0]
 
 
 PHASE_MIN_BATCH = {"source": SourceNet.min_batch, "distill": TargetNet.min_batch, "finetune": TargetNet.min_batch}
@@ -363,9 +363,9 @@ def test_failed_check_names_the_diverging_member(phase):
         with pytest.raises(ContractError, match=message):
             if phase == "distill":
                 banks = [MemoryBank(np.full((len(x), 2), 0.5)) for _ in nets]
-                run_distillation(AdaptConfig(epochs=2, batch_size=16), banks, nets, x, [3, 4], names=names)
+                run_distillation(banks, nets, x, [3, 4], epochs=2, batch_size=16, names=names)
             else:
-                run_finetune(FinetuneConfig(epochs=2, batch_size=16), nets, x, [3, 4], names=names)
+                run_finetune(nets, x, [3, 4], epochs=2, batch_size=16, names=names)
 
 
 @pytest.mark.parametrize("phase", ["distill", "finetune"])
@@ -381,10 +381,9 @@ def test_a_diverged_epoch_end_names_the_member(phase):
     with pytest.raises(ContractError, match=message):
         if phase == "distill":
             banks = [MemoryBank(np.full((len(x), 2), 0.5)) for _ in nets]
-            run_distillation(AdaptConfig(**kwargs), banks, nets, x, [3, 4], eval_fn=calls.append,
-                             names=["seed 3", "seed 4"])
+            run_distillation(banks, nets, x, [3, 4], **kwargs, eval_fn=calls.append, names=["seed 3", "seed 4"])
         else:
-            run_finetune(FinetuneConfig(**kwargs), nets, x, [3, 4], eval_fn=calls.append, names=["seed 3", "seed 4"])
+            run_finetune(nets, x, [3, 4], **kwargs, eval_fn=calls.append, names=["seed 3", "seed 4"])
     assert calls == []
     if phase == "distill":
         assert [bank.epoch for bank in banks] == [0, 0]
@@ -399,8 +398,7 @@ def test_a_non_finite_running_statistic_names_the_member():
     assert np.isfinite(nets[1].predict_proba(x)).all()
     message = r"^finetune: a parameter or running statistic is not finite at epoch 1, step 1 of 2 \(seed 4\)$"
     with pytest.raises(ContractError, match=message):
-        run_finetune(FinetuneConfig(epochs=2, batch_size=16, freeze_bn_stats=True), nets, x, [3, 4],
-                     names=["seed 3", "seed 4"])
+        run_finetune(nets, x, [3, 4], epochs=2, batch_size=16, freeze_bn_stats=True, names=["seed 3", "seed 4"])
 
 
 def test_every_phase_returns_records():

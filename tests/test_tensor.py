@@ -14,7 +14,6 @@ from bbadapt.tensor import (
     as_tensor,
     check_probabilities,
     grad_check,
-    kl_div,
     softmax,
     stop_recording,
 )
@@ -36,7 +35,6 @@ from per_op import (
 
 # frozen reference values, computed independently
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479764, 0.6652409557748218)
-KL_ONEHOT_HALF = math.log(2.0)
 
 
 def test_tensor_basics():
@@ -60,7 +58,6 @@ def test_public_names_are_pinned():
         "as_tensor",
         "check_probabilities",
         "grad_check",
-        "kl_div",
         "record_op",
         "softmax",
         "stop_recording",
@@ -77,16 +74,6 @@ def test_softmax_reference_row():
     assert np.allclose(out, SOFTMAX_123, atol=1e-15)
 
 
-def test_kl_reference_value():
-    val = kl_div(np.array([1.0, 0.0]), np.array([0.5, 0.5])).item()
-    assert abs(val - KL_ONEHOT_HALF) < 1e-12
-
-
-def test_kl_identical_is_zero(rng):
-    p = rng.dirichlet(np.ones(4))
-    assert kl_div(p, p).item() == 0.0
-
-
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_softmax_rows_are_distributions(k, seed):
@@ -96,16 +83,6 @@ def test_softmax_rows_are_distributions(k, seed):
     assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
 
-@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_kl_nonnegative(k, seed):
-    gen = np.random.default_rng(seed)
-    # keep q's entries well above the log clamp
-    p = gen.dirichlet(np.ones(k))
-    q = gen.dirichlet(np.ones(k)) * 0.9 + 0.1 / k
-    assert kl_div(p, q).item() >= -1e-12
-
-
 def test_probability_validation():
     with pytest.raises(ContractError):
         check_probabilities(np.array([0.5, 0.6]), "p", ndim=1)
@@ -113,14 +90,9 @@ def test_probability_validation():
         check_probabilities(np.array([1.2, -0.2]), "p", ndim=1)
     with pytest.raises(ContractError):
         check_probabilities(np.array([[0.5, 0.5]]), "p", ndim=1)
-    with pytest.raises(DimensionError):
-        kl_div(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
     for p in ([np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]):
-        for call in (lambda: check_probabilities(np.array(p), "p", ndim=1),
-                     lambda: kl_div(np.array(p), np.array([0.5, 0.5])),
-                     lambda: kl_div(np.array([0.5, 0.5]), np.array(p))):
-            with pytest.raises(ContractError):
-                call()
+        with pytest.raises(ContractError):
+            check_probabilities(np.array(p), "p", ndim=1)
 
 
 def test_log_clamped_value_and_gradient():
