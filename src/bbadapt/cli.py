@@ -5,8 +5,9 @@ black-box endpoint, cache its predictions, run the two-phase adaptation,
 fine-tune an existing checkpoint, and summarize finished runs. Every
 adaptation run writes a manifest sufficient to reproduce it exactly;
 rerunning a manifest yields byte-identical metrics files. An
-`ExperimentConfig` holds every hyper-parameter; `validate` checks them all
-before any net trains, and each phase takes its own as keywords.
+`ExperimentConfig` holds every hyper-parameter, by default the value its
+phase declares; `validate` checks them all before any net trains, and each
+phase takes its own as keywords.
 
 Per-seed randomness is split into fixed named streams (source init,
 source training, target init, distillation, fine-tuning), so changing one
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -80,29 +82,34 @@ def _flag(default, spelling: str | None = None, **argparse_kwargs):
     return field(default=default, metadata={"flag": spelling, **argparse_kwargs})
 
 
+def _paper(phase, name: str):
+    """The default `phase` declares for its parameter `name`: the paper's value."""
+    return inspect.signature(phase).parameters[name].default
+
+
 @dataclass
 class ExperimentConfig(Record):
     """Everything one adaptation run depends on."""
 
     scenario: ScenarioSpec
     seeds: tuple[int, ...] = _flag((2019, 2020, 2021), help="comma-separated training seeds")
-    source_epochs: int = _flag(30)
-    ls_alpha: float = 0.1
+    source_epochs: int = _flag(_paper(train_source_net, "epochs"))
+    ls_alpha: float = _paper(train_source_net, "ls_alpha")
     teacher: str = _flag("adals", choices=TEACHERS)
     disclosure: str = _flag("auto", choices=("auto", *DISCLOSURES))  # auto resolves from teacher and r
     r: int = _flag(1)
-    beta: float = _flag(1.0)
-    gamma: float = _flag(0.6)
-    mixup_alpha: float = _flag(0.3)
+    beta: float = _flag(_paper(run_distillation, "beta"))
+    gamma: float = _flag(_paper(run_distillation, "gamma"))
+    mixup_alpha: float = _flag(_paper(run_distillation, "mixup_alpha"))
     drop_mix: bool = _flag(False)
-    drop_mi: bool = _flag(False)
-    adapt_epochs: int = _flag(30)
-    finetune_epochs: int = _flag(30)
-    batch_size: int = _flag(64)
-    lr_backbone: float = _flag(1e-3, "--lr")
-    freeze_bn_stats: bool = _flag(False)
-    hidden: tuple[int, ...] = (64, 64)
-    bottleneck_dim: int = 32
+    drop_mi: bool = _flag(_paper(run_distillation, "drop_mi"))
+    adapt_epochs: int = _flag(_paper(run_distillation, "epochs"))
+    finetune_epochs: int = _flag(_paper(run_finetune, "epochs"))
+    batch_size: int = _flag(_paper(run_distillation, "batch_size"))
+    lr_backbone: float = _flag(_paper(run_distillation, "lr_backbone"), "--lr")
+    freeze_bn_stats: bool = _flag(_paper(run_finetune, "freeze_bn_stats"))
+    hidden: tuple[int, ...] = _paper(TargetNet, "hidden")
+    bottleneck_dim: int = _paper(TargetNet, "bottleneck_dim")
 
     def validate(self):
         """ContractError unless every field `adapt` uses is usable, checked
@@ -149,12 +156,6 @@ class ExperimentConfig(Record):
             mode = "top-r" if self.teacher == "adals" else "hard"
         return resolve_r(mode, self.r, self.scenario.num_classes)
 
-    def disclosure_args(self) -> dict:
-        """The `disclosure` and `r` arguments of a handle that discloses at
-        `disclosed_r`."""
-        r = self.disclosed_r()
-        return {"disclosure": "top-r" if r else "hard", "r": r}
-
     @classmethod
     def from_dict(cls, obj) -> "ExperimentConfig":
         if isinstance(obj, dict) and "config" in obj and "scenario" not in obj:
@@ -181,10 +182,20 @@ def train_source_models(cfg: ExperimentConfig, sources, seeds) -> list[list]:
     return [nets[i : i + len(sources)] for i in range(0, len(nets), len(sources))]
 
 
-def handles_from_nets(cfg: ExperimentConfig, nets) -> list:
+def source_handles(cfg: ExperimentConfig, nets=(), checkpoints=(), endpoints=(), caches=()) -> list:
+    """The one place a run's sources become predictor handles, in this
+    order: the trained `nets` and then the nets saved at `checkpoints`,
+    served in-process as `source{i}`, and the HOST:PORT `endpoints` as
+    `remote{i}`, each disclosing at `cfg.disclosed_r()`; then the
+    prediction `caches` as saved, whose level `run_seeds` checks."""
+    r, k = cfg.disclosed_r(), cfg.scenario.num_classes
+    mode = "top-r" if r else "hard"
+    in_process = [*nets, *(_checked_checkpoint(path, cfg) for path in checkpoints)]
     return [
-        InProcessPredictor(net, **cfg.disclosure_args(), predictor_id=f"source{m}")
-        for m, net in enumerate(nets)
+        *(InProcessPredictor(net, mode, r, predictor_id=f"source{i}") for i, net in enumerate(in_process)),
+        *(RemotePredictor(*_parse_endpoint(endpoint), k, mode, r, predictor_id=f"remote{i}")
+          for i, endpoint in enumerate(endpoints)),
+        *(read_cache(path, k) for path in caches),
     ]
 
 
@@ -332,22 +343,23 @@ def _fork_share(work, share):
 def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> dict:
     """Run every seed, persist metrics, checkpoints, report and manifest.
 
-    `fixed_handles` (cache/remote/checkpoint backings) are shared across
-    seeds; otherwise fresh source models are trained per seed. The seeds
-    train in shares, one per usable CPU, each share one lockstep stack per
-    phase (`_in_shares`). Files are written once every seed has trained,
-    in seed order. Each file is written atomically, and `manifest.json`
-    last, so a run that fails leaves no manifest behind.
+    `fixed_handles` (cache/remote/checkpoint backings), unless None or
+    empty, are shared across seeds; otherwise fresh source models are
+    trained per seed. The seeds train in shares, one per usable CPU, each
+    share one lockstep stack per phase (`_in_shares`). Files are written
+    once every seed has trained, in seed order. Each file is written
+    atomically, and `manifest.json` last, so a run that fails leaves no
+    manifest behind.
     """
     cfg.validate()  # before the first file is written
     os.makedirs(outdir, exist_ok=True)
     sources, target = generate(cfg.scenario)
 
     def run_share(seeds):
-        if fixed_handles is None:
-            handles = [handles_from_nets(cfg, nets) for nets in train_source_models(cfg, sources, seeds)]
-        else:
+        if fixed_handles:
             handles = [fixed_handles] * len(seeds)
+        else:
+            handles = [source_handles(cfg, nets) for nets in train_source_models(cfg, sources, seeds)]
         return run_seeds(cfg, target, handles, seeds)
 
     per_seed = []
@@ -428,8 +440,8 @@ def _parse_endpoint(text: str) -> tuple:
     return host, number
 
 
-def _split_paths(value):
-    return [p for p in value.split(",") if p] if value else None
+def _split_paths(value: str) -> list:
+    return [p for p in value.split(",") if p]
 
 
 def _checked_checkpoint(path: str, cfg: ExperimentConfig):
@@ -501,13 +513,10 @@ def cmd_serve(args) -> int:
 
 def cmd_cache_predictions(args) -> int:
     cfg = _load_config(args, check=ExperimentConfig.disclosed_r)  # no teacher is built here
-    k = cfg.scenario.num_classes
-    if args.endpoint:
-        handle = RemotePredictor(*_parse_endpoint(args.endpoint), k, **cfg.disclosure_args())
-    elif args.checkpoint:
-        handle = InProcessPredictor(_checked_checkpoint(args.checkpoint, cfg), **cfg.disclosure_args())
-    else:
+    handles = source_handles(cfg, checkpoints=args.checkpoint, endpoints=args.endpoint)
+    if not handles:
         raise ContractError("pass --checkpoint FILE or --endpoint HOST:PORT")
+    (handle,) = handles
     _, target = generate(cfg.scenario)
     count = write_cache(args.out, handle, target.features)
     print(f"cached {count} predictions ({handle.disclosure}) at {args.out}")
@@ -516,24 +525,8 @@ def cmd_cache_predictions(args) -> int:
 
 def cmd_adapt(args) -> int:
     cfg = _load_config(args)
-    k = cfg.scenario.num_classes
-    fixed_handles = None
-    caches = _split_paths(args.caches)
-    endpoints = _split_paths(args.endpoints)
-    checkpoints = _split_paths(args.source_checkpoints)
-    if caches:
-        fixed_handles = [read_cache(path, k) for path in caches]
-    elif endpoints:
-        fixed_handles = [
-            RemotePredictor(*_parse_endpoint(ep), k, **cfg.disclosure_args(), predictor_id=f"remote{i}")
-            for i, ep in enumerate(endpoints)
-        ]
-    elif checkpoints:
-        fixed_handles = [
-            InProcessPredictor(_checked_checkpoint(path, cfg), **cfg.disclosure_args(), predictor_id=f"source{i}")
-            for i, path in enumerate(checkpoints)
-        ]
-    report = run_experiment(cfg, args.outdir, fixed_handles=fixed_handles)
+    handles = source_handles(cfg, checkpoints=args.source_checkpoints, endpoints=args.endpoints, caches=args.caches)
+    report = run_experiment(cfg, args.outdir, fixed_handles=handles)
     _print_report(report)
     return 0
 
@@ -661,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("cache-predictions", help="query a predictor over the target set, write a cache")
     _add_config_args(sub)
     source = sub.add_mutually_exclusive_group()
-    source.add_argument("--checkpoint", help="source checkpoint for an in-process predictor")
-    source.add_argument("--endpoint", help="HOST:PORT of a served predictor")
+    source.add_argument("--checkpoint", nargs=1, default=(), help="source checkpoint for an in-process predictor")
+    source.add_argument("--endpoint", nargs=1, default=(), help="HOST:PORT of a served predictor")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=cmd_cache_predictions)
 
@@ -670,9 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(sub)
     sub.add_argument("--outdir", required=True)
     sources = sub.add_mutually_exclusive_group()
-    sources.add_argument("--caches", help="comma-separated prediction cache files, one per source")
-    sources.add_argument("--endpoints", help="comma-separated HOST:PORT endpoints, one per source")
-    sources.add_argument("--source-checkpoints", dest="source_checkpoints", help="comma-separated checkpoints")
+    paths = dict(type=_split_paths, default=())
+    sources.add_argument("--caches", **paths, help="comma-separated prediction cache files, one per source")
+    sources.add_argument("--endpoints", **paths, help="comma-separated HOST:PORT endpoints, one per source")
+    sources.add_argument("--source-checkpoints", **paths, help="comma-separated checkpoints")
     sub.set_defaults(func=cmd_adapt)
 
     sub = subs.add_parser("finetune-only", help="fine-tune a distilled checkpoint")

@@ -304,7 +304,6 @@ class SGD:
 
     def __init__(self, param_groups):
         self.params = []
-        self.base_lrs = []
         self._stretches = []  # (slice of `flat`, base rate) per group
         offset = 0
         for params, lr in param_groups:
@@ -312,7 +311,6 @@ class SGD:
             self._stretches.append((slice(offset, offset + size), lr))
             offset += size
             self.params += params
-            self.base_lrs += [lr] * len(params)
         self.flat = np.empty(offset)
         offset = 0
         for p in self.params:
@@ -433,14 +431,13 @@ def minibatch_indices(n: int, batch_size: int, rng, min_size: int = 1):
     each batch holds one row of indices per member.
     """
     order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        batch = order[..., start : start + batch_size]
-        if batch.shape[-1] >= min_size:
-            yield batch
+    for start in range(0, _batches_per_epoch(n, batch_size, min_size) * batch_size, batch_size):
+        yield order[..., start : start + batch_size]
 
 
 def _batches_per_epoch(n: int, batch_size: int, min_size: int) -> int:
-    """How many batches `minibatch_indices` yields for these arguments."""
+    """How many batches `minibatch_indices` yields: one per `batch_size`
+    samples, and one for a remainder of at least `min_size`."""
     full, rem = divmod(n, batch_size)
     return full + (1 if rem >= min_size else 0)
 

@@ -271,15 +271,8 @@ def evaluate(net, data: DomainData) -> dict:
     """
     probs = net.predict_proba(data.features)
     pred = probs.argmax(axis=1)
-    per_class = {}
-    for cls in np.unique(data.labels):
-        mask = data.labels == cls
-        per_class[int(cls)] = 100.0 * float(np.mean(pred[mask] == cls))
-    return {
-        "accuracy": bank_accuracy(probs, data.labels),
-        "per_class_accuracy": float(np.mean(list(per_class.values()))),
-        "class_accuracy": per_class,
-    }
+    per_class = [100.0 * float(np.mean(pred[data.labels == cls] == cls)) for cls in np.unique(data.labels)]
+    return {"accuracy": bank_accuracy(probs, data.labels), "per_class_accuracy": float(np.mean(per_class))}
 
 
 def bank_accuracy(rows: np.ndarray, labels: np.ndarray) -> float:
@@ -293,60 +286,16 @@ def bank_accuracy(rows: np.ndarray, labels: np.ndarray) -> float:
 # fixed reference scenarios ---------------------------------------------
 
 
-def _moons_rot30(seed: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        family="moons",
-        num_classes=2,
-        source_shifts=(Shift(),),
-        target_shift=Shift(rotation_deg=30.0),
-        seed=seed,
-        noise=0.12,
-    )
-
-
-def _gauss4_rot30(seed: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        family="gaussians",
-        num_classes=4,
-        source_shifts=(Shift(),),
-        target_shift=Shift(rotation_deg=30.0),
-        seed=seed,
-        noise=0.45,
-        radius=2.0,
-    )
-
-
-def _multi3_gauss4(seed: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        family="gaussians",
-        num_classes=4,
-        source_shifts=(Shift(rotation_deg=-20.0), Shift(), Shift(rotation_deg=20.0)),
-        target_shift=Shift(rotation_deg=35.0),
-        seed=seed,
-        noise=0.45,
-        radius=2.0,
-    )
-
-
-def _partial_gauss8(seed: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        family="gaussians",
-        num_classes=8,
-        source_shifts=(Shift(),),
-        target_shift=Shift(rotation_deg=18.0),
-        regime="partial",
-        k_target=4,
-        seed=seed,
-        noise=0.18,
-        radius=2.2,
-    )
-
-
+# name -> the ScenarioSpec keywords of each preset but its seed
 _PRESETS = {
-    "moons-rot30": _moons_rot30,
-    "gauss4-rot30": _gauss4_rot30,
-    "multi3-gauss4": _multi3_gauss4,
-    "partial-gauss8": _partial_gauss8,
+    "moons-rot30": dict(family="moons", num_classes=2, target_shift=Shift(rotation_deg=30.0), noise=0.12),
+    "gauss4-rot30": dict(family="gaussians", num_classes=4, target_shift=Shift(rotation_deg=30.0), noise=0.45,
+                         radius=2.0),
+    "multi3-gauss4": dict(family="gaussians", num_classes=4,
+                          source_shifts=(Shift(rotation_deg=-20.0), Shift(), Shift(rotation_deg=20.0)),
+                          target_shift=Shift(rotation_deg=35.0), noise=0.45, radius=2.0),
+    "partial-gauss8": dict(family="gaussians", num_classes=8, target_shift=Shift(rotation_deg=18.0),
+                           regime="partial", k_target=4, noise=0.18, radius=2.2),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -355,4 +304,4 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 def preset(name: str, seed: int = 2020) -> ScenarioSpec:
     if name not in _PRESETS:
         raise ContractError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
-    return _PRESETS[name](seed)
+    return ScenarioSpec(**_PRESETS[name], seed=seed)

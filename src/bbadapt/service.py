@@ -170,11 +170,12 @@ class RemotePredictor(PredictorHandle):
     that breaks the protocol (a mismatched id, a line that is not JSON, a
     close mid-query) is not retried: it surfaces at once as a transport
     error naming the fault. Structured error responses and malformed
-    records surface as contract errors.
+    records surface as contract errors. By default it expects what
+    `bbadapt serve` discloses by default: top-r at r = 1.
     """
 
     def __init__(self, host: str, port: int, num_classes: int, disclosure: str = "top-r",
-                 r: int | None = None, predictor_id: str = "remote"):
+                 r: int = 1, predictor_id: str = "remote"):
         self.host = host
         self.port = int(port)
         self.num_classes = int(num_classes)

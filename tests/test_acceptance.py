@@ -11,7 +11,7 @@ import numpy as np
 
 from bbadapt.cli import (
     ExperimentConfig,
-    handles_from_nets,
+    source_handles,
     main,
     run_seeds,
     train_source_models,
@@ -57,7 +57,7 @@ def run_preset(preset_name, **overrides):
         return _RUNS[key]
     cfg = ExperimentConfig(scenario=preset(preset_name), **overrides)
     sources, target = generate(cfg.scenario)
-    handles = [handles_from_nets(cfg, nets) for nets in _seed_nets(cfg, preset_name, sources)]
+    handles = [source_handles(cfg, nets) for nets in _seed_nets(cfg, preset_name, sources)]
     rows = [out["summary"] for out in run_seeds(cfg, target, handles, cfg.seeds)]
     result = {
         "no_adapt": float(np.mean([r["no_adapt"] for r in rows])),
@@ -334,7 +334,7 @@ def test_c07_ema_boundary_behavior():
     cfg = ExperimentConfig(scenario=scenario, seeds=(2019,), source_epochs=15,
                            batch_size=32, hidden=(16,), bottleneck_dim=8)
     sources, target = generate(scenario)
-    handles = handles_from_nets(cfg, train_source_models(cfg, sources, [2019])[0])
+    handles = source_handles(cfg, train_source_models(cfg, sources, [2019])[0])
     initial = init_teacher(handles, target.features, r=1)
 
     frozen_bank = MemoryBank(initial.rows)

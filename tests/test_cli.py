@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from bbadapt import cli
 from bbadapt.cli import (
     ExperimentConfig,
-    handles_from_nets,
+    source_handles,
     main,
     run_seeds,
     train_source_models,
@@ -135,8 +135,6 @@ def test_disclosed_r():
     assert small_config(teacher="ls").disclosed_r() == 0
     assert small_config(disclosure="full-soft", r=1).disclosed_r() == 3
     assert small_config(disclosure="hard").disclosed_r() == 0
-    assert small_config(disclosure="hard").disclosure_args() == {"disclosure": "hard", "r": 0}
-    assert small_config(r=2).disclosure_args() == {"disclosure": "top-r", "r": 2}
     with pytest.raises(ContractError):
         small_config(disclosure="soft").disclosed_r()
 
@@ -445,7 +443,7 @@ def test_target_labels_never_reach_training():
     # poisoned labels may change reported accuracy but not a single weight
     cfg = small_config(adapt_epochs=2, finetune_epochs=1)
     sources, target = generate(cfg.scenario)
-    handles = handles_from_nets(cfg, train_source_models(cfg, sources, [2019])[0])
+    handles = source_handles(cfg, train_source_models(cfg, sources, [2019])[0])
     poisoned = DomainData(target.features, (target.labels + 1) % 3)
     (out_clean,) = run_seeds(cfg, target, [handles], [2019])
     (out_poisoned,) = run_seeds(cfg, poisoned, [handles], [2019])
@@ -465,7 +463,7 @@ def test_frozen_hard_teacher_stays_one_hot():
     cfg = small_config(teacher="hard", gamma=1.0, drop_mi=True, drop_mix=True,
                        adapt_epochs=2, finetune_epochs=0)
     sources, target = generate(cfg.scenario)
-    handles = handles_from_nets(cfg, train_source_models(cfg, sources, [2019])[0])
+    handles = source_handles(cfg, train_source_models(cfg, sources, [2019])[0])
     initial = init_teacher(handles, target.features, r=cfg.r, hard_mode="onehot")
     (out,) = run_seeds(cfg, target, [handles], [2019])
     assert np.array_equal(out["bank"].rows, initial.rows)
@@ -705,6 +703,45 @@ def test_cache_predictions_checks_only_the_disclosure(cfg_file, tmp_path, capsys
     assert "(hard)" in capsys.readouterr().out
 
 
+def test_source_handles_of_every_backing(tmp_path):
+    # in-process nets then checkpoints as source{i}, endpoints as remote{i}, each at the config's level;
+    # then caches as saved, whatever their level
+    net = SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(0))
+    other = SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(1))
+    ckpt = tmp_path / "source.json"
+    save_checkpoint(other, str(ckpt), seed=0)
+    x = generate(small_config().scenario)[1].features
+    cache = tmp_path / "cache.json"
+    write_cache(str(cache), InProcessPredictor(net, "top-r", 2, predictor_id="cached"), x)
+    assert source_handles(small_config()) == []
+    for cfg in (small_config(), small_config(r=2), small_config(teacher="hard"), small_config(disclosure="full-soft")):
+        r = cfg.disclosed_r()
+        handles = source_handles(cfg, nets=[net, other], checkpoints=[str(ckpt)],
+                                 endpoints=["127.0.0.1:7001", "localhost:7002"], caches=[str(cache)])
+        assert [(type(h).__name__, h.predictor_id, h.r) for h in handles] == [
+            ("InProcessPredictor", "source0", r), ("InProcessPredictor", "source1", r),
+            ("InProcessPredictor", "source2", r), ("RemotePredictor", "remote0", r),
+            ("RemotePredictor", "remote1", r), ("CachedPredictor", "cached", 2),
+        ]
+        assert [(h.host, h.port) for h in handles[3:5]] == [("127.0.0.1", 7001), ("localhost", 7002)]
+        mode = "top-r" if r else "hard"
+        assert handles[1].query(x) == handles[2].query(x) == InProcessPredictor(other, mode, r).query(x)
+        assert handles[0].query(x) == InProcessPredictor(net, mode, r).query(x)
+
+
+def test_adapt_rejects_a_cache_saved_at_another_level(cfg_file, tmp_path, capsys):
+    # the config discloses at r=1; a cache keeps the level it was saved at, and `run_seeds` refuses it
+    net = SourceNet(2, 3, hidden=(16,), rng=np.random.default_rng(0))
+    cache = tmp_path / "cache.json"
+    write_cache(str(cache), InProcessPredictor(net, "top-r", 2), generate(small_config().scenario)[1].features)
+    outdir = tmp_path / "out"
+    for seeds in ("2019", "2019,2020"):
+        assert main(["adapt", "--config", str(cfg_file), "--seeds", seeds, "--caches", str(cache),
+                     "--outdir", str(outdir)]) == 2, seeds
+        assert capsys.readouterr().err == "error: handle 'source' discloses top-r (r=2), config expects r=1\n"
+        assert not outdir.exists() or list(outdir.iterdir()) == [], seeds
+
+
 def test_adapt_rejects_out_of_range_cache_class(cfg_file, tmp_path, capsys):
     # a cache covering the 90 target samples, whose row 5 names class 9 of 3
     topk = [[[9 if i == 5 else 0, 0.9]] for i in range(90)]
@@ -761,7 +798,7 @@ def test_an_overflowing_source_checkpoint_exits_2(tmp_path, capsys, recwarn):
     capsys.readouterr()
     out = tmp_path / "out"
     for argv, source in (
-        (["cache-predictions", "--checkpoint", str(checkpoint), "--out", str(out / "c.json")], "source"),
+        (["cache-predictions", "--checkpoint", str(checkpoint), "--out", str(out / "c.json")], "source0"),
         (["adapt", "--seeds", "1,2", "--source-checkpoints", str(checkpoint), "--outdir", str(out)], "source0"),
     ):
         assert main([argv[0], "--preset", "moons-rot30", *argv[1:]]) == 2, argv

@@ -225,10 +225,9 @@ def test_sgd_parameters_stay_views_of_its_vector(rng):
 def test_make_sgd_group_rates():
     net = TargetNet(2, 3, rng=np.random.default_rng(0))
     opt = make_sgd(net, lr_backbone=1e-3)
-    n_backbone = len(net.backbone_params())
+    n_backbone = sum(p.size for p in net.backbone_params())
     assert opt.params == net.backbone_params() + net.new_params()
-    assert all(lr == 1e-3 for lr in opt.base_lrs[:n_backbone])
-    assert all(lr == 1e-2 for lr in opt.base_lrs[n_backbone:])
+    assert opt._stretches == [(slice(0, n_backbone), 1e-3), (slice(n_backbone, opt.flat.size), 1e-2)]
 
 
 def test_ls_cross_entropy_matches_manual(rng):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbadapt.cli import build_parser
 from bbadapt.errors import ContractError, StartupError, TransportError
 from bbadapt.nets import SourceNet, train_source_net
 from bbadapt.predictors import InProcessPredictor, TopK, read_cache, write_cache
@@ -70,6 +71,19 @@ def test_every_backing_answers_a_list_of_topk(trained_net, tmp_path, disclosure,
         for rec in records:
             assert type(rec) is TopK and type(rec.classes) is tuple and type(rec.probs) is tuple
             assert {type(c) for c in rec.classes} == {int} and {type(p) for p in rec.probs} == {float}
+
+
+def test_a_default_client_reads_a_served_predictor_with_default_settings(trained_net):
+    # `bbadapt serve` with its default flags, read by a client given nothing but the class count
+    args = build_parser().parse_args(["serve", "--checkpoint", "source.json"])
+    local = InProcessPredictor(trained_net, disclosure=args.disclosure, r=args.r)
+    server = _serve(local)
+    try:
+        x = np.random.default_rng(8).normal(0.0, 2.0, (11, 2))
+        assert RemotePredictor(*server.endpoint, 3).query(x) == local.query(x)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_answer_malformed_json(trained_net):
