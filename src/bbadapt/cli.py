@@ -187,33 +187,29 @@ def source_handles(cfg: ExperimentConfig, nets=(), checkpoints=(), endpoints=(),
     order: the trained `nets` and then the nets saved at `checkpoints`,
     served in-process as `source{i}`, and the HOST:PORT `endpoints` as
     `remote{i}`, each disclosing at `cfg.disclosed_r()`; then the
-    prediction `caches` as saved, whose level `run_seeds` checks."""
+    prediction `caches` as saved, a ContractError unless at that level."""
     r, k = cfg.disclosed_r(), cfg.scenario.num_classes
     mode = "top-r" if r else "hard"
     in_process = [*nets, *(_checked_checkpoint(path, cfg) for path in checkpoints)]
+    cached = [read_cache(path, k) for path in caches]
+    for h in cached:
+        if h.r != r:
+            raise ContractError(f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), config expects r={r}")
     return [
         *(InProcessPredictor(net, mode, r, predictor_id=f"source{i}") for i, net in enumerate(in_process)),
         *(RemotePredictor(*_parse_endpoint(endpoint), k, mode, r, predictor_id=f"remote{i}")
           for i, endpoint in enumerate(endpoints)),
-        *(read_cache(path, k) for path in caches),
+        *cached,
     ]
-
-
-def _check_handle_disclosures(cfg: ExperimentConfig, handles):
-    want = cfg.disclosed_r()
-    for h in handles:
-        if h.r != want:
-            raise ContractError(f"handle '{h.predictor_id}' discloses {h.disclosure} (r={h.r}), config expects r={want}")
 
 
 def run_seeds(cfg: ExperimentConfig, target: DomainData, handles, seeds) -> list[dict]:
     """The full adaptation of each seed, given one list of predictor
-    handles per seed: teacher init, then distillation and fine-tuning,
-    each one stack of every seed's target net. Labels are touched only by
-    the baseline computation and the evaluation callback."""
+    handles per seed, each disclosing at `cfg.disclosed_r()` (as
+    `source_handles` makes them): teacher init, then distillation and
+    fine-tuning, each one stack of every seed's target net. Labels are
+    touched only by the baseline computation and the evaluation callback."""
     cfg.validate()
-    for seed_handles in handles:
-        _check_handle_disclosures(cfg, seed_handles)
     hard_mode = "onehot" if cfg.teacher == "hard" else "ls"
     banks = [init_teacher(seed_handles, target.features, r=cfg.r, hard_mode=hard_mode) for seed_handles in handles]
     no_adapt = [bank_accuracy(bank.rows, target.labels) for bank in banks]

@@ -4,7 +4,11 @@ The source net is a plain MLP trunk with a single linear classifier head.
 The target net keeps the same trunk but adds a bottleneck (batch norm
 followed by an affine layer) and a weight-normalized classifier. Trunk
 layers train at the base learning rate; bottleneck/classifier layers are
-"new" and train at ten times that rate.
+"new" and train at ten times that rate. A net's state, its parameters
+and then its running statistics, is listed once, in `_state_shapes`;
+building, the optimizer, stacks and checkpoints all read that list. Each
+name is the attribute path of its array: `trunk.0.weight` is
+`net.trunk[0].weight`, and `bn.running_mean` is `net.bn.running_mean`.
 
 Every training phase trains a list of nets, one seed each, in lockstep
 as one stack (`stack_nets`: a net whose parameters and running statistics
@@ -41,10 +45,6 @@ class Linear:
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return affine(x, self.weight, self.bias, relu=relu)
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
 
 
 class BatchNorm:
@@ -96,10 +96,6 @@ class BatchNorm:
         out += beta
         return record_op(out, (x, self.gamma, self.beta), vjp)
 
-    @property
-    def params(self):
-        return [self.gamma, self.beta]
-
 
 class WeightNormLinear:
     """Affine layer with direction/magnitude reparameterized weight rows,
@@ -140,15 +136,42 @@ class WeightNormLinear:
         norms = np.linalg.norm(self.direction.data, axis=-1, keepdims=True)
         self.direction.data /= norms
 
-    @property
-    def params(self):
-        return [self.direction, self.scale, self.bias]
+
+# kind -> (its arch's sizes besides in_dim, num_classes and hidden, and a function of the trunk's
+#          width w, the class count k and those sizes giving its head's (param shapes, running-stat shapes))
+_KINDS = {
+    "source": ((), lambda w, k: ({"head.weight": (w, k), "head.bias": (k,)}, {})),
+    "target": (("bottleneck_dim",), lambda w, k, bottleneck_dim: (
+        {"bn.gamma": (w,), "bn.beta": (w,), "bottleneck.weight": (w, bottleneck_dim),
+         "bottleneck.bias": (bottleneck_dim,), "classifier.direction": (k, bottleneck_dim),
+         "classifier.scale": (k,), "classifier.bias": (k,)},
+        {"bn.running_mean": (w,), "bn.running_var": (w,)})),
+}
+
+
+def _state_shapes(kind: str, in_dim: int, num_classes: int, hidden, **sizes):
+    """The one table of a net's state: the shapes (name -> shape, in order)
+    of the parameters and of the running statistics of the net an `arch`
+    describes, worked out without building it."""
+    dims = [in_dim, *hidden]
+    params = {}
+    for i, (a, b) in enumerate(zip(dims, dims[1:])):
+        params.update({f"trunk.{i}.weight": (a, b), f"trunk.{i}.bias": (b,)})
+    head, running = _KINDS[kind][1](dims[-1], num_classes, **sizes)
+    return {**params, **head}, running
+
+
+def _attribute(obj, path: str):
+    """What an attribute path names: `trunk.0.weight` is `obj.trunk[0].weight`."""
+    for part in path.split("."):
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
 
 
 class _Net:
     """Skeleton shared by both networks: the ReLU MLP trunk, the forward
-    contract, and the parameter/architecture bookkeeping. Subclasses add
-    their head layers (`_build_head`, `_head`, `_head_params`)."""
+    contract, and the state (read from `_state_shapes`) and architecture.
+    Subclasses add their head layers (`_build_head`, `_head`)."""
 
     min_batch = 1  # smallest mini-batch a training step accepts
     lead = ()  # (S,) on a stack of S nets: the member axis every array leads with
@@ -161,6 +184,7 @@ class _Net:
         dims = [in_dim, *self.hidden]
         self.trunk = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         self._build_head(dims[-1], rng)
+        self._shapes = _state_shapes(**self.arch())  # (param shapes, running-stat shapes), read often
 
     def forward(self, x, mode: str = "train", update_stats: bool = True) -> Tensor:
         """Logits. Train mode records on the active tape and, unless
@@ -184,32 +208,24 @@ class _Net:
         return self._head(h, train, update_stats)
 
     def backbone_params(self):
-        return [p for layer in self.trunk for p in layer.params]
+        return [p for name, p in self.named_params().items() if name.startswith("trunk.")]
 
     def new_params(self):
-        return list(self._head_params().values())
+        return [p for name, p in self.named_params().items() if not name.startswith("trunk.")]
 
     def post_update(self):
         pass
 
     def named_params(self) -> dict[str, Tensor]:
-        named = {}
-        for i, layer in enumerate(self.trunk):
-            named[f"trunk.{i}.weight"] = layer.weight
-            named[f"trunk.{i}.bias"] = layer.bias
-        named.update(self._head_params())
-        return named
+        return {name: _attribute(self, name) for name in self._shapes[0]}
 
     def running_stats(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: _attribute(self, name) for name in self._shapes[1]}
 
     def arch(self) -> dict:
-        return {
-            "kind": self.kind,
-            "in_dim": self.in_dim,
-            "num_classes": self.num_classes,
-            "hidden": list(self.hidden),
-        }
+        sizes = _KINDS[self.kind][0]
+        return {"kind": self.kind, "in_dim": self.in_dim, "num_classes": self.num_classes,
+                "hidden": list(self.hidden), **{key: getattr(self, key) for key in sizes}}
 
 
 class SourceNet(_Net):
@@ -222,9 +238,6 @@ class SourceNet(_Net):
 
     def _head(self, h: Tensor, train: bool, update_stats: bool) -> Tensor:
         return self.head(h)
-
-    def _head_params(self) -> dict[str, Tensor]:
-        return {"head.weight": self.head.weight, "head.bias": self.head.bias}
 
     # defined per class, so each class's method can be wrapped on its own
     def predict_proba(self, x) -> np.ndarray:
@@ -250,32 +263,11 @@ class TargetNet(_Net):
         h = self.bn(h, train=train, update_stats=update_stats)
         return self.classifier(self.bottleneck(h))
 
-    def _head_params(self) -> dict[str, Tensor]:
-        return {
-            "bn.gamma": self.bn.gamma,
-            "bn.beta": self.bn.beta,
-            "bottleneck.weight": self.bottleneck.weight,
-            "bottleneck.bias": self.bottleneck.bias,
-            "classifier.direction": self.classifier.direction,
-            "classifier.scale": self.classifier.scale,
-            "classifier.bias": self.classifier.bias,
-        }
-
     def predict_proba(self, x) -> np.ndarray:
         return softmax(self.forward(x, mode="eval")).data
 
     def post_update(self):
         self.classifier.renorm()
-
-    def running_stats(self) -> dict[str, np.ndarray]:
-        return {"bn.running_mean": self.bn.running_mean, "bn.running_var": self.bn.running_var}
-
-    def set_running_stats(self, stats: dict):
-        self.bn.running_mean = np.asarray(stats["bn.running_mean"], dtype=np.float64)
-        self.bn.running_var = np.asarray(stats["bn.running_var"], dtype=np.float64)
-
-    def arch(self) -> dict:
-        return {**super().arch(), "bottleneck_dim": self.bottleneck_dim}
 
 
 # optimizer ------------------------------------------------------------
@@ -645,25 +637,6 @@ def net_state(net, seed: int | None = None) -> dict:
     }
 
 
-def _positive_int(value) -> bool:
-    return type(value) is int and value > 0
-
-
-def _state_shapes(kind: str, in_dim: int, num_classes: int, hidden: list, bottleneck_dim=None):
-    """The parameter and running-stat shapes (name -> shape) of the net
-    an `arch` describes, worked out without building it."""
-    dims = [in_dim, *hidden]
-    params = {}
-    for i, (a, b) in enumerate(zip(dims, dims[1:])):
-        params.update({f"trunk.{i}.weight": (a, b), f"trunk.{i}.bias": (b,)})
-    w, k, d = dims[-1], num_classes, bottleneck_dim
-    if kind == "source":
-        return {**params, "head.weight": (w, k), "head.bias": (k,)}, {}
-    head = {"bn.gamma": (w,), "bn.beta": (w,), "bottleneck.weight": (w, d), "bottleneck.bias": (d,),
-            "classifier.direction": (k, d), "classifier.scale": (k,), "classifier.bias": (k,)}
-    return {**params, **head}, {"bn.running_mean": (w,), "bn.running_var": (w,)}
-
-
 def _checked_arrays(given, expected: dict, what: str) -> dict[str, np.ndarray]:
     """`given` as float64 arrays, provided it holds exactly the names of
     `expected` (name -> shape), each an array of finite numbers of the
@@ -700,20 +673,21 @@ def net_from_state(state):
         raise ContractError(f"unsupported checkpoint version {state.get('format_version')!r}")
     arch = state.get("arch")
     kind = arch.get("kind") if isinstance(arch, dict) else None
-    if kind not in ("source", "target"):
+    if not (isinstance(kind, str) and kind in _KINDS):
         raise ContractError(f"unknown net kind in checkpoint arch {str(arch)[:80]}")
+    sizes = ("in_dim", "num_classes", *_KINDS[kind][0])
     hidden = arch.get("hidden")
-    sizes = [arch.get("in_dim"), arch.get("num_classes")] + ([arch.get("bottleneck_dim")] if kind == "target" else [])
-    if not (isinstance(hidden, list) and all(map(_positive_int, sizes + hidden))):
+    if not (isinstance(hidden, list) and all(type(v) is int and v > 0 for v in [*map(arch.get, sizes), *hidden])):
         raise ContractError(f"checkpoint arch sizes must be positive integers, got {str(arch)[:80]}")
-    keys = {"kind", "in_dim", "num_classes", "hidden"} | ({"bottleneck_dim"} if kind == "target" else set())
+    keys = {"kind", "hidden", *sizes}
     if arch.keys() != keys:
         raise ContractError(f"checkpoint arch has unknown keys: {sorted(arch.keys() - keys)}")
     param_shapes, running_shapes = _state_shapes(**arch)
     params = _checked_arrays(state.get("params"), param_shapes, "param")
     running = _checked_arrays(state.get("running"), running_shapes, "running stat")
-    if running and (running["bn.running_var"] < 0.0).any():
-        raise ContractError("checkpoint running stat bn.running_var has negative entries")
+    for name, value in running.items():
+        if name.endswith("running_var") and (value < 0.0).any():
+            raise ContractError(f"checkpoint running stat {name} has negative entries")
     net = _net_for_arch(arch)
     _assign(net, params, running)
     return net
@@ -721,7 +695,7 @@ def net_from_state(state):
 
 def _net_for_arch(arch: dict):
     """A freshly initialized net of the architecture `arch` describes."""
-    cls = SourceNet if arch["kind"] == "source" else TargetNet
+    cls = {net.kind: net for net in (SourceNet, TargetNet)}[arch["kind"]]
     return cls(**{key: value for key, value in arch.items() if key != "kind"})
 
 
@@ -730,8 +704,9 @@ def _assign(net, params: dict, running: dict):
     the given arrays."""
     for name, p in net.named_params().items():
         p.data = params[name]
-    if running:
-        net.set_running_stats(running)
+    for name in net.running_stats():
+        owner, _, attribute = name.rpartition(".")
+        setattr(_attribute(net, owner), attribute, running[name])
 
 
 def write_atomically(path: str, write):

@@ -705,24 +705,30 @@ def test_cache_predictions_checks_only_the_disclosure(cfg_file, tmp_path, capsys
 
 def test_source_handles_of_every_backing(tmp_path):
     # in-process nets then checkpoints as source{i}, endpoints as remote{i}, each at the config's level;
-    # then caches as saved, whatever their level
+    # then caches as saved, which must be at that level too
     net = SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(0))
     other = SourceNet(2, 3, hidden=(4,), rng=np.random.default_rng(1))
     ckpt = tmp_path / "source.json"
     save_checkpoint(other, str(ckpt), seed=0)
     x = generate(small_config().scenario)[1].features
-    cache = tmp_path / "cache.json"
-    write_cache(str(cache), InProcessPredictor(net, "top-r", 2, predictor_id="cached"), x)
+    caches = {}
+    for r in range(4):
+        caches[r] = tmp_path / f"cache{r}.json"
+        write_cache(str(caches[r]), InProcessPredictor(net, "top-r" if r else "hard", r, predictor_id="cached"), x)
     assert source_handles(small_config()) == []
     for cfg in (small_config(), small_config(r=2), small_config(teacher="hard"), small_config(disclosure="full-soft")):
         r = cfg.disclosed_r()
         handles = source_handles(cfg, nets=[net, other], checkpoints=[str(ckpt)],
-                                 endpoints=["127.0.0.1:7001", "localhost:7002"], caches=[str(cache)])
+                                 endpoints=["127.0.0.1:7001", "localhost:7002"], caches=[str(caches[r])])
         assert [(type(h).__name__, h.predictor_id, h.r) for h in handles] == [
             ("InProcessPredictor", "source0", r), ("InProcessPredictor", "source1", r),
             ("InProcessPredictor", "source2", r), ("RemotePredictor", "remote0", r),
-            ("RemotePredictor", "remote1", r), ("CachedPredictor", "cached", 2),
+            ("RemotePredictor", "remote1", r), ("CachedPredictor", "cached", r),
         ]
+        for other_r in set(caches) - {r}:
+            with pytest.raises(ContractError, match=rf"^handle 'cached' discloses .* \(r={other_r}\), "
+                                                    rf"config expects r={r}$"):
+                source_handles(cfg, caches=[str(caches[r]), str(caches[other_r])])
         assert [(h.host, h.port) for h in handles[3:5]] == [("127.0.0.1", 7001), ("localhost", 7002)]
         mode = "top-r" if r else "hard"
         assert handles[1].query(x) == handles[2].query(x) == InProcessPredictor(other, mode, r).query(x)
@@ -730,7 +736,7 @@ def test_source_handles_of_every_backing(tmp_path):
 
 
 def test_adapt_rejects_a_cache_saved_at_another_level(cfg_file, tmp_path, capsys):
-    # the config discloses at r=1; a cache keeps the level it was saved at, and `run_seeds` refuses it
+    # the config discloses at r=1; a cache keeps the level it was saved at, and `source_handles` refuses it
     net = SourceNet(2, 3, hidden=(16,), rng=np.random.default_rng(0))
     cache = tmp_path / "cache.json"
     write_cache(str(cache), InProcessPredictor(net, "top-r", 2), generate(small_config().scenario)[1].features)
@@ -739,7 +745,7 @@ def test_adapt_rejects_a_cache_saved_at_another_level(cfg_file, tmp_path, capsys
         assert main(["adapt", "--config", str(cfg_file), "--seeds", seeds, "--caches", str(cache),
                      "--outdir", str(outdir)]) == 2, seeds
         assert capsys.readouterr().err == "error: handle 'source' discloses top-r (r=2), config expects r=1\n"
-        assert not outdir.exists() or list(outdir.iterdir()) == [], seeds
+        assert not outdir.exists(), seeds
 
 
 def test_adapt_rejects_out_of_range_cache_class(cfg_file, tmp_path, capsys):

@@ -236,6 +236,11 @@ def test_total_loss_clean_forward_updates_stats(rng):
     assert changed
 
 
+def restore_running_stats(net, stats):
+    for name, r in net.running_stats().items():
+        r[...] = stats[name]
+
+
 def test_total_loss_term_composition(rng):
     # dropping a term changes only that term: kd + beta*mix - mi holds
     # exactly when the same draws and statistics are replayed
@@ -246,10 +251,10 @@ def test_total_loss_term_composition(rng):
 
     loss_full, parts_full = total_loss(bank_rows, net, batch, np.random.default_rng(9), beta=1.7, mixup_alpha=0.4)
 
-    net.set_running_stats(stats)
+    restore_running_stats(net, stats)
     loss_base, parts_base = total_loss(bank_rows, net, batch, np.random.default_rng(9), beta=0.0, mixup_alpha=0.4)
 
-    net.set_running_stats(stats)
+    restore_running_stats(net, stats)
     probs = softmax(net.forward(batch, mode="train", update_stats=False))
     l_mix = mixup_loss(net, batch, np.random.default_rng(9), alpha=0.4, probs=probs)
 

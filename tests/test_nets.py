@@ -28,6 +28,7 @@ from bbadapt.nets import (
     net_from_state,
     net_state,
     save_checkpoint,
+    stack_nets,
     train_epochs,
     train_source_net,
     write_atomically,
@@ -112,7 +113,7 @@ def test_weightnorm_gradient_flows_to_direction_and_scale(rng):
     x = rng.normal(size=(4, 3))
     with GradTape() as tape:
         loss = reduce_sum(pow_const(layer(Tensor(x)), 2.0))
-    grads = tape.gradient(loss, layer.params)
+    grads = tape.gradient(loss, [layer.direction, layer.scale, layer.bias])
     assert all(np.any(g != 0.0) for g in grads)
 
 
@@ -228,6 +229,59 @@ def test_make_sgd_group_rates():
     n_backbone = sum(p.size for p in net.backbone_params())
     assert opt.params == net.backbone_params() + net.new_params()
     assert opt._stretches == [(slice(0, n_backbone), 1e-3), (slice(n_backbone, opt.flat.size), 1e-2)]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 4)])
+@pytest.mark.parametrize("cls", [SourceNet, TargetNet])
+def test_state_is_laid_out_by_the_one_table(cls, hidden, count):
+    # names, order and shapes of every parameter and running statistic are the table's, with the
+    # member axis leading on a stack; the optimizer takes the parameters in that order
+    members = [cls(3, 4, hidden=hidden, rng=np.random.default_rng(i)) for i in range(count)]
+    net = members[0] if count == 1 else stack_nets(members)
+    param_shapes, running_shapes = nets._state_shapes(**net.arch())
+    params, running = net.named_params(), net.running_stats()
+    assert [(name, p.shape) for name, p in params.items()] == [(name, net.lead + shape)
+                                                              for name, shape in param_shapes.items()]
+    assert [(name, r.shape) for name, r in running.items()] == [(name, net.lead + shape)
+                                                               for name, shape in running_shapes.items()]
+    trunk = [name.startswith("trunk.") for name in params]
+    assert trunk == sorted(trunk, reverse=True) and sum(trunk) == 2 * len(hidden)
+    assert [id(p) for p in net.backbone_params() + net.new_params()] == [id(p) for p in params.values()]
+    assert [id(p) for p in make_sgd(net).params] == [id(p) for p in params.values()]
+
+
+def test_a_state_name_is_the_attribute_path_of_its_array():
+    net = TargetNet(3, 4, hidden=(6, 5), bottleneck_dim=2, rng=np.random.default_rng(0))
+    expected = {
+        "trunk.0.weight": net.trunk[0].weight, "trunk.0.bias": net.trunk[0].bias,
+        "trunk.1.weight": net.trunk[1].weight, "trunk.1.bias": net.trunk[1].bias,
+        "bn.gamma": net.bn.gamma, "bn.beta": net.bn.beta,
+        "bottleneck.weight": net.bottleneck.weight, "bottleneck.bias": net.bottleneck.bias,
+        "classifier.direction": net.classifier.direction, "classifier.scale": net.classifier.scale,
+        "classifier.bias": net.classifier.bias,
+    }
+    assert list(net.named_params()) == list(expected)
+    assert all(p is expected[name] for name, p in net.named_params().items())
+    running = net.running_stats()
+    assert list(running) == ["bn.running_mean", "bn.running_var"]
+    assert running["bn.running_mean"] is net.bn.running_mean and running["bn.running_var"] is net.bn.running_var
+    source = SourceNet(3, 4, hidden=(), rng=np.random.default_rng(0))
+    assert source.named_params() == {"head.weight": source.head.weight, "head.bias": source.head.bias}
+    assert source.running_stats() == {}
+
+
+def test_net_classes_surface_is_pinned():
+    # a net's state is read from one table: no layer lists its own parameters, no net its head's
+    def public(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    assert public(Linear) == public(BatchNorm) == set()
+    assert public(WeightNormLinear) == {"renorm"}
+    net_surface = {"arch", "backbone_params", "forward", "kind", "lead", "min_batch", "named_params", "new_params",
+                   "post_update", "predict_proba", "running_stats"}
+    assert public(SourceNet) == public(TargetNet) == net_surface
+    assert all("predict_proba" in vars(cls) for cls in (SourceNet, TargetNet))  # each wrapped on its own
 
 
 def test_ls_cross_entropy_matches_manual(rng):
