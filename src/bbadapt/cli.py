@@ -50,7 +50,8 @@ from .nets import (
     train_source_net,
     write_atomically,
 )
-from .predictors import DISCLOSURES, InProcessPredictor, init_teacher, read_cache, resolve_r, write_cache
+from .predictors import (DISCLOSURES, CachedPredictor, InProcessPredictor, _columns, init_teacher, read_cache,
+                         resolve_r, write_cache)
 from .scenarios import (
     PRESET_NAMES,
     DomainData,
@@ -340,7 +341,8 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
     """Run every seed, persist metrics, checkpoints, report and manifest.
 
     `fixed_handles` (cache/remote/checkpoint backings), unless None or
-    empty, are shared across seeds; otherwise fresh source models are
+    empty, are shared across seeds, and each is queried once, over the
+    target set, before any share forks; otherwise fresh source models are
     trained per seed. The seeds train in shares, one per usable CPU, each
     share one lockstep stack per phase (`_in_shares`). Files are written
     once every seed has trained, in seed order. Each file is written
@@ -350,6 +352,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
     cfg.validate()  # before the first file is written
     os.makedirs(outdir, exist_ok=True)
     sources, target = generate(cfg.scenario)
+    x = target.features
+    fixed_handles = [CachedPredictor(*_columns(h.query(x), h.num_classes, len(x)), h.num_classes, h.predictor_id)
+                     for h in fixed_handles or ()]
 
     def run_share(seeds):
         if fixed_handles:
@@ -643,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--checkpoint", required=True)
     sub.add_argument("--host", default="127.0.0.1")
     sub.add_argument("--port", type=int, default=0)
-    sub.add_argument("--disclosure", choices=("full-soft", "top-r", "hard"), default="top-r")
+    sub.add_argument("--disclosure", choices=DISCLOSURES, default="top-r")
     sub.add_argument("--r", type=int, default=1)
     sub.set_defaults(func=cmd_serve)
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nets import soft_cross_entropy, take_rows, train_epochs
+from .nets import _soft_target_record, soft_cross_entropy, take_rows, train_epochs
 from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording
 
 
@@ -83,24 +83,14 @@ def _check_rows(p: np.ndarray, name: str):
 
 def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
     """Mean over the batch of KL(bank row || student row), both logs
-    clamped below at 1e-8, as one record; on a stack, one mean per member.
-
-    The bank rows are constants; the gradient reaches the student only.
-    """
+    clamped below at 1e-8, as one record (`nets._soft_target_record`); on a
+    stack, one mean per member. The gradient reaches the student only."""
     t = as_tensor(bank_rows).data
     if t.shape != student_probs.shape:
         raise DimensionError(f"bank rows {t.shape} vs student {student_probs.shape}")
     _check_rows(t, "bank rows")
-    p = student_probs.data
-    _check_rows(p, "student rows")
-    clamped = np.maximum(p, LOG_EPS)
-    per_sample = (t * (np.log(np.maximum(t, LOG_EPS)) - np.log(clamped))).sum(axis=-1)
-    n = per_sample.shape[-1]
-
-    def vjp(g):
-        return (np.where(p > LOG_EPS, (-g[..., None, None] / n) * t / clamped, 0.0),)
-
-    return record_op(per_sample.sum(axis=-1) * (1.0 / n), (student_probs,), vjp)
+    _check_rows(student_probs.data, "student rows")
+    return _soft_target_record(t, student_probs, kl=True)
 
 
 def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
@@ -164,14 +154,14 @@ def mi_loss(student_probs) -> Tensor:
     return record_op(marginal - conditional, (probs,), vjp)
 
 
-def total_loss(bank_rows, net, batch, rng, *, beta: float = 1.0, mixup_alpha: float = 0.3, drop_mi: bool = False):
+def total_loss(bank_rows, net, batch, rng, *, beta: float, mixup_alpha: float, drop_mi: bool = False):
     """One step objective: distill + beta*mixup - MI, on a single tape;
     beta=0 leaves out the mixup term and `drop_mi` the MI term.
 
     Returns the loss and a dict of the term values (arrays, one value per
     member of a stack). The clean forward runs in train mode and
-    refreshes batch-norm running statistics; the two mixup forwards never
-    touch them.
+    refreshes batch-norm running statistics; the mixup forward, the one
+    other, never touches them.
     """
     logits = net.forward(batch, mode="train")
     probs = softmax(logits)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distill import mi_loss
 from .nets import train_epochs
-from .tensor import softmax
+from .tensor import LOG_EPS, softmax
 
 
 def run_finetune(nets, features, seeds, *, epochs: int = 30, batch_size: int = 64, lr_backbone: float = 1e-3,
@@ -35,7 +35,7 @@ def run_finetune(nets, features, seeds, *, epochs: int = 30, batch_size: int = 6
         probs = softmax(stack.forward(x[idx], mode="train", update_stats=not freeze_bn_stats))
         mi = mi_loss(probs)
         p = probs.data
-        entropy = -(p * np.log(np.maximum(p, 1e-8))).sum(axis=-1).mean(axis=-1)
+        entropy = -(p * np.log(np.maximum(p, LOG_EPS))).sum(axis=-1).mean(axis=-1)
         return -mi, {"mi": mi.data, "cond_entropy": entropy}
 
     return train_epochs(nets, [x] * len(nets), batch_loss, epochs, batch_size, seeds, lr_backbone, "finetune", names,

@@ -128,11 +128,8 @@ class WeightNormLinear:
         return record_op(out, (x, self.direction, self.scale, self.bias), vjp)
 
     def renorm(self):
-        """Rescale stored direction rows back to unit norm.
-
-        The forward pass divides by the row norms, so this is a pure
-        reparameterization: outputs are unchanged.
-        """
+        """Rescale stored direction rows back to unit norm: outputs are
+        unchanged, since the forward pass divides by the row norms."""
         norms = np.linalg.norm(self.direction.data, axis=-1, keepdims=True)
         self.direction.data /= norms
 
@@ -295,21 +292,16 @@ class SGD:
     """
 
     def __init__(self, param_groups):
-        self.params = []
+        self.params = [p for params, _ in param_groups for p in params]
+        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params])
         self._stretches = []  # (slice of `flat`, base rate) per group
-        offset = 0
+        end = 0
         for params, lr in param_groups:
-            size = sum(p.size for p in params)
-            self._stretches.append((slice(offset, offset + size), lr))
-            offset += size
-            self.params += params
-        self.flat = np.empty(offset)
-        offset = 0
-        for p in self.params:
-            view = self.flat[offset : offset + p.size].reshape(p.shape)
-            view[...] = p.data
-            p.data = view
-            offset += p.size
+            start = end
+            for p in params:
+                end += p.size
+                p.data = self.flat[end - p.size : end].reshape(p.shape)
+            self._stretches.append((slice(start, end), lr))
         self.velocity = np.zeros_like(self.flat)
         self._grad = np.empty_like(self.flat)
 
@@ -381,31 +373,38 @@ class RngStack:
 
 
 def soft_cross_entropy(targets, probs: Tensor) -> Tensor:
-    """-mean_i sum_k t_ik log max(p_ik, 1e-8) with constant soft targets,
-    as one record; the gradient reaches `probs` only. On a stack the mean
-    is taken per member, one value each."""
+    """-mean_i sum_k t_ik log max(p_ik, 1e-8) toward constant soft targets,
+    as one record (`_soft_target_record`); on a stack, one mean per member."""
     t = as_tensor(targets).data
     if t.shape != probs.shape:
         raise DimensionError(f"targets {t.shape} vs predictions {probs.shape}")
-    clamped = np.maximum(probs.data, LOG_EPS)
-    rows = (t * np.log(clamped)).sum(axis=-1)
-    n = rows.shape[-1]
+    return _soft_target_record(t, probs)
+
+
+def _soft_target_record(t: np.ndarray, probs: Tensor, kl: bool = False) -> Tensor:
+    """The record of `soft_cross_entropy` or, with `kl`, of the KL divergence, which adds the
+    constant mean_i sum_k t_ik log max(t_ik, 1e-8): one VJP serves both, and reaches `probs` only."""
+    p, n = probs.data, t.shape[-2]
+    clamped = np.maximum(p, LOG_EPS)
+    if kl:
+        total = (t * (np.log(np.maximum(t, LOG_EPS)) - np.log(clamped))).sum(axis=-1).sum(axis=-1)
+    else:
+        total = -(t * np.log(clamped)).sum(axis=-1).sum(axis=-1)
 
     def vjp(g):
-        return (np.where(probs.data > LOG_EPS, (-g[..., None, None] / n) * t / clamped, 0.0),)
+        return (np.where(p > LOG_EPS, (-g[..., None, None] / n) * t / clamped, 0.0),)
 
-    return record_op(-(rows.sum(axis=-1) * (1.0 / n)), (probs,), vjp)
+    return record_op(total * (1.0 / n), (probs,), vjp)
+
+
+def _smoothed_labels(labels, k: int, alpha: float) -> np.ndarray:
+    """The label-smoothed target (1-alpha)*onehot(y) + alpha/k of each label y."""
+    return np.where(np.asarray(labels)[..., None] == np.arange(k), alpha / k + (1.0 - alpha), alpha / k)
 
 
 def ls_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float = 0.1) -> Tensor:
-    """Label-smoothed cross entropy, averaged over the batch.
-
-    The target for label y is (1-alpha)*onehot(y) + alpha/K.
-    """
-    labels = np.asarray(labels)
-    k = logits.shape[-1]
-    q = np.where(labels[..., None] == np.arange(k), alpha / k + (1.0 - alpha), alpha / k)
-    return soft_cross_entropy(q, softmax(logits))
+    """Label-smoothed cross entropy (`_smoothed_labels`), averaged over the batch."""
+    return soft_cross_entropy(_smoothed_labels(labels, logits.shape[-1], alpha), softmax(logits))
 
 
 def take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

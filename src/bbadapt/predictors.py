@@ -35,7 +35,7 @@ import numpy as np
 
 from .distill import MemoryBank
 from .errors import ContractError
-from .nets import clone_net, read_json, write_atomically
+from .nets import _smoothed_labels, clone_net, read_json, write_atomically
 from .tensor import check_probabilities
 
 DISCLOSURES = ("full-soft", "top-r", "hard")
@@ -145,9 +145,12 @@ def _records(classes: np.ndarray, probs: np.ndarray, r: int, k: int) -> list[Top
     return list(map(tuple.__new__, repeat(TopK), fields))
 
 
-def _columns(records, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The `classes` and `probs` arrays of a handle's records, and their one
-    truncation level."""
+def _columns(records, k: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The `classes` and `probs` arrays of a handle's answer for n samples,
+    and its one truncation level; ContractError unless it holds n records,
+    all at one r over k classes."""
+    if len(records) != n:
+        raise ContractError(f"predictor returned {len(records)} records for {n} samples")
     if not records:
         return np.empty((0, 1), dtype=np.intp), np.empty((0, 1)), 0
     classes, probs, rs, ks = zip(*records)
@@ -229,7 +232,6 @@ def teacher_rows(classes, probs, disclosed_r: int, r: int, k: int, hard_mode: st
     class receives the uniform remainder (1 - kept mass)/(k - r). A
     disclosure truncated below k must carry that same r.
     """
-    n = classes.shape[0]
     if disclosed_r == 0:
         top = classes[:, 0]
         if not ((top >= 0) & (top < k)).all():
@@ -237,15 +239,13 @@ def teacher_rows(classes, probs, disclosed_r: int, r: int, k: int, hard_mode: st
         alpha = {"onehot": 0.0, "ls": 0.1}.get(hard_mode)
         if alpha is None:
             raise ContractError(f"unknown hard-label mode {hard_mode!r}, expected 'onehot' or 'ls'")
-        out = np.full((n, k), alpha / k)
-        out[np.arange(n), top] += 1.0 - alpha
-        return out
+        return _smoothed_labels(top, k, alpha)
     if not 1 <= r <= k:
         raise ContractError(f"r must lie in [1, {k}], got {r}")
     if disclosed_r < k and disclosed_r != r:
         raise ContractError(f"disclosure truncated at r={disclosed_r} cannot be smoothed with r={r}")
     kept = probs[:, :r]
-    out = np.zeros((n, k))
+    out = np.zeros((classes.shape[0], k))
     if r < k:
         # kept mass can exceed 1 by ~1e-9 after quantization; clamp the remainder at 0
         out += np.maximum(0.0, 1.0 - kept.sum(axis=1))[:, None] / (k - r)
@@ -279,10 +279,7 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
     x = np.asarray(features, dtype=np.float64)
     rows = np.zeros((x.shape[0], k))
     for handle in handles:
-        records = handle.query(x)
-        if len(records) != x.shape[0]:
-            raise ContractError(f"predictor returned {len(records)} records for {x.shape[0]} samples")
-        rows += teacher_rows(*_columns(records, k), r, k, hard_mode)
+        rows += teacher_rows(*_columns(handle.query(x), k, x.shape[0]), r, k, hard_mode)
     rows /= len(handles)
     return MemoryBank(rows)
 
@@ -371,7 +368,7 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
     not at all. Returns the number of rows written; an answer without rows
     is a ContractError, and no file is written, since `read_cache` admits
     no empty cache."""
-    classes, probs, r = _columns(handle.query(features), handle.num_classes)
+    classes, probs, r = _columns(handle.query(features), handle.num_classes, len(features))
     if not classes.shape[0]:
         raise ContractError(f"cache {path}: the query returned no rows, and a cache holds at least one")
     text = '{"num_classes": %d, "predictor_id": %s, "r": %d, "topk": %s}\n' % (

@@ -185,51 +185,36 @@ class DomainData:
         return self.features.shape[0]
 
 
-def _class_counts(n: int, classes) -> list:
-    base, rem = divmod(n, len(classes))
-    return [base + (1 if i < rem else 0) for i in range(len(classes))]
-
-
-def _sample_moons(n: int, classes, rng, noise: float):
-    """Two opposing half-circles, centered at the origin. Class 0 arcs
-    upward, class 1 downward, offset so the arc tips interleave. The
-    arcs sit 0.5 apart vertically so the between-class valley survives
-    moderate rotations."""
-    counts = _class_counts(n, classes)
-    points, labels = [], []
-    for cls, count in zip(classes, counts):
-        t = rng.uniform(0.0, np.pi, count)
-        if cls == 0:
-            base = np.stack([np.cos(t), np.sin(t) + 0.25], axis=1)
-        else:
-            base = np.stack([1.0 - np.cos(t), -np.sin(t) - 0.25], axis=1)
-        base = base - np.array([0.5, 0.0])
-        base += rng.normal(0.0, noise, base.shape)
-        points.append(base)
-        labels.append(np.full(count, cls, dtype=np.int64))
-    return np.concatenate(points), np.concatenate(labels)
-
-
-def _sample_gaussians(n: int, num_classes: int, classes, rng, radius: float, noise: float):
-    """One isotropic cluster per class, centers evenly spaced on a circle
-    of the given radius. Only the requested classes are drawn."""
-    counts = _class_counts(n, classes)
-    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
-    centers = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    points, labels = [], []
-    for cls, count in zip(classes, counts):
-        block = centers[cls] + rng.normal(0.0, noise, (count, 2))
-        points.append(block)
-        labels.append(np.full(count, cls, dtype=np.int64))
-    return np.concatenate(points), np.concatenate(labels)
-
-
 def _sample_domain(spec: ScenarioSpec, shift: Shift, n: int, classes, rng) -> DomainData:
+    """n points of `classes` through `shift`: the counts differ by at most
+    one, lower classes first, and each class is drawn in turn from `rng`.
+
+    Moons: two opposing half-circles, centered at the origin. Class 0 arcs
+    upward, class 1 downward, offset so the arc tips interleave. The arcs
+    sit 0.5 apart vertically so the between-class valley survives moderate
+    rotations. Gaussians: one isotropic cluster per class, centers evenly
+    spaced on a circle of the given radius."""
     sigma = abs(spec.noise * shift.noise_scale)  # a noise of -0.0 passes the checks, but numpy refuses it
     if spec.family == "moons":
-        points, labels = _sample_moons(n, classes, rng, sigma)
+        def draw(cls, count):
+            t = rng.uniform(0.0, np.pi, count)
+            if cls == 0:
+                base = np.stack([np.cos(t), np.sin(t) + 0.25], axis=1)
+            else:
+                base = np.stack([1.0 - np.cos(t), -np.sin(t) - 0.25], axis=1)
+            base = base - np.array([0.5, 0.0])
+            base += rng.normal(0.0, sigma, base.shape)
+            return base
     else:
-        points, labels = _sample_gaussians(n, spec.num_classes, classes, rng, spec.radius, sigma)
+        angles = 2.0 * np.pi * np.arange(spec.num_classes) / spec.num_classes
+        centers = spec.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+        def draw(cls, count):
+            return centers[cls] + rng.normal(0.0, sigma, (count, 2))
+    each, rem = divmod(n, len(classes))
+    counts = [each + (1 if i < rem else 0) for i in range(len(classes))]
+    points = np.concatenate([draw(cls, count) for cls, count in zip(classes, counts)])
+    labels = np.concatenate([np.full(count, cls, dtype=np.int64) for cls, count in zip(classes, counts)])
     return DomainData(shift.apply(points), labels)
 
 

@@ -126,7 +126,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             if not isinstance(features, list) or not features:
                 raise ContractError("request must carry a nonempty 'features' list of rows")
             records = self._handle.query(checked_features(features))
-            classes, probs, _ = _columns(records, self._handle.num_classes)
+            classes, probs, _ = _columns(records, self._handle.num_classes, len(features))
             # {"id": <id>, "topk": <rows>}, keys sorted as json.dumps writes them
             text = '{"id": %s, "topk": %s}' % (json.dumps(request_id, sort_keys=True), _topk_text(classes, probs))
         except Exception as exc:  # noqa: BLE001 - every failure becomes a structured response

@@ -1,5 +1,6 @@
 """The golden record of bbadapt's outputs: the sha256 of every file that
-tiny-epoch runs of each subcommand write.
+tiny-epoch runs of each subcommand, and of each config branch the presets
+leave untaken, write.
 
 Floating-point results depend on numpy's version and on the kernels its
 OpenBLAS picks for the CPU (DYNAMIC_ARCH), so each entry is keyed by
@@ -39,6 +40,15 @@ GOLDEN = Path(__file__).with_name("golden.json")
 TINY = ["--source-epochs", "2", "--adapt-epochs", "2", "--finetune-epochs", "2"]
 MULTI = ["--preset", "multi3-gauss4", *TINY]
 SOURCES = [f"sources/source{m}_seed3.json" for m in range(3)]
+# one run per config branch the presets' defaults leave untaken, on gauss4-rot30 (K=4)
+VARIANTS = {
+    "teacher-hard": ["--teacher", "hard"],
+    "teacher-ls": ["--teacher", "ls"],
+    "full-soft-r1": ["--disclosure", "full-soft", "--r", "1"],
+    "drop-mi": ["--drop-mi"],
+    "drop-mix": ["--drop-mix"],
+    "freeze-bn-stats": ["--freeze-bn-stats"],
+}
 
 
 def openblas_core() -> str:
@@ -82,6 +92,10 @@ def _runs():
         _run("adapt", "--preset", preset, *TINY, "--seeds", "1,2", "--outdir", f"shares/{preset}")
         with mock.patch.object(cli, "_share_count", lambda seeds: 1):
             _run("adapt", "--preset", preset, *TINY, "--seeds", "1,2", "--outdir", f"serial/{preset}")
+    for name, flags in VARIANTS.items():
+        _run("adapt", "--preset", "gauss4-rot30", *TINY, *flags, "--seeds", "1", "--outdir", f"variants/{name}")
+    _run("adapt", "--config", "variants/teacher-ls/manifest.json", "--outdir", "replayed")
+    _run("report", "shares/moons-rot30", "variants/drop-mi", "replayed", "--curves", "curves.tsv")
     _run("train-source", *MULTI, "--seed", "3", "--outdir", "sources")
     caches = [f"caches/source{m}.json" for m in range(3)]
     for source, cache in zip(SOURCES, caches):

@@ -355,6 +355,30 @@ def test_a_failing_parent_share_stops_the_children(tmp_path, capsys, monkeypatch
     assert list(outdir.iterdir()) == [] and len(forks) == 1 and _reaped(forks)
 
 
+@pytest.mark.parametrize("share_count", [pytest.param(lambda seeds: 1, id="serial"),
+                                         pytest.param(len, id="shares", marks=needs_fork)])
+def test_each_fixed_source_is_queried_once_per_run(share_count, tmp_path, monkeypatch):
+    # a black box's cost is its queries: one per source and run, whatever the seeds; the log is a
+    # file, so a query made in a forked share counts too
+    tiny = ["--preset", "multi3-gauss4", *TINY_ADAPT[3:]]
+    assert main(["train-source", *tiny, "--seed", "5", "--outdir", str(tmp_path / "sources")]) == 0
+    checkpoints = ",".join(str(tmp_path / "sources" / f"source{m}_seed5.json") for m in range(3))
+    log, query = tmp_path / "queries.log", InProcessPredictor.query
+
+    def logged(self, features):
+        with open(log, "a") as fh:
+            fh.write(f"{self.predictor_id}\n")
+        return query(self, features)
+
+    monkeypatch.setattr(InProcessPredictor, "query", logged)
+    monkeypatch.setattr(cli, "_share_count", share_count)
+    for seeds in ("1", "1,2,3"):
+        log.write_text("")
+        outdir = str(tmp_path / seeds)
+        assert main(["adapt", *tiny, "--seeds", seeds, "--source-checkpoints", checkpoints, "--outdir", outdir]) == 0
+        assert sorted(log.read_text().split()) == ["source0", "source1", "source2"], seeds
+
+
 def test_cli_surface_is_pinned(run_a, capsys):
     # the override flags are derived from the config fields; neither may drift
     with pytest.raises(SystemExit):

@@ -231,7 +231,7 @@ def test_total_loss_clean_forward_updates_stats(rng):
     batch = rng.normal(size=(8, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=8)
     stats_before = {k: v.copy() for k, v in net.running_stats().items()}
-    total_loss(bank_rows, net, batch, np.random.default_rng(0))
+    total_loss(bank_rows, net, batch, np.random.default_rng(0), beta=1.0, mixup_alpha=0.3)
     changed = any(not np.array_equal(v, stats_before[k]) for k, v in net.running_stats().items())
     assert changed
 
@@ -268,7 +268,8 @@ def test_total_loss_drop_mi(rng):
     net = small_net()
     batch = rng.normal(size=(6, 2))
     bank_rows = rng.dirichlet(np.ones(3), size=6)
-    loss, parts = total_loss(bank_rows, net, batch, np.random.default_rng(0), beta=0.0, drop_mi=True)
+    loss, parts = total_loss(bank_rows, net, batch, np.random.default_rng(0), beta=0.0, mixup_alpha=0.3,
+                             drop_mi=True)
     assert parts["mi"] == 0.0
     assert abs(loss.item() - parts["kd"]) < 1e-12
 
@@ -279,7 +280,7 @@ def test_total_loss_gradient_reaches_all_params(rng):
     bank_rows = rng.dirichlet(np.ones(3), size=8)
     params = net.backbone_params() + net.new_params()
     with GradTape() as tape:
-        loss, _ = total_loss(bank_rows, net, batch, np.random.default_rng(1))
+        loss, _ = total_loss(bank_rows, net, batch, np.random.default_rng(1), beta=1.0, mixup_alpha=0.3)
     grads = tape.gradient(loss, params)
     assert all(np.any(g != 0.0) for g in grads)
 

@@ -527,14 +527,14 @@ def test_total_loss_on_a_stack_matches_each_member(beta, drop_mi):
     cotangent = rng.normal(size=2)
     draws = RngStack([11, 12])
     with GradTape() as tape:
-        loss, terms = total_loss(rows, stack, x, draws, beta=beta, drop_mi=drop_mi)
+        loss, terms = total_loss(rows, stack, x, draws, beta=beta, mixup_alpha=0.3, drop_mi=drop_mi)
         target = reduce_sum(loss * Tensor(cotangent))
     grads = tape.gradient(target, params)
     member_grads = []
     for i, net in enumerate(nets):
         with GradTape() as tape:
             member_loss, member_terms = total_loss(rows[i], net, x[i], np.random.default_rng(11 + i), beta=beta,
-                                                   drop_mi=drop_mi)
+                                                   mixup_alpha=0.3, drop_mi=drop_mi)
             target = member_loss * Tensor(cotangent[i])
         member_grads.append(tape.gradient(target, list(net.named_params().values())))
         assert loss.data[i] == member_loss.item()

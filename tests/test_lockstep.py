@@ -132,7 +132,7 @@ def test_training_surface_is_pinned():
         distill: {"annotations", "math", "np", "ContractError", "DimensionError", "soft_cross_entropy",
                   "take_rows", "train_epochs", "LOG_EPS", "Tensor", "as_tensor", "check_probabilities", "record_op",
                   "softmax", "stop_recording"},
-        finetune: {"annotations", "np", "mi_loss", "train_epochs", "softmax"},
+        finetune: {"annotations", "np", "mi_loss", "train_epochs", "LOG_EPS", "softmax"},
     }
     public = {module: {name for name in vars(module) if not name.startswith("_")} - imported[module]
               for module in imported}
@@ -164,7 +164,8 @@ def test_training_surface_is_pinned():
         run_distillation: [*common, ("beta", True, 1.0), ("gamma", True, 0.6), ("mixup_alpha", True, 0.3),
                            ("drop_mi", True, False), ("eval_fn", True, None), ("names", True, None)],
         run_finetune: [*common, ("freeze_bn_stats", True, False), ("eval_fn", True, None), ("names", True, None)],
-        distill.total_loss: [("beta", True, 1.0), ("mixup_alpha", True, 0.3), ("drop_mi", True, False)],
+        # C01 calls total_loss without drop_mi, so that default stays
+        distill.total_loss: [("beta", True, empty), ("mixup_alpha", True, empty), ("drop_mi", True, False)],
         distill.check_distill_args: [],
     }
     assert signatures == {fn: [(name, False, empty) for name in positional[fn]] + keywords[fn] for fn in positional}
