@@ -344,8 +344,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
     empty, are shared across seeds, and each is queried once, over the
     target set, before any share forks; otherwise fresh source models are
     trained per seed. The seeds train in shares, one per usable CPU, each
-    share one lockstep stack per phase (`_in_shares`). Files are written
-    once every seed has trained, in seed order. Each file is written
+    share one lockstep stack per phase (`_in_shares`). Each share encodes
+    its seeds' metrics and distilled-net files; this process writes the
+    files once every seed has trained, in seed order. Each file is written
     atomically, and `manifest.json` last, so a run that fails leaves no
     manifest behind.
     """
@@ -361,12 +362,16 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
             handles = [fixed_handles] * len(seeds)
         else:
             handles = [source_handles(cfg, nets) for nets in train_source_models(cfg, sources, seeds)]
-        return run_seeds(cfg, target, handles, seeds)
+        outs = run_seeds(cfg, target, handles, seeds)
+        for seed, out in zip(seeds, outs):  # encoded by the share that trained the seed
+            out["files"] = {f"metrics_seed{seed}.ndjson": _metrics_text(seed, out.pop("metrics")),
+                            f"distilled_seed{seed}.json": _json_text(out.pop("distilled_state"))}
+        return outs
 
     per_seed = []
     for seed, out in zip(cfg.seeds, _in_shares(run_share, cfg.seeds)):
-        _write_metrics(os.path.join(outdir, f"metrics_seed{seed}.ndjson"), seed, out["metrics"])
-        _write_json(os.path.join(outdir, f"distilled_seed{seed}.json"), out["distilled_state"])
+        for name, text in out["files"].items():
+            _write_text(os.path.join(outdir, name), text)
         save_checkpoint(out["net"], os.path.join(outdir, f"target_seed{seed}.json"), seed=seed)
         per_seed.append(out["summary"])
     finals = np.array([row["accuracy_final"] for row in per_seed])
@@ -390,13 +395,24 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
 # persistence helpers ----------------------------------------------------
 
 
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _metrics_text(seed: int, records: list) -> str:
+    return "".join(json.dumps({"seed": seed, **rec}, sort_keys=True) + "\n" for rec in records)
+
+
+def _write_text(path: str, text: str):
+    write_atomically(path, lambda fh: fh.write(text))
+
+
 def _write_json(path: str, obj: dict):
-    write_atomically(path, lambda fh: fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n"))
+    _write_text(path, _json_text(obj))
 
 
 def _write_metrics(path: str, seed: int, records: list):
-    lines = "".join(json.dumps({"seed": seed, **rec}, sort_keys=True) + "\n" for rec in records)
-    write_atomically(path, lambda fh: fh.write(lines))
+    _write_text(path, _metrics_text(seed, records))
 
 
 def _print_report(report: dict):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nets import _soft_target_record, soft_cross_entropy, take_rows, train_epochs
-from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording
+from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording, unstack
 
 
 class MemoryBank:
@@ -93,33 +93,36 @@ def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
     return _soft_target_record(t, student_probs, kl=True)
 
 
-def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
-    """Interpolation-consistency term.
-
-    One lambda = `rng.beta(alpha, alpha)` is drawn per batch, each sample
-    is paired with a partner from `rng.permutation`, and the prediction at
-    the mixed input is pulled (soft cross entropy) toward the same mixture
-    of the stop-gradient endpoint predictions. Both forwards run in train
-    mode without touching the batch-norm running statistics. Pass `probs`
-    to reuse an already-computed clean forward. On a stack the batch is
-    (S, n, in_dim) and `rng` an `RngStack`, so each member draws its own
-    lambda and partners from its own generator.
-    """
-    x = np.asarray(batch, dtype=np.float64)
+def _mixer(x: np.ndarray, rng, alpha: float):
+    """Draw a lambda per batch (`rng.beta(alpha, alpha)`), then each row's partner
+    (`rng.permutation`): the function that mixes a batch's rows so."""
     n = x.shape[-2]
     if n < 2:
         raise ContractError(f"mixup needs at least 2 samples, got {n}")
     lam = np.reshape(rng.beta(alpha, alpha), x.shape[:-2] + (1, 1))
     perm = rng.permutation(n)
+    return lambda a: lam * a + (1.0 - lam) * take_rows(a, perm)
+
+
+def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
+    """Interpolation-consistency term.
+
+    One lambda is drawn per batch and each sample paired with a partner
+    (`_mixer`), and the prediction at the mixed input is pulled (soft
+    cross entropy) toward the same mixture of the stop-gradient endpoint
+    predictions. Both forwards run in train mode without touching the
+    batch-norm running statistics. Pass `probs` to reuse a clean forward
+    (`total_loss` runs the mixed one within it, too). On a stack the batch
+    is (S, n, in_dim) and `rng` an `RngStack`: each member draws its own
+    lambda and partners from its own generator.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    mix = _mixer(x, rng, alpha)
     if probs is None:
         with stop_recording():
-            endpoint = softmax(net.forward(x, mode="train", update_stats=False)).data
-    else:
-        endpoint = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    targets = lam * endpoint + (1.0 - lam) * take_rows(endpoint, perm)
-    x_mix = lam * x + (1.0 - lam) * take_rows(x, perm)
-    mixed_pred = softmax(net.forward(x_mix, mode="train", update_stats=False))
-    return soft_cross_entropy(targets, mixed_pred)
+            probs = softmax(net.forward(x, mode="train", update_stats=False))
+    mixed = softmax(net.forward(mix(x), mode="train", update_stats=False))
+    return soft_cross_entropy(mix(as_tensor(probs).data), mixed)
 
 
 def mi_loss(student_probs) -> Tensor:
@@ -160,14 +163,18 @@ def total_loss(bank_rows, net, batch, rng, *, beta: float, mixup_alpha: float, d
 
     Returns the loss and a dict of the term values (arrays, one value per
     member of a stack). The clean forward runs in train mode and
-    refreshes batch-norm running statistics; the mixup forward, the one
-    other, never touches them.
+    refreshes batch-norm running statistics; with the mixup term, whose
+    draws come first, its mixed batch joins it as a second leading slice.
     """
-    logits = net.forward(batch, mode="train")
-    probs = softmax(logits)
+    x = np.asarray(batch, dtype=np.float64)
+    if beta == 0.0:
+        probs = softmax(net.forward(x, mode="train"))
+    else:
+        mix = _mixer(x, rng, mixup_alpha)
+        probs, mixed = unstack(softmax(net.forward(np.stack([x, mix(x)]), mode="train")))
     l_kd = distill_loss(bank_rows, probs)
     zero = Tensor(np.zeros(l_kd.shape))
-    l_mix = mixup_loss(net, batch, rng, alpha=mixup_alpha, probs=probs) if beta != 0.0 else zero
+    l_mix = soft_cross_entropy(mix(probs.data), mixed) if beta != 0.0 else zero
     l_im = zero if drop_mi else mi_loss(probs)
     loss = l_kd + Tensor(beta) * l_mix - l_im
     return loss, {"kd": l_kd.data, "mix": l_mix.data, "mi": l_im.data}

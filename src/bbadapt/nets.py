@@ -18,6 +18,7 @@ in `train_epochs`, the one epoch loop, which also checks each epoch's end.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -56,7 +57,8 @@ class BatchNorm:
     Both add BN_EPS to the variance; either way the layer is one record.
     Eval mode normalizes in place on one fresh array. The statistics are
     taken over the rows (axis -2), so a stack normalizes each member's
-    rows with that member's statistics.
+    rows with that member's statistics; those of the first batch update
+    the running ones when the rows lead with a batch axis of their own.
     """
 
     def __init__(self, dim: int):
@@ -76,8 +78,9 @@ class BatchNorm:
             xhat = centered / std
             if update_stats:
                 bessel = n / (n - 1) if n > 1 else 1.0
-                self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
-                self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var * bessel
+                first = (0,) * (mu.ndim - self.running_mean.ndim)
+                self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu[first]
+                self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var[first] * bessel
         else:
             inv = 1.0 / np.sqrt(self.running_var[..., None, :] + BN_EPS)
             xhat = x.data - self.running_mean[..., None, :]
@@ -85,9 +88,9 @@ class BatchNorm:
 
         def vjp(g):
             gxhat = g * gamma
-            if train:  # the batch statistics depend on x too
-                gx = (gxhat - gxhat.mean(axis=-2, keepdims=True)
-                      - xhat * (gxhat * xhat).mean(axis=-2, keepdims=True)) / std
+            if train:  # the batch statistics depend on x too; sum / n is numpy's mean
+                gx = (gxhat - gxhat.sum(axis=-2, keepdims=True) / n
+                      - xhat * ((gxhat * xhat).sum(axis=-2, keepdims=True) / n)) / std
             else:
                 gx = gxhat * inv
             return gx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
@@ -185,24 +188,19 @@ class _Net:
 
     def forward(self, x, mode: str = "train", update_stats: bool = True) -> Tensor:
         """Logits. Train mode records on the active tape and, unless
-        `update_stats` is False, refreshes batch-norm running statistics;
+        `update_stats` is False, refreshes batch-norm running statistics
+        (from the first batch, if `x` leads with a batch axis of its own);
         eval mode never records and never touches them."""
         if mode not in ("train", "eval"):
             raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
-        x = as_tensor(x)
-        if x.ndim != len(self.lead) + 2 or x.shape[:-2] != self.lead or x.shape[-1] != self.in_dim:
+        x, lead, train = as_tensor(x), len(self.lead), mode == "train"
+        if x.ndim - lead not in (2, 3) or x.shape[-2 - lead : -2] != self.lead or x.shape[-1] != self.in_dim:
             expected = ", ".join(map(str, (*self.lead, "n", self.in_dim)))
             raise DimensionError(f"expected ({expected}) features, got {x.shape}")
-        if mode == "eval":
-            with stop_recording():
-                return self._forward(x, train=False, update_stats=False)
-        return self._forward(x, train=True, update_stats=update_stats)
-
-    def _forward(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
-        h = x
-        for layer in self.trunk:
-            h = layer(h, relu=True)
-        return self._head(h, train, update_stats)
+        with contextlib.nullcontext() if train else stop_recording():
+            for layer in self.trunk:
+                x = layer(x, relu=True)
+            return self._head(x, train, train and update_stats)
 
     def backbone_params(self):
         return [p for name, p in self.named_params().items() if name.startswith("trunk.")]
@@ -288,30 +286,27 @@ class SGD:
     stretch of them scaled by its own rate. Every operation is
     elementwise, so the weights are bit for bit those of a per-parameter
     update. Change a parameter in place from then on; rebinding its `data`
-    detaches it from `flat`.
+    detaches it from `flat`. Each of `grads` is a parameter's view into the
+    gradient vector `grad`, for `GradTape.gradient` to write into.
     """
 
     def __init__(self, param_groups):
         self.params = [p for params, _ in param_groups for p in params]
         self.flat = np.concatenate([p.data.reshape(-1) for p in self.params])
-        self._stretches = []  # (slice of `flat`, base rate) per group
-        end = 0
+        self.grad, self.grads = np.zeros_like(self.flat), []
+        self._stretches, end = [], 0  # (slice of `flat`, base rate) per group
         for params, lr in param_groups:
             start = end
             for p in params:
                 end += p.size
                 p.data = self.flat[end - p.size : end].reshape(p.shape)
+                self.grads.append(self.grad[end - p.size : end].reshape(p.shape))
             self._stretches.append((slice(start, end), lr))
         self.velocity = np.zeros_like(self.flat)
-        self._grad = np.empty_like(self.flat)
 
-    def step(self, grads, progress: float):
-        if len(grads) != len(self.params):
-            raise DimensionError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        for p, g in zip(self.params, grads):
-            if g.shape != p.shape:
-                raise DimensionError(f"gradient shape {g.shape} vs parameter {p.shape}")
-        g = np.concatenate(grads, axis=None, out=self._grad)
+    def step(self, progress: float):
+        """One update by the gradient in `grad`, which it then overwrites."""
+        g = self.grad
         g += WEIGHT_DECAY * self.flat
         self.velocity *= MOMENTUM
         self.velocity += g
@@ -496,11 +491,11 @@ def _blas_threads():
 
 def _diverged_member(arrays, members: int):
     """The first member of a stack of `members` with a non-finite value in
-    `arrays`, each with a leading member axis; None if every value is finite."""
+    `arrays`; None if every value is finite. The member axis is the first,
+    or in rows (..., S, n, c), which may lead with a batch axis, the third from last."""
     for a in arrays:
-        finite = np.isfinite(a).reshape(members, -1).all(axis=1)
-        if not finite.all():
-            return int(np.argmin(finite))
+        if not (finite := np.isfinite(a)).all():
+            return int(np.argmin(np.moveaxis(finite, max(0, a.ndim - 3), 0).reshape(members, -1).all(axis=1)))
     return None
 
 
@@ -567,7 +562,8 @@ def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds
                 raise diverged(str(exc), epoch, step, member) from None
         if bad := [i for i, value in enumerate(loss.data.tolist()) if not math.isfinite(value)]:
             raise diverged(f"loss is {loss.data[bad[0]]}", epoch, step, bad[0])
-        opt.step(tape.gradient(loss, opt.params), progress=step / total_steps)
+        tape.gradient(loss, opt.params, out=opt.grads)
+        opt.step(progress=step / total_steps)
         stack.post_update()
         return {"loss": loss.data, **terms}
 

@@ -19,11 +19,13 @@ that each fused forward performs the same float operations.
 The layer ops take a batch of rows, or a stack of batches with one leading
 member axis (see `nets.stack_nets`): rows are reduced over axis -2 and
 weights transposed over the last two axes, so each member's slice is
-computed exactly as that member alone.
+computed exactly as that member alone. So is each batch of features with
+one more leading axis (`unstack` splits the output again).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -33,15 +35,13 @@ from .errors import ContractError, DimensionError
 # Lower clamp applied before every log inside a loss term.
 LOG_EPS = 1e-8
 
-_STATE = threading.local()
+
+class _State(threading.local):
+    def __init__(self):
+        self.stack, self.muted = [], 0  # the open tapes, innermost last; open `stop_recording` blocks
 
 
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
+_STATE = _State()
 
 
 class stop_recording:
@@ -51,7 +51,7 @@ class stop_recording:
     """
 
     def __enter__(self):
-        _STATE.muted = getattr(_STATE, "muted", 0) + 1
+        _STATE.muted += 1
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -88,20 +88,11 @@ class Tensor:
     def __add__(self, other):
         return _add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return _add(as_tensor(other), self)
-
     def __sub__(self, other):
         return _sub(self, as_tensor(other))
 
-    def __rsub__(self, other):
-        return _sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return _mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return _mul(as_tensor(other), self)
 
     def __neg__(self):
         return record_op(-self.data, (self,), lambda g: (-g,))
@@ -128,59 +119,84 @@ class GradTape:
         self._records = []  # (out, inputs, vjp)
 
     def __enter__(self) -> "GradTape":
-        _tape_stack().append(self)
+        _STATE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _STATE.stack.pop()
         return False
 
     def __len__(self):
         return len(self._records)
 
-    def gradient(self, target: Tensor, sources: list[Tensor]) -> list[np.ndarray]:
-        """Gradients of the sum of `target`'s entries with respect to each
-        source tensor: the target is seeded with ones, so on a stack's
-        per-member loss each member's gradient is exactly its own.
-
-        Sources not reached by the tape get a zero gradient of their own
-        shape. Replays the records in reverse order exactly once, dropping
-        each intermediate gradient once its record has used it.
+    def gradient(self, target: Tensor, sources: list[Tensor], out=None) -> list[np.ndarray]:
+        """Gradients of the sum of `target`'s entries (seeded with ones, so on
+        a stack's per-member loss each member's is its own) with respect to
+        each source, written into its array of `out`, such as `SGD.grads`,
+        or a fresh one; returns those arrays. A source's first contribution
+        is assigned and later ones added (as `acc + gi`), each first summed
+        over any batch axes the source lacks; unreached sources get zeros.
+        Records replay once, in reverse, freeing each intermediate gradient.
         """
+        out = [np.empty_like(s.data) for s in sources] if out is None else out
+        dest, reached = {id(s): o for s, o in zip(sources, out)}, set()
+        if not len(dest) == len(sources) == len(out):
+            raise DimensionError(f"expected one array per distinct source: {len(sources)} sources, {len(out)} arrays")
         grads: dict[int, np.ndarray] = {id(target): np.ones_like(target.data)}
-        keep = {id(s) for s in sources}
-        for out, inputs, vjp in reversed(self._records):
-            g = grads.get(id(out)) if id(out) in keep else grads.pop(id(out), None)
+        for rec_out, inputs, vjp in reversed(self._records):
+            g = grads.pop(id(rec_out), None)
             if g is None:
                 continue
             for t, gi in zip(inputs, vjp(g)):
-                if gi is None or not isinstance(t, Tensor) or not t.requires_grad:
+                if gi is None or not t.requires_grad:
                     continue
-                if gi.shape != t.data.shape:
-                    raise DimensionError(f"gradient shape {gi.shape} does not match parameter shape {t.data.shape}")
-                acc = grads.get(id(t))
-                grads[id(t)] = gi if acc is None else acc + gi
-        return [grads[id(s)] if id(s) in grads else np.zeros_like(s.data) for s in sources]
+                key, d = id(t), dest.get(id(t))
+                if d is None:
+                    grads[key] = gi if (acc := grads.get(key)) is None else acc + gi
+                    continue
+                if gi.ndim > d.ndim:
+                    gi = gi.sum(axis=tuple(range(gi.ndim - d.ndim)))
+                if gi.shape != d.shape:
+                    raise DimensionError(f"gradient shape {gi.shape} does not match parameter shape {d.shape}")
+                if key in reached:
+                    d += gi
+                else:
+                    d[...] = gi
+                    reached.add(key)
+                    grads[key] = d  # for the record, if any, whose output is this source
+        for s, o in zip(sources, out):
+            if id(s) not in reached:
+                o[...] = 0.0
+        return out
 
 
 def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
-    """Wrap an eagerly computed value, recording it as one op if a tape is
-    listening and any input requires a gradient.
+    """Wrap an eagerly computed float64 array, recording it as one op if a
+    tape is listening and any input (each a Tensor) requires a gradient.
 
     `vjp(g)` receives the gradient of the output and returns one gradient
     per input, shaped like that input; None marks an input it skips (a
     constant, or one whose `requires_grad` is False).
     """
-    stack = _tape_stack()
-    needs = (
-        bool(stack)
-        and not getattr(_STATE, "muted", 0)
-        and any(isinstance(t, Tensor) and t.requires_grad for t in inputs)
-    )
-    out = Tensor(out_data, requires_grad=needs)
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.requires_grad = needs = bool(_STATE.stack) and not _STATE.muted and any(t.requires_grad for t in inputs)
     if needs:
-        stack[-1]._records.append((out, inputs, vjp))
+        _STATE.stack[-1]._records.append((out, inputs, vjp))
     return out
+
+
+def unstack(t: Tensor) -> list[Tensor]:
+    """The slices of `t` along its first axis, one record each. Their VJPs
+    fill one gradient, which the first slice's record, replayed last,
+    hands on to `t`; so the first slice must reach the target."""
+    grad = np.zeros_like(t.data)
+
+    def vjp(i: int, g: np.ndarray):
+        grad[i] = g
+        return (grad if i == 0 else None,)
+
+    return [record_op(t.data[i], (t,), functools.partial(vjp, i)) for i in range(len(t.data))]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -233,8 +249,9 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 
     A stack of S layers is the same call with one leading member axis on
     every argument: x (S, n, in), weight (S, in, out), bias (S, out). Each
-    member's slice is computed exactly as the member alone would be."""
-    if x.ndim != weight.ndim or x.shape[-1] != weight.shape[-2]:
+    member's slice is computed exactly as the member alone would be, as is
+    each batch of an x with one more leading axis."""
+    if x.ndim < weight.ndim or x.shape[-1] != weight.shape[-2]:
         raise DimensionError(f"affine expects rows of {weight.shape[-2]} features, got shape {x.shape}")
     out = x.data @ weight.data
     out += bias.data[..., None, :]

@@ -303,9 +303,9 @@ def test_records_per_step_are_pinned(monkeypatch):
     counts = []
     gradient = GradTape.gradient
 
-    def counting(self, target, sources):
+    def counting(self, target, sources, out=None):
         counts.append(len(self))
-        return gradient(self, target, sources)
+        return gradient(self, target, sources, out=out)
 
     monkeypatch.setattr(GradTape, "gradient", counting)
     rng = np.random.default_rng(0)
@@ -323,8 +323,9 @@ def test_records_per_step_are_pinned(monkeypatch):
         targets = [TargetNet(2, 3, rng=np.random.default_rng(2 + i)) for i in seeds]
         banks = [MemoryBank(rows) for _ in seeds]
         run_distillation(banks, targets, x, seeds, epochs=1, batch_size=8)
-        # (5 layers + softmax) per forward, twice; KL, mixup CE, MI; 3 to combine
-        assert counts == [18, 18]
+        # 5 layers and softmax over the clean and mixed batches at once, their 2 slices;
+        # KL, mixup CE, MI; 3 to combine
+        assert counts == [14, 14]
         counts.clear()
         run_finetune(targets, x, seeds, epochs=1, batch_size=8)
         # 5 layers, softmax, MI, negation

@@ -182,7 +182,8 @@ def test_sgd_matches_manual_update(rng):
     for step, progress in enumerate((0.0, 0.25)):
         gw = rng.normal(size=ref_w.shape)
         gb = rng.normal(size=ref_b.shape)
-        opt.step([gw, gb], progress=progress)
+        opt.grads[0][...], opt.grads[1][...] = gw, gb
+        opt.step(progress=progress)
         factor = (1.0 + 10.0 * progress) ** -0.75
         vel_w = 0.9 * vel_w + gw + 1e-3 * ref_w
         vel_b = 0.9 * vel_b + gb + 1e-3 * ref_b
@@ -193,12 +194,16 @@ def test_sgd_matches_manual_update(rng):
 
 
 def test_sgd_validates_gradients(rng):
+    # the tape checks the gradients it writes into the optimizer's views: one per parameter, of its shape
     w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     opt = SGD([([w], 0.01)])
+    assert [g.shape for g in opt.grads] == [(2, 2)] and np.shares_memory(opt.grads[0], opt.grad)
+    with GradTape() as tape:
+        loss = reduce_sum(w * w)
     with pytest.raises(DimensionError):
-        opt.step([], progress=0.0)
+        tape.gradient(loss, opt.params, out=[])
     with pytest.raises(DimensionError):
-        opt.step([np.zeros((3, 3))], progress=0.0)
+        tape.gradient(loss, opt.params, out=[np.zeros((3, 3))])
 
 
 def test_sgd_parameters_stay_views_of_its_vector(rng):
@@ -215,7 +220,8 @@ def test_sgd_parameters_stay_views_of_its_vector(rng):
     x = rng.normal(size=(6, 2))
     with GradTape() as tape:
         loss = ls_cross_entropy(net.forward(x), rng.integers(0, 3, 6))
-    opt.step(tape.gradient(loss, opt.params), progress=0.0)
+    tape.gradient(loss, opt.params, out=opt.grads)
+    opt.step(progress=0.0)
     assert laid_out()
     assert not np.array_equal(net.trunk[0].weight.data, before["trunk.0.weight"])
     net.post_update()  # renormalizes the classifier's direction rows in place
@@ -405,20 +411,22 @@ def test_non_finite_loss_names_the_diverging_member():
 @pytest.mark.parametrize("phase", ["distill", "finetune"])
 def test_failed_check_names_the_diverging_member(phase):
     # a non-finite student fails a probability check inside the step, before
-    # there is a loss; the error names the step and member as a loss error does
+    # there is a loss; the error names the step and member as a loss error does,
+    # also where distillation's one forward leads with a clean and a mixed batch
     x, _ = make_blobs(20, [(-2.0, 0.0), (2.0, 0.0)], 0.3, np.random.default_rng(0))
-    names = ["seed 3", "seed 4"]
-    for diverging in (0, 1):
-        nets = [TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(i)) for i in range(2)]
+    for members, diverging in [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
+        seeds = list(range(3, 3 + members))
+        names = [f"seed {seed}" for seed in seeds]
+        nets = [TargetNet(2, 2, hidden=(8,), bottleneck_dim=4, rng=np.random.default_rng(i)) for i in range(members)]
         nets[diverging].trunk[0].bias.data[0] = np.inf
         message = (rf"^{phase}: student rows has negative or NaN entries \(min=nan\) "
                    rf"at epoch 1, step 1 of 6 \({names[diverging]}\)$")
         with pytest.raises(ContractError, match=message):
             if phase == "distill":
                 banks = [MemoryBank(np.full((len(x), 2), 0.5)) for _ in nets]
-                run_distillation(banks, nets, x, [3, 4], epochs=2, batch_size=16, names=names)
+                run_distillation(banks, nets, x, seeds, epochs=2, batch_size=16, names=names)
             else:
-                run_finetune(nets, x, [3, 4], epochs=2, batch_size=16, names=names)
+                run_finetune(nets, x, seeds, epochs=2, batch_size=16, names=names)
 
 
 @pytest.mark.parametrize("phase", ["distill", "finetune"])

@@ -48,7 +48,7 @@ def test_tensor_basics():
 
 def test_public_names_are_pinned():
     # training needs only these; the per-op primitives live in tests/per_op.py
-    imported = {"annotations", "threading", "np", "ContractError", "DimensionError"}
+    imported = {"annotations", "functools", "threading", "np", "ContractError", "DimensionError"}
     public = {name for name in vars(tensor) if not name.startswith("_")} - imported
     assert public == {
         "LOG_EPS",
@@ -61,6 +61,7 @@ def test_public_names_are_pinned():
         "record_op",
         "softmax",
         "stop_recording",
+        "unstack",
     }
 
 
@@ -133,6 +134,16 @@ def test_gradient_unreached_source_is_zero():
     gx, gu = tape.gradient(y, [x, unused])
     assert np.allclose(gx, [2.0, 4.0])
     assert gu.shape == (1, 1) and np.all(gu == 0.0)
+
+
+def test_gradient_needs_one_array_per_distinct_source():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with GradTape() as tape:
+        y = reduce_sum(x * x)
+    with pytest.raises(DimensionError, match=r"^expected one array per distinct source: 2 sources, 2 arrays$"):
+        tape.gradient(y, [x, x])
+    with pytest.raises(DimensionError, match=r"^expected one array per distinct source: 1 sources, 0 arrays$"):
+        tape.gradient(y, [x], out=[])
 
 
 def test_stop_recording_blocks_gradient():
