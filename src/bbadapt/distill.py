@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nets import _soft_target_record, soft_cross_entropy, take_rows, train_epochs
-from .tensor import LOG_EPS, Tensor, as_tensor, check_probabilities, record_op, softmax, stop_recording, unstack
+from .nets import _soft_target, soft_cross_entropy, take_rows, train_epochs
+from .tensor import LOG_EPS, Tensor, _softmax, as_tensor, check_probabilities, record_op, softmax, stop_recording
 
 
 class MemoryBank:
@@ -83,14 +83,21 @@ def _check_rows(p: np.ndarray, name: str):
 
 def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
     """Mean over the batch of KL(bank row || student row), both logs
-    clamped below at 1e-8, as one record (`nets._soft_target_record`); on a
+    clamped below at 1e-8, as one record (`nets._soft_target`); on a
     stack, one mean per member. The gradient reaches the student only."""
     t = as_tensor(bank_rows).data
-    if t.shape != student_probs.shape:
-        raise DimensionError(f"bank rows {t.shape} vs student {student_probs.shape}")
+    _check_bank_and_student(t, student_probs.data)
+    loss, vjp = _soft_target(t, student_probs.data, kl=True)
+    return record_op(loss, (student_probs,), vjp)
+
+
+def _check_bank_and_student(t: np.ndarray, p: np.ndarray):
+    """`distill_loss`'s checks: bank rows `t` shaped as the student's rows
+    `p`, each a batch or stack of probability rows."""
+    if t.shape != p.shape:
+        raise DimensionError(f"bank rows {t.shape} vs student {p.shape}")
     _check_rows(t, "bank rows")
-    _check_rows(student_probs.data, "student rows")
-    return _soft_target_record(t, student_probs, kl=True)
+    _check_rows(p, "student rows")
 
 
 def _mixer(x: np.ndarray, rng, alpha: float):
@@ -112,7 +119,8 @@ def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
     cross entropy) toward the same mixture of the stop-gradient endpoint
     predictions. Both forwards run in train mode without touching the
     batch-norm running statistics. Pass `probs` to reuse a clean forward
-    (`total_loss` runs the mixed one within it, too). On a stack the batch
+    (`total_loss` composes the same term into its objective, the mixed
+    batch riding in the clean one's forward). On a stack the batch
     is (S, n, in_dim) and `rng` an `RngStack`: each member draws its own
     lambda and partners from its own generator.
     """
@@ -131,13 +139,25 @@ def mi_loss(student_probs) -> Tensor:
     Nonnegative, at most log K; larger values mean confident predictions
     spread across classes. This term is maximized, so it enters the step
     objective with a minus sign. Logs are clamped below at 1e-8; the term
-    is one record. On a stack of batches it is one value per member.
+    is one record (`_mutual_information`). On a stack of batches it is one
+    value per member.
     """
     probs = as_tensor(student_probs)
-    p = probs.data
+    _check_student(probs.data)
+    mi, vjp, _ = _mutual_information(probs.data)
+    return record_op(mi, (probs,), vjp)
+
+
+def _check_student(p: np.ndarray):
+    """`mi_loss`'s checks: a nonempty batch or stack of probability rows."""
     if p.ndim not in (2, 3) or p.shape[-2] < 1:
         raise ContractError(f"expected a nonempty batch of probability rows, got shape {p.shape}")
     _check_rows(p, "student rows")
+
+
+def _mutual_information(p: np.ndarray):
+    """`mi_loss` on an array: its value, its VJP, g -> (g_p,), and the sum
+    over the rows of sum_k p log max(p, 1e-8)."""
     n = p.shape[-2]
     mean_p = p.sum(axis=-2) * (1.0 / n)
     clamped_mean = np.maximum(mean_p, LOG_EPS)
@@ -145,7 +165,8 @@ def mi_loss(student_probs) -> Tensor:
     marginal = -((mean_p * log_mean).sum(axis=-1))
     clamped = np.maximum(p, LOG_EPS)
     log_p = np.log(clamped)
-    conditional = -((p * log_p).sum(axis=-1).sum(axis=-1) * (1.0 / n))
+    plogp = (p * log_p).sum(axis=-1).sum(axis=-1)
+    conditional = -(plogp * (1.0 / n))
 
     def vjp(g):
         # d/dq of -q log max(q, eps) is -(log max(q, eps) + q / max(q, eps)),
@@ -154,7 +175,7 @@ def mi_loss(student_probs) -> Tensor:
         g_rows = log_p + np.where(p > LOG_EPS, p / clamped, 0.0)
         return ((g[..., None, None] / n) * (g_mean[..., None, :] + g_rows),)
 
-    return record_op(marginal - conditional, (probs,), vjp)
+    return marginal - conditional, vjp, plogp
 
 
 def total_loss(bank_rows, net, batch, rng, *, beta: float, mixup_alpha: float, drop_mi: bool = False):
@@ -165,19 +186,42 @@ def total_loss(bank_rows, net, batch, rng, *, beta: float, mixup_alpha: float, d
     member of a stack). The clean forward runs in train mode and
     refreshes batch-norm running statistics; with the mixup term, whose
     draws come first, its mixed batch joins it as a second leading slice.
+    The step records that forward and then the objective (`_objective`).
     """
     x = np.asarray(batch, dtype=np.float64)
     if beta == 0.0:
-        probs = softmax(net.forward(x, mode="train"))
-    else:
-        mix = _mixer(x, rng, mixup_alpha)
-        probs, mixed = unstack(softmax(net.forward(np.stack([x, mix(x)]), mode="train")))
-    l_kd = distill_loss(bank_rows, probs)
-    zero = Tensor(np.zeros(l_kd.shape))
-    l_mix = soft_cross_entropy(mix(probs.data), mixed) if beta != 0.0 else zero
-    l_im = zero if drop_mi else mi_loss(probs)
-    loss = l_kd + Tensor(beta) * l_mix - l_im
-    return loss, {"kd": l_kd.data, "mix": l_mix.data, "mi": l_im.data}
+        return _objective(bank_rows, net.forward(x, mode="train"), None, beta, drop_mi)
+    mix = _mixer(x, rng, mixup_alpha)
+    return _objective(bank_rows, net.forward(np.stack([x, mix(x)]), mode="train"), mix, beta, drop_mi)
+
+
+def _objective(bank_rows, logits, mix, beta: float, drop_mi: bool):
+    """`total_loss` from the logits on, as one record: softmax, KL, the
+    mixup cross entropy, MI and kd + beta * mix - mi. Without a mixer `mix`
+    the logits are the clean batch's; with one, the clean and the mixed
+    batch's along a leading axis. The VJP hands each term the gradient the
+    per-term tape gave it and sums them in its order, MI's before KL's."""
+    probs, softmax_vjp = _softmax(logits.data)
+    clean = probs if mix is None else probs[0]
+    t = as_tensor(bank_rows).data
+    _check_bank_and_student(t, clean)
+    kd, kd_vjp = _soft_target(t, clean, kl=True)
+    zero = np.zeros(kd.shape)
+    mixed, mix_vjp = (zero, None) if mix is None else _soft_target(mix(clean), probs[1])
+    mi, mi_vjp, _ = (zero, None, None) if drop_mi else _mutual_information(clean)
+
+    def vjp(g):
+        (g_clean,) = kd_vjp(g)
+        if not drop_mi:
+            g_clean = mi_vjp(-g)[0] + g_clean
+        if mix is None:
+            return softmax_vjp(g_clean)
+        g_probs = np.empty_like(probs)
+        g_probs[0], (g_probs[1],) = g_clean, mix_vjp(g * beta)
+        return softmax_vjp(g_probs)
+
+    loss = record_op(kd + beta * mixed - mi, (logits,), vjp)
+    return loss, {"kd": kd, "mix": mixed, "mi": mi}
 
 
 def run_distillation(banks, nets, features, seeds, *, epochs: int = 30, batch_size: int = 64,

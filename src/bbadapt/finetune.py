@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distill import mi_loss
+from .distill import _check_student, _mutual_information
 from .nets import train_epochs
-from .tensor import LOG_EPS, softmax
+from .tensor import _softmax, record_op
 
 
 def run_finetune(nets, features, seeds, *, epochs: int = 30, batch_size: int = 64, lr_backbone: float = 1e-3,
@@ -32,11 +32,19 @@ def run_finetune(nets, features, seeds, *, epochs: int = 30, batch_size: int = 6
     x = np.asarray(features, dtype=np.float64)
 
     def batch_loss(stack, idx, rng):
-        probs = softmax(stack.forward(x[idx], mode="train", update_stats=not freeze_bn_stats))
-        mi = mi_loss(probs)
-        p = probs.data
-        entropy = -(p * np.log(np.maximum(p, LOG_EPS))).sum(axis=-1).mean(axis=-1)
-        return -mi, {"mi": mi.data, "cond_entropy": entropy}
+        return _objective(stack.forward(x[idx], mode="train", update_stats=not freeze_bn_stats))
 
     return train_epochs(nets, [x] * len(nets), batch_loss, epochs, batch_size, seeds, lr_backbone, "finetune", names,
                         eval_fn=eval_fn)
+
+
+def _objective(logits):
+    """The step objective from the logits on, -MI, as one record composed
+    of softmax and `distill.mi_loss`'s math, and its terms: MI and the mean
+    per-sample entropy, which reuses MI's sum of p log p (`/ n` is numpy's
+    mean)."""
+    p, softmax_vjp = _softmax(logits.data)
+    _check_student(p)
+    mi, mi_vjp, plogp = _mutual_information(p)
+    loss = record_op(-mi, (logits,), lambda g: softmax_vjp(*mi_vjp(-g)))
+    return loss, {"mi": mi, "cond_entropy": -(plogp / p.shape[-2])}

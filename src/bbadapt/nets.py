@@ -18,7 +18,6 @@ in `train_epochs`, the one epoch loop, which also checks each epoch's end.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -27,8 +26,8 @@ import os
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (LOG_EPS, GradTape, Tensor, affine, as_tensor, check_probabilities, record_op, softmax,
-                     stop_recording)
+from .tensor import (LOG_EPS, GradTape, Tensor, _affine, _softmax, affine, as_tensor, check_probabilities, record_op,
+                     softmax)
 
 CHECKPOINT_VERSION = 1
 MOMENTUM = 0.9  # SGD, in every training phase
@@ -47,6 +46,10 @@ class Linear:
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return affine(x, self.weight, self.bias, relu=relu)
 
+    def _forward(self, x: np.ndarray, relu: bool = False, need_gx: bool = True):
+        """The layer on an array (`tensor._affine`): its value and its VJP."""
+        return _affine(x, self.weight.data, self.bias.data, relu, need_gx)
+
 
 class BatchNorm:
     """1-D batch normalization with running statistics.
@@ -54,9 +57,11 @@ class BatchNorm:
     Train mode normalizes with batch statistics (and, unless frozen,
     folds them into the running averages with momentum BN_MOMENTUM);
     eval mode is a deterministic affine map using the running statistics.
-    Both add BN_EPS to the variance; either way the layer is one record.
-    Eval mode normalizes in place on one fresh array. The statistics are
-    taken over the rows (axis -2), so a stack normalizes each member's
+    Both add BN_EPS to the variance; either way the layer is one record
+    (see `_forward`). Both modes normalize, and the train VJP subtracts and
+    divides, in place on one fresh array: the float operations of the
+    written-out expressions on fewer full-batch arrays. The statistics
+    are taken over the rows (axis -2), so a stack normalizes each member's
     rows with that member's statistics; those of the first batch update
     the running ones when the rows lead with a batch axis of their own.
     """
@@ -68,14 +73,19 @@ class BatchNorm:
         self.running_var = np.ones(dim)
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool) -> Tensor:
+        out, vjp = self._forward(x.data, train, update_stats)
+        return record_op(out, (x, self.gamma, self.beta), vjp)
+
+    def _forward(self, x: np.ndarray, train: bool, update_stats: bool):
+        """The layer on an array: its value and its VJP, g -> (gx, g_gamma, g_beta)."""
         gamma, beta = self.gamma.data[..., None, :], self.beta.data[..., None, :]
         if train:
             n = x.shape[-2]
-            mu = x.data.sum(axis=-2) * (1.0 / n)
-            centered = x.data - mu[..., None, :]
+            mu = x.sum(axis=-2) * (1.0 / n)
+            centered = x - mu[..., None, :]
             var = (centered * centered).sum(axis=-2) * (1.0 / n)
             std = np.sqrt(var + BN_EPS)[..., None, :]
-            xhat = centered / std
+            xhat = np.divide(centered, std, out=centered)
             if update_stats:
                 bessel = n / (n - 1) if n > 1 else 1.0
                 first = (0,) * (mu.ndim - self.running_mean.ndim)
@@ -83,26 +93,27 @@ class BatchNorm:
                 self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var[first] * bessel
         else:
             inv = 1.0 / np.sqrt(self.running_var[..., None, :] + BN_EPS)
-            xhat = x.data - self.running_mean[..., None, :]
+            xhat = x - self.running_mean[..., None, :]
             xhat *= inv
 
         def vjp(g):
             gxhat = g * gamma
             if train:  # the batch statistics depend on x too; sum / n is numpy's mean
-                gx = (gxhat - gxhat.sum(axis=-2, keepdims=True) / n
-                      - xhat * ((gxhat * xhat).sum(axis=-2, keepdims=True) / n)) / std
+                gx = gxhat - gxhat.sum(axis=-2, keepdims=True) / n
+                gx -= xhat * ((gxhat * xhat).sum(axis=-2, keepdims=True) / n)
+                gx /= std
             else:
                 gx = gxhat * inv
             return gx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
 
         out = xhat * gamma
         out += beta
-        return record_op(out, (x, self.gamma, self.beta), vjp)
+        return out, vjp
 
 
 class WeightNormLinear:
     """Affine layer with direction/magnitude reparameterized weight rows,
-    one tape record per call."""
+    one tape record per call (see `_forward`)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         raw = rng.normal(0.0, 1.0 / np.sqrt(in_dim), (out_dim, in_dim))
@@ -113,22 +124,28 @@ class WeightNormLinear:
         self.out_dim = out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
+        out, vjp = self._forward(x.data, x.requires_grad)
+        return record_op(out, (x, self.direction, self.scale, self.bias), vjp)
+
+    def _forward(self, x: np.ndarray, need_gx: bool = True):
+        """The layer on an array: its value and its VJP, g -> (gx, g_direction,
+        g_scale, g_bias), gx None unless `need_gx`."""
         direction, scale = self.direction.data, self.scale.data[..., None]
         norm = np.sqrt((direction * direction).sum(axis=-1, keepdims=True))
         unit = direction / norm
         weight = scale * unit
 
         def vjp(g):
-            g_weight = g.swapaxes(-1, -2) @ x.data
+            g_weight = g.swapaxes(-1, -2) @ x
             g_unit = g_weight * scale
             # d(unit)/d(direction) projects out each row's own direction
             g_direction = (g_unit - unit * (g_unit * unit).sum(axis=-1, keepdims=True)) / norm
-            gx = g @ weight if x.requires_grad else None
+            gx = g @ weight if need_gx else None
             return gx, g_direction, (g_weight * unit).sum(axis=-1), g.sum(axis=-2)
 
-        out = x.data @ weight.swapaxes(-1, -2)
+        out = x @ weight.swapaxes(-1, -2)
         out += self.bias.data[..., None, :]
-        return record_op(out, (x, self.direction, self.scale, self.bias), vjp)
+        return out, vjp
 
     def renorm(self):
         """Rescale stored direction rows back to unit norm: outputs are
@@ -185,22 +202,48 @@ class _Net:
         self.trunk = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         self._build_head(dims[-1], rng)
         self._shapes = _state_shapes(**self.arch())  # (param shapes, running-stat shapes), read often
+        # the train forward's record inputs after x; the Tensors stay, rebinding only their `data`
+        self._params = tuple(self.named_params().values())
 
     def forward(self, x, mode: str = "train", update_stats: bool = True) -> Tensor:
-        """Logits. Train mode records on the active tape and, unless
-        `update_stats` is False, refreshes batch-norm running statistics
-        (from the first batch, if `x` leads with a batch axis of its own);
-        eval mode never records and never touches them."""
+        """Logits. Train mode is one record on the active tape, whose inputs
+        are `x` and the parameters (in `named_params` order) and whose VJP
+        runs the layers' VJPs in reverse; unless `update_stats` is False it
+        refreshes batch-norm running statistics (from the first batch, if
+        `x` leads with a batch axis of its own). Eval mode never records,
+        never touches them and keeps no layer's arrays past the next layer.
+        Each layer computes as its `__call__` does."""
         if mode not in ("train", "eval"):
             raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
         x, lead, train = as_tensor(x), len(self.lead), mode == "train"
         if x.ndim - lead not in (2, 3) or x.shape[-2 - lead : -2] != self.lead or x.shape[-1] != self.in_dim:
             expected = ", ".join(map(str, (*self.lead, "n", self.in_dim)))
             raise DimensionError(f"expected ({expected}) features, got {x.shape}")
-        with contextlib.nullcontext() if train else stop_recording():
-            for layer in self.trunk:
-                x = layer(x, relu=True)
-            return self._head(x, train, train and update_stats)
+        h, vjps = x.data, []  # one VJP per layer: g -> (gx, *the layer's parameter gradients)
+        for layer in self._layers(train, train and update_stats, x.requires_grad):
+            if train:
+                h, layer_vjp = layer(h)
+                vjps.append(layer_vjp)
+            else:
+                h = layer(h)[0]  # dropping the VJP frees the layer's input
+        if not train:
+            return Tensor(h)
+
+        def vjp(g):
+            grads = []
+            for back in reversed(vjps):
+                g, *layer_grads = back(g)
+                grads[:0] = layer_grads
+            return (g, *grads)
+
+        return record_op(h, (x, *self._params), vjp)
+
+    def _layers(self, train: bool, update_stats: bool, need_gx: bool) -> list:
+        """The layers in order, each a function of its input array returning
+        its output and VJP; the first returns no input gradient unless `need_gx`."""
+        trunk = [functools.partial(layer._forward, relu=True, need_gx=need_gx or i > 0)
+                 for i, layer in enumerate(self.trunk)]
+        return trunk + self._head(train, update_stats)
 
     def backbone_params(self):
         return [p for name, p in self.named_params().items() if name.startswith("trunk.")]
@@ -231,8 +274,8 @@ class SourceNet(_Net):
     def _build_head(self, width: int, rng: np.random.Generator):
         self.head = Linear(width, self.num_classes, rng)
 
-    def _head(self, h: Tensor, train: bool, update_stats: bool) -> Tensor:
-        return self.head(h)
+    def _head(self, train: bool, update_stats: bool) -> list:
+        return [self.head._forward]
 
     # defined per class, so each class's method can be wrapped on its own
     def predict_proba(self, x) -> np.ndarray:
@@ -254,9 +297,9 @@ class TargetNet(_Net):
         self.bottleneck = Linear(width, self.bottleneck_dim, rng)
         self.classifier = WeightNormLinear(self.bottleneck_dim, self.num_classes, rng)
 
-    def _head(self, h: Tensor, train: bool, update_stats: bool) -> Tensor:
-        h = self.bn(h, train=train, update_stats=update_stats)
-        return self.classifier(self.bottleneck(h))
+    def _head(self, train: bool, update_stats: bool) -> list:
+        bn = functools.partial(self.bn._forward, train=train, update_stats=update_stats)
+        return [bn, self.bottleneck._forward, self.classifier._forward]
 
     def predict_proba(self, x) -> np.ndarray:
         return softmax(self.forward(x, mode="eval")).data
@@ -369,17 +412,19 @@ class RngStack:
 
 def soft_cross_entropy(targets, probs: Tensor) -> Tensor:
     """-mean_i sum_k t_ik log max(p_ik, 1e-8) toward constant soft targets,
-    as one record (`_soft_target_record`); on a stack, one mean per member."""
+    as one record (`_soft_target`); on a stack, one mean per member."""
     t = as_tensor(targets).data
     if t.shape != probs.shape:
         raise DimensionError(f"targets {t.shape} vs predictions {probs.shape}")
-    return _soft_target_record(t, probs)
+    loss, vjp = _soft_target(t, probs.data)
+    return record_op(loss, (probs,), vjp)
 
 
-def _soft_target_record(t: np.ndarray, probs: Tensor, kl: bool = False) -> Tensor:
-    """The record of `soft_cross_entropy` or, with `kl`, of the KL divergence, which adds the
-    constant mean_i sum_k t_ik log max(t_ik, 1e-8): one VJP serves both, and reaches `probs` only."""
-    p, n = probs.data, t.shape[-2]
+def _soft_target(t: np.ndarray, p: np.ndarray, kl: bool = False):
+    """`soft_cross_entropy` or, with `kl`, the KL divergence, which adds the constant
+    mean_i sum_k t_ik log max(t_ik, 1e-8), on arrays: the value and its VJP, g -> (g_p,),
+    one for both."""
+    n = t.shape[-2]
     clamped = np.maximum(p, LOG_EPS)
     if kl:
         total = (t * (np.log(np.maximum(t, LOG_EPS)) - np.log(clamped))).sum(axis=-1).sum(axis=-1)
@@ -389,7 +434,7 @@ def _soft_target_record(t: np.ndarray, probs: Tensor, kl: bool = False) -> Tenso
     def vjp(g):
         return (np.where(p > LOG_EPS, (-g[..., None, None] / n) * t / clamped, 0.0),)
 
-    return record_op(total * (1.0 / n), (probs,), vjp)
+    return total * (1.0 / n), vjp
 
 
 def _smoothed_labels(labels, k: int, alpha: float) -> np.ndarray:
@@ -398,8 +443,14 @@ def _smoothed_labels(labels, k: int, alpha: float) -> np.ndarray:
 
 
 def ls_cross_entropy(logits: Tensor, labels: np.ndarray, alpha: float = 0.1) -> Tensor:
-    """Label-smoothed cross entropy (`_smoothed_labels`), averaged over the batch."""
-    return soft_cross_entropy(_smoothed_labels(labels, logits.shape[-1], alpha), softmax(logits))
+    """Label-smoothed cross entropy (`_smoothed_labels`), averaged over the
+    batch: `soft_cross_entropy` of the logits' softmax, as one record."""
+    t = _smoothed_labels(labels, logits.shape[-1], alpha)
+    p, softmax_vjp = _softmax(logits.data)
+    if t.shape != p.shape:
+        raise DimensionError(f"targets {t.shape} vs predictions {p.shape}")
+    loss, vjp = _soft_target(t, p)
+    return record_op(loss, (logits,), lambda g: softmax_vjp(*vjp(g)))
 
 
 def take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

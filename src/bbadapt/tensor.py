@@ -6,26 +6,31 @@ callback, so that the gradient of a loss (the sum of its entries) can be
 pulled back to any parameter tensor. Tapes are rebuilt per mini-batch
 and are confined to the thread that created them.
 
-`record_op` is the one way to define an op: compute the output with
-numpy, then hand it over with the inputs and a hand-written VJP. Each
-layer and loss term on the training path is one such record: `affine`
-(x @ W + b, optionally through a ReLU) and `softmax` here, batch norm
-and the weight-normalized classifier in `nets`, and the loss terms in
-`nets` and `distill`. `Tensor`'s `+`, `-`, `*` and unary `-` combine
-scalar loss terms into one objective. The per-op expressions the fused
-records replaced live with the tests (`tests/per_op.py`), which check
-that each fused forward performs the same float operations.
+Each op's math is written once, as a raw function on arrays that returns
+its value and its VJP (`_affine`, `_softmax` here; batch norm and the
+weight-normalized classifier in `nets`, the loss terms in `nets` and
+`distill`). `record_op` is the one way to put math on the tape: it takes
+a value, the op's inputs and the VJP. The public taped forms (`affine`
+and `softmax` here, the layers' `__call__`, `soft_cross_entropy`,
+`distill_loss` and `mi_loss`) each record one raw function. A training
+step composes them before it records: the net's train forward is one
+record and the phase's objective over the logits another (see
+`nets._Net.forward`, `nets.ls_cross_entropy`, `distill.total_loss` and
+`finetune`), each VJP calling its parts' VJPs in reverse. `Tensor`'s
+`+`, `-`, `*` and unary `-` remain for the per-term expressions the
+tests check those records against (`tests/reference_step.py`,
+`tests/per_op.py`, the second of which holds the per-op expressions each
+fused forward must match float operation for float operation).
 
 The layer ops take a batch of rows, or a stack of batches with one leading
 member axis (see `nets.stack_nets`): rows are reduced over axis -2 and
 weights transposed over the last two axes, so each member's slice is
 computed exactly as that member alone. So is each batch of features with
-one more leading axis (`unstack` splits the output again).
+one more leading axis.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 
 import numpy as np
@@ -154,14 +159,16 @@ class GradTape:
                 if d is None:
                     grads[key] = gi if (acc := grads.get(key)) is None else acc + gi
                     continue
-                if gi.ndim > d.ndim:
-                    gi = gi.sum(axis=tuple(range(gi.ndim - d.ndim)))
-                if gi.shape != d.shape:
+                batch = tuple(range(gi.ndim - d.ndim))
+                if gi.shape[len(batch) :] != d.shape:
                     raise DimensionError(f"gradient shape {gi.shape} does not match parameter shape {d.shape}")
                 if key in reached:
-                    d += gi
+                    d += gi.sum(axis=batch) if batch else gi
                 else:
-                    d[...] = gi
+                    if batch:
+                        np.add.reduce(gi, axis=batch, out=d)
+                    else:
+                        d[...] = gi
                     reached.add(key)
                     grads[key] = d  # for the record, if any, whose output is this source
         for s, o in zip(sources, out):
@@ -184,19 +191,6 @@ def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     if needs:
         _STATE.stack[-1]._records.append((out, inputs, vjp))
     return out
-
-
-def unstack(t: Tensor) -> list[Tensor]:
-    """The slices of `t` along its first axis, one record each. Their VJPs
-    fill one gradient, which the first slice's record, replayed last,
-    hands on to `t`; so the first slice must reach the target."""
-    grad = np.zeros_like(t.data)
-
-    def vjp(i: int, g: np.ndarray):
-        grad[i] = g
-        return (grad if i == 0 else None,)
-
-    return [record_op(t.data[i], (t,), functools.partial(vjp, i)) for i in range(len(t.data))]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -243,9 +237,7 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """x @ weight + bias for a batch of rows, optionally through a ReLU,
-    as one record (the forward of `relu(x @ weight + bias)`). The bias and
-    the ReLU are applied in place on the product, the one full-batch
-    array the forward allocates.
+    as one record (the forward of `relu(x @ weight + bias)`, see `_affine`).
 
     A stack of S layers is the same call with one leading member axis on
     every argument: x (S, n, in), weight (S, in, out), bias (S, out). Each
@@ -253,35 +245,49 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     each batch of an x with one more leading axis."""
     if x.ndim < weight.ndim or x.shape[-1] != weight.shape[-2]:
         raise DimensionError(f"affine expects rows of {weight.shape[-2]} features, got shape {x.shape}")
-    out = x.data @ weight.data
-    out += bias.data[..., None, :]
+    out, vjp = _affine(x.data, weight.data, bias.data, relu, x.requires_grad)
+    return record_op(out, (x, weight, bias), vjp)
+
+
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, relu: bool = False, need_gx: bool = True):
+    """`affine` on arrays: its value and its VJP, g -> (gx, g_weight, g_bias),
+    gx None unless `need_gx`. The bias and the ReLU are applied in place on
+    the product, the one full-batch array the forward allocates."""
+    out = x @ weight
+    out += bias[..., None, :]
     if relu:
         np.maximum(out, 0.0, out=out)
 
     def vjp(g):
         if relu:  # out > 0 exactly where x @ weight + bias > 0
             g = g * (out > 0.0)
-        gx = g @ weight.data.swapaxes(-1, -2) if x.requires_grad else None
-        return gx, x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2)
+        gx = g @ weight.swapaxes(-1, -2) if need_gx else None
+        return gx, x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
 
-    return record_op(out, (x, weight, bias), vjp)
+    return out, vjp
 
 
 # probability ops ------------------------------------------------------
 
 
 def softmax(logits: Tensor | np.ndarray) -> Tensor:
-    """Row-wise softmax over the last axis, computed with max subtraction
-    in one array of the output's shape, as one record."""
+    """Row-wise softmax over the last axis, as one record (see `_softmax`)."""
     t = as_tensor(logits)
-    p = t.data - t.data.max(axis=-1, keepdims=True)
+    p, vjp = _softmax(t.data)
+    return record_op(p, (t,), vjp)
+
+
+def _softmax(z: np.ndarray):
+    """`softmax` on an array: its value, computed with max subtraction in
+    one array of the output's shape, and its VJP, g -> (g_z,)."""
+    p = z - z.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
-    return record_op(p, (t,), vjp)
+    return p, vjp
 
 
 def check_probabilities(p: np.ndarray, name: str, ndim: int):

@@ -8,12 +8,18 @@ central differences (`grad_check`) within 1e-6.
 Every op on the training path also runs on a stack of members (one
 leading member axis on each argument). There each member's slice of the
 value and of the VJP must equal, bit for bit, the op on that member alone.
+
+A training step records the net's forward and then the phase's objective
+over the logits, each composed of the raw forms of the ops above. Each
+objective must equal, bit for bit, the tape of its terms' own records.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbadapt import nets
+from bbadapt import distill, finetune, nets
 from bbadapt.distill import MemoryBank, distill_loss, mi_loss, mixup_loss, run_distillation, total_loss
 from bbadapt.errors import DimensionError
 from bbadapt.finetune import run_finetune
@@ -28,7 +34,7 @@ from bbadapt.nets import (
     stack_nets,
     train_source_net,
 )
-from bbadapt.tensor import GradTape, Tensor, affine, grad_check, softmax, stop_recording
+from bbadapt.tensor import LOG_EPS, GradTape, Tensor, affine, grad_check, softmax, stop_recording
 
 from per_op import (
     div,
@@ -281,11 +287,9 @@ def test_net_forwards_match_per_op(cls):
         ref_probs = ref_softmax(ref_forward(net, x, train=False)).data
     assert net.predict_proba(x).tobytes() == ref_probs.tobytes()
     params = net.backbone_params() + net.new_params()
+    # the train forward is one record, whatever the depth
     assert_matches_reference(
-        lambda: net.forward(x, mode="train", update_stats=False),
-        lambda: ref_forward(net, x, train=True),
-        params,
-        records=len(net.trunk) + (1 if cls is SourceNet else 3),
+        lambda: net.forward(x, mode="train", update_stats=False), lambda: ref_forward(net, x, train=True), params
     )
 
 
@@ -317,19 +321,109 @@ def test_records_per_step_are_pinned(monkeypatch):
         counts.clear()
         sources = [SourceNet(2, 3, rng=np.random.default_rng(1 + i)) for i in seeds]
         train_source_net(sources, [x] * members, [y] * members, seeds, epochs=1, batch_size=8)
-        # 2 trunk layers + head, softmax, cross entropy
-        assert counts == [5, 5]
+        # the net's forward (2 trunk layers + head); softmax and cross entropy
+        assert counts == [2, 2]
         counts.clear()
         targets = [TargetNet(2, 3, rng=np.random.default_rng(2 + i)) for i in seeds]
         banks = [MemoryBank(rows) for _ in seeds]
         run_distillation(banks, targets, x, seeds, epochs=1, batch_size=8)
-        # 5 layers and softmax over the clean and mixed batches at once, their 2 slices;
-        # KL, mixup CE, MI; 3 to combine
-        assert counts == [14, 14]
+        # the net's forward (5 layers) over the clean and mixed batches at once;
+        # softmax, KL, mixup CE, MI and kd + beta * mix - mi
+        assert counts == [2, 2]
         counts.clear()
         run_finetune(targets, x, seeds, epochs=1, batch_size=8)
-        # 5 layers, softmax, MI, negation
-        assert counts == [8, 8]
+        # the net's forward (5 layers); softmax, MI and its negation
+        assert counts == [2, 2]
+
+
+# composed objectives: the tape of their terms, bit for bit ----------------------------
+
+
+def gradient_at(build, inputs, cotangent):
+    """`build()`'s loss and terms, its record count, and the gradients of
+    sum(loss * cotangent) with respect to `inputs`."""
+    with GradTape() as tape:
+        loss, terms = build()
+        count = len(tape)
+        target = loss * Tensor(cotangent)
+    return loss.data, terms, count, tape.gradient(target, inputs)
+
+
+def assert_same_bits(got: dict, want: dict):
+    assert {key: np.asarray(value).tobytes() for key, value in got.items()} == {
+        key: np.asarray(value).tobytes() for key, value in want.items()}
+
+
+OBJECTIVE_CASES = dict(members=st.integers(1, 3), n=st.integers(2, 9), scale=st.floats(0.5, 15.0),
+                       seed=st.integers(0, 2**32 - 1))
+
+
+@given(beta=st.just(0.0) | st.floats(0.0, 3.0), drop_mi=st.booleans(), **OBJECTIVE_CASES)
+@settings(max_examples=60, deadline=None)
+def test_distill_objective_is_its_terms_tape(beta, drop_mi, members, n, scale, seed):
+    # as total_loss: without the mixup term the logits are the clean batch's, with it the
+    # clean and the mixed batch's along a leading axis
+    rng = np.random.default_rng(seed)
+    mixing = beta != 0.0
+    logits = rng.normal(0.0, scale, (2, members, n, 4) if mixing else (members, n, 4))
+    rows = rng.dirichlet(np.ones(4), (members, n))
+    mix = distill._mixer(np.zeros((members, n, 1)), RngStack(range(members)), 0.3) if mixing else None
+    cotangent = rng.normal(size=members)
+    z = Tensor(logits, requires_grad=True)
+    loss, terms, count, (grad,) = gradient_at(lambda: distill._objective(rows, z, mix, beta, drop_mi), [z], cotangent)
+    assert count == 1
+    batches = [Tensor(a, requires_grad=True) for a in (logits if mixing else [logits])]
+
+    def per_term():
+        probs = softmax(batches[0])
+        zero = Tensor(np.zeros(members))
+        l_kd = distill_loss(rows, probs)
+        l_mix = soft_cross_entropy(mix(probs.data), softmax(batches[1])) if mixing else zero
+        l_im = zero if drop_mi else mi_loss(probs)
+        return l_kd + Tensor(beta) * l_mix - l_im, {"kd": l_kd.data, "mix": l_mix.data, "mi": l_im.data}
+
+    ref_loss, ref_terms, _, ref_grads = gradient_at(per_term, batches, cotangent)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert_same_bits(terms, ref_terms)
+    assert grad.tobytes() == np.stack(ref_grads).reshape(logits.shape).tobytes()
+
+
+@given(**OBJECTIVE_CASES)
+@settings(max_examples=40, deadline=None)
+def test_finetune_objective_is_its_terms_tape(members, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, scale, (members, n, 4))
+    cotangent = rng.normal(size=members)
+    z, ref_z = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+    loss, terms, count, (grad,) = gradient_at(lambda: finetune._objective(z), [z], cotangent)
+    assert count == 1
+
+    def per_term():
+        probs = softmax(ref_z)
+        mi, p = mi_loss(probs), probs.data
+        return -mi, {"mi": mi.data, "cond_entropy": -(p * np.log(np.maximum(p, LOG_EPS))).sum(axis=-1).mean(axis=-1)}
+
+    ref_loss, ref_terms, _, (ref_grad,) = gradient_at(per_term, [ref_z], cotangent)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert_same_bits(terms, ref_terms)
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+@given(**OBJECTIVE_CASES)
+@settings(max_examples=40, deadline=None)
+def test_source_objective_is_its_terms_tape(members, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, scale, (members, n, 4))
+    labels = rng.integers(0, 4, (members, n))
+    cotangent = rng.normal(size=members)
+    z, ref_z = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+    loss, _, count, (grad,) = gradient_at(lambda: (ls_cross_entropy(z, labels, alpha=0.1), {}), [z], cotangent)
+    assert count == 1
+    targets = np.where(labels[..., None] == np.arange(4), 0.025 + 0.9, 0.025)
+    ref_loss, _, _, (ref_grad,) = gradient_at(lambda: (soft_cross_entropy(targets, softmax(ref_z)), {}), [ref_z],
+                                              cotangent)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 # stacks: each member's slice is the member alone ------------------------------------

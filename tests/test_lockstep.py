@@ -126,13 +126,12 @@ def test_training_surface_is_pinned():
     # one call form per phase: a list of nets with one seed each, then keyword-only hyper-parameters
     nets, distill, finetune = bbadapt.nets, bbadapt.distill, bbadapt.finetune
     imported = {
-        nets: {"annotations", "contextlib", "functools", "json", "math", "np", "os", "ContractError", "DimensionError",
-               "LOG_EPS", "GradTape", "Tensor", "affine", "as_tensor", "check_probabilities", "record_op", "softmax",
-               "stop_recording"},
+        nets: {"annotations", "functools", "json", "math", "np", "os", "ContractError", "DimensionError", "LOG_EPS",
+               "GradTape", "Tensor", "affine", "as_tensor", "check_probabilities", "record_op", "softmax"},
         distill: {"annotations", "math", "np", "ContractError", "DimensionError", "soft_cross_entropy",
                   "take_rows", "train_epochs", "LOG_EPS", "Tensor", "as_tensor", "check_probabilities", "record_op",
-                  "softmax", "stop_recording", "unstack"},
-        finetune: {"annotations", "np", "mi_loss", "train_epochs", "LOG_EPS", "softmax"},
+                  "softmax", "stop_recording"},
+        finetune: {"annotations", "np", "train_epochs", "record_op"},
     }
     public = {module: {name for name in vars(module) if not name.startswith("_")} - imported[module]
               for module in imported}

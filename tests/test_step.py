@@ -5,8 +5,9 @@ batch-norm running statistics at the end.
 
 Today distillation runs its clean and mixed batches as one forward, and
 the tape writes each gradient into the optimizer's vector; the reference
-runs two forwards and gathers the gradients in a dict. Each phase runs on
-stacks of one to three nets, with a trailing batch smaller than the rest.
+records each layer and loss term on its own, runs two forwards and
+gathers the gradients in a dict. Each phase runs on stacks of one to
+three nets, with a trailing batch smaller than the rest.
 """
 
 import json
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 import reference_step as ref
-from bbadapt.distill import MemoryBank, mi_loss, run_distillation
+from bbadapt.distill import MemoryBank, run_distillation
 from bbadapt.finetune import run_finetune
-from bbadapt.nets import SGD, SourceNet, TargetNet, ls_cross_entropy, take_rows, train_source_net
-from bbadapt.tensor import LOG_EPS, GradTape, softmax
+from bbadapt.nets import SGD, SourceNet, TargetNet, take_rows, train_source_net
+from bbadapt.tensor import GradTape
 
 N, K, BATCH = 24, 3, 10  # batches of 10, 10 and 4 rows
 DISTILL = {"beta 1": dict(beta=1.0, drop_mi=False), "beta 0": dict(beta=0.0, drop_mi=False),
@@ -73,7 +74,7 @@ def test_source_step_matches_the_reference(monkeypatch, members):
     seeds = list(range(members))
 
     def batch_loss(stack, idx, rng):
-        return ls_cross_entropy(stack.forward(take_rows(xs, idx), mode="train"), take_rows(ys, idx), alpha=0.1), {}
+        return ref.ls_cross_entropy(ref.forward(stack, take_rows(xs, idx)), take_rows(ys, idx), alpha=0.1), {}
 
     ref_nets = make_nets(SourceNet, members)
     reference, ref_steps = ref.train(ref_nets, [x] * members, batch_loss, 2, BATCH, seeds, "source")
@@ -111,9 +112,7 @@ def test_finetune_step_matches_the_reference(monkeypatch, freeze, members):
     seeds = list(range(members))
 
     def batch_loss(stack, idx, rng):
-        probs = softmax(stack.forward(x[idx], mode="train", update_stats=not freeze))
-        mi, p = mi_loss(probs), probs.data
-        return -mi, {"mi": mi.data, "cond_entropy": -(p * np.log(np.maximum(p, LOG_EPS))).sum(axis=-1).mean(axis=-1)}
+        return ref.finetune_loss(stack, x[idx], update_stats=not freeze)
 
     ref_nets = make_nets(TargetNet, members)
     reference, ref_steps = ref.train(ref_nets, [x] * members, batch_loss, 2, BATCH, seeds, "finetune")

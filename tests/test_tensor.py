@@ -48,7 +48,7 @@ def test_tensor_basics():
 
 def test_public_names_are_pinned():
     # training needs only these; the per-op primitives live in tests/per_op.py
-    imported = {"annotations", "functools", "threading", "np", "ContractError", "DimensionError"}
+    imported = {"annotations", "threading", "np", "ContractError", "DimensionError"}
     public = {name for name in vars(tensor) if not name.startswith("_")} - imported
     assert public == {
         "LOG_EPS",
@@ -61,7 +61,6 @@ def test_public_names_are_pinned():
         "record_op",
         "softmax",
         "stop_recording",
-        "unstack",
     }
 
 
