@@ -20,6 +20,16 @@ record per row. Behind it, a disclosed batch is one pair of `classes` and
 `probs` arrays at one r, and records are built only where a `query`
 returns them.
 
+`_answer` is the one place a handle's records turn back into columns, for
+`init_teacher`, `write_cache`, a server's answer and a run's fixed
+handles. Records still pass between them because stub handles that have
+only `query` (acceptance C02) answer with records, and the benchmark
+times `InProcessPredictor.query` and compares records with `==`. They hold
+no reference cycles, so on the main thread the cyclic collector is paused
+while they live, and while `read_cache` parses a `topk` list into
+columns: refcounting frees them before any collection would traverse
+them. A server's threads answer with the collector as they find it.
+
 A disclosed batch has one JSON form, `topk`: a list of [class, prob] pairs
 per row, in row order, written by `_topk_text` and read by `_topk_columns`.
 A server's response carries it, and a prediction cache saves one answer.
@@ -27,7 +37,9 @@ A server's response carries it, and a prediction cache saves one answer.
 
 from __future__ import annotations
 
+import gc
 import json
+import threading
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -160,6 +172,34 @@ def _columns(records, k: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
             np.fromiter(chain.from_iterable(probs), np.float64).reshape(len(probs), -1), rs[0])
 
 
+class _GcPause:
+    """Holds the cyclic garbage collector off for a `with` block (see the
+    module docstring); a collector the caller turned off stays off. A class
+    and not a generator, since a one-row query pays for each pause.
+
+    Only the main thread pauses. The collector is one per process, so
+    pauses on several threads would race between `isenabled` and
+    `disable`, and a server's overlapping requests would hold it off for as
+    long as they overlap; on any other thread the block runs unchanged."""
+
+    def __enter__(self):
+        self._turned_off = threading.current_thread() is threading.main_thread() and gc.isenabled()
+        if self._turned_off:
+            gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._turned_off:
+            gc.enable()
+
+
+def _answer(handle, features) -> tuple[np.ndarray, np.ndarray, int]:
+    """The `_columns` of `handle.query(features)`: the one place a handle's
+    records turn into arrays. On the main thread they live and die while
+    the collector is paused."""
+    with _GcPause():
+        return _columns(handle.query(features), handle.num_classes, len(features))
+
+
 def checked_columns(classes, probs, r, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The `classes` (intp) and `probs` (float64) arrays of untrusted
     records: the `topk` rows of a wire response or a cache file.
@@ -279,7 +319,7 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
     x = np.asarray(features, dtype=np.float64)
     rows = np.zeros((x.shape[0], k))
     for handle in handles:
-        rows += teacher_rows(*_columns(handle.query(x), k, x.shape[0]), r, k, hard_mode)
+        rows += teacher_rows(*_answer(handle, x), r, k, hard_mode)
     rows /= len(handles)
     return MemoryBank(rows)
 
@@ -368,7 +408,7 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
     not at all. Returns the number of rows written; an answer without rows
     is a ContractError, and no file is written, since `read_cache` admits
     no empty cache."""
-    classes, probs, r = _columns(handle.query(features), handle.num_classes, len(features))
+    classes, probs, r = _answer(handle, features)
     if not classes.shape[0]:
         raise ContractError(f"cache {path}: the query returned no rows, and a cache holds at least one")
     text = '{"num_classes": %d, "predictor_id": %s, "r": %d, "topk": %s}\n' % (
@@ -380,15 +420,17 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
 def read_cache(path: str, num_classes: int) -> CachedPredictor:
     """Load a prediction cache (see `write_cache`) over `num_classes`
     classes; ContractError unless its rows pass `checked_columns`."""
-    obj = read_json(path, "cache")
-    if not (isinstance(obj, dict) and obj.keys() == {"num_classes", "predictor_id", "r", "topk"}
-            and isinstance(obj["predictor_id"], str) and obj["topk"]):
-        raise ContractError(f"cache {path} is not one object of exactly num_classes, a string predictor_id, "
-                            "r and a nonempty topk")
-    if obj["num_classes"] != num_classes:
-        raise ContractError(f"cache {path} holds predictions over {obj['num_classes']!r} classes, not {num_classes}")
-    try:
-        classes, probs = _topk_columns(obj["topk"], obj["r"], num_classes)
-    except ContractError as exc:
-        raise ContractError(f"cache {path}: {exc}") from None
+    with _GcPause():
+        obj = read_json(path, "cache")
+        if not (isinstance(obj, dict) and obj.keys() == {"num_classes", "predictor_id", "r", "topk"}
+                and isinstance(obj["predictor_id"], str) and obj["topk"]):
+            raise ContractError(f"cache {path} is not one object of exactly num_classes, a string predictor_id, "
+                                "r and a nonempty topk")
+        if obj["num_classes"] != num_classes:
+            raise ContractError(f"cache {path} holds predictions over {obj['num_classes']!r} classes, "
+                                f"not {num_classes}")
+        try:  # popped, so the parsed rows are freed before the collector is back
+            classes, probs = _topk_columns(obj.pop("topk"), obj["r"], num_classes)
+        except ContractError as exc:
+            raise ContractError(f"cache {path}: {exc}") from None
     return CachedPredictor(classes, probs, obj["r"], num_classes, obj["predictor_id"])

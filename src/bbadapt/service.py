@@ -37,7 +37,7 @@ import threading
 import numpy as np
 
 from .errors import ContractError, StartupError, TransportError
-from .predictors import (PredictorHandle, TopK, _columns, _records, _topk_columns, _topk_text, checked_features,
+from .predictors import (PredictorHandle, TopK, _answer, _records, _topk_columns, _topk_text, checked_features,
                          resolve_r)
 
 MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
@@ -125,8 +125,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             features = obj.get("features")
             if not isinstance(features, list) or not features:
                 raise ContractError("request must carry a nonempty 'features' list of rows")
-            records = self._handle.query(checked_features(features))
-            classes, probs, _ = _columns(records, self._handle.num_classes, len(features))
+            classes, probs, _ = _answer(self._handle, checked_features(features))
             # {"id": <id>, "topk": <rows>}, keys sorted as json.dumps writes them
             text = '{"id": %s, "topk": %s}' % (json.dumps(request_id, sort_keys=True), _topk_text(classes, probs))
         except Exception as exc:  # noqa: BLE001 - every failure becomes a structured response

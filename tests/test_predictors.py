@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -301,8 +303,8 @@ def test_non_finite_features_are_rejected(rng, tmp_path, bad):
 
 def test_public_surface_is_pinned():
     # a handle answers `query` and nothing else; the single-row views must not come back
-    imported = {"annotations", "json", "chain", "repeat", "NamedTuple", "np", "MemoryBank", "ContractError",
-                "clone_net", "read_json", "write_atomically", "check_probabilities"}
+    imported = {"annotations", "gc", "json", "threading", "chain", "repeat", "NamedTuple", "np", "MemoryBank",
+                "ContractError", "clone_net", "read_json", "write_atomically", "check_probabilities"}
     public = {name for name in vars(predictors) if not name.startswith("_")} - imported
     assert public == {
         "DISCLOSURES",
@@ -357,6 +359,86 @@ def test_cache_file_round_trip(tmp_path, rng):
     saved = json.loads(text)
     assert set(saved) == {"num_classes", "predictor_id", "r", "topk"}
     assert saved["num_classes"] == 3 and saved["r"] == 2 and len(saved["topk"]) == x.shape[0]
+
+
+def test_a_snapshot_cycle_runs_no_collection(tmp_path, rng):
+    # records and parsed topk rows hold no cycles, and refcounting frees them while the collector is paused
+    x = rng.normal(size=(1000, 2))
+    handle = InProcessPredictor(SourceNet(2, 8, hidden=(16,), rng=np.random.default_rng(0)), disclosure="top-r", r=2)
+    path = str(tmp_path / "cache.json")
+    generations = []
+
+    def cycle():
+        live = init_teacher([handle], x, r=2)
+        write_cache(path, handle, x)
+        return live, init_teacher([read_cache(path, 8)], x, r=2)
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    # a cycle as a long run sees it: the first fills the tuple free lists, which a full collection empties,
+    # and the young generation starts empty, so only the cycle's own allocations count
+    cycle()
+    gc.collect(0)
+    gc.callbacks.append(count)
+    try:
+        live, bank = cycle()
+    finally:
+        gc.callbacks.remove(count)
+    assert generations == []
+    assert bank.rows.tobytes() == live.rows.tobytes()
+
+
+def test_the_collector_pause_keeps_the_callers_state(tmp_path, rng):
+    rows = rng.dirichlet(np.ones(3), size=4)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"num_classes": 3, "predictor_id": "c", "r": 1, "topk": [[[5, 0.8]]]}))
+    try:
+        gc.disable()  # a collector the caller turned off stays off
+        init_teacher([StubHandle(rows, 1, 3)], np.zeros((4, 2)), r=1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(ContractError, match="stub failure"):
+        init_teacher([StubHandle(rows, 1, 3, fail_at=0)], np.zeros((4, 2)), r=1)
+    assert gc.isenabled()
+    with pytest.raises(ContractError, match="classes must be integers"):
+        read_cache(str(path), 3)
+    assert gc.isenabled()
+
+
+def test_pauses_on_two_threads_leave_the_collector_on():
+    # the collector is one per process: only the main thread's pause turns it off, whatever the exit order
+    for main_exits_first in (True, False):
+        entered, leave, left = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def worker():
+            with predictors._GcPause():
+                seen.append(gc.isenabled())
+                entered.set()
+                leave.wait(10)
+            left.set()
+
+        main = predictors._GcPause()
+        thread = threading.Thread(target=worker)
+        if main_exits_first:  # enter main, enter worker, exit main, exit worker
+            main.__enter__()
+            thread.start()
+            assert entered.wait(10) and seen == [False]
+            main.__exit__(None, None, None)
+            assert gc.isenabled()
+            leave.set()
+        else:  # enter worker, enter main, exit worker, exit main
+            thread.start()
+            assert entered.wait(10) and seen == [True]  # a worker's pause leaves the collector running
+            main.__enter__()
+            leave.set()
+            assert left.wait(10) and not gc.isenabled()
+            main.__exit__(None, None, None)
+        thread.join(10)
+        assert not thread.is_alive() and gc.isenabled()
 
 
 def test_read_cache_requires_full_coverage(tmp_path):
