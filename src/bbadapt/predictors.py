@@ -16,19 +16,14 @@ Every disclosed probability is quantized to 9 significant digits, the same
 precision the wire protocol and the cache file use, so the three backings
 are interchangeable bit for bit. A handle does one thing: `query` takes a
 feature batch, which `checked_features` admits, and answers one `TopK`
-record per row. Behind it, a disclosed batch is one pair of `classes` and
-`probs` arrays at one r, and records are built only where a `query`
-returns them.
-
-`_answer` is the one place a handle's records turn back into columns, for
-`init_teacher`, `write_cache`, a server's answer and a run's fixed
-handles. Records still pass between them because stub handles that have
-only `query` (acceptance C02) answer with records, and the benchmark
-times `InProcessPredictor.query` and compares records with `==`. They hold
-no reference cycles, so on the main thread the cyclic collector is paused
-while they live, and while `read_cache` parses a `topk` list into
-columns: refcounting frees them before any collection would traverse
-them. A server's threads answer with the collector as they find it.
+record per row. Inside the package a disclosed batch is `classes` and
+`probs` arrays at one r, and `_answer` is the one place a handle's answer
+becomes them. A cached or remote handle hands over the arrays it holds or
+parses (`_disclosed`), from which its `query` builds records. Stubs that
+have only `query` (acceptance C02) and the in-process handle, whose `query`
+the benchmark times, answer with records, which hold no reference cycles:
+on the main thread the cyclic collector is paused while they live, and
+while `read_cache` parses a `topk` list, so refcounting frees them first.
 
 A disclosed batch has one JSON form, `topk`: a list of [class, prob] pairs
 per row, in row order, written by `_topk_text` and read by `_topk_columns`.
@@ -173,14 +168,9 @@ def _columns(records, k: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 class _GcPause:
-    """Holds the cyclic garbage collector off for a `with` block (see the
-    module docstring); a collector the caller turned off stays off. A class
-    and not a generator, since a one-row query pays for each pause.
-
-    Only the main thread pauses. The collector is one per process, so
-    pauses on several threads would race between `isenabled` and
-    `disable`, and a server's overlapping requests would hold it off for as
-    long as they overlap; on any other thread the block runs unchanged."""
+    """Holds the cyclic collector off for a `with` block on the main thread,
+    where no other pause races it; a collector the caller turned off stays
+    off. A class and not a generator, since each query pays for it."""
 
     def __enter__(self):
         self._turned_off = threading.current_thread() is threading.main_thread() and gc.isenabled()
@@ -193,9 +183,10 @@ class _GcPause:
 
 
 def _answer(handle, features) -> tuple[np.ndarray, np.ndarray, int]:
-    """The `_columns` of `handle.query(features)`: the one place a handle's
-    records turn into arrays. On the main thread they live and die while
-    the collector is paused."""
+    """A handle's answer to `features` as `classes`, `probs` and r (see the module docstring)."""
+    disclosed = getattr(handle, "_disclosed", None)
+    if disclosed is not None:
+        return disclosed(features)
     with _GcPause():
         return _columns(handle.query(features), handle.num_classes, len(features))
 
@@ -246,20 +237,20 @@ def _topk_text(classes: np.ndarray, probs: np.ndarray) -> str:
 
 
 def _topk_columns(topk, r, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `checked_columns` of a parsed, untrusted `topk` list. A JSON
-    `true` or `false` is no number here, though `np.asarray` would read it
-    as 1 or 0 beside numbers."""
-    try:
-        pairs = np.asarray(topk)
-    except ValueError:  # rows of unequal length
-        pairs = np.empty(0)
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
+    """The `checked_columns` of a parsed, untrusted `topk` list, its shape
+    checked on the flat pairs and values. One `np.array` of the values infers
+    int or float as the nested list would; JSON `true`/`false` is no number."""
+    pairs = list(chain.from_iterable(topk)) if type(topk) is list and set(map(type, topk)) == {list} else []
+    values = list(chain.from_iterable(pairs)) if set(map(type, pairs)) == {list} else []
+    types, m = set(map(type, values)), len(topk[0]) if values else 0
+    if not values or set(map(len, topk)) != {m} or set(map(len, pairs)) != {2} or list in types:
         raise ContractError(f"expected a list of [class, probability] pairs per row, got {str(topk)[:80]}")
-    if bool in set(map(type, chain.from_iterable(chain.from_iterable(topk)))):
-        i = next(i for i, row in enumerate(topk) if bool in {type(v) for pair in row for v in pair})
+    if bool in types:
+        i = next(j for j, v in enumerate(values) if type(v) is bool) // (2 * m)
         raise ContractError(f"record {i}: classes and probabilities must be numbers, not true or false, "
                             f"got {json.dumps(topk[i])}")
-    return checked_columns(pairs[..., 0], pairs[..., 1], r, k)
+    array = np.array(values).reshape(len(topk), m, 2)
+    return checked_columns(array[..., 0], array[..., 1], r, k)
 
 
 def teacher_rows(classes, probs, disclosed_r: int, r: int, k: int, hard_mode: str = "ls") -> np.ndarray:
@@ -339,9 +330,7 @@ class PredictorHandle:
 
     @property
     def disclosure(self) -> str:
-        if self.r == 0:
-            return "hard"
-        return "full-soft" if self.r == self.num_classes else "top-r"
+        return "hard" if self.r == 0 else "full-soft" if self.r == self.num_classes else "top-r"
 
     def query(self, features) -> list[TopK]:
         raise NotImplementedError
@@ -391,10 +380,13 @@ class CachedPredictor(PredictorHandle):
         return self._classes.shape[0]
 
     def query(self, features) -> list[TopK]:
+        return _records(*self._disclosed(features), self.num_classes)
+
+    def _disclosed(self, features) -> tuple[np.ndarray, np.ndarray, int]:
         n = checked_features(features).shape[0]
         if n != len(self):
             raise ContractError(f"cache holds {len(self)} samples, queried with {n}")
-        return _records(self._classes, self._probs, self.r, self.num_classes)
+        return self._classes, self._probs, self.r
 
 
 # cache file ------------------------------------------------------------

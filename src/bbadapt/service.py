@@ -30,6 +30,7 @@ gets a single {"id": null, "error"} line and is closed.
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import socketserver
 import threading
@@ -37,8 +38,8 @@ import threading
 import numpy as np
 
 from .errors import ContractError, StartupError, TransportError
-from .predictors import (PredictorHandle, TopK, _answer, _records, _topk_columns, _topk_text, checked_features,
-                         resolve_r)
+from .predictors import (PredictorHandle, TopK, _answer, _columns, _records, _topk_columns, _topk_text,
+                         checked_features, resolve_r)
 
 MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
 IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
@@ -85,6 +86,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
     def __init__(self, handle: PredictorHandle, host: str = "127.0.0.1", port: int = 0):
         self._handle = handle
         self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)  # one per connection being served
+        self._wake, self._stopped = socket.socketpair(), threading.Event()  # see `shutdown`
         try:
             super().__init__((host, port), _LineHandler)
         except (OSError, OverflowError) as exc:  # OverflowError: a port outside [0, 65535]
@@ -116,6 +118,29 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             super().process_request_thread(request, client_address)
         finally:
             self._slots.release()
+
+    def serve_forever(self, poll_interval=None):
+        """Accept connections until `shutdown` wakes this loop; an idle server sleeps in `select`, with no poll."""
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake[0], selectors.EVENT_READ)
+                while self._wake[0] not in [key.fileobj for key, _ in selector.select()]:
+                    self._handle_request_noblock()
+            self._wake[0].recv(1)
+        finally:
+            self._stopped.set()
+
+    def shutdown(self):
+        """Wake `serve_forever` with a byte over the socket pair, and wait until it has returned."""
+        self._wake[1].send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self):
+        super().server_close()
+        for end in self._wake:
+            end.close()
 
     def answer(self, line: bytes) -> bytes:
         request_id = None
@@ -182,8 +207,10 @@ class RemotePredictor(PredictorHandle):
         self.predictor_id = predictor_id
 
     def query(self, features) -> list[TopK]:
+        return _records(*self._disclosed(features), self.num_classes)
+
+    def _disclosed(self, features) -> tuple[np.ndarray, np.ndarray, int]:
         x = checked_features(features)
-        last = None
         for _ in range(2):  # the first attempt and one retry
             try:
                 return self._query_once(x)
@@ -193,19 +220,20 @@ class RemotePredictor(PredictorHandle):
                 last = exc
         raise TransportError(f"predictor at {self.host}:{self.port} unreachable: {last}") from last
 
-    def _query_once(self, x: np.ndarray) -> list[TopK]:
-        records = []
+    def _query_once(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        parts = []
         with socket.create_connection((self.host, self.port), timeout=CONNECT_TIMEOUT_S) as sock:
             _no_delay(sock)
             with sock.makefile("rb") as responses:
                 for request_id, rows in enumerate(_row_batches(x)):
                     # {"features": [<rows>], "id": <request_id>}, keys sorted as the server writes them
                     sock.sendall(b'{"features": [%s], "id": %d}\n' % (", ".join(rows).encode("ascii"), request_id))
-                    records += self._records(responses.readline(), request_id, len(rows))
-        return records
+                    parts.append(self._response_columns(responses.readline(), request_id, len(rows)))
+        if not parts:  # no rows, so no request: the answer `_columns` gives for no records
+            return _columns([], self.num_classes, 0)
+        return (*map(np.concatenate, zip(*parts)), self.r)
 
-    def _records(self, line: bytes, request_id: int, rows: int) -> list[TopK]:
-        """The records of one response line, checked against its request."""
+    def _response_columns(self, line: bytes, request_id: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
         if not line:
             raise TransportError("connection closed mid-query")
         try:
@@ -221,4 +249,4 @@ class RemotePredictor(PredictorHandle):
         topk = obj.get("topk")
         if not isinstance(topk, list) or len(topk) != rows:
             raise ContractError(f"expected a 'topk' list of {rows} rows, got {str(topk)[:80]}")
-        return _records(*_topk_columns(topk, self.r, self.num_classes), self.r, self.num_classes)
+        return _topk_columns(topk, self.r, self.num_classes)

@@ -5,12 +5,16 @@ leave untaken, write.
 Floating-point results depend on numpy's version and on the kernels its
 OpenBLAS picks for the CPU (DYNAMIC_ARCH), so each entry is keyed by
 both (`key()`). `test_golden.py` reruns the runs and compares them with
-the entry for the current key, or skips when there is none.
+the entry for the current key, or skips when there is none. It reruns
+them once more in a child process under the other of the two kernels
+in `KERNELS`, which `OPENBLAS_CORETYPE` forces before numpy loads.
 
     PYTHONPATH=src python tests/golden.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/golden.py
 
-writes the entry for the current key into `golden.json`. Rerun it only
-when a change alters outputs on purpose, and list the changed files.
+write the entry for the current key, and for the forced Haswell kernel,
+into `golden.json`. Rerun both only when a change alters outputs on
+purpose, and list the changed files.
 
 Every run works inside one directory and names its files by relative
 paths, so the checkpoint paths `train-source` records in
@@ -24,12 +28,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from bbadapt import cli, nets
 from bbadapt.predictors import InProcessPredictor
@@ -37,6 +43,9 @@ from bbadapt.scenarios import PRESET_NAMES
 from bbadapt.service import PredictionServer
 
 GOLDEN = Path(__file__).with_name("golden.json")
+# the kernels with an entry, and the CPU features each needs: SkylakeX is what OpenBLAS picks on the
+# AVX-512 machine the entries were first recorded on, and Haswell is what CI forces, as any AVX2 runner runs it
+KERNELS = {"SkylakeX": ("AVX512_SKX",), "Haswell": ("AVX2", "FMA3")}
 TINY = ["--source-epochs", "2", "--adapt-epochs", "2", "--finetune-epochs", "2"]
 MULTI = ["--preset", "multi3-gauss4", *TINY]
 SOURCES = [f"sources/source{m}_seed3.json" for m in range(3)]
@@ -116,6 +125,23 @@ def _runs():
             server.server_close()
 
 
+def other_kernel():
+    """The kernel in `KERNELS` this process did not load, if this CPU can
+    run it; None otherwise."""
+    core = "SkylakeX" if openblas_core() == "Haswell" else "Haswell"
+    return core if all(__cpu_features__.get(feature) for feature in KERNELS[core]) else None
+
+
+def hashes_under(core: str, root) -> tuple:
+    """`key()` and `hashes(root)` of a child process whose OpenBLAS runs
+    the kernels of `core`."""
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]  # bbadapt as imported here
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, __file__, "--hashes", str(root)], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return tuple(json.loads(child.stdout))
+
+
 def hashes(root) -> dict:
     """{relative path: sha256} of every file the runs write under `root`."""
     cwd = os.getcwd()
@@ -130,6 +156,9 @@ def hashes(root) -> dict:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--hashes"]:  # `hashes_under`'s child: print the key and the hashes, write nothing
+        print(json.dumps([key(), hashes(sys.argv[2])]))
+        sys.exit()
     with tempfile.TemporaryDirectory() as root:
         entry = hashes(root)
     GOLDEN.write_text(json.dumps({**entries(), key(): entry}, indent=1, sort_keys=True) + "\n")

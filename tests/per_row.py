@@ -4,15 +4,17 @@
 These are the per-row forms it replaced, kept as the oracle the batch code
 must match bit for bit: each row is quantized element by element, ordered
 with `lexsort` and smoothed on its own; a cache is serialized with one
-`json.dumps` of the whole object.
+`json.dumps` of the whole object, and a parsed `topk` list is read with
+one `np.asarray` of its nested pairs.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from bbadapt.errors import ContractError
-from bbadapt.predictors import TopK
+from bbadapt.predictors import TopK, checked_columns
 
 
 def quantize_row(row) -> np.ndarray:
@@ -84,3 +86,20 @@ def cache_text(records: list, predictor_id: str) -> str:
         "topk": [[[c, p] for c, p in zip(rec.classes, rec.probs)] for rec in records],
     }
     return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def topk_columns(topk, r, k: int):
+    """The `checked_columns` of a parsed `topk` list: one `np.asarray` of
+    the nested pairs, then a scan for JSON `true` and `false`, which numpy
+    would read as 1 and 0 beside numbers."""
+    try:
+        pairs = np.asarray(topk)
+    except ValueError:  # rows of unequal length
+        pairs = np.empty(0)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ContractError(f"expected a list of [class, probability] pairs per row, got {str(topk)[:80]}")
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(topk)))):
+        i = next(i for i, row in enumerate(topk) if bool in {type(v) for pair in row for v in pair})
+        raise ContractError(f"record {i}: classes and probabilities must be numbers, not true or false, "
+                            f"got {json.dumps(topk[i])}")
+    return checked_columns(pairs[..., 0], pairs[..., 1], r, k)

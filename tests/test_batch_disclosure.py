@@ -1,6 +1,9 @@
 """The batch disclosure, smoothing and cache code against the one-row
 reference in `per_row`: every array must match it bit for bit."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from bbadapt.nets import SourceNet
 from bbadapt.predictors import (
     InProcessPredictor,
     TopK,
+    _topk_columns,
+    _topk_text,
     ada_ls,
     disclose,
     init_teacher,
@@ -20,7 +25,8 @@ from bbadapt.predictors import (
     write_cache,
 )
 
-from per_row import ada_ls_row, cache_text, descending_order, disclose_row, quantize_row, teacher_row
+from conftest import DROP, key_paths, replaced
+from per_row import ada_ls_row, cache_text, descending_order, disclose_row, quantize_row, teacher_row, topk_columns
 
 
 def probability_rows(k: int, seed: int) -> np.ndarray:
@@ -186,3 +192,41 @@ def test_empty_query_writes_no_cache(tmp_path):
     with pytest.raises(ContractError, match="no rows"):
         write_cache(str(path), handle, np.zeros((0, 2)))
     assert list(tmp_path.iterdir()) == []
+
+
+# a parsed `topk` list: the flat parse against the nested one ----------------
+
+K = 4
+# what a replaced value, pair or row may be: any JSON scalar (ints beyond int64 among them), an object, or a
+# list of up to three numbers, which may be a pair
+ODD = (st.integers() | st.integers(2**63 - 2, 2**65) | st.integers(-(2**65), -(2**63) + 1) | st.floats()
+       | st.booleans() | st.none() | st.text(max_size=2)
+       | st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=1)
+       | st.lists(st.integers(-1, K) | st.floats(0, 1), max_size=3))
+
+
+@st.composite
+def topk_values(draw):
+    """The `topk` list of a disclosed batch, with up to three values,
+    pairs or rows (or the whole list) replaced or removed."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes, probs = disclose(gen.dirichlet(np.ones(K), size=draw(st.integers(1, 3))), draw(st.integers(0, K)))
+    topk = json.loads(_topk_text(classes, probs))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(key_paths(topk)))
+        topk = replaced(topk, path, draw(ODD | st.just(DROP)) if path else draw(ODD))
+    return topk
+
+
+@given(topk_values(), st.integers(-1, K + 1))
+@settings(max_examples=400, deadline=None)
+def test_topk_columns_matches_the_nested_parse(topk, r):
+    # the same arrays, dtypes included, or the same ContractError
+    try:
+        want = topk_columns(topk, r, K)
+    except ContractError as exc:
+        with pytest.raises(ContractError, match=f"^{re.escape(str(exc))}$"):
+            _topk_columns(topk, r, K)
+        return
+    got = _topk_columns(topk, r, K)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes()) for a in want]

@@ -23,6 +23,20 @@ def test_outputs_match_the_golden_entry(hashes):
     assert sorted(name for name in entry.keys() | hashes.keys() if entry.get(name) != hashes.get(name)) == []
 
 
+def test_outputs_match_the_golden_entry_under_the_other_kernel(tmp_path):
+    # a regrouped product can keep one kernel's bits and change another's, so the runs go once more in a
+    # child process under the kernel this one did not load
+    core = golden.other_kernel()
+    if core is None:
+        pytest.skip("this CPU cannot run the other kernel with an entry")
+    key, hashes = golden.hashes_under(core, tmp_path)
+    assert key.endswith(f"OpenBLAS core {core}"), key  # the variable took effect
+    entry = golden.entries().get(key)
+    if entry is None:
+        pytest.skip(f"no golden entry for {key!r}; `OPENBLAS_CORETYPE={core} python tests/golden.py` writes one")
+    assert sorted(name for name in entry.keys() | hashes.keys() if entry.get(name) != hashes.get(name)) == []
+
+
 def test_shares_write_what_one_process_writes(hashes):
     # under any numpy and CPU: a run split into seed shares equals the same run in one process
     for preset in PRESET_NAMES:

@@ -15,6 +15,7 @@ from bbadapt.predictors import (
     CachedPredictor,
     InProcessPredictor,
     TopK,
+    _answer,
     _records,
     ada_ls,
     checked_columns,
@@ -27,7 +28,8 @@ from bbadapt.predictors import (
     teacher_rows,
     write_cache,
 )
-from bbadapt.service import RemotePredictor
+from bbadapt import service
+from bbadapt.service import PredictionServer, RemotePredictor
 
 from conftest import JSON, NUMBER, assert_valid_records, make_blobs
 from per_row import disclose_row, hard_to_prob, teacher_row
@@ -359,6 +361,64 @@ def test_cache_file_round_trip(tmp_path, rng):
     saved = json.loads(text)
     assert set(saved) == {"num_classes", "predictor_id", "r", "topk"}
     assert saved["num_classes"] == 3 and saved["r"] == 2 and len(saved["topk"]) == x.shape[0]
+
+
+# a cached or remote handle hands `_answer` its columns, and no record is built ---------
+
+def _no_records(*args):
+    raise AssertionError("a TopK record was built")
+
+
+def assert_same_columns(got, want):
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got[:2]] == [(a.dtype, a.shape, a.tobytes()) for a in want[:2]]
+    assert got[2] == want[2]
+
+
+def assert_rejects_non_finite_features(handle, x):
+    poisoned = x.copy()
+    poisoned[3, 1] = np.nan
+    with pytest.raises(ContractError, match="finite"):
+        _answer(handle, poisoned)
+
+
+def test_a_cached_handle_answers_with_its_columns(tmp_path, rng, monkeypatch):
+    net, x = _trained_net(rng)
+    live = InProcessPredictor(net, disclosure="top-r", r=2)
+    want = _answer(live, x)
+    write_cache(str(tmp_path / "cache.json"), live, x)
+    cache = read_cache(str(tmp_path / "cache.json"), 3)
+    kept = [cache._classes.copy(), cache._probs.copy()]
+    monkeypatch.setattr(predictors, "_records", _no_records)
+    assert_same_columns(_answer(cache, x), want)
+    init_teacher([cache], x, r=2)
+    write_cache(str(tmp_path / "again.json"), cache, x)
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "cache.json").read_bytes()
+    assert [cache._classes.tobytes(), cache._probs.tobytes()] == [a.tobytes() for a in kept]
+    with pytest.raises(ContractError, match=f"cache holds {len(x)} samples, queried with {len(x) - 1}"):
+        _answer(cache, x[:-1])
+    assert_rejects_non_finite_features(cache, x)
+
+
+def test_a_remote_handle_answers_with_its_columns(rng, monkeypatch):
+    net, x = _trained_net(rng)
+    live = InProcessPredictor(net, disclosure="top-r", r=2)
+    want = _answer(live, x)
+    # a served cache, so that neither end builds records
+    server = PredictionServer(CachedPredictor(*want, 3, "c"))
+    server.start_background()
+    try:
+        remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure="top-r", r=2)
+        monkeypatch.setattr(predictors, "_records", _no_records)
+        monkeypatch.setattr(service, "_records", _no_records)
+        assert_same_columns(_answer(remote, x), want)
+        assert_rejects_non_finite_features(remote, x)
+        # a server that answers one row short
+        monkeypatch.setattr(service, "_answer", lambda handle, features: (want[0][:-1], want[1][:-1], 2))
+        with pytest.raises(ContractError, match=f"expected a 'topk' list of {len(x)} rows"):
+            _answer(remote, x)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_a_snapshot_cycle_runs_no_collection(tmp_path, rng):

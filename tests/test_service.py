@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bbadapt.cli import build_parser
 from bbadapt.errors import ContractError, StartupError, TransportError
 from bbadapt.nets import SourceNet, train_source_net
-from bbadapt.predictors import InProcessPredictor, TopK, read_cache, write_cache
+from bbadapt.predictors import InProcessPredictor, TopK, _records, read_cache, write_cache
 from bbadapt import service
 from bbadapt.service import PredictionServer, RemotePredictor
 
@@ -501,11 +501,11 @@ def test_answer_fuzz(unserved_server, line):
 
 @given(st.binary(max_size=200) | RESPONSE.map(lambda obj: json.dumps(obj).encode()), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
-def test_response_records_fuzz(line, rows):
+def test_response_columns_fuzz(line, rows):
     remote = RemotePredictor("127.0.0.1", 9, num_classes=4, disclosure="top-r", r=2)
     try:
-        records = remote._records(line, 0, rows)
+        classes, probs = remote._response_columns(line, 0, rows)
     except (ContractError, TransportError):
         return
-    assert len(records) == rows
-    assert_valid_records(records, 2, 4)
+    assert classes.dtype == np.intp and probs.dtype == np.float64 and classes.shape == probs.shape == (rows, 2)
+    assert_valid_records(_records(classes, probs, 2, 4), 2, 4)
