@@ -28,6 +28,13 @@ while `read_cache` parses a `topk` list, so refcounting frees them first.
 A disclosed batch has one JSON form, `topk`: a list of [class, prob] pairs
 per row, in row order, written by `_topk_text` and read by `_topk_columns`.
 A server's response carries it, and a prediction cache saves one answer.
+`_topk_text` writes the text `json.dumps` gives. From _ARRAY_TEXT_SIZE
+values on it fills one uint8 array of NUL-padded slots and broadcast
+separators, then drops the NULs. A quantized probability in [1e-4, 1) is
+written from its `_decimal_digits`, since `repr` writes no other decimal
+for it; 1.0 and 0.0 have fixed texts, and other values go through `repr`.
+Smaller batches, the wire's usual answers, keep one format string, which
+costs less than the array path's fixed cost.
 """
 
 from __future__ import annotations
@@ -47,29 +54,41 @@ from .tensor import check_probabilities
 
 DISCLOSURES = ("full-soft", "top-r", "hard")
 _POW10 = np.array([float(10**j) for j in range(23)])  # every power of ten a float64 holds exactly
+_ARRAY_TEXT_SIZE = 192  # values from which `_topk_text` writes from arrays: the measured crossover
+_TENTHS = np.array([0.001, 0.01, 0.1])  # a value in [1e-4, 1) below k of these has k leading zeros
+# rows 0-999: a group's 3 digits; 1000-2000: no trailing zeros (1000, from digits = 1e9, is "1"); 2001-2004: 0-3 zeros
+_DIGIT_GROUPS = np.array([*("%03d" % g for g in range(1000)), *(("%03d" % g).rstrip("0") for g in range(1001)),
+                          *("0" * z for z in range(4))], dtype="S3").view(np.uint8).reshape(-1, 3)
 
 
-def quantize_probs(probs) -> np.ndarray:
-    """Round each probability to 9 significant digits: bit for bit
-    `float("%.9g" % p)`, with array arithmetic wherever that is exact.
+def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`digits`, `scale` = 10**j and `exact` of a flat float64 array: where `exact`
+    holds, digits in [1e8, 1e9] are those "%.9g" writes, and digits / scale their value.
 
-    For a guess j in [0, 22], 10**j is exact and y = p * 10**j is rounded
+    For a guess j in [0, 22], 10**j is exact and y = a * 10**j is rounded
     once. Rounding is monotone and keeps every half-integer below 2**53, so
     if y lies in [1e8, 1e9] and is no half-integer, rint(y) holds the digits
     "%.9g" writes (at either end of the range, a guess of j off by one
     writes the same number) and rint(y) / 10**j, a quotient of exact floats,
-    is the correctly rounded value `float` reads back. Every other element
-    (0, NaN, infinities, negatives, values below about 1e-14 or above 1e9,
-    exact halves) goes through the text, in one formatting call.
+    is the correctly rounded value `float` reads back. `exact` is false
+    wherever that fails: 0, NaN, infinities, negatives, values below about
+    1e-14 or above 1e9, and exact halves.
     """
-    a = np.asarray(probs, dtype=np.float64).reshape(-1)
     with np.errstate(all="ignore"):  # log10 and the cast meet 0, NaN and negatives
-        # trunc(9 - log10 p) = 8 - floor(log10 p) for p in (0, 1e9) off a power of ten
+        # trunc(9 - log10 a) = 8 - floor(log10 a) for a in (0, 1e9) off a power of ten
         scale = _POW10.take((9.0 - np.log10(a)).astype(np.intp), mode="clip")
         y = a * scale
         digits = np.rint(y)
-        exact = (np.abs(y - digits) < 0.5) & (y >= 1e8) & (y <= 1e9)
-        q = digits / scale
+        return digits, scale, (np.abs(y - digits) < 0.5) & (y >= 1e8) & (y <= 1e9)
+
+
+def quantize_probs(probs) -> np.ndarray:
+    """Round each probability to 9 significant digits: bit for bit
+    `float("%.9g" % p)`, from `_decimal_digits` wherever they are exact and
+    through the text, in one formatting call, everywhere else."""
+    a = np.asarray(probs, dtype=np.float64).reshape(-1)
+    digits, scale, exact = _decimal_digits(a)
+    q = digits / scale
     if not exact.all():
         rest = a[~exact]
         text = ("%.9g " * rest.size) % tuple(rest.tolist())
@@ -134,21 +153,25 @@ def disclose(probs, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 def checked_features(features) -> np.ndarray:
     """A feature batch as a 2-D float64 array with at least one column and
-    only finite values; ContractError for anything else."""
+    only finite values; ContractError for anything else, strings and
+    booleans included, which numpy would read as numbers."""
     try:
         x = np.asarray(features, dtype=np.float64)
     except (TypeError, ValueError):  # rows of unequal length, or not numbers
         raise ContractError("features must be a batch of equal-length rows of numbers") from None
     if x.ndim != 2 or not x.shape[1]:
         raise ContractError(f"expected a 2-D feature batch with at least one column, got shape {x.shape}")
+    if (features.dtype.kind in "bSU" if isinstance(features, np.ndarray) and features.dtype != object else
+            any(issubclass(t, (str, bytes, bool, np.bool_)) for t in set(map(type, chain.from_iterable(features))))):
+        raise ContractError("features must be numbers, not strings or booleans")
     if not np.isfinite(x).all():
         raise ContractError("features must be finite numbers")
     return x
 
 
 def _records(classes: np.ndarray, probs: np.ndarray, r: int, k: int) -> list[TopK]:
-    # tuple.__new__ builds each record without a per-row call of TopK.__new__
-    fields = zip(map(tuple, classes.tolist()), map(tuple, probs.tolist()), repeat(r), repeat(k))
+    # tuple.__new__ builds each record without a per-row call of TopK.__new__, and zip each row's tuples from columns
+    fields = zip(zip(*classes.T.tolist()), zip(*probs.T.tolist()), repeat(r), repeat(k))
     return list(map(tuple.__new__, repeat(TopK), fields))
 
 
@@ -227,13 +250,48 @@ def checked_columns(classes, probs, r, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _topk_text(classes: np.ndarray, probs: np.ndarray) -> str:
-    """The `topk` text `json.dumps` gives for a disclosed batch, in one
-    format operation: %d writes an int and %r a float as json.dumps does."""
+    """The `topk` text `json.dumps` gives for a disclosed batch (see the module docstring)."""
     n, m = classes.shape
-    pairs = np.empty((n, m, 2), dtype=object)  # Python ints and floats
-    pairs[..., 0], pairs[..., 1] = classes, probs
-    row = "[%s]" % ", ".join(["[%d, %r]"] * m)
-    return "[%s]" % (", ".join([row] * n) % tuple(pairs.ravel().tolist()))
+    if classes.size < _ARRAY_TEXT_SIZE:  # %d writes an int and %r a float as json.dumps does
+        pairs = np.empty((n, m, 2), dtype=object)  # Python ints and floats
+        pairs[..., 0], pairs[..., 1] = classes, probs
+        row = "[%s]" % ", ".join(["[%d, %r]"] * m)
+        return "[%s]" % (", ".join([row] * n) % tuple(pairs.ravel().tolist()))
+    p = probs.reshape(-1)
+    digits, scale, exact = _decimal_digits(p)
+    fast = exact & (p >= 1e-4) & (p < 1.0) & (digits / scale == p)
+    zero = (p == 0.0) & ~np.signbit(p)
+    rest = ~(fast | zero | (p == 1.0))
+    texts = [repr(v).encode() for v in p[rest].tolist()]
+    low, top = int(classes.min()), int(classes.max())  # a query-only handle's classes reach here unchecked
+    wc, wp = max(len(str(low)), len(str(top))), max([14, *map(len, texts)])
+    # a pair: ", " (", [" opening a row), "[", class, ", ", probability, "]" (and "]" closing a row)
+    pair = np.zeros((m, wc + wp + 8), dtype=np.uint8)
+    pair[:, :2], pair[:, 3], pair[:, 4 + wc:8 + wc], pair[:, 6 + wc + wp] = [*b", "], ord("["), [*b", 0."], ord("]")
+    pair[0, 2], pair[-1, -1] = ord("["), ord("]")
+    buf = np.empty((n, m, pair.shape[1]), dtype=np.uint8)
+    buf[...] = pair
+    buf[..., 4:4 + wc] = _byte_rows(list(map(str, range(low, top + 1))), wc).take(classes - low, axis=0)
+    slot = buf.reshape(n * m, -1)[:, 6 + wc:6 + wc + wp]
+    if fast.any():  # "0.", leading zeros, then three groups of three digits, dropping zeros after the last nonzero
+        high = np.floor(digits / 1e6)  # floor of a correctly rounded quotient is exact below 2**53
+        below = digits - high * 1e6
+        mid = np.floor(below / 1e3)
+        low = below - mid * 1e3
+        zeros = 3 - np.searchsorted(_TENTHS, p, side="right")
+        groups = np.stack([2001 + zeros, high + 1000 * (below == 0), mid + 1000 * (low == 0), low + 1000], axis=1)
+        slot[:, 2:14] = _DIGIT_GROUPS.take(groups.astype(np.intp), axis=0).reshape(-1, 12)
+    if not fast.all():  # rows 0 and 1 of `words` are "1.0" and "0.0", the others the texts of `rest`
+        words = _byte_rows([b"1.0", b"0.0", *texts], wp)
+        index = zero.astype(np.intp)
+        index[rest] = np.arange(2, words.shape[0])
+        np.copyto(slot, words.take(index, axis=0), where=~fast[:, None])
+    return "[%s]" % buf.tobytes().translate(None, b"\0")[2:].decode("ascii")  # no NUL, nor the first ", "
+
+
+def _byte_rows(texts: list, width: int) -> np.ndarray:
+    """ASCII `texts` as the rows of a uint8 array, NUL-padded to `width` bytes."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 def _topk_columns(topk, r, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -146,6 +146,8 @@ class PredictionServer(socketserver.ThreadingTCPServer):
         request_id = None
         try:
             obj = json.loads(line.decode("utf-8"))
+            if not isinstance(obj, dict):
+                raise ContractError("request must be a JSON object")
             request_id = obj.get("id")
             features = obj.get("features")
             if not isinstance(features, list) or not features:

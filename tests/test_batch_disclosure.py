@@ -14,6 +14,7 @@ from bbadapt.nets import SourceNet
 from bbadapt.predictors import (
     InProcessPredictor,
     TopK,
+    _ARRAY_TEXT_SIZE,
     _topk_columns,
     _topk_text,
     ada_ls,
@@ -172,17 +173,19 @@ def test_ada_ls_on_a_vector_matches_per_row(k):
 @pytest.mark.parametrize("disclosure,r", [("full-soft", None), ("top-r", 1), ("top-r", 2), ("top-r", 5),
                                           ("hard", None)])
 def test_cache_lines_are_json_dumps_per_record(tmp_path, disclosure, r):
-    # the cache is one line: json.dumps of the whole saved answer
+    # the cache is one line: json.dumps of the whole saved answer, written from arrays in every mode from
+    # _ARRAY_TEXT_SIZE rows on
     net = SourceNet(2, 5, hidden=(8,), rng=np.random.default_rng(3))
-    x = np.random.default_rng(4).normal(0.0, 2.0, (64, 2))
     predictor_id = 'src "0" \\ é\t%d %s'  # needs JSON escaping, and holds format directives
     handle = InProcessPredictor(net, disclosure=disclosure, r=r, predictor_id=predictor_id)
     path = tmp_path / "cache.json"
-    assert write_cache(str(path), handle, x) == 64
-    records = handle.query(x)
-    assert path.read_bytes() == cache_text(records, predictor_id).encode()
-    cache = read_cache(str(path), 5)
-    assert cache.query(x) == records and cache.predictor_id == predictor_id
+    for n in (64, _ARRAY_TEXT_SIZE):
+        x = np.random.default_rng(4).normal(0.0, 2.0, (n, 2))
+        assert write_cache(str(path), handle, x) == n
+        records = handle.query(x)
+        assert path.read_bytes() == cache_text(records, predictor_id).encode()
+        cache = read_cache(str(path), 5)
+        assert cache.query(x) == records and cache.predictor_id == predictor_id
 
 
 def test_empty_query_writes_no_cache(tmp_path):
@@ -192,6 +195,27 @@ def test_empty_query_writes_no_cache(tmp_path):
     with pytest.raises(ContractError, match="no rows"):
         write_cache(str(path), handle, np.zeros((0, 2)))
     assert list(tmp_path.iterdir()) == []
+
+
+# the `topk` text against json.dumps of the nested lists -----------------------
+
+# probabilities from the whole of [0, 1]: 0.0 (and -0.0, which passes `checked_columns`), 1.0, subnormals,
+# values on both sides of 1e-4 and powers of ten, each drawn as it is or quantized to 9 digits
+PROBABILITY = (st.floats(0.0, 1.0) | st.floats(5e-5, 2e-4) | st.floats(0.0, 1e-300)
+               | st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-4, 0.001, 0.01, 0.1, 0.999999999, 9.9999999e-05]))
+
+
+@given(st.lists(PROBABILITY | PROBABILITY.map(lambda p: float("%.9g" % p)), min_size=1, max_size=16),
+       st.lists(st.integers(0, 9) | st.integers(0, 9999) | st.integers(-99, -1), min_size=1, max_size=8),
+       st.integers(1, 4),
+       st.integers(1, 3) | st.integers(_ARRAY_TEXT_SIZE, _ARRAY_TEXT_SIZE + 40))
+@settings(max_examples=400, deadline=None)
+def test_topk_text_is_json_dumps(values, labels, m, n):
+    # both sides of the crossover: n <= 3 rows of m <= 4 pairs stay below it, n >= _ARRAY_TEXT_SIZE rows do not;
+    # class indices of 1 to 4 digits, and negative ones, which a query-only handle's records can hold
+    classes, probs = np.resize(np.array(labels, dtype=np.intp), (n, m)), np.resize(np.array(values), (n, m))
+    want = json.dumps([[[c, p] for c, p in zip(*row)] for row in zip(classes.tolist(), probs.tolist())])
+    assert _topk_text(classes, probs) == want
 
 
 # a parsed `topk` list: the flat parse against the nested one ----------------

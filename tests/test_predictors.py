@@ -284,6 +284,18 @@ def test_checked_features():
             checked_features(bad)
 
 
+@pytest.mark.parametrize("bad", [[["1.5", 2.0]], [[1.5, True]], [[False, 0.5]], [np.array([True, False])],
+                                 np.array([[True, False]]), np.array([["1.5", "2"]]), np.array([[b"1", b"2"]]),
+                                 np.array([[1.5, "2"]], dtype=object), [(1.0, np.str_("2"))]])
+def test_strings_and_booleans_are_not_features(rng, bad):
+    # numpy reads "1.5" as 1.5 and true as 1.0; the boundary must not
+    net, _ = _trained_net(rng)
+    with pytest.raises(ContractError, match="not strings or booleans"):
+        checked_features(bad)
+    with pytest.raises(ContractError, match="not strings or booleans"):
+        InProcessPredictor(net, disclosure="top-r", r=2).query(bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_features_are_rejected(rng, tmp_path, bad):
     # a non-finite feature would disclose NaN probabilities, which a cache file cannot hold as JSON

@@ -109,6 +109,19 @@ def test_answer_rejects_bad_features(trained_net):
         server.server_close()
 
 
+def test_answer_rejects_strings_booleans_and_non_objects(trained_net):
+    # numpy reads "1.5" as 1.5 and true as 1.0, and a JSON value that is no object has no "id"
+    server = PredictionServer(InProcessPredictor(trained_net, disclosure="hard"))
+    try:
+        for features in (b'[["1.5", true]]', b'[[1.5, true]]', b'[["1.5", 2.0]]', b'[[false, 0.5]]'):
+            payload = json.loads(server.answer(b'{"id": 1, "features": %s}' % features))
+            assert payload == {"id": 1, "error": "features must be numbers, not strings or booleans"}
+        for line in (b"[1, 2]", b'[{"id": 1, "features": [[1.5, 0.5]]}]', b"3", b'"features"', b"null"):
+            assert json.loads(server.answer(line)) == {"id": None, "error": "request must be a JSON object"}
+    finally:
+        server.server_close()
+
+
 def test_connection_survives_bad_line(trained_net):
     # one malformed request must not poison the stream for the next one
     server = _serve(InProcessPredictor(trained_net, disclosure="hard"))
