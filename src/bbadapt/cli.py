@@ -502,11 +502,11 @@ def cmd_train_source(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     rows = []
     for m, (net, domain) in enumerate(zip(nets, sources)):
-        path = os.path.join(args.outdir, f"source{m}_seed{args.seed}.json")
+        path = os.path.join(args.outdir, name := f"source{m}_seed{args.seed}.json")  # the summary beside it names it
         save_checkpoint(net, path, seed=args.seed)
         train_acc = evaluate(net, domain)["accuracy"]
         test_acc = evaluate(net, holdout(scn, m, max(200, scn.n_source // 2)))["accuracy"]
-        rows.append({"domain": m, "checkpoint": path, "train_accuracy": train_acc, "test_accuracy": test_acc})
+        rows.append({"domain": m, "checkpoint": name, "train_accuracy": train_acc, "test_accuracy": test_acc})
         print(f"source {m}: train {train_acc:.2f}  test {test_acc:.2f}  -> {path}")
     _write_json(os.path.join(args.outdir, f"sources_seed{args.seed}.json"), {"sources": rows})
     return 0

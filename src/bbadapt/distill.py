@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nets import _soft_target, soft_cross_entropy, take_rows, train_epochs
-from .tensor import LOG_EPS, Tensor, _softmax, as_tensor, check_probabilities, record_op, softmax, stop_recording
+from .tensor import LOG_EPS, Tensor, _softmax, as_tensor, check_probabilities, record_op, softmax
 
 
 class MemoryBank:
@@ -76,11 +76,6 @@ def check_distill_args(beta: float, gamma: float, mixup_alpha: float):
         raise ContractError(f"mixup_alpha must be finite and positive, got {mixup_alpha}")
 
 
-def _check_rows(p: np.ndarray, name: str):
-    """`check_probabilities` for a batch of rows or a stack of batches."""
-    check_probabilities(p, name, ndim=3 if p.ndim == 3 else 2)
-
-
 def distill_loss(bank_rows, student_probs: Tensor) -> Tensor:
     """Mean over the batch of KL(bank row || student row), both logs
     clamped below at 1e-8, as one record (`nets._soft_target`); on a
@@ -96,8 +91,8 @@ def _check_bank_and_student(t: np.ndarray, p: np.ndarray):
     `p`, each a batch or stack of probability rows."""
     if t.shape != p.shape:
         raise DimensionError(f"bank rows {t.shape} vs student {p.shape}")
-    _check_rows(t, "bank rows")
-    _check_rows(p, "student rows")
+    check_probabilities(t, "bank rows", ndim=3 if t.ndim == 3 else 2)
+    check_probabilities(p, "student rows", ndim=3 if p.ndim == 3 else 2)
 
 
 def _mixer(x: np.ndarray, rng, alpha: float):
@@ -126,9 +121,8 @@ def mixup_loss(net, batch, rng, alpha: float = 0.3, probs=None) -> Tensor:
     """
     x = np.asarray(batch, dtype=np.float64)
     mix = _mixer(x, rng, alpha)
-    if probs is None:
-        with stop_recording():
-            probs = softmax(net.forward(x, mode="train", update_stats=False))
+    if probs is None:  # its record, if taped, is one the loss does not reach
+        probs = softmax(net.forward(x, mode="train", update_stats=False)).data
     mixed = softmax(net.forward(mix(x), mode="train", update_stats=False))
     return soft_cross_entropy(mix(as_tensor(probs).data), mixed)
 
@@ -152,7 +146,7 @@ def _check_student(p: np.ndarray):
     """`mi_loss`'s checks: a nonempty batch or stack of probability rows."""
     if p.ndim not in (2, 3) or p.shape[-2] < 1:
         raise ContractError(f"expected a nonempty batch of probability rows, got shape {p.shape}")
-    _check_rows(p, "student rows")
+    check_probabilities(p, "student rows", ndim=p.ndim)
 
 
 def _mutual_information(p: np.ndarray):

@@ -379,7 +379,8 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
 class PredictorHandle:
     """Base for all predictor backings.
 
-    Subclasses set `r` and `num_classes` and implement `query`.
+    Subclasses set `r` and `num_classes` and implement `_disclosed`, from
+    which `query` builds records, or `query` itself.
     """
 
     r: int = 0
@@ -391,7 +392,7 @@ class PredictorHandle:
         return "hard" if self.r == 0 else "full-soft" if self.r == self.num_classes else "top-r"
 
     def query(self, features) -> list[TopK]:
-        raise NotImplementedError
+        return _records(*self._disclosed(features), self.num_classes)
 
 
 class InProcessPredictor(PredictorHandle):
@@ -436,9 +437,6 @@ class CachedPredictor(PredictorHandle):
 
     def __len__(self):
         return self._classes.shape[0]
-
-    def query(self, features) -> list[TopK]:
-        return _records(*self._disclosed(features), self.num_classes)
 
     def _disclosed(self, features) -> tuple[np.ndarray, np.ndarray, int]:
         n = checked_features(features).shape[0]

@@ -38,8 +38,7 @@ import threading
 import numpy as np
 
 from .errors import ContractError, StartupError, TransportError
-from .predictors import (PredictorHandle, TopK, _answer, _columns, _records, _topk_columns, _topk_text,
-                         checked_features, resolve_r)
+from .predictors import PredictorHandle, _answer, _columns, _topk_columns, _topk_text, checked_features, resolve_r
 
 MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline included
 IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
@@ -47,16 +46,9 @@ CONNECT_TIMEOUT_S = 10.0  # the client's socket timeout, for connecting and for 
 MAX_CONNECTIONS = 64  # connections the server serves at once, one thread each
 
 
-def _no_delay(sock):
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
 class _LineHandler(socketserver.StreamRequestHandler):
     timeout = IDLE_TIMEOUT_S  # applied to the connection by StreamRequestHandler.setup
-
-    def setup(self):
-        super().setup()
-        _no_delay(self.connection)
+    disable_nagle_algorithm = True  # TCP_NODELAY, set by StreamRequestHandler.setup
 
     def handle(self):
         try:
@@ -152,7 +144,7 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             features = obj.get("features")
             if not isinstance(features, list) or not features:
                 raise ContractError("request must carry a nonempty 'features' list of rows")
-            classes, probs, _ = _answer(self._handle, checked_features(features))
+            classes, probs, _ = _answer(self._handle, features)  # the handle checks the features
             # {"id": <id>, "topk": <rows>}, keys sorted as json.dumps writes them
             text = '{"id": %s, "topk": %s}' % (json.dumps(request_id, sort_keys=True), _topk_text(classes, probs))
         except Exception as exc:  # noqa: BLE001 - every failure becomes a structured response
@@ -208,8 +200,7 @@ class RemotePredictor(PredictorHandle):
         self.r = resolve_r(disclosure, r, self.num_classes)
         self.predictor_id = predictor_id
 
-    def query(self, features) -> list[TopK]:
-        return _records(*self._disclosed(features), self.num_classes)
+    query = PredictorHandle.query  # on the class, where the benchmark wraps it
 
     def _disclosed(self, features) -> tuple[np.ndarray, np.ndarray, int]:
         x = checked_features(features)
@@ -225,7 +216,7 @@ class RemotePredictor(PredictorHandle):
     def _query_once(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         parts = []
         with socket.create_connection((self.host, self.port), timeout=CONNECT_TIMEOUT_S) as sock:
-            _no_delay(sock)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with sock.makefile("rb") as responses:
                 for request_id, rows in enumerate(_row_batches(x)):
                     # {"features": [<rows>], "id": <request_id>}, keys sorted as the server writes them

@@ -43,25 +43,10 @@ LOG_EPS = 1e-8
 
 class _State(threading.local):
     def __init__(self):
-        self.stack, self.muted = [], 0  # the open tapes, innermost last; open `stop_recording` blocks
+        self.stack = []  # the open tapes, innermost last
 
 
 _STATE = _State()
-
-
-class stop_recording:
-    """Context manager: primitives applied inside are never taped.
-
-    Used for eval-mode forwards and for stop-gradient teacher views.
-    """
-
-    def __enter__(self):
-        _STATE.muted += 1
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _STATE.muted -= 1
-        return False
 
 
 class Tensor:
@@ -91,13 +76,16 @@ class Tensor:
     # arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        return _add(self, as_tensor(other))
+        b = as_tensor(other)
+        return _elementwise(self.data + b.data, self, b, lambda g: g, lambda g: g)
 
     def __sub__(self, other):
-        return _sub(self, as_tensor(other))
+        b = as_tensor(other)
+        return _elementwise(self.data - b.data, self, b, lambda g: g, lambda g: -g)
 
     def __mul__(self, other):
-        return _mul(self, as_tensor(other))
+        b = as_tensor(other)
+        return _elementwise(self.data * b.data, self, b, lambda g: g * b.data, lambda g: g * self.data)
 
     def __neg__(self):
         return record_op(-self.data, (self,), lambda g: (-g,))
@@ -187,7 +175,7 @@ def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     """
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = needs = bool(_STATE.stack) and not _STATE.muted and any(t.requires_grad for t in inputs)
+    out.requires_grad = needs = bool(_STATE.stack) and any(t.requires_grad for t in inputs)
     if needs:
         _STATE.stack[-1]._records.append((out, inputs, vjp))
     return out
@@ -218,18 +206,6 @@ def _elementwise(out: np.ndarray, a: Tensor, b: Tensor, grad_a, grad_b) -> Tenso
         return _unbroadcast(grad_a(g), a.data.shape), _unbroadcast(grad_b(g), b.data.shape)
 
     return record_op(out, (a, b), vjp)
-
-
-def _add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise(a.data + b.data, a, b, lambda g: g, lambda g: g)
-
-
-def _sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise(a.data - b.data, a, b, lambda g: g, lambda g: -g)
-
-
-def _mul(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 # fused layer ops --------------------------------------------------------

@@ -15,10 +15,6 @@ in `KERNELS`, which `OPENBLAS_CORETYPE` forces before numpy loads.
 write the entry for the current key, and for the forced Haswell kernel,
 into `golden.json`. Rerun both only when a change alters outputs on
 purpose, and list the changed files.
-
-Every run works inside one directory and names its files by relative
-paths, so the checkpoint paths `train-source` records in
-`sources_seed*.json` are relative and are hashed as written.
 """
 
 import contextlib

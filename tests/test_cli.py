@@ -816,6 +816,18 @@ def test_checkpoint_for_another_scenario_exits_2(cfg_file, tmp_path, capsys, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == ["source_2_4.json", "source_3_3.json"]
 
 
+def test_train_source_writes_the_same_summary_under_any_outdir(tmp_path):
+    # the summary names each checkpoint by its file name, which sits beside it
+    summaries = []
+    for outdir in (tmp_path / "a", tmp_path / "b" / "nested"):
+        assert main(["train-source", "--preset", "moons-rot30", "--seed", "5", "--source-epochs", "1",
+                     "--outdir", str(outdir)]) == 0
+        summaries.append((outdir / "sources_seed5.json").read_bytes())
+        (row,) = json.loads(summaries[-1])["sources"]
+        assert (outdir / row["checkpoint"]).is_file()
+    assert summaries[0] == summaries[1]
+
+
 def test_an_overflowing_source_checkpoint_exits_2(tmp_path, capsys, recwarn):
     # a checkpoint that loads, but whose forward overflows: no numpy warning, no NaN cache, one error line
     assert main(["train-source", "--preset", "moons-rot30", "--seed", "5", "--source-epochs", "2",

@@ -34,7 +34,7 @@ from bbadapt.nets import (
     stack_nets,
     train_source_net,
 )
-from bbadapt.tensor import LOG_EPS, GradTape, Tensor, affine, grad_check, softmax, stop_recording
+from bbadapt.tensor import LOG_EPS, GradTape, Tensor, affine, grad_check, softmax
 
 from per_op import (
     div,
@@ -283,8 +283,7 @@ def test_net_forwards_match_per_op(cls):
     net = cls(2, 4, hidden=(8, 8), rng=np.random.default_rng(6))
     x = rng.normal(size=(10, 2))
     net.forward(x, mode="train")  # moves the target's running stats off their defaults
-    with stop_recording():
-        ref_probs = ref_softmax(ref_forward(net, x, train=False)).data
+    ref_probs = ref_softmax(ref_forward(net, x, train=False)).data
     assert net.predict_proba(x).tobytes() == ref_probs.tobytes()
     params = net.backbone_params() + net.new_params()
     # the train forward is one record, whatever the depth

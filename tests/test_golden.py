@@ -5,8 +5,7 @@ from bbadapt.scenarios import PRESET_NAMES
 
 @pytest.fixture(scope="module")
 def hashes(tmp_path_factory):
-    # every file of the tiny runs in `golden.py`, hashed byte for byte; the checkpoint
-    # paths in `sources_seed3.json` are relative, because the runs name their files so
+    # every file of the tiny runs in `golden.py`, hashed byte for byte
     return golden.hashes(tmp_path_factory.mktemp("golden"))
 
 

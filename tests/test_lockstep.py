@@ -130,7 +130,7 @@ def test_training_surface_is_pinned():
                "GradTape", "Tensor", "affine", "as_tensor", "check_probabilities", "record_op", "softmax"},
         distill: {"annotations", "math", "np", "ContractError", "DimensionError", "soft_cross_entropy",
                   "take_rows", "train_epochs", "LOG_EPS", "Tensor", "as_tensor", "check_probabilities", "record_op",
-                  "softmax", "stop_recording"},
+                  "softmax"},
         finetune: {"annotations", "np", "train_epochs", "record_op"},
     }
     public = {module: {name for name in vars(module) if not name.startswith("_")} - imported[module]

@@ -421,7 +421,6 @@ def test_a_remote_handle_answers_with_its_columns(rng, monkeypatch):
     try:
         remote = RemotePredictor(*server.endpoint, num_classes=3, disclosure="top-r", r=2)
         monkeypatch.setattr(predictors, "_records", _no_records)
-        monkeypatch.setattr(service, "_records", _no_records)
         assert_same_columns(_answer(remote, x), want)
         assert_rejects_non_finite_features(remote, x)
         # a server that answers one row short

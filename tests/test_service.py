@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from bbadapt.cli import build_parser
 from bbadapt.errors import ContractError, StartupError, TransportError
 from bbadapt.nets import SourceNet, train_source_net
-from bbadapt.predictors import InProcessPredictor, TopK, _records, read_cache, write_cache
-from bbadapt import service
+from bbadapt.predictors import (CachedPredictor, InProcessPredictor, TopK, _answer, _records, checked_features,
+                                read_cache, write_cache)
+from bbadapt import predictors, service
 from bbadapt.service import PredictionServer, RemotePredictor
 
 from conftest import JSON, NUMBER, assert_valid_records, make_blobs
@@ -118,6 +119,29 @@ def test_answer_rejects_strings_booleans_and_non_objects(trained_net):
             assert payload == {"id": 1, "error": "features must be numbers, not strings or booleans"}
         for line in (b"[1, 2]", b'[{"id": 1, "features": [[1.5, 0.5]]}]', b"3", b'"features"', b"null"):
             assert json.loads(server.answer(line)) == {"id": None, "error": "request must be a JSON object"}
+    finally:
+        server.server_close()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_answer_checks_features_once(trained_net, monkeypatch, cached):
+    # the handle checks a request's features; the server does not check them again
+    x = [[0.5, -1.0], [2.0, 0.25]]
+    handle = InProcessPredictor(trained_net, disclosure="top-r", r=2)
+    if cached:
+        handle = CachedPredictor(*_answer(handle, np.array(x)), 3, "c")
+    calls = []
+
+    def counted(features):
+        calls.append(features)
+        return checked_features(features)
+
+    monkeypatch.setattr(predictors, "checked_features", counted)
+    monkeypatch.setattr(service, "checked_features", counted)
+    server = PredictionServer(handle)
+    try:
+        assert json.loads(server.answer(json.dumps({"id": 1, "features": x}).encode()))["id"] == 1
+        assert calls == [x]
     finally:
         server.server_close()
 
