@@ -15,9 +15,9 @@ phase's consumption never shifts another's. A run splits its seeds into
 one share per usable CPU; each share trains its seeds' nets of one phase
 in lockstep as one stack, each on its own streams, so a seed's outputs
 are those it would have alone. Share 0 trains in the calling process and
-the others in forked children, with numpy's BLAS on one thread while
-they run; with one seed or one CPU, or where forking or pinning the
-BLAS is not possible, the one share runs in the calling process.
+the others in forked `multiprocessing` children, with numpy's BLAS on one
+thread while they run; with one seed or one CPU, or where forking or
+pinning the BLAS is not possible, the one share runs in the calling process.
 """
 
 from __future__ import annotations
@@ -260,81 +260,65 @@ def _share_count(seeds) -> int:
 
 def _in_shares(work, seeds) -> list:
     """`work(share)` for contiguous shares of `seeds`, its lists joined in
-    seed order. Share 0 runs here; every other share runs in a forked
-    child at the same time, which sends back what `work` returned or
-    raised. Meanwhile numpy's BLAS runs one thread, so the processes do
-    not contend for the CPUs, and afterwards it runs as many as before.
+    seed order. Share 0 runs here; every other share runs at the same time
+    in a `multiprocessing` child forked from this process, which sends back
+    through a one-way pipe what `work` returned or raised. Meanwhile numpy's
+    BLAS runs one thread, so the processes do not contend for the CPUs, and
+    afterwards it runs as many as before.
 
-    The first share in seed order to raise decides the error; a child
-    that ends without a result is a RuntimeError. No child outlives the
-    call, whether it returns or raises.
+    The first share in seed order to raise decides the error; a child that
+    ends without a result, such as one killed or one whose result cannot be
+    pickled, is a RuntimeError naming its seeds and its exit code. No child
+    outlives the call: one whose result arrived is joined, and if a share
+    fails, the rest are killed and joined.
     """
     k = _share_count(seeds)
     if k == 1:
         return work(seeds)
-    import pickle
-    import signal
+    import multiprocessing
 
+    def send(share, sender):
+        try:
+            message = ("value", work(share))
+        except BaseException as exc:  # sent to the parent, which raises it
+            message = ("raised", exc)
+        sender.send(message)
+
+    context = multiprocessing.get_context("fork")
     bounds = [len(seeds) * i // k for i in range(k + 1)]
     shares = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
     get_threads, set_threads = _blas_threads()
     threads = get_threads()
-    children = {}  # pid -> (share, read end of its pipe), until reaped
+    children = []  # (share, process, read end of its pipe)
     set_threads(1)
     try:
         for share in shares[1:]:
-            pid, pipe = _fork_share(work, share)
-            children[pid] = (share, pipe)
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=send, args=(share, sender))
+            with sender:  # once the child holds the only write end, the pipe ends when the child does
+                process.start()
+            children.append((share, process, receiver))
         results = work(shares[0])
-        for pid, (share, pipe) in list(children.items()):
-            with pipe:
-                data = pipe.read()  # to the end before reaping: a result outgrows the pipe's buffer
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
+        for share, process, receiver in children:
             try:
-                kind, value = pickle.loads(data)
-            except Exception:  # noqa: BLE001 - nothing, or a cut-off message
+                kind, value = receiver.recv()
+            except (EOFError, OSError):  # nothing, or a cut-off message
+                kind = None
+            process.join()
+            if kind is None:
                 raise RuntimeError(f"the process running seeds {list(share)} ended without a result "
-                                   f"(wait status {status})") from None
+                                   f"(exit code {process.exitcode})")
             if kind == "raised":
                 raise value
             results += value
         return results
     finally:
-        for pid, (_, pipe) in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for _, process, receiver in children:
+            receiver.close()
+            process.kill()  # a no-op for a child already joined
+            process.join()
+            process.close()
         set_threads(threads)
-
-
-def _fork_share(work, share):
-    """Fork a child that runs `work(share)` and pickles ("value", result)
-    or ("raised", exception) into a pipe; return its pid and the pipe's
-    read end. The child writes nothing else and ends with `os._exit`."""
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    code = 1
-    try:  # the child: it never returns into its caller's frames
-        os.close(read_fd)
-        try:
-            message = ("value", work(share))
-        except BaseException as exc:  # sent to the parent, which raises it
-            message = ("raised", exc)
-        try:
-            data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # noqa: BLE001 - reported instead of what could not be sent
-            data = pickle.dumps(("raised", RuntimeError(f"seeds {list(share)}: cannot send {message[1]!r}: {exc!r}")))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> dict:
@@ -351,7 +335,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
     manifest behind.
     """
     cfg.validate()  # before the first file is written
-    os.makedirs(outdir, exist_ok=True)
     sources, target = generate(cfg.scenario)
     x = target.features
     fixed_handles = [CachedPredictor(*_answer(h, x), h.num_classes, h.predictor_id) for h in fixed_handles or ()]
@@ -457,7 +440,11 @@ def _parse_endpoint(text: str) -> tuple:
 
 
 def _split_paths(value: str) -> list:
-    return [p for p in value.split(",") if p]
+    """The comma-separated paths in `value`, at least one; empty names, as after a trailing comma, are skipped."""
+    paths = [p for p in value.split(",") if p]
+    if not paths:
+        raise argparse.ArgumentTypeError(f"expected one or more comma-separated paths, got {value!r}")
+    return paths
 
 
 def _checked_checkpoint(path: str, cfg: ExperimentConfig):
@@ -499,7 +486,6 @@ def cmd_train_source(args) -> int:
     scn = cfg.scenario
     sources, _ = generate(scn)
     (nets,) = train_source_models(cfg, sources, [args.seed])
-    os.makedirs(args.outdir, exist_ok=True)
     rows = []
     for m, (net, domain) in enumerate(zip(nets, sources)):
         path = os.path.join(args.outdir, name := f"source{m}_seed{args.seed}.json")  # the summary beside it names it
@@ -557,7 +543,6 @@ def cmd_finetune_only(args) -> int:
                               freeze_bn_stats=cfg.freeze_bn_stats,
                               eval_fn=functools.partial(bank_accuracy, labels=target.labels))
     after = evaluate(net, target)["accuracy"]
-    os.makedirs(args.outdir, exist_ok=True)
     _write_metrics(os.path.join(args.outdir, f"metrics_seed{args.seed}.ndjson"), args.seed, metrics)
     save_checkpoint(net, os.path.join(args.outdir, f"target_seed{args.seed}.json"), seed=args.seed)
     print(f"accuracy before {before:.2f} -> after {after:.2f}")
@@ -602,20 +587,18 @@ def cmd_report(args) -> int:
     rows = []
     for rundir in args.rundirs:
         path = os.path.join(rundir, "report.json")
-        rows.append((rundir, _read_report(path) if os.path.exists(path) else None))
+        rows.append((rundir, os.path.basename(os.path.normpath(rundir)),
+                     _read_report(path) if os.path.exists(path) else None))
     curves = ["run\tseed\tphase\tepoch\tloss\taccuracy\n"]  # every line checked before any is written
-    for rundir, report in rows:
+    for rundir, name, report in rows:
         if args.curves and report is not None:
-            name = os.path.basename(os.path.normpath(rundir))
             for seed in report["seeds"]:
                 mpath = os.path.join(rundir, f"metrics_seed{seed}.ndjson")
                 if os.path.exists(mpath):
                     curves += _curve_lines(name, seed, mpath)
-    name_width = max(len(os.path.basename(os.path.normpath(r))) or 3 for r, _ in rows)
-    name_width = max(name_width, 3)
+    name_width = max(3, *(len(name) for _, name, _ in rows))
     print(f"{'run':<{name_width}} {'no-adapt':>10} {'distilled':>16} {'final':>16}")
-    for rundir, report in rows:
-        name = os.path.basename(os.path.normpath(rundir))
+    for _, name, report in rows:
         if report is None:
             print(f"{name:<{name_width}} {'absent':>10}")
             continue

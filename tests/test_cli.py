@@ -3,9 +3,13 @@ import functools
 import inspect
 import io
 import json
+import multiprocessing.connection
 import os
 import re
 import shutil
+import signal
+import socket
+import struct
 import tempfile
 import threading
 import time
@@ -323,17 +327,39 @@ def test_a_contract_error_in_a_child_exits_2(tmp_path, capsys, monkeypatch, fork
     outdir = tmp_path / "x"
     assert main([*TINY_ADAPT, "--seeds", "1,2,3", "--outdir", str(outdir)]) == 2
     assert capsys.readouterr().err == "error: refused seeds [2]\n"
-    assert list(outdir.iterdir()) == [] and len(forks) == 2 and _reaped(forks)
+    assert not outdir.exists() and len(forks) == 2 and _reaped(forks)
+
+
+def _unpicklable_result(*args):
+    outs = run_seeds(*args)
+    outs[0]["net"] = lambda: None  # a value Connection.send cannot pickle
+    return outs
+
+
+def _cut_off_result(*args):
+    def send(self, obj):  # a header and less than it announces, as from a child killed mid-message
+        os.write(self.fileno(), struct.pack("!i", 1 << 20) + b"partial")
+        os._exit(4)
+
+    multiprocessing.connection.Connection.send = send  # in the child only
+    return run_seeds(*args)
 
 
 @needs_fork
-def test_a_child_that_ends_without_a_result_raises(tmp_path, monkeypatch, forks):
+@pytest.mark.parametrize("child, code", [
+    pytest.param(lambda *args: os._exit(3), 3, id="exit"),
+    pytest.param(lambda *args: os.kill(os.getpid(), signal.SIGKILL), -9, id="killed"),
+    pytest.param(_unpicklable_result, 1, id="unpicklable"),
+    pytest.param(_cut_off_result, 4, id="cut-off"),
+])
+def test_a_child_that_ends_without_a_result_raises(child, code, tmp_path, monkeypatch, forks):
+    parent = os.getpid()
     monkeypatch.setattr(cli, "_share_count", len)
-    monkeypatch.setattr(cli, "run_seeds", _in_a_child(os.getpid(), lambda seeds: os._exit(3)))
+    monkeypatch.setattr(cli, "run_seeds", lambda *args: (run_seeds if os.getpid() == parent else child)(*args))
     outdir = tmp_path / "x"
-    with pytest.raises(RuntimeError, match=r"seeds \[2\] ended without a result \(wait status 768\)"):
+    with pytest.raises(RuntimeError, match=rf"seeds \[2\] ended without a result \(exit code {code}\)"):
         main([*TINY_ADAPT, "--seeds", "1,2", "--outdir", str(outdir)])
-    assert list(outdir.iterdir()) == [] and len(forks) == 1 and _reaped(forks)
+    assert not outdir.exists() and len(forks) == 1 and _reaped(forks)
 
 
 @needs_fork
@@ -352,7 +378,7 @@ def test_a_failing_parent_share_stops_the_children(tmp_path, capsys, monkeypatch
     assert main([*TINY_ADAPT, "--seeds", "1,2", "--outdir", str(outdir)]) == 2
     assert time.monotonic() - started < 30
     assert capsys.readouterr().err == "error: refused seeds [1]\n"
-    assert list(outdir.iterdir()) == [] and len(forks) == 1 and _reaped(forks)
+    assert not outdir.exists() and len(forks) == 1 and _reaped(forks)
 
 
 @pytest.mark.parametrize("share_count", [pytest.param(lambda seeds: 1, id="serial"),
@@ -657,7 +683,7 @@ def test_a_diverging_step_that_fails_a_check_names_its_seed(tmp_path, capsys, re
         message = rf"error: distill: {checked} has negative or NaN entries \(min=nan\) at {where}\n"
         assert re.fullmatch(message, err), err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-        assert list(outdir.iterdir()) == []
+        assert not outdir.exists()
 
 
 def test_a_diverging_finetune_only_writes_nothing(tmp_path, capsys, recwarn):
@@ -690,7 +716,7 @@ def test_failed_run_leaves_no_manifest(tmp_path, capsys):
     outdir = tmp_path / "x"
     assert main(["adapt", "--preset", "moons-rot30", "--lr", "1e8", "--outdir", str(outdir)]) == 2
     assert "error:" in capsys.readouterr().err
-    assert outdir.is_dir() and list(outdir.iterdir()) == []
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("case", ["not an object", "empty params"])
@@ -952,6 +978,32 @@ def test_conflicting_options_exit_2(argv, message, cfg_file, tmp_path, capsys, m
     err = capsys.readouterr().err
     assert "error: " in err and message in err, err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", [",", ""])
+@pytest.mark.parametrize("flag", ["--caches", "--endpoints", "--source-checkpoints"])
+def test_a_source_list_that_names_nothing_exits_2(flag, value, tmp_path, capsys, monkeypatch):
+    # fresh source models must not stand in for the sources a run was given
+    monkeypatch.setattr(cli, "generate", _never)
+    outdir = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--preset", "moons-rot30", flag, value, "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected one or more comma-separated paths, got {value!r}" in err, err
+    assert not outdir.exists()
+    assert cli._split_paths("a.json,") == ["a.json"]  # a trailing comma names nothing more
+
+
+def test_an_unreachable_endpoint_leaves_no_outdir(tmp_path, capsys):
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    outdir = tmp_path / "x"
+    assert main(["adapt", "--preset", "moons-rot30", "--endpoints", f"127.0.0.1:{port}", "--outdir", str(outdir)]) == 2
+    assert f"predictor at 127.0.0.1:{port} unreachable" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 PRESET_CONFIGS = [ExperimentConfig(scenario=preset(name)).to_dict() for name in PRESET_NAMES]
