@@ -353,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> di
     per_seed = []
     for seed, out in zip(cfg.seeds, _in_shares(run_share, cfg.seeds)):
         for name, text in out["files"].items():
-            _write_text(os.path.join(outdir, name), text)
+            write_atomically(os.path.join(outdir, name), text)
         save_checkpoint(out["net"], os.path.join(outdir, f"target_seed{seed}.json"), seed=seed)
         per_seed.append(out["summary"])
     finals = np.array([row["accuracy_final"] for row in per_seed])
@@ -385,16 +385,12 @@ def _metrics_text(seed: int, records: list) -> str:
     return "".join(json.dumps({"seed": seed, **rec}, sort_keys=True) + "\n" for rec in records)
 
 
-def _write_text(path: str, text: str):
-    write_atomically(path, lambda fh: fh.write(text))
-
-
 def _write_json(path: str, obj: dict):
-    _write_text(path, _json_text(obj))
+    write_atomically(path, _json_text(obj))
 
 
 def _write_metrics(path: str, seed: int, records: list):
-    _write_text(path, _metrics_text(seed, records))
+    write_atomically(path, _metrics_text(seed, records))
 
 
 def _print_report(report: dict):
@@ -608,7 +604,7 @@ def cmd_report(args) -> int:
             f"{report['final_mean']:>9.2f}+/-{report['final_std']:<4.2f}"
         )
     if args.curves:
-        write_atomically(args.curves, lambda fh: fh.writelines(curves))
+        write_atomically(args.curves, "".join(curves))
         print(f"curves written to {args.curves}")
     return 0
 

@@ -755,17 +755,17 @@ def _assign(net, params: dict, running: dict):
         setattr(_attribute(net, owner), attribute, running[name])
 
 
-def write_atomically(path: str, write):
-    """Create or replace the text file at `path` with what `write(fh)`
-    writes, so that `path` never holds a partial file: the text goes to a
-    temporary file in the same directory, which then replaces `path` in
-    one rename. If `write` raises, the temporary file is removed and
+def write_atomically(path: str, text: str):
+    """Create or replace the file at `path` with `text` in UTF-8, whatever
+    the locale, so that `path` never holds a partial file: the text goes to
+    a temporary file in the same directory, which then replaces `path` in
+    one rename. If the write fails, the temporary file is removed and
     `path` is left as it was. Missing parent directories are created."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            write(fh)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -775,7 +775,7 @@ def write_atomically(path: str, write):
 
 def save_checkpoint(net, path: str, seed: int | None = None):
     state = net_state(net, seed=seed)
-    write_atomically(path, lambda fh: fh.write(json.dumps(state) + "\n"))
+    write_atomically(path, json.dumps(state) + "\n")
 
 
 def read_json(path: str, what: str):

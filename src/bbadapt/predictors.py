@@ -157,7 +157,7 @@ def checked_features(features) -> np.ndarray:
     booleans included, which numpy would read as numbers."""
     try:
         x = np.asarray(features, dtype=np.float64)
-    except (TypeError, ValueError):  # rows of unequal length, or not numbers
+    except (TypeError, ValueError, OverflowError):  # rows of unequal length, not numbers, or an int past float64
         raise ContractError("features must be a batch of equal-length rows of numbers") from None
     if x.ndim != 2 or not x.shape[1]:
         raise ContractError(f"expected a 2-D feature batch with at least one column, got shape {x.shape}")
@@ -356,8 +356,9 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
     """Average the smoothed predictions of all handles into a memory bank.
 
     Every predictor contributes one smoothed row per sample; the bank row
-    is their mean. Any predictor failure aborts the whole initialization,
-    so a partial bank can never leak out.
+    is their mean. The features go to each handle as given, and the
+    handle checks them. Any predictor failure aborts the whole
+    initialization, so a partial bank can never leak out.
     """
     if not handles:
         raise ContractError("at least one predictor handle is required")
@@ -365,12 +366,7 @@ def init_teacher(handles, features, r: int, hard_mode: str = "ls") -> MemoryBank
     if len(sizes) != 1:
         raise ContractError(f"handles disagree on the class count: {sorted(sizes)}")
     k = sizes.pop()
-    x = np.asarray(features, dtype=np.float64)
-    rows = np.zeros((x.shape[0], k))
-    for handle in handles:
-        rows += teacher_rows(*_answer(handle, x), r, k, hard_mode)
-    rows /= len(handles)
-    return MemoryBank(rows)
+    return MemoryBank(sum(teacher_rows(*_answer(h, features), r, k, hard_mode) for h in handles) / len(handles))
 
 
 # handles ---------------------------------------------------------------
@@ -461,7 +457,7 @@ def write_cache(path: str, handle: PredictorHandle, features) -> int:
         raise ContractError(f"cache {path}: the query returned no rows, and a cache holds at least one")
     text = '{"num_classes": %d, "predictor_id": %s, "r": %d, "topk": %s}\n' % (
         handle.num_classes, json.dumps(handle.predictor_id), r, _topk_text(classes, probs))
-    write_atomically(path, lambda fh: fh.write(text))
+    write_atomically(path, text)
     return classes.shape[0]
 
 

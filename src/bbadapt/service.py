@@ -22,7 +22,8 @@ connection stays open. A request line longer than MAX_LINE_BYTES gets
 {"id": null, "error"} and the connection is closed, as is a connection
 that sends nothing for IDLE_TIMEOUT_S seconds. The server serves at most
 MAX_CONNECTIONS connections at once, each on its own thread; one more
-gets a single {"id": null, "error"} line and is closed.
+gets a single {"id": null, "error"} line and is closed. The client reads
+no response line longer than the longest answer its request can get.
 
 `topk` is the one JSON form of a disclosed batch; `predictors` owns it.
 """
@@ -44,6 +45,8 @@ MAX_LINE_BYTES = 1 << 20  # longest request line the server reads, newline inclu
 IDLE_TIMEOUT_S = 30.0  # the server closes a connection idle for this long
 CONNECT_TIMEOUT_S = 10.0  # the client's socket timeout, for connecting and for each read
 MAX_CONNECTIONS = 64  # connections the server serves at once, one thread each
+_REPR_BYTES = len(repr(-2.2250738585072014e-308))  # the longest text `repr` gives a float64
+_ERROR_BYTES = 1 << 12  # room a response line leaves for an error text
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
@@ -185,11 +188,12 @@ class RemotePredictor(PredictorHandle):
     Its socket times out after CONNECT_TIMEOUT_S seconds. Connection
     failures (refused, timed out, reset) are retried once and then
     surface as an "unreachable" transport error. A reachable server
-    that breaks the protocol (a mismatched id, a line that is not JSON, a
-    close mid-query) is not retried: it surfaces at once as a transport
-    error naming the fault. Structured error responses and malformed
-    records surface as contract errors. By default it expects what
-    `bbadapt serve` discloses by default: top-r at r = 1.
+    that breaks the protocol (a mismatched or non-integer id, a line that
+    is not JSON or longer than any answer, a close mid-query) is not
+    retried: it surfaces at once as a transport error naming the fault.
+    Structured error responses and malformed records surface as contract
+    errors. By default it expects what `bbadapt serve` discloses by
+    default: top-r at r = 1.
     """
 
     def __init__(self, host: str, port: int, num_classes: int, disclosure: str = "top-r",
@@ -221,10 +225,23 @@ class RemotePredictor(PredictorHandle):
                 for request_id, rows in enumerate(_row_batches(x)):
                     # {"features": [<rows>], "id": <request_id>}, keys sorted as the server writes them
                     sock.sendall(b'{"features": [%s], "id": %d}\n' % (", ".join(rows).encode("ascii"), request_id))
-                    parts.append(self._response_columns(responses.readline(), request_id, len(rows)))
+                    bound = self._response_bytes(request_id, len(rows))
+                    line = responses.readline(bound + 1)
+                    if len(line) > bound:
+                        raise TransportError(f"response to request {request_id} is longer than {bound} bytes")
+                    parts.append(self._response_columns(line, request_id, len(rows)))
         if not parts:  # no rows, so no request: the answer `_columns` gives for no records
             return _columns([], self.num_classes, 0)
         return (*map(np.concatenate, zip(*parts)), self.r)
+
+    def _response_bytes(self, request_id: int, rows: int) -> int:
+        """The longest response line to a request of `rows` rows, newline
+        included: each row's max(r, 1) pairs written "[%d, %r]" as `_topk_text`
+        writes them, a class below num_classes, plus the envelope, with room
+        for an error text in place of the rows."""
+        pair = len("[, ], ") + len(str(self.num_classes - 1)) + _REPR_BYTES  # a pair and the ", " after it
+        envelope = len('{"id": %d, "topk": []}\n' % request_id) + _ERROR_BYTES
+        return envelope + rows * (len("[], ") + max(self.r, 1) * pair)
 
     def _response_columns(self, line: bytes, request_id: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
         if not line:
@@ -237,7 +254,7 @@ class RemotePredictor(PredictorHandle):
             raise TransportError(f"response to request {request_id} is not a JSON object: {line[:80]!r}")
         if obj.get("error"):
             raise ContractError(f"service rejected request {request_id}: {obj['error']}")
-        if obj.get("id") != request_id:
+        if type(obj.get("id")) is not int or obj["id"] != request_id:
             raise TransportError(f"response id {obj.get('id')!r} does not match request {request_id}")
         topk = obj.get("topk")
         if not isinstance(topk, list) or len(topk) != rows:

@@ -680,17 +680,14 @@ def test_oversized_arch_is_rejected_before_building(monkeypatch):
 
 def test_write_atomically_leaves_no_partial_file(tmp_path):
     path = tmp_path / "sub" / "out.txt"
+    failing = "half of a file \ud800"  # a lone surrogate, which UTF-8 cannot encode
 
-    def failing(fh):
-        fh.write("half of a file")
-        raise RuntimeError("disk full")
-
-    with pytest.raises(RuntimeError):
+    with pytest.raises(UnicodeEncodeError):
         write_atomically(str(path), failing)
     assert not path.exists()
     assert list(path.parent.iterdir()) == []
-    write_atomically(str(path), lambda fh: fh.write("old\n"))
-    with pytest.raises(RuntimeError):
+    write_atomically(str(path), "old\n")
+    with pytest.raises(UnicodeEncodeError):
         write_atomically(str(path), failing)
     assert path.read_text() == "old\n"  # the previous file is untouched
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]

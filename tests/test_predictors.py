@@ -279,7 +279,8 @@ def test_checked_features():
     x = checked_features([[1, 2], [3, 4]])
     assert x.dtype == np.float64 and x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert checked_features(np.zeros((0, 2))).shape == (0, 2)
-    for bad in (None, 1.0, [1.0, 2.0], [[]], [[1.0, 2.0], [1.0]], [["a", "b"]], [[1j]], np.zeros((2, 2, 1))):
+    for bad in (None, 1.0, [1.0, 2.0], [[]], [[1.0, 2.0], [1.0]], [["a", "b"]], [[1j]], np.zeros((2, 2, 1)),
+                [[10**400, 0.0]]):  # an int past float64, which numpy raises OverflowError for
         with pytest.raises(ContractError):
             checked_features(bad)
 
@@ -294,6 +295,18 @@ def test_strings_and_booleans_are_not_features(rng, bad):
         checked_features(bad)
     with pytest.raises(ContractError, match="not strings or booleans"):
         InProcessPredictor(net, disclosure="top-r", r=2).query(bad)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], "ab", [[True, 2.0]], [[10**400, 0.0]]],
+                         ids=["ragged", "string", "boolean", "huge-int"])
+def test_init_teacher_leaves_the_features_to_its_handles(rng, tmp_path, bad):
+    # init_teacher converts nothing itself, so each handle's check is the one admission
+    net, x = _trained_net(rng)
+    handle = InProcessPredictor(net, disclosure="top-r", r=2)
+    write_cache(str(tmp_path / "cache.json"), handle, x[:2])
+    for h in (handle, read_cache(str(tmp_path / "cache.json"), 3)):
+        with pytest.raises(ContractError, match="features must be"):
+            init_teacher([h], bad, r=2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -2,6 +2,7 @@ import json
 import queue
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -309,6 +310,7 @@ class _FaultyServer(_RecordingServer):
     with a line that is not JSON, or by closing the connection."""
 
     fault = "id"
+    wrong_ids = {"id": 999, "false-id": False, "float-id": 0.0}  # False and 0.0 equal 0 in Python, yet are no ints
 
     def answer(self, line):
         reply = super().answer(line)
@@ -316,11 +318,13 @@ class _FaultyServer(_RecordingServer):
             raise ConnectionResetError("closing without an answer")
         if self.fault == "not-json":
             return b"not json"
-        return json.dumps({**json.loads(reply), "id": 999}).encode()
+        return json.dumps({**json.loads(reply), "id": self.wrong_ids[self.fault]}).encode()
 
 
 @pytest.mark.parametrize("fault,message", [
     ("id", "response id 999 does not match request 0"),
+    ("false-id", "response id False does not match request 0"),
+    ("float-id", "response id 0.0 does not match request 0"),
     ("not-json", "is not JSON"),
     ("close", "connection closed mid-query"),
 ])
@@ -398,6 +402,57 @@ def test_idle_or_reset_connection_ends_quietly(trained_net, monkeypatch, capfd):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_a_response_line_past_its_bound_raises_transport_error(monkeypatch):
+    # an endpoint that never ends its line must not grow the client's buffer without bound
+    monkeypatch.setattr(service, "CONNECT_TIMEOUT_S", 5.0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        remote = RemotePredictor(*listener.getsockname(), num_classes=3, disclosure="top-r", r=2)
+        bound = remote._response_bytes(0, 4)
+
+        def endpoint():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                conn.sendall(b"x" * (bound + 1))  # one byte past the bound, and no newline
+                conn.recv(1)  # open until the client gives up
+
+        thread = threading.Thread(target=endpoint, daemon=True)
+        thread.start()
+        with pytest.raises(TransportError, match=f"response to request 0 is longer than {bound} bytes"):
+            remote.query(np.zeros((4, 2)))
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+def test_a_long_answer_fits_its_bound():
+    net = SourceNet(2, 8, hidden=(16,), rng=np.random.default_rng(3))
+    local = InProcessPredictor(net, disclosure="full-soft")
+    server = _recording(local)
+    try:
+        remote = RemotePredictor(*server.endpoint, num_classes=8, disclosure="full-soft")
+        x = np.random.default_rng(8).normal(0.0, 2.0, (1000, 2))
+        assert remote.query(x) == local.query(x)
+        assert len(server.lines) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 20), st.data())
+@settings(max_examples=50, deadline=None)
+def test_every_answer_fits_its_bound(k, rows, request_id, data):
+    # the longest class and float texts `_topk_text` writes, at every r and on both sides of its array path
+    r = data.draw(st.integers(0, k))
+    m = max(r, 1)
+    values = st.floats(-2.0, 2.0) | st.sampled_from([-2.2250738585072014e-308, 2.2250738585072014e-308, 1e-5])
+    classes = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows * m, max_size=rows * m)))
+    probs = np.array(data.draw(st.lists(values, min_size=rows * m, max_size=rows * m)))
+    text = '{"id": %d, "topk": %s}\n' % (request_id, predictors._topk_text(classes.reshape(rows, m),
+                                                                           probs.reshape(rows, m)))
+    remote = RemotePredictor("127.0.0.1", 9, num_classes=k, disclosure="top-r" if r else "hard", r=r or None)
+    assert len(text) <= remote._response_bytes(request_id, rows) - service._ERROR_BYTES
 
 
 class _CannedServer(PredictionServer):
