@@ -4,7 +4,9 @@ Subcommands cover the full pipeline: train source models, serve one as a
 black-box endpoint, cache its predictions, run the two-phase adaptation,
 fine-tune an existing checkpoint, and summarize finished runs. Every
 adaptation run writes a manifest sufficient to reproduce it exactly;
-rerunning a manifest yields byte-identical metrics files. An
+rerunning a manifest yields byte-identical metrics files. A run from
+`--caches`, `--endpoints` or `--source-checkpoints` replays only when it
+is given the same sources again, since the manifest does not pin them. An
 `ExperimentConfig` holds every hyper-parameter, by default the value its
 phase declares; `validate` checks them all before any net trains, and each
 phase takes its own as keywords.
@@ -15,9 +17,10 @@ phase's consumption never shifts another's. A run splits its seeds into
 one share per usable CPU; each share trains its seeds' nets of one phase
 in lockstep as one stack, each on its own streams, so a seed's outputs
 are those it would have alone. Share 0 trains in the calling process and
-the others in forked `multiprocessing` children, with numpy's BLAS on one
-thread while they run; with one seed or one CPU, or where forking or
-pinning the BLAS is not possible, the one share runs in the calling process.
+the others in forked `multiprocessing` children, each training loop and
+forward with numpy's BLAS on one thread (`nets._OneBlasThread`, which also
+holds the forks); with one seed or one CPU, or where forking or pinning the
+BLAS is not possible, the one share runs in the calling process.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .nets import (
     SourceNet,
     TargetNet,
     _blas_threads,
+    _OneBlasThread,
     check_training_args,
     load_checkpoint,
     net_state,
@@ -262,9 +266,7 @@ def _in_shares(work, seeds) -> list:
     """`work(share)` for contiguous shares of `seeds`, its lists joined in
     seed order. Share 0 runs here; every other share runs at the same time
     in a `multiprocessing` child forked from this process, which sends back
-    through a one-way pipe what `work` returned or raised. Meanwhile numpy's
-    BLAS runs one thread, so the processes do not contend for the CPUs, and
-    afterwards it runs as many as before.
+    through a one-way pipe what `work` returned or raised.
 
     The first share in seed order to raise decides the error; a child that
     ends without a result, such as one killed or one whose result cannot be
@@ -287,38 +289,37 @@ def _in_shares(work, seeds) -> list:
     context = multiprocessing.get_context("fork")
     bounds = [len(seeds) * i // k for i in range(k + 1)]
     shares = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-    get_threads, set_threads = _blas_threads()
-    threads = get_threads()
     children = []  # (share, process, read end of its pipe)
-    set_threads(1)
-    try:
-        for share in shares[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=send, args=(share, sender))
-            with sender:  # once the child holds the only write end, the pipe ends when the child does
-                process.start()
-            children.append((share, process, receiver))
-        results = work(shares[0])
-        for share, process, receiver in children:
-            try:
-                kind, value = receiver.recv()
-            except (EOFError, OSError):  # nothing, or a cut-off message
-                kind = None
-            process.join()
-            if kind is None:
-                raise RuntimeError(f"the process running seeds {list(share)} ended without a result "
-                                   f"(exit code {process.exitcode})")
-            if kind == "raised":
-                raise value
-            results += value
-        return results
-    finally:
-        for _, process, receiver in children:
-            receiver.close()
-            process.kill()  # a no-op for a child already joined
-            process.join()
-            process.close()
-        set_threads(threads)
+    # the children inherit one BLAS thread, so no process sets the count while they run: OpenBLAS stops its
+    # worker at a fork and restarts it at the next count set, and a restarted worker spins for about 0.1 s
+    with _OneBlasThread():
+        try:
+            for share in shares[1:]:
+                receiver, sender = context.Pipe(duplex=False)
+                process = context.Process(target=send, args=(share, sender))
+                with sender:  # once the child holds the only write end, the pipe ends when the child does
+                    process.start()
+                children.append((share, process, receiver))
+            results = work(shares[0])
+            for share, process, receiver in children:
+                try:
+                    kind, value = receiver.recv()
+                except (EOFError, OSError):  # nothing, or a cut-off message
+                    kind = None
+                process.join()
+                if kind is None:
+                    raise RuntimeError(f"the process running seeds {list(share)} ended without a result "
+                                       f"(exit code {process.exitcode})")
+                if kind == "raised":
+                    raise value
+                results += value
+            return results
+        finally:
+            for _, process, receiver in children:
+                receiver.close()
+                process.kill()  # a no-op for a child already joined
+                process.join()
+                process.close()
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str, fixed_handles=None) -> dict:

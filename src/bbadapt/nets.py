@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -279,7 +280,8 @@ class SourceNet(_Net):
 
     # defined per class, so each class's method can be wrapped on its own
     def predict_proba(self, x) -> np.ndarray:
-        return softmax(self.forward(x, mode="eval")).data
+        with _OneBlasThread():
+            return softmax(self.forward(x, mode="eval")).data
 
 
 class TargetNet(_Net):
@@ -302,7 +304,8 @@ class TargetNet(_Net):
         return [bn, self.bottleneck._forward, self.classifier._forward]
 
     def predict_proba(self, x) -> np.ndarray:
-        return softmax(self.forward(x, mode="eval")).data
+        with _OneBlasThread():
+            return softmax(self.forward(x, mode="eval")).data
 
     def post_update(self):
         self.classifier.renorm()
@@ -540,6 +543,23 @@ def _blas_threads():
     return None
 
 
+class _OneBlasThread:
+    """Numpy's OpenBLAS on one thread for a `with` block, then on the caller's count again. It acts only
+    on the main thread with no other thread running, so it never changes the process-wide count under
+    another thread's BLAS call, and does nothing without an OpenBLAS that `_blas_threads` finds."""
+
+    def __enter__(self):
+        main = threading.current_thread() is threading.main_thread() and threading.active_count() == 1
+        blas = main and _blas_threads()
+        self._restore = blas and (n := blas[0]()) != 1 and functools.partial(blas[1], n)
+        if self._restore:
+            blas[1](1)
+
+    def __exit__(self, *exc_info):
+        if self._restore:
+            self._restore()
+
+
 def _diverged_member(arrays, members: int):
     """The first member of a stack of `members` with a non-finite value in
     `arrays`; None if every value is finite. The member axis is the first,
@@ -578,7 +598,8 @@ def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds
     epoch, the step and the first member to diverge: by its entry in
     `names` whenever `names` is given, even for one net, and otherwise as
     `member i` on a stack of two or more. Numpy's floating-point warnings
-    are off throughout, so a diverging run is reported once.
+    are off throughout, so a diverging run is reported once, and its BLAS
+    runs one thread (`_OneBlasThread`).
     """
     counts = {key: len(a) for key, a in dict(features=features, seeds=seeds, names=names or nets, **per_net).items()}
     if not nets or any(count != len(nets) for count in counts.values()):
@@ -620,7 +641,7 @@ def train_epochs(nets, features, batch_loss, epochs: int, batch_size: int, seeds
 
     histories = [[] for _ in nets]
     step = 0
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), _OneBlasThread():
         for epoch in range(1, epochs + 1):
             sums = {}
             for nbatches, idx in enumerate(minibatch_indices(n, batch_size, rng, min_size=min_batch), 1):

@@ -383,6 +383,11 @@ class PredictorHandle:
     num_classes: int = 0
     predictor_id: str = "source"
 
+    def _set_id(self, predictor_id) -> None:  # a cache file saves the id, and `read_cache` admits only a string
+        if not isinstance(predictor_id, str):
+            raise ContractError(f"predictor_id must be a string, got {predictor_id!r}")
+        self.predictor_id = predictor_id
+
     @property
     def disclosure(self) -> str:
         return "hard" if self.r == 0 else "full-soft" if self.r == self.num_classes else "top-r"
@@ -403,7 +408,7 @@ class InProcessPredictor(PredictorHandle):
         self.r = resolve_r(disclosure, r, net.num_classes)
         self._net = clone_net(net)
         self.num_classes = net.num_classes
-        self.predictor_id = predictor_id
+        self._set_id(predictor_id)
 
     def query(self, features) -> list[TopK]:
         """The disclosed predictions of the snapshot; ContractError, naming

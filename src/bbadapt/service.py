@@ -2,6 +2,7 @@
 
 Request:  {"id": <any>, "features": [[x1, x2, ...], ...]}
 Response: {"id": <same>, "topk": [[[class, prob], ...], ...]}
+Describe: {"id": <any>, "describe": true} -> {"id": <same>, "num_classes": K, "r": r}
 
 A request carries a batch of feature rows, and its response carries one
 list of pairs per row, in row order. That list holds the full vector
@@ -14,8 +15,11 @@ discloses identical numbers.
 A `RemotePredictor.query` is one connection and one round trip: all its
 rows go in one request, unless that line would be longer than
 MAX_LINE_BYTES, in which case the rows are split over several requests on
-the same connection. Both ends disable Nagle's algorithm and every line
-goes out in a single write, so no response waits on a delayed ACK.
+the same connection. A handle's first query sends the describe request
+first, on that connection, and an endpoint that serves another class count
+or r than the handle expects is a ContractError. Both ends disable Nagle's
+algorithm and every line goes out in a single write, so no response waits
+on a delayed ACK.
 
 Malformed or mismatched requests get {"id", "error"} responses and the
 connection stays open. A request line longer than MAX_LINE_BYTES gets
@@ -144,6 +148,9 @@ class PredictionServer(socketserver.ThreadingTCPServer):
             if not isinstance(obj, dict):
                 raise ContractError("request must be a JSON object")
             request_id = obj.get("id")
+            if obj.get("describe") is True:
+                return json.dumps({"id": request_id, "num_classes": self._handle.num_classes, "r": self._handle.r},
+                                  sort_keys=True).encode("utf-8")
             features = obj.get("features")
             if not isinstance(features, list) or not features:
                 raise ContractError("request must carry a nonempty 'features' list of rows")
@@ -184,7 +191,8 @@ class RemotePredictor(PredictorHandle):
     """Client-side handle over a served predictor.
 
     The client must know what it is talking to (class count, disclosure
-    mode, truncation level); the wire carries only ids and topk pairs.
+    mode, truncation level); its first query checks the class count and r
+    against the endpoint's answer to the describe request.
     Its socket times out after CONNECT_TIMEOUT_S seconds. Connection
     failures (refused, timed out, reset) are retried once and then
     surface as an "unreachable" transport error. A reachable server
@@ -202,7 +210,8 @@ class RemotePredictor(PredictorHandle):
         self.port = int(port)
         self.num_classes = int(num_classes)
         self.r = resolve_r(disclosure, r, self.num_classes)
-        self.predictor_id = predictor_id
+        self._set_id(predictor_id)
+        self._described = False  # whether the endpoint passed `_check_description`
 
     query = PredictorHandle.query  # on the class, where the benchmark wraps it
 
@@ -222,13 +231,21 @@ class RemotePredictor(PredictorHandle):
         with socket.create_connection((self.host, self.port), timeout=CONNECT_TIMEOUT_S) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with sock.makefile("rb") as responses:
-                for request_id, rows in enumerate(_row_batches(x)):
-                    # {"features": [<rows>], "id": <request_id>}, keys sorted as the server writes them
-                    sock.sendall(b'{"features": [%s], "id": %d}\n' % (", ".join(rows).encode("ascii"), request_id))
-                    bound = self._response_bytes(request_id, len(rows))
+
+                def ask(request: bytes, request_id, bound: int) -> bytes:
+                    sock.sendall(request)
                     line = responses.readline(bound + 1)
                     if len(line) > bound:
-                        raise TransportError(f"response to request {request_id} is longer than {bound} bytes")
+                        raise TransportError(f"response to request {request_id!r} is longer than {bound} bytes")
+                    return line
+
+                if not self._described:
+                    self._check_description(ask(b'{"describe": true, "id": "describe"}\n', "describe",
+                                                self._response_bytes(0, 0)))
+                for request_id, rows in enumerate(_row_batches(x)):
+                    # {"features": [<rows>], "id": <request_id>}, keys sorted as the server writes them
+                    request = b'{"features": [%s], "id": %d}\n' % (", ".join(rows).encode("ascii"), request_id)
+                    line = ask(request, request_id, self._response_bytes(request_id, len(rows)))
                     parts.append(self._response_columns(line, request_id, len(rows)))
         if not parts:  # no rows, so no request: the answer `_columns` gives for no records
             return _columns([], self.num_classes, 0)
@@ -243,20 +260,33 @@ class RemotePredictor(PredictorHandle):
         envelope = len('{"id": %d, "topk": []}\n' % request_id) + _ERROR_BYTES
         return envelope + rows * (len("[], ") + max(self.r, 1) * pair)
 
+    def _check_description(self, line: bytes) -> None:
+        """ContractError unless the endpoint serves this handle's class count at its r."""
+        obj = self._response(line, "describe")
+        served = obj.get("num_classes"), obj.get("r")
+        if served != (self.num_classes, self.r) or {type(v) for v in served} != {int}:
+            raise ContractError(f"predictor at {self.host}:{self.port} serves {served[0]!r} classes at "
+                                f"r={served[1]!r}, expected {self.num_classes} classes at r={self.r}")
+        self._described = True
+
     def _response_columns(self, line: bytes, request_id: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        topk = self._response(line, request_id).get("topk")
+        if not isinstance(topk, list) or len(topk) != rows:
+            raise ContractError(f"expected a 'topk' list of {rows} rows, got {str(topk)[:80]}")
+        return _topk_columns(topk, self.r, self.num_classes)
+
+    def _response(self, line: bytes, request_id) -> dict:
+        """The JSON object answering request `request_id`, an int or "describe"; see the class docstring."""
         if not line:
             raise TransportError("connection closed mid-query")
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError):  # not JSON, or nested too deep
-            raise TransportError(f"response to request {request_id} is not JSON: {line[:80]!r}") from None
+            raise TransportError(f"response to request {request_id!r} is not JSON: {line[:80]!r}") from None
         if not isinstance(obj, dict):
-            raise TransportError(f"response to request {request_id} is not a JSON object: {line[:80]!r}")
+            raise TransportError(f"response to request {request_id!r} is not a JSON object: {line[:80]!r}")
         if obj.get("error"):
-            raise ContractError(f"service rejected request {request_id}: {obj['error']}")
-        if type(obj.get("id")) is not int or obj["id"] != request_id:
-            raise TransportError(f"response id {obj.get('id')!r} does not match request {request_id}")
-        topk = obj.get("topk")
-        if not isinstance(topk, list) or len(topk) != rows:
-            raise ContractError(f"expected a 'topk' list of {rows} rows, got {str(topk)[:80]}")
-        return _topk_columns(topk, self.r, self.num_classes)
+            raise ContractError(f"service rejected request {request_id!r}: {obj['error']}")
+        if type(obj.get("id")) is not type(request_id) or obj.get("id") != request_id:
+            raise TransportError(f"response id {obj.get('id')!r} does not match request {request_id!r}")
+        return obj

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbadapt import cli
+from bbadapt import cli, nets
 from bbadapt.cli import (
     ExperimentConfig,
     source_handles,
@@ -33,6 +33,7 @@ from bbadapt.errors import ContractError
 from bbadapt.nets import SourceNet, TargetNet, load_checkpoint, net_state, save_checkpoint
 from bbadapt.predictors import InProcessPredictor, init_teacher, read_cache, write_cache
 from bbadapt.scenarios import PRESET_NAMES, DomainData, ScenarioSpec, Shift, generate, preset
+from bbadapt.service import PredictionServer
 
 from conftest import JSON, key_paths, replaced
 
@@ -281,29 +282,59 @@ def test_shares_write_the_files_of_a_serial_run(seeds, tmp_path, monkeypatch, fo
 
 @needs_fork
 def test_shares_use_the_cpus_one_blas_thread_each(tmp_path, monkeypatch, forks):
-    get_threads = cli._blas_threads()[0]
-    before, during = get_threads(), []
+    # every training loop and main-thread forward, serial or in a share, runs one BLAS thread, and the
+    # caller's count is back once `main` returns; a forked share never sets the count, which would restart
+    # OpenBLAS's worker; with another thread running, the count never changes
+    get_threads, set_threads = cli._blas_threads()
+    before, log, forward, share_count = get_threads(), tmp_path / "threads.log", nets._Net.forward, cli._share_count
 
-    def counting(cfg, target, handles, seeds):
-        during.append(get_threads())
-        return run_seeds(cfg, target, handles, seeds)
+    def logged(self, *args, **kwargs):  # a forward runs only in a training loop or in `predict_proba`
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {get_threads()}\n")
+        return forward(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_seeds", counting)
+    def logged_set(threads):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} set\n")
+        set_threads(threads)
+
+    def counts(argv) -> dict:
+        log.write_text("")
+        assert main([*TINY_ADAPT, *argv]) == 0
+        seen = {}
+        for pid, threads in map(str.split, log.read_text().splitlines()):
+            seen.setdefault(int(pid), set()).add(threads if threads == "set" else int(threads))
+        return seen
+
+    monkeypatch.setattr(nets._Net, "forward", logged)
+    monkeypatch.setattr(nets, "_blas_threads", lambda: (get_threads, logged_set))
     alone = threading.active_count() == 1  # a process with another thread running does not fork
     assert cli._share_count((1, 2, 3)) == (min(len(os.sched_getaffinity(0)), 3) if alone else 1)
     assert cli._share_count((1,)) == 1
-    stop = threading.Event()
-    waiting = threading.Thread(target=stop.wait)
-    waiting.start()
+    set_threads(2)  # a caller's count that a pin to one thread changes
     try:
-        assert cli._share_count((1, 2, 3)) == 1
+        for name, shares in (("serial", lambda seeds: 1), ("shares", len)):
+            monkeypatch.setattr(cli, "_share_count", shares)
+            seen = counts(["--seeds", "1,2,3", "--outdir", str(tmp_path / name)])
+            assert set(seen) == {os.getpid(), *forks}, name
+            assert seen.pop(os.getpid()) - {"set"} == {1 if alone else 2}, name
+            assert seen == {pid: {1} if alone else {1, "set"} for pid in forks}, name
+            assert get_threads() == 2
+        assert len(forks) == 2 and _reaped(forks)
+        monkeypatch.setattr(cli, "_share_count", share_count)
+        stop = threading.Event()
+        waiting = threading.Thread(target=stop.wait)
+        waiting.start()
+        try:
+            assert cli._share_count((1, 2, 3)) == 1
+            seen = counts(["--seeds", "1,2", "--outdir", str(tmp_path / "threaded")])
+            assert seen == {os.getpid(): {2}} and get_threads() == 2  # and no "set"
+        finally:
+            stop.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive() and len(forks) == 2
     finally:
-        stop.set()
-        waiting.join(timeout=10)
-    assert not waiting.is_alive()
-    assert main([*TINY_ADAPT, "--seeds", "1,2,3", "--outdir", str(tmp_path / "x")]) == 0
-    assert len(forks) == cli._share_count((1, 2, 3)) - 1 and _reaped(forks)
-    assert during == [1 if forks else before] and get_threads() == before
+        set_threads(before)
 
 
 def test_an_unpinnable_blas_runs_serially(tmp_path, monkeypatch):
@@ -1003,6 +1034,25 @@ def test_an_unreachable_endpoint_leaves_no_outdir(tmp_path, capsys):
     outdir = tmp_path / "x"
     assert main(["adapt", "--preset", "moons-rot30", "--endpoints", f"127.0.0.1:{port}", "--outdir", str(outdir)]) == 2
     assert f"predictor at 127.0.0.1:{port} unreachable" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_an_endpoint_over_another_class_count_exits_2(tmp_path, capsys):
+    # a K=4 source served to a K=8 run: its top-1 pairs are valid over 8 classes too, so only the
+    # endpoint's description can tell; at r=1 the run once exited 0 with every accuracy at 50.00
+    net = SourceNet(2, 4, hidden=(8,), rng=np.random.default_rng(0))
+    server = PredictionServer(InProcessPredictor(net, "top-r", 1))
+    server.start_background()
+    host, port = server.endpoint
+    outdir = tmp_path / "x"
+    try:
+        assert main(["adapt", "--preset", "partial-gauss8", *TINY_ADAPT[3:], "--endpoints", f"{host}:{port}",
+                     "--outdir", str(outdir)]) == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert capsys.readouterr().err == (f"error: predictor at {host}:{port} serves 4 classes at r=1, "
+                                       "expected 8 classes at r=1\n")
     assert not outdir.exists()
 
 

@@ -126,8 +126,8 @@ def test_training_surface_is_pinned():
     # one call form per phase: a list of nets with one seed each, then keyword-only hyper-parameters
     nets, distill, finetune = bbadapt.nets, bbadapt.distill, bbadapt.finetune
     imported = {
-        nets: {"annotations", "functools", "json", "math", "np", "os", "ContractError", "DimensionError", "LOG_EPS",
-               "GradTape", "Tensor", "affine", "as_tensor", "check_probabilities", "record_op", "softmax"},
+        nets: {"annotations", "functools", "json", "math", "np", "os", "threading", "ContractError", "DimensionError",
+               "LOG_EPS", "GradTape", "Tensor", "affine", "as_tensor", "check_probabilities", "record_op", "softmax"},
         distill: {"annotations", "math", "np", "ContractError", "DimensionError", "soft_cross_entropy",
                   "take_rows", "train_epochs", "LOG_EPS", "Tensor", "as_tensor", "check_probabilities", "record_op",
                   "softmax"},

@@ -388,6 +388,17 @@ def test_cache_file_round_trip(tmp_path, rng):
     assert saved["num_classes"] == 3 and saved["r"] == 2 and len(saved["topk"]) == x.shape[0]
 
 
+@pytest.mark.parametrize("predictor_id", [7, None, b"source", ["source"]])
+def test_a_handle_needs_a_string_predictor_id(rng, tmp_path, predictor_id):
+    # a cache file saves the id, and `read_cache` admits only a string; so no handle may hold another
+    net, x = _trained_net(rng)
+    with pytest.raises(ContractError, match=f"predictor_id must be a string, got {re.escape(repr(predictor_id))}"):
+        InProcessPredictor(net, "top-r", 2, predictor_id=predictor_id)
+    with pytest.raises(ContractError, match="predictor_id must be a string"):
+        RemotePredictor("127.0.0.1", 9, num_classes=3, predictor_id=predictor_id)
+    assert not list(tmp_path.iterdir())
+
+
 # a cached or remote handle hands `_answer` its columns, and no record is built ---------
 
 def _no_records(*args):

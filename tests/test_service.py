@@ -209,6 +209,34 @@ def test_id_mismatch_raises_transport_error(trained_net):
         server.server_close()
 
 
+def test_answer_describes_the_handle(unserved_server):
+    # the describe request, with or without an id, is answered with the handle's class count and r
+    assert unserved_server.answer(b'{"describe": true}') == b'{"id": null, "num_classes": 3, "r": 2}'
+    assert unserved_server.answer(b'{"describe": true, "id": "describe"}') == (
+        b'{"id": "describe", "num_classes": 3, "r": 2}')
+
+
+@pytest.mark.parametrize("served, expected, message", [
+    pytest.param((4, "top-r", 1), (8, "top-r", 1), "serves 4 classes at r=1, expected 8 classes at r=1", id="classes"),
+    pytest.param((3, "hard", None), (3, "top-r", 1), "serves 3 classes at r=0, expected 3 classes at r=1", id="r"),
+])
+def test_an_endpoint_that_serves_something_else_raises_contract_error(served, expected, message):
+    # a K=4 endpoint's records, each a valid top-1 pair over 8 classes, must not reach a K=8 run
+    k, disclosure, r = served
+    server = _recording(InProcessPredictor(SourceNet(2, k, hidden=(8,), rng=np.random.default_rng(4)), disclosure, r))
+    try:
+        k, disclosure, r = expected
+        remote = RemotePredictor(*server.endpoint, num_classes=k, disclosure=disclosure, r=r)
+        for _ in range(2):  # a refused description is asked for again by the next query
+            with pytest.raises(ContractError, match=message):
+                remote.query(np.zeros((4, 2)))
+        assert len(server.connections) == 2
+        assert [json.loads(line) for line in server.lines] == [{"describe": True, "id": "describe"}] * 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_unreachable_port_raises_transport_error(monkeypatch):
     monkeypatch.setattr(service, "CONNECT_TIMEOUT_S", 0.5)
     probe = socket.socket()
@@ -298,22 +326,28 @@ def test_query_is_one_request_on_one_connection(trained_net):
         x = np.random.default_rng(6).normal(0.0, 2.0, (40, 2))
         assert remote.query(x) == local.query(x)
         assert len(server.connections) == 1
-        assert len(server.lines) == 1
-        assert json.loads(server.lines[0]) == {"id": 0, "features": x.tolist()}
+        assert [json.loads(line) for line in server.lines] == [{"describe": True, "id": "describe"},
+                                                               {"id": 0, "features": x.tolist()}]
+        assert remote.query(x[:3]) == local.query(x[:3])  # a later query does not describe again
+        assert len(server.connections) == 2
+        assert [json.loads(line) for line in server.lines[2:]] == [{"id": 0, "features": x[:3].tolist()}]
     finally:
         server.shutdown()
         server.server_close()
 
 
 class _FaultyServer(_RecordingServer):
-    """Answers every request line outside the protocol: with the wrong id,
-    with a line that is not JSON, or by closing the connection."""
+    """Answers the describe request, then every request line outside the
+    protocol: with the wrong id, with a line that is not JSON, or by closing
+    the connection."""
 
     fault = "id"
     wrong_ids = {"id": 999, "false-id": False, "float-id": 0.0}  # False and 0.0 equal 0 in Python, yet are no ints
 
     def answer(self, line):
         reply = super().answer(line)
+        if json.loads(line).get("describe"):
+            return reply
         if self.fault == "close":
             raise ConnectionResetError("closing without an answer")
         if self.fault == "not-json":
@@ -337,7 +371,7 @@ def test_protocol_fault_is_raised_once_not_retried(trained_net, fault, message):
         with pytest.raises(TransportError, match=message) as info:
             remote.query(np.zeros((4, 2)))
         assert "unreachable" not in str(info.value)
-        assert len(server.lines) == 1
+        assert len(server.lines) == 2  # the describe request and the one faulted request
         assert len(server.connections) == 1
     finally:
         server.shutdown()
@@ -354,9 +388,9 @@ def test_query_split_over_request_lines_matches_in_process(trained_net, monkeypa
         x = np.random.default_rng(7).normal(0.0, 2.0, (23, 2))
         assert remote.query(x) == local.query(x)
         assert len(server.connections) == 1  # every request went over the same connection
-        assert len(server.lines) > 1
+        assert json.loads(server.lines[0]) == {"describe": True, "id": "describe"} and len(server.lines) > 2
         assert all(len(line) + 1 <= 256 for line in server.lines)
-        rows = [row for line in server.lines for row in json.loads(line)["features"]]
+        rows = [row for line in server.lines[1:] for row in json.loads(line)["features"]]
         assert rows == x.tolist()
         monkeypatch.setattr(service, "MAX_LINE_BYTES", 40)
         with pytest.raises(ContractError, match="row 0"):
@@ -414,7 +448,10 @@ def test_a_response_line_past_its_bound_raises_transport_error(monkeypatch):
         def endpoint():
             conn, _ = listener.accept()
             with conn:
-                conn.makefile("rb").readline()
+                requests = conn.makefile("rb")
+                requests.readline()
+                conn.sendall(b'{"id": "describe", "num_classes": 3, "r": 2}\n')
+                requests.readline()
                 conn.sendall(b"x" * (bound + 1))  # one byte past the bound, and no newline
                 conn.recv(1)  # open until the client gives up
 
@@ -434,7 +471,7 @@ def test_a_long_answer_fits_its_bound():
         remote = RemotePredictor(*server.endpoint, num_classes=8, disclosure="full-soft")
         x = np.random.default_rng(8).normal(0.0, 2.0, (1000, 2))
         assert remote.query(x) == local.query(x)
-        assert len(server.lines) == 1
+        assert len(server.lines) == 2  # the describe request and one request for all rows
     finally:
         server.shutdown()
         server.server_close()
@@ -456,10 +493,14 @@ def test_every_answer_fits_its_bound(k, rows, request_id, data):
 
 
 class _CannedServer(PredictionServer):
+    """Answers the describe request with `description`, by default that of
+    the handles the tests expect (3 classes at r = 2), and any other with `reply`."""
+
+    description = b'{"id": "describe", "num_classes": 3, "r": 2}'
     reply = b""
 
     def answer(self, line):
-        return self.reply
+        return self.description if b'"describe"' in line else self.reply
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +537,28 @@ def test_malformed_response_raises_typed_error(canned_server, reply):
     remote = RemotePredictor(*canned_server.endpoint, num_classes=3, disclosure="top-r", r=2)
     with pytest.raises((ContractError, TransportError)):
         remote.query(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("description, error", [
+    (b'{"id": "describe", "num_classes": 3.0, "r": 2}', ContractError),  # 3.0 == 3, yet no integer
+    (b'{"id": "describe", "num_classes": 3, "r": 2.0}', ContractError),
+    (b'{"id": "describe", "num_classes": true, "r": 2}', ContractError),
+    (b'{"id": "describe", "r": 2}', ContractError),
+    (b'{"id": "describe", "error": "unknown request"}', ContractError),
+    (b'{"id": 0, "num_classes": 3, "r": 2}', TransportError),
+    (b'{"num_classes": 3, "r": 2}', TransportError),
+    (b'[3, 2]', TransportError),
+    (b'not json', TransportError),
+    pytest.param(b'x' * 8192, TransportError, id="overlong"),  # longer than any description
+])
+def test_a_malformed_description_raises_typed_error(canned_server, monkeypatch, description, error):
+    monkeypatch.setattr(canned_server, "description", description)
+    canned_server.reply = b'{"id": 0, "topk": [[[0, 0.6], [1, 0.3]]]}'  # a valid answer, so only the description fails
+    remote = RemotePredictor(*canned_server.endpoint, num_classes=3, disclosure="top-r", r=2)
+    with pytest.raises(error):
+        remote.query(np.zeros((1, 2)))
+    monkeypatch.undo()
+    assert remote.query(np.zeros((1, 2))) == [TopK((0, 1), (0.6, 0.3), 2, 3)]
 
 
 @pytest.mark.parametrize("reply, record", [
